@@ -63,6 +63,15 @@ PeriodResult ThroughputEngine::recompute(std::span<const double> exec_times) {
   }
   if (!solver_.has_cycle()) return out;  // acyclic expansion: period 0
 
+  // A cold solve under the graph's own times is the isolation period.
+  const bool isolation = exec_times.empty() && solver_.policy().empty();
+  if (isolation && !memo_policy_.empty()) {
+    // Node weights need no restore: every solve sets all of them first.
+    solver_.install_policy(memo_policy_);
+    out.period = memo_period_;
+    return out;
+  }
+
   const std::span<const double> times =
       exec_times.empty() ? std::span<const double>(default_times_) : exec_times;
   for (std::size_t v = 0; v < node_weight_.size(); ++v) {
@@ -70,6 +79,11 @@ PeriodResult ThroughputEngine::recompute(std::span<const double> exec_times) {
   }
   solver_.set_node_weights(node_weight_);
   out.period = solver_.solve();
+  if (isolation && memoise_) {
+    const std::span<const std::int64_t> policy = solver_.policy();
+    memo_policy_.assign(policy.begin(), policy.end());
+    memo_period_ = out.period;
+  }
   return out;
 }
 

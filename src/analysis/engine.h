@@ -12,17 +12,24 @@
 // caches the result: the closed graph's repetition vector, the HSDF
 // topology in flat CSR form, and the structural verdicts (cycle existence,
 // zero-token deadlock). recompute(exec_times) then only rewrites node
-// weights in place and re-runs Howard warm-started from the previous policy
-// and potentials, which converges in one or two improvement rounds under
-// the small perturbations these loops produce — an order of magnitude
-// faster than the fresh path (bench_engine tracks the exact factor).
+// weights in place and re-runs Howard warm-started from the previous policy,
+// which converges in one or two improvement rounds under the small
+// perturbations these loops produce — an order of magnitude faster than the
+// fresh path (bench_engine tracks the exact factor).
 //
 // Caching contract: the *structure* (actors, channels, rates, initial
 // tokens) is fixed for the engine's lifetime; only execution times may vary
 // between recompute() calls. Results are identical to compute_period() on
 // the same graph and times.
+//
+// Isolation memo: an engine that has been reset() also keeps its cold solve
+// under the graph's own times — the isolation period, step 1 of the
+// estimator and of every WCRT bound — together with Howard's final policy.
+// Each later reset() + recompute() replays that solve from the memo, bitwise
+// what a cold solve returns and leaves behind.
 #pragma once
 
+#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -53,6 +60,15 @@ struct EngineOptions {
 /// vary between recompute() calls. Results are identical to
 /// compute_period() on the same graph and times.
 ///
+/// Isolation memo: once reset() has been called, the first cold recompute()
+/// with empty `exec_times` (the graph's own times) stores its period and
+/// Howard's final policy. Every later cold recompute() with empty times
+/// returns that period and installs that policy instead of solving. Howard
+/// carries nothing but its policy from one solve to the next, so the result
+/// and the following warm recomputes are bitwise those of a real cold
+/// solve. Explicit times, even equal to the graph's own, always solve.
+/// Engines that are never reset() never store the memo.
+///
 /// Thread-safety: an engine is a mutable analysis object (recompute and
 /// even const-free queries mutate solver state); one engine must not be
 /// used from two threads at once. Sharded callers clone one engine per
@@ -65,15 +81,23 @@ class ThroughputEngine {
 
   /// Period of the cached structure under `exec_times` (one entry per actor
   /// of the original graph; empty = the graph's own integral times).
-  /// Repeated calls warm-start Howard from the previous solution.
+  /// Repeated calls warm-start Howard from the previous solution; a cold
+  /// call with empty times on a reset() engine is served by the isolation
+  /// memo (see the class comment).
   [[nodiscard]] PeriodResult recompute(std::span<const double> exec_times = {});
 
   /// Discards the Howard warm-start state; the next recompute() cold-starts.
   /// Parallel sharding (use-case sweeps, mapper candidate scoring) resets a
   /// worker's engine clone before every independent work item so its result
   /// is a pure function of the inputs — bitwise identical no matter which
-  /// worker evaluates the item after which other items.
-  void reset() noexcept { solver_.reset(); }
+  /// worker evaluates the item after which other items. Also turns on the
+  /// isolation memo: the next cold recompute() with empty times fills it if
+  /// it is empty, and every one after that is served from it, bitwise the
+  /// cold solve.
+  void reset() noexcept {
+    solver_.reset();
+    memoise_ = true;
+  }
 
   /// Number of actors of the original graph.
   [[nodiscard]] std::size_t actor_count() const noexcept { return actor_count_; }
@@ -99,6 +123,10 @@ class ThroughputEngine {
   std::vector<double> default_times_;    // the graph's own times, as doubles
   std::vector<double> node_weight_;      // scratch: per-node exec time
   HowardSolver solver_;
+  // Isolation memo (see reset()): empty until the first memoised cold solve.
+  bool memoise_ = false;
+  double memo_period_ = 0.0;
+  std::vector<std::int64_t> memo_policy_;
 };
 
 }  // namespace procon::analysis

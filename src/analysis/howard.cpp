@@ -120,6 +120,17 @@ void HowardSolver::set_node_weights(std::span<const double> weights) {
   std::copy(weights.begin(), weights.end(), weight_.begin());
 }
 
+void HowardSolver::install_policy(std::span<const std::int64_t> policy) {
+  if (policy.size() != n_) {
+    throw std::invalid_argument("HowardSolver: policy size mismatch");
+  }
+  policy_.assign(policy.begin(), policy.end());
+  // Per-round evaluation state: sized here, overwritten by every round.
+  ratio_.resize(n_);
+  dist_.resize(n_);
+  warm_ = true;
+}
+
 double HowardSolver::solve() {
   if (!has_cycle_ || deadlocked_) {
     throw std::logic_error("HowardSolver::solve: no finite cycle ratio exists");

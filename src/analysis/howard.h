@@ -7,11 +7,11 @@
 // edges that improve the reachable ratio until a fixpoint.
 //
 // The solver below keeps the graph in CSR form (offset/edge arrays instead
-// of per-node vectors) and retains its policy and potentials between calls:
-// when only the node weights change — the repeated-analysis pattern of the
-// contention estimator, the DSE loops and admission control — re-solving
-// warm-starts from the previous policy and typically converges in one or
-// two improvement rounds instead of a full cold start. ThroughputEngine
+// of per-node vectors) and retains its policy between calls: when only the
+// node weights change — the repeated-analysis pattern of the contention
+// estimator, the DSE loops and admission control — re-solving warm-starts
+// from the previous policy and typically converges in one or two
+// improvement rounds instead of a full cold start. ThroughputEngine
 // (analysis/engine.h) builds on exactly this property.
 //
 // This engine is an order of magnitude faster than the Lawler parametric
@@ -52,11 +52,28 @@ class HowardSolver {
 
   /// Maximum cycle ratio under the current weights. Requires has_cycle() &&
   /// !deadlocked(). The first call cold-starts the policy; later calls
-  /// warm-start from the previous policy and potentials.
+  /// warm-start from the previous policy (see policy()).
   [[nodiscard]] double solve();
 
   /// Discards the warm-start state (the next solve() cold-starts).
   void reset() noexcept { warm_ = false; }
+
+  /// The warm-start state the next solve() starts from: the final policy of
+  /// the most recent solve() (one global edge index per node, -1 where no
+  /// out-edge reaches a cycle). Empty when the next solve() cold-starts.
+  /// The policy is all a solve carries over — ratios and potentials are
+  /// re-evaluated from it every round.
+  [[nodiscard]] std::span<const std::int64_t> policy() const noexcept {
+    return warm_ ? std::span<const std::int64_t>(policy_)
+                 : std::span<const std::int64_t>();
+  }
+
+  /// Installs a policy() taken from a solver over the same topology as the
+  /// warm-start state: the next solve() then runs exactly as it would right
+  /// after the solve that produced it (critical_cycle() waits for that
+  /// solve). No heap allocation once this solver has solved. Throws
+  /// std::invalid_argument on a size mismatch.
+  void install_policy(std::span<const std::int64_t> policy);
 
   /// Nodes of a critical cycle of the most recent solve(), in traversal
   /// order. The final policy's functional graph contains, reachable from
@@ -82,6 +99,8 @@ class HowardSolver {
   // --- persistent policy state (the warm start) ---
   bool warm_ = false;
   std::vector<std::int64_t> policy_;  // global edge index, -1 if no out-edge
+
+  // --- policy evaluation, rebuilt from policy_ every round ---
   std::vector<double> ratio_;
   std::vector<double> dist_;
 

@@ -8,11 +8,14 @@
 //   4. form response times tau'(a) = tau(a) + t_wait(a);
 //   5. recompute each application's period from the response-time graph.
 //
-// Methods (Section 4):
+// Methods (Section 4), with the cost of one actor's waiting time over the
+// n other actors on its node (a node costs n+1 times that):
 //   Exact                - Eq. 4 in full (via the O(n^2) symmetric-poly DP)
-//   SecondOrder          - Eq. 5 (the paper's "Probabilistic Second Order")
-//   FourthOrder          - 4th-order truncation ("Probabilistic Fourth Order")
-//   MthOrder             - any truncation order (ablation studies)
+//   SecondOrder          - Eq. 5 (the paper's "Probabilistic Second Order"),
+//                          O(n)
+//   FourthOrder          - 4th-order truncation ("Probabilistic Fourth
+//                          Order"), O(n)
+//   MthOrder             - any truncation order m (ablation studies), O(n*m)
 //   Composability        - fold of Eq. 6/7 over the other actors
 //   CompositionInverse   - full-node composite, own contribution removed via
 //                          Eq. 8/9 (O(1) per actor after an O(n) node pass)

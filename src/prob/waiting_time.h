@@ -13,7 +13,19 @@
 // util/symmetric_poly.h), which computes the *identical* value in O(n^2).
 //
 // The m-th order approximation truncates the inner sum at j <= m-1
-// (Eq. 5 is the case m = 2); the paper evaluates m = 2 and m = 4.
+// (Eq. 5 is the case m = 2); the paper evaluates m = 2 and m = 4. It needs
+// only e_0..e_{m-1}, so both steps stop at that degree: O(n*m) per call
+// (O(n) for Eq. 5), bitwise the value of the full O(n^2) evaluation. The
+// exact form keeps every degree and stays O(n^2) per call.
+//
+// Saturation (P -> 1): the leave-one-out division e'_j = e_j - P e'_{j-1}
+// amplifies rounding error when the probabilities approach 1. Against a
+// long double evaluation that rebuilds each actor's e_j without division
+// (tests/test_waiting_time.cpp), the worst relative error of
+// waiting_time_exact over 2000 draws of n loads with P in [0.9, 1], a
+// quarter of them exactly 1, was 2.4e-14 at n = 10, 6.7e-13 at n = 15,
+// 1.8e-11 at n = 20, 4.8e-10 at n = 25 and 1.2e-8 at n = 30: roughly a
+// doubling per added actor. The test bounds n <= 20 at 1e-9.
 #pragma once
 
 #include <span>

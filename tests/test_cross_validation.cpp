@@ -9,6 +9,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <vector>
 
 #include "analysis/engine.h"
@@ -18,6 +20,7 @@
 #include "analysis/throughput.h"
 #include "gen/graph_generator.h"
 #include "helpers.h"
+#include "sdf/exec_time.h"
 #include "sdf/repetition.h"
 #include "util/rng.h"
 
@@ -104,6 +107,68 @@ TEST(CrossValidation, EngineRecomputeMatchesFreshComputePeriod) {
       ASSERT_EQ(fresh.deadlocked, cached.deadlocked) << g.name();
       EXPECT_NEAR(cached.period, fresh.period, 1e-9 * std::max(1.0, fresh.period))
           << g.name() << " round " << round;
+    }
+  }
+}
+
+// The isolation memo of a reset() engine must be invisible: a reused engine
+// running reset() -> recompute(...) cycles returns, call for call, the bits
+// of a fresh engine (whose first recompute is a real cold solve) running
+// the same cycle. That includes the warm recomputes right after a memo hit,
+// which start from the installed policy, and cold recomputes with explicit
+// times, which must solve rather than return the memo.
+TEST(CrossValidation, EngineIsolationMemoReplaysColdSolveBitwise) {
+  util::Rng rng(20070617);
+  gen::GeneratorOptions gopts;
+  auto graphs = gen::generate_graphs(rng, gopts, 12, "memo");
+  graphs.push_back(procon::testing::fig2_graph_a());
+  graphs.push_back(procon::testing::fig2_graph_b());
+
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  for (const sdf::Graph& g : graphs) {
+    const std::size_t n = g.actor_count();
+    std::vector<double> own(n), means(n);
+    for (sdf::ActorId a = 0; a < n; ++a) {
+      const sdf::Time t = g.actor(a).exec_time;
+      own[a] = static_cast<double>(t);
+      means[a] = sdf::ExecTimeDistribution::uniform(t / 2, t + t / 2 + 1).mean();
+    }
+    // Each cycle: the times of its cold call (empty = the graph's own, the
+    // memoised case), then warm calls. Warm empty calls are not cold, so
+    // they solve too.
+    struct Cycle {
+      std::vector<double> cold;
+      std::vector<std::vector<double>> warm;
+    };
+    std::vector<Cycle> cycles;
+    for (int c = 0; c < 8; ++c) {
+      Cycle cycle;
+      if (c == 3) cycle.cold = means;  // stochastic means: bypass the memo
+      if (c == 5) cycle.cold = own;    // explicit own times: bypass too
+      for (int k = 0; k < 3; ++k) {
+        std::vector<double> times(n);
+        for (double& t : times) t = rng.uniform_real(1.0, 100.0);
+        cycle.warm.push_back(k == 1 ? std::vector<double>{} : times);
+      }
+      if (c % 2 == 1) cycle.warm.push_back(means);
+      cycles.push_back(std::move(cycle));
+    }
+
+    ThroughputEngine reused(g);
+    for (std::size_t c = 0; c < cycles.size(); ++c) {
+      reused.reset();
+      ThroughputEngine fresh(g);
+      const PeriodResult cold = reused.recompute(cycles[c].cold);
+      const PeriodResult cold_ref = fresh.recompute(cycles[c].cold);
+      ASSERT_EQ(cold.deadlocked, cold_ref.deadlocked) << g.name();
+      EXPECT_EQ(bits(cold.period), bits(cold_ref.period))
+          << g.name() << " cycle " << c << " cold";
+      for (std::size_t k = 0; k < cycles[c].warm.size(); ++k) {
+        const PeriodResult warm = reused.recompute(cycles[c].warm[k]);
+        const PeriodResult warm_ref = fresh.recompute(cycles[c].warm[k]);
+        EXPECT_EQ(bits(warm.period), bits(warm_ref.period))
+            << g.name() << " cycle " << c << " warm " << k;
+      }
     }
   }
 }

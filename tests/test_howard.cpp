@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <vector>
+
 #include "gen/graph_generator.h"
 #include "helpers.h"
 #include "sdf/repetition.h"
@@ -78,6 +83,41 @@ TEST(Howard, ParallelEdgesPickTighterConstraint) {
   h.nodes = {HsdfNode{0, 0, 5.0}, HsdfNode{1, 0, 5.0}};
   h.edges = {HsdfEdge{0, 1, 0}, HsdfEdge{0, 1, 2}, HsdfEdge{1, 0, 1}};
   EXPECT_NEAR(mcr_howard(h).ratio, 10.0, 1e-9);
+}
+
+// The policy is Howard's whole warm-start state: a solver that installs
+// another solver's policy() solves the next weights exactly as that one.
+TEST(Howard, InstalledPolicyWarmStartsLikeItsSource) {
+  util::Rng rng(61);
+  gen::GeneratorOptions opts;
+  const Hsdf h = expand_closed(gen::generate_graph(rng, opts, "pol"));
+  std::vector<double> w(h.node_count());
+
+  HowardSolver source;
+  source.build(h);
+  ASSERT_TRUE(source.has_cycle());
+  EXPECT_TRUE(source.policy().empty());  // cold until the first solve
+  (void)source.solve();
+  const std::vector<std::int64_t> policy(source.policy().begin(),
+                                         source.policy().end());
+  ASSERT_EQ(policy.size(), h.node_count());
+
+  HowardSolver target;
+  target.build(h);
+  target.install_policy(policy);
+  EXPECT_TRUE(std::ranges::equal(target.policy(), policy));
+  for (int round = 0; round < 5; ++round) {
+    for (double& x : w) x = rng.uniform_real(1.0, 100.0);
+    source.set_node_weights(w);
+    target.set_node_weights(w);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(target.solve()),
+              std::bit_cast<std::uint64_t>(source.solve()))
+        << "round " << round;
+  }
+  source.reset();
+  EXPECT_TRUE(source.policy().empty());
+  EXPECT_THROW(target.install_policy(std::span(policy).first(1)),
+               std::invalid_argument);
 }
 
 // The central property: Howard's and the Lawler reference agree on random

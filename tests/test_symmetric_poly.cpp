@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <stdexcept>
 #include <vector>
 
 #include "util/rng.h"
@@ -71,6 +75,44 @@ TEST(RemoveOne, RemoveZeroIsTruncation) {
   const auto expected = elementary_symmetric(rest);
   for (std::size_t j = 0; j < reduced.size(); ++j) {
     EXPECT_NEAR(reduced[j], expected[j], 1e-12);
+  }
+}
+
+TEST(RemoveOne, EmptyFamilyThrows) {
+  // A family always holds e_0; an empty one must not wrap e.size() - 1.
+  std::vector<double> out;
+  EXPECT_THROW((void)elementary_symmetric_remove_one({}, 0.5), std::invalid_argument);
+  EXPECT_THROW(elementary_symmetric_remove_one_into({}, 0.5, out, 2),
+               std::invalid_argument);
+}
+
+// A degree cap m keeps e_0..e_m (and e'_0..e'_min(n-1, m)) bit for bit and
+// computes nothing above it, so a capped removal can run on a capped family.
+TEST(DegreeCap, RetainedDegreesAreBitwiseUncapped) {
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  Rng rng(11);
+  std::vector<double> capped, capped_ei;
+  for (std::size_t n = 0; n <= 30; ++n) {
+    std::vector<double> xs(n);
+    for (auto& x : xs) x = rng.uniform01();
+    const auto full = elementary_symmetric(xs);
+    for (std::size_t cap = 0; cap <= n + 1; ++cap) {
+      elementary_symmetric_into(xs, capped, cap);
+      ASSERT_EQ(capped.size(), n + 1);
+      for (std::size_t j = 0; j <= n; ++j) {
+        EXPECT_EQ(bits(capped[j]), bits(j <= cap ? full[j] : 0.0))
+            << "n=" << n << " cap=" << cap << " j=" << j;
+      }
+      for (std::size_t i = 0; i < n; ++i) {
+        const auto ei = elementary_symmetric_remove_one(full, xs[i]);
+        elementary_symmetric_remove_one_into(capped, xs[i], capped_ei, cap);
+        ASSERT_EQ(capped_ei.size(), std::min(n - 1, cap) + 1);
+        for (std::size_t j = 0; j < capped_ei.size(); ++j) {
+          EXPECT_EQ(bits(capped_ei[j]), bits(ei[j]))
+              << "n=" << n << " cap=" << cap << " i=" << i << " j=" << j;
+        }
+      }
+    }
   }
 }
 

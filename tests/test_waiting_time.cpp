@@ -2,10 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <span>
+#include <utility>
 #include <vector>
 
 #include "util/rng.h"
+#include "util/symmetric_poly.h"
 
 namespace procon::prob {
 namespace {
@@ -97,6 +104,118 @@ TEST(WaitingTime, ZeroProbabilityActorIsInvisible) {
   const std::vector<ActorLoad> with{make_load(10.0, 0.4), make_load(99.0, 0.0)};
   const std::vector<ActorLoad> without{make_load(10.0, 0.4)};
   EXPECT_NEAR(waiting_time_exact(with), waiting_time_exact(without), 1e-12);
+}
+
+// -------- bit identity of the capped kernels -----------------------------
+
+/// The uncapped evaluation: the full symmetric-polynomial DP and one full
+/// leave-one-out family per actor, summed exactly as the kernel sums them.
+double uncapped_series(std::span<const ActorLoad> others, std::size_t max_j) {
+  const std::size_t n = others.size();
+  if (n == 0) return 0.0;
+  std::vector<double> probs(n);
+  for (std::size_t i = 0; i < n; ++i) probs[i] = others[i].probability;
+  const std::vector<double> e = util::elementary_symmetric(probs);
+  double total = 0.0;
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::vector<double> ei = util::elementary_symmetric_remove_one(e, probs[i]);
+    double series = 1.0;
+    double sign = 1.0;
+    const std::size_t limit = std::min(max_j, n - 1);
+    for (std::size_t j = 1; j <= limit; ++j) {
+      series += sign * ei[j] / static_cast<double>(j + 1);
+      sign = -sign;
+    }
+    total += others[i].weighted_blocking() * series;
+  }
+  return total;
+}
+
+TEST(WaitingTime, CappedKernelsAreBitwiseUncapped) {
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  const std::array<std::pair<double, double>, 3> ranges{
+      {{0.0, 0.05}, {0.0, 1.0}, {0.9, 1.0}}};
+  util::Rng rng(404);
+  std::size_t cases = 0;
+  for (std::size_t n = 0; n <= 40; ++n) {
+    for (const auto& [lo, hi] : ranges) {
+      for (int sample = 0; sample < 4; ++sample) {
+        std::vector<ActorLoad> loads;
+        for (std::size_t i = 0; i < n; ++i) {
+          loads.push_back(make_load(rng.uniform_real(1.0, 100.0), rng.uniform_real(lo, hi)));
+        }
+        for (std::size_t m = 1; m <= n + 1; ++m) {
+          EXPECT_EQ(bits(waiting_time_approx(loads, static_cast<int>(m))),
+                    bits(uncapped_series(loads, m - 1)))
+              << "n=" << n << " P in [" << lo << ", " << hi << "] order=" << m;
+        }
+        EXPECT_EQ(bits(waiting_time_exact(loads)),
+                  bits(uncapped_series(loads, n == 0 ? 0 : n - 1)))
+            << "n=" << n << " P in [" << lo << ", " << hi << "] exact";
+        cases += n + 2;
+      }
+    }
+  }
+  EXPECT_GT(cases, 10'000u);
+}
+
+// -------- saturation audit (P -> 1) ---------------------------------------
+
+/// Eq. 4 in long double, each actor's e_j rebuilt from scratch over the
+/// others: no leave-one-out deconvolution, so no error amplification.
+long double exact_reference(std::span<const ActorLoad> others) {
+  const std::size_t n = others.size();
+  std::vector<long double> e(n);
+  long double total = 0.0L;
+  for (std::size_t i = 0; i < n; ++i) {
+    std::fill(e.begin(), e.end(), 0.0L);
+    e[0] = 1.0L;
+    std::size_t used = 0;
+    for (std::size_t k = 0; k < n; ++k) {
+      if (k == i) continue;
+      ++used;
+      const long double p = others[k].probability;
+      for (std::size_t j = used; j >= 1; --j) e[j] += p * e[j - 1];
+    }
+    long double series = 1.0L;
+    long double sign = 1.0L;
+    for (std::size_t j = 1; j < n; ++j) {
+      series += sign * e[j] / static_cast<long double>(j + 1);
+      sign = -sign;
+    }
+    total += static_cast<long double>(others[i].mean_blocking) *
+             static_cast<long double>(others[i].probability) * series;
+  }
+  return total;
+}
+
+/// Loads with P drawn from [0.9, 1], a quarter of them exactly 1 (the
+/// paper's saturated case); sample 0 is all ones.
+std::vector<ActorLoad> saturated_loads(util::Rng& rng, std::size_t n, int sample) {
+  std::vector<ActorLoad> loads;
+  for (std::size_t i = 0; i < n; ++i) {
+    const double p =
+        sample == 0 || rng.uniform01() < 0.25 ? 1.0 : rng.uniform_real(0.9, 1.0);
+    loads.push_back(make_load(rng.uniform_real(1.0, 100.0), p));
+  }
+  return loads;
+}
+
+TEST(WaitingTime, SaturationAuditAgainstLongDouble) {
+  // The forward deconvolution e'_j = e_j - P e'_{j-1} amplifies rounding
+  // error as P -> 1; the growth is documented in prob/waiting_time.h.
+  util::Rng rng(2007);
+  for (std::size_t n = 1; n <= 20; ++n) {
+    double worst = 0.0;
+    for (int sample = 0; sample < 100; ++sample) {
+      const auto loads = saturated_loads(rng, n, sample);
+      const long double ref = exact_reference(loads);
+      const double rel = static_cast<double>(
+          std::fabs(static_cast<long double>(waiting_time_exact(loads)) - ref) / ref);
+      worst = std::max(worst, rel);
+    }
+    EXPECT_LE(worst, 1e-9) << "n=" << n;
+  }
 }
 
 // -------- property-based sweeps ------------------------------------------
