@@ -19,6 +19,8 @@ constexpr std::uint32_t kInactive = UINT32_MAX;
 // Heap events with this bit set in Event::actor are link completions; the
 // low bits index msg_pool_. Flat actor counts stay far below 2^31.
 constexpr std::uint32_t kLinkFlag = 0x80000000u;
+// Event cap when SimOptions::max_events is 0.
+constexpr std::uint64_t kDefaultMaxEvents = 200'000'000ULL;
 }  // namespace
 
 SimEngine::SimEngine(const platform::System& sys, std::size_t ring_cache_capacity)
@@ -113,21 +115,29 @@ void SimEngine::build(const platform::SystemView& view) {
   full_uc_.resize(app_count());
   for (AppId i = 0; i < full_uc_.size(); ++i) full_uc_[i] = i;
 
+  // FCFS rings: one slot per actor mapped to the node, since an actor is
+  // queued at most once.
+  fcfs_start_.assign(node_count_ + 1, 0);
+  for (std::uint32_t a = 0; a < actor_count_; ++a) ++fcfs_start_[node_of_[a] + 1];
+  for (NodeId n = 0; n < node_count_; ++n) fcfs_start_[n + 1] += fcfs_start_[n];
+
   // Preallocate everything sized by static structure so resets never grow.
   tokens_.resize(init_tokens_.size());
   state_.resize(actor_count_);
   ready_time_.resize(actor_count_);
   slot_len_.resize(actor_count_);
   dist_.resize(actor_count_);
-  completions_.resize(actor_count_);
   actor_stats_.resize(actor_count_);
+  iter_left_.resize(actor_count_);
+  iter_lead_.resize(actor_count_);
+  app_lagging_.resize(view.app_count());
   active_index_.resize(view.app_count());
-  app_iterations_.reserve(view.app_count());
   iteration_times_.resize(view.app_count());
   view_apps_.reserve(view.app_count());
   node_util_.resize(node_count_);
-  fcfs_queue_.resize(node_count_);
+  fcfs_ring_.resize(actor_count_);
   fcfs_head_.resize(node_count_);
+  fcfs_len_.resize(node_count_);
   rr_next_.resize(node_count_);
   node_busy_.resize(node_count_);
   node_busy_time_.resize(node_count_);
@@ -137,6 +147,16 @@ void SimEngine::build(const platform::SystemView& view) {
   link_busy_time_.resize(link_count_);
   link_util_.resize(link_count_);
   events_.reserve(actor_count_ + link_count_ + 16);
+
+  // Snapshot buffers, at their largest: 3 words per node plus its ring,
+  // 4 per actor plus its input tokens, and a count plus 2 words per pending
+  // event (at most one per node, as a node runs one actor at a time).
+  snap_.reserve(3 * node_count_ + actor_count_ + 4 * actor_count_ + chan_count + 1 +
+                2 * node_count_);
+  snap_stats_.resize(actor_count_);
+  snap_busy_.resize(node_count_);
+  snap_iters_.resize(view.app_count());
+  pending_.reserve(events_.capacity());
 }
 
 void SimEngine::install_rings(const platform::UseCase& uc) {
@@ -205,20 +225,33 @@ void SimEngine::install_rings(const platform::UseCase& uc) {
   ring_index_.emplace(uc, slot);
 }
 
-PROCON_WARM_PATH void SimEngine::reset() { reset(full_uc_); }
+PROCON_WARM_PATH void SimEngine::reset() {
+  PROCON_ASSERT_NO_ALLOC("SimEngine::reset");
+  armed_ = false;
+  arm(full_uc_);
+}
 
 PROCON_WARM_PATH void SimEngine::reset(const platform::UseCase& uc) {
   PROCON_ASSERT_NO_ALLOC("SimEngine::reset");
-  std::fill(active_index_.begin(), active_index_.end(), kInactive);
-  for (std::uint32_t j = 0; j < uc.size(); ++j) {
+  // Disarm first and validate the whole use-case before touching any
+  // state: a rejected use-case leaves an engine that refuses to run.
+  armed_ = false;
+  for (std::size_t j = 0; j < uc.size(); ++j) {
     if (uc[j] >= app_count()) {
       throw sdf::GraphError("SimEngine::reset: use-case references unknown application");
     }
-    if (active_index_[uc[j]] != kInactive) {
-      throw sdf::GraphError("SimEngine::reset: duplicate application in use-case");
+    for (std::size_t i = 0; i < j; ++i) {
+      if (uc[i] == uc[j]) {
+        throw sdf::GraphError("SimEngine::reset: duplicate application in use-case");
+      }
     }
-    active_index_[uc[j]] = j;
   }
+  arm(uc);
+}
+
+void SimEngine::arm(const platform::UseCase& uc) {
+  std::fill(active_index_.begin(), active_index_.end(), kInactive);
+  for (std::uint32_t j = 0; j < uc.size(); ++j) active_index_[uc[j]] = j;
   active_ = uc;
 
   // Dynamic state back to time zero; capacities survive.
@@ -228,10 +261,14 @@ PROCON_WARM_PATH void SimEngine::reset(const platform::UseCase& uc) {
   std::fill(rr_next_.begin(), rr_next_.end(), std::size_t{0});
   std::fill(node_busy_.begin(), node_busy_.end(), std::uint8_t{0});
   std::fill(node_busy_time_.begin(), node_busy_time_.end(), Time{0});
-  std::fill(completions_.begin(), completions_.end(), std::uint64_t{0});
   std::fill(actor_stats_.begin(), actor_stats_.end(), ActorStats{});
-  for (auto& q : fcfs_queue_) q.clear();
-  std::fill(fcfs_head_.begin(), fcfs_head_.end(), std::size_t{0});
+  std::copy(reps_.begin(), reps_.end(), iter_left_.begin());
+  std::fill(iter_lead_.begin(), iter_lead_.end(), std::uint64_t{0});
+  for (std::uint32_t j = 0; j < active_.size(); ++j) {
+    app_lagging_[j] = app_actor_base_[active_[j] + 1] - app_actor_base_[active_[j]];
+  }
+  std::fill(fcfs_head_.begin(), fcfs_head_.end(), std::uint32_t{0});
+  std::fill(fcfs_len_.begin(), fcfs_len_.end(), std::uint32_t{0});
   for (auto& q : link_queue_) q.clear();
   std::fill(link_head_.begin(), link_head_.end(), std::size_t{0});
   std::fill(link_busy_.begin(), link_busy_.end(), std::uint8_t{0});
@@ -240,8 +277,8 @@ PROCON_WARM_PATH void SimEngine::reset(const platform::UseCase& uc) {
   msg_free_.clear();
   events_.clear();
   next_seq_ = 0;
+  root_spent_ = false;
   trace_.clear();
-  app_iterations_.assign(active_.size(), 0);
   // The iteration-time arena keeps every per-slot buffer (and its capacity)
   // alive across resets; only the first active-count slots are used.
   for (std::uint32_t j = 0; j < active_.size(); ++j) iteration_times_[j].clear();
@@ -269,10 +306,12 @@ void SimEngine::bind_options(const SimOptions& opts) {
       }
     }
   }
+  max_exec_ = 0;
   for (const AppId app : active_) {
     for (std::uint32_t a = app_actor_base_[app]; a < app_actor_base_[app + 1]; ++a) {
       slot_len_[a] = opts.tdma_slot > 0 ? opts.tdma_slot
                                         : std::max<Time>(exec_[a], 1);
+      max_exec_ = std::max(max_exec_, exec_[a]);
     }
   }
   sample_rng_ = util::Rng(opts.sample_seed);
@@ -305,6 +344,15 @@ PROCON_WARM_PATH SimResultView SimEngine::run_view(const SimOptions& opts) {
   bind_options(opts);
   armed_ = false;  // dynamic state is about to be spent
 
+  // Fast-forward eligibility (sim_engine.h): fixed times, no TDMA, no
+  // trace, no routed channels.
+  ff_events_ = 0;
+  seeking_ = opts.exec_models.empty() && opts_.arbitration != Arbitration::Tdma &&
+             !opts_.collect_trace && route_links_.empty();
+  period_mark_ = false;
+  snap_.clear();
+  snap_power_ = 1;
+
   // Seed: everything that can fire at t = 0 requests its node, in the same
   // order a fresh restricted build would (use-case order, then local id).
   for (const AppId app : active_) {
@@ -315,18 +363,28 @@ PROCON_WARM_PATH SimResultView SimEngine::run_view(const SimOptions& opts) {
   for (NodeId n = 0; n < node_count_; ++n) try_dispatch(n, 0);
 
   const std::uint64_t max_events =
-      opts_.max_events ? opts_.max_events : 200'000'000ULL;
+      opts_.max_events ? opts_.max_events : kDefaultMaxEvents;
   std::uint64_t processed = 0;
   while (!events_.empty() && processed < max_events) {
+    // The handled event stays at the root until its first successor
+    // replaces it (push_event); it is popped only if it scheduled none.
     const Event ev = events_.front();
     if (ev.time > opts_.horizon) break;
-    std::pop_heap(events_.begin(), events_.end(), std::greater<>{});
-    events_.pop_back();
+    root_spent_ = true;
     ++processed;
     if (ev.actor & kLinkFlag) {
       on_link_completion(ev.actor & ~kLinkFlag, ev.time);
     } else {
       on_completion(ev.actor, ev.time);
+    }
+    if (root_spent_) {
+      std::pop_heap(events_.begin(), events_.end(), std::greater<>{});
+      events_.pop_back();
+      root_spent_ = false;
+    }
+    if (period_mark_) {
+      period_mark_ = false;
+      processed = seek_period(ev.time, processed, max_events);
     }
   }
   return finalise_view(processed);
@@ -351,9 +409,24 @@ void SimEngine::consume_inputs(std::uint32_t a) {
   }
 }
 
-void SimEngine::schedule_completion(std::uint32_t a, Time t) {
-  events_.push_back(Event{t, next_seq_++, a});
-  std::push_heap(events_.begin(), events_.end(), std::greater<>{});
+void SimEngine::push_event(Time t, std::uint32_t id) {
+  const Event ev{t, next_seq_++, id};
+  if (!root_spent_) {
+    events_.push_back(ev);
+    std::push_heap(events_.begin(), events_.end(), std::greater<>{});
+    return;
+  }
+  // Replace the spent root: sift the new event down from the top.
+  root_spent_ = false;
+  const std::size_t n = events_.size();
+  std::size_t hole = 0;
+  for (std::size_t child = 1; child < n; child = 2 * hole + 1) {
+    if (child + 1 < n && events_[child] > events_[child + 1]) ++child;
+    if (!(ev > events_[child])) break;
+    events_[hole] = events_[child];
+    hole = child;
+  }
+  events_[hole] = ev;
 }
 
 std::pair<Time, Time> SimEngine::tdma_completion(std::uint32_t a, Time t,
@@ -408,37 +481,37 @@ void SimEngine::try_enqueue(std::uint32_t a, Time t) {
     // Busy accounting: exec units actually served, clipped at the horizon.
     node_busy_time_[node_of_[a]] +=
         std::min<Time>(demand, std::max<Time>(0, opts_.horizon - start));
-    schedule_completion(a, done);
+    push_event(done, a);
     return;
   }
   state_[a] = ActorState::Queued;
   if (opts_.arbitration == Arbitration::Fcfs) {
-    fcfs_queue_[node_of_[a]].push_back(a);
+    const NodeId n = node_of_[a];
+    const std::uint32_t cap = fcfs_start_[n + 1] - fcfs_start_[n];
+    std::uint32_t pos = fcfs_head_[n] + fcfs_len_[n]++;
+    if (pos >= cap) pos -= cap;
+    fcfs_ring_[fcfs_start_[n] + pos] = a;
   }
 }
 
 std::uint32_t SimEngine::pick_next(NodeId node) {
   if (opts_.arbitration == Arbitration::Fcfs) {
-    auto& q = fcfs_queue_[node];
-    std::size_t& head = fcfs_head_[node];
-    if (head == q.size()) return kNoActor;
-    const std::uint32_t a = q[head++];
-    // Amortised compaction keeps the served prefix from growing without
-    // bound on long runs while staying O(1) per pop.
-    if (head >= 4096 && head * 2 >= q.size()) {
-      q.erase(q.begin(), q.begin() + static_cast<std::ptrdiff_t>(head));
-      head = 0;
-    }
+    if (fcfs_len_[node] == 0) return kNoActor;
+    std::uint32_t& head = fcfs_head_[node];
+    const std::uint32_t a = fcfs_ring_[fcfs_start_[node] + head];
+    if (++head == fcfs_start_[node + 1] - fcfs_start_[node]) head = 0;
+    --fcfs_len_[node];
     return a;
   }
   // Round-robin: scan the ring from the cursor for a queued actor.
   const std::span<const std::uint32_t> wheel = ring(node);
+  std::size_t pos = rr_next_[node];
   for (std::size_t k = 0; k < wheel.size(); ++k) {
-    const std::size_t pos = (rr_next_[node] + k) % wheel.size();
     if (state_[wheel[pos]] == ActorState::Queued) {
-      rr_next_[node] = (pos + 1) % wheel.size();
+      rr_next_[node] = pos + 1 == wheel.size() ? 0 : pos + 1;
       return wheel[pos];
     }
+    if (++pos == wheel.size()) pos = 0;
   }
   return kNoActor;
 }
@@ -460,7 +533,7 @@ void SimEngine::try_dispatch(NodeId node, Time t) {
   actor_stats_[a].total_service += demand;
   node_busy_time_[node] +=
       std::min(t + demand, opts_.horizon) - std::min(t, opts_.horizon);
-  schedule_completion(a, t + demand);
+  push_event(t + demand, a);
 }
 
 void SimEngine::on_completion(std::uint32_t a, Time t) {
@@ -475,9 +548,12 @@ void SimEngine::on_completion(std::uint32_t a, Time t) {
     }
   }
   state_[a] = ActorState::Idle;
-  ++completions_[a];
   ++actor_stats_[a].firings;
-  update_iterations(active_index_[app_of_[a]], t);
+  if (--iter_left_[a] == 0) {
+    iter_left_[a] = reps_[a];
+    const std::uint32_t j = active_index_[app_of_[a]];
+    if (iter_lead_[a]++ == 0 && --app_lagging_[j] == 0) complete_iteration(j, t);
+  }
 
   if (opts_.arbitration != Arbitration::Tdma) node_busy_[node_of_[a]] = 0;
 
@@ -516,7 +592,8 @@ void SimEngine::try_dispatch_link(platform::LinkId link, Time t) {
   std::size_t& head = link_head_[link];
   if (head == q.size()) return;
   const std::uint32_t m = q[head++];
-  // Same amortised compaction as the node ready lists.
+  // Amortised compaction keeps the served prefix from growing without
+  // bound on long runs while staying O(1) per pop.
   if (head >= 4096 && head * 2 >= q.size()) {
     q.erase(q.begin(), q.begin() + static_cast<std::ptrdiff_t>(head));
     head = 0;
@@ -526,8 +603,7 @@ void SimEngine::try_dispatch_link(platform::LinkId link, Time t) {
   const Time service = route_service_[route_start_[msg.chan] + msg.hop];
   link_busy_time_[link] +=
       std::min(t + service, opts_.horizon) - std::min(t, opts_.horizon);
-  events_.push_back(Event{t + service, next_seq_++, kLinkFlag | m});
-  std::push_heap(events_.begin(), events_.end(), std::greater<>{});
+  push_event(t + service, kLinkFlag | m);
 }
 
 void SimEngine::on_link_completion(std::uint32_t m, Time t) {
@@ -552,18 +628,141 @@ void SimEngine::on_link_completion(std::uint32_t m, Time t) {
   }
 }
 
-void SimEngine::update_iterations(std::uint32_t active_app, Time t) {
+void SimEngine::complete_iteration(std::uint32_t active_app, Time t) {
+  // Every actor of the application is now at least one iteration ahead of
+  // the old count: record the iteration, lower every lead by one and
+  // recount the actors left at lead 0 (at least the one that just fired
+  // its q(a)-th firing).
+  iteration_times_[active_app].push_back(t);
   const AppId app = active_[active_app];
-  const std::uint32_t base = app_actor_base_[app];
-  const std::uint32_t end = app_actor_base_[app + 1];
-  std::uint64_t iters = ~0ULL;
-  for (std::uint32_t a = base; a < end; ++a) {
-    iters = std::min(iters, completions_[a] / reps_[a]);
+  std::uint32_t lagging = 0;
+  for (std::uint32_t a = app_actor_base_[app]; a < app_actor_base_[app + 1]; ++a) {
+    lagging += --iter_lead_[a] == 0 ? 1u : 0u;
   }
-  while (app_iterations_[active_app] < iters) {
-    ++app_iterations_[active_app];
-    iteration_times_[active_app].push_back(t);
+  app_lagging_[active_app] = lagging;
+  if (active_app == 0 && seeking_) period_mark_ = true;
+}
+
+std::uint64_t SimEngine::seek_period(Time t, std::uint64_t processed,
+                                     std::uint64_t max_events) {
+  // Brent's cycle detection over the states at the first application's
+  // iteration completions: compare with the saved snapshot every step,
+  // replace it when the step count reaches the next power of two.
+  if (!snap_.empty()) {
+    ++snap_steps_;
+    std::size_t pos = 0;
+    const bool match = encode_state(t, [&](std::uint64_t v) {
+      return pos < snap_.size() && snap_[pos++] == v;
+    }) && pos == snap_.size();
+    if (match) {
+      // At most one jump per run: afterwards less than a period fits.
+      seeking_ = false;
+      return fast_forward(t, processed, max_events);
+    }
+    if (snap_steps_ < snap_power_) return processed;
+    snap_power_ *= 2;
   }
+  save_state(t, processed);
+  return processed;
+}
+
+template <class Sink>
+bool SimEngine::encode_state(Time t, Sink&& sink) {
+  // Cheap, fast-changing fields first so a mismatch exits early; the
+  // pending events are sorted only once everything else has matched.
+  for (NodeId n = 0; n < node_count_; ++n) {
+    if (!sink(node_busy_[n]) || !sink(rr_next_[n]) || !sink(fcfs_len_[n])) return false;
+    const std::uint32_t cap = fcfs_start_[n + 1] - fcfs_start_[n];
+    std::uint32_t pos = fcfs_head_[n];
+    for (std::uint32_t i = 0; i < fcfs_len_[n]; ++i) {
+      if (!sink(fcfs_ring_[fcfs_start_[n] + pos])) return false;
+      if (++pos == cap) pos = 0;
+    }
+  }
+  for (const AppId app : active_) {
+    for (std::uint32_t a = app_actor_base_[app]; a < app_actor_base_[app + 1]; ++a) {
+      const bool queued = state_[a] == ActorState::Queued;
+      if (!sink(static_cast<std::uint64_t>(state_[a])) || !sink(iter_left_[a]) ||
+          !sink(iter_lead_[a]) ||
+          !sink(static_cast<std::uint64_t>(queued ? t - ready_time_[a] : 0))) {
+        return false;
+      }
+      for (std::uint32_t k = in_start_[a]; k < in_start_[a + 1]; ++k) {
+        if (!sink(tokens_[in_list_[k]])) return false;
+      }
+    }
+  }
+  pending_.assign(events_.begin(), events_.end());
+  std::sort(pending_.begin(), pending_.end(),
+            [](const Event& x, const Event& y) { return y > x; });
+  if (!sink(pending_.size())) return false;
+  for (const Event& ev : pending_) {
+    if (!sink(static_cast<std::uint64_t>(ev.time - t)) || !sink(ev.actor)) return false;
+  }
+  return true;
+}
+
+void SimEngine::save_state(Time t, std::uint64_t processed) {
+  snap_.clear();
+  (void)encode_state(t, [this](std::uint64_t v) {
+    snap_.push_back(v);  // within the capacity reserved at build
+    return true;
+  });
+  snap_steps_ = 0;
+  snap_time_ = t;
+  snap_processed_ = processed;
+  for (const AppId app : active_) {
+    std::copy(actor_stats_.begin() + app_actor_base_[app],
+              actor_stats_.begin() + app_actor_base_[app + 1],
+              snap_stats_.begin() + app_actor_base_[app]);
+  }
+  std::copy(node_busy_time_.begin(), node_busy_time_.end(), snap_busy_.begin());
+  for (std::uint32_t j = 0; j < active_.size(); ++j) {
+    snap_iters_[j] = iteration_times_[j].size();
+  }
+}
+
+std::uint64_t SimEngine::fast_forward(Time t, std::uint64_t processed,
+                                      std::uint64_t max_events) {
+  // The live state equals the saved one: the run between them is a period
+  // of P time units and E events. Skip the largest k whole periods whose
+  // last one ends at least max_exec_ before the horizon (no busy-time
+  // clipping inside it) and that keep the event count within max_events.
+  const Time period = t - snap_time_;
+  const std::uint64_t period_events = processed - snap_processed_;
+  const Time room = opts_.horizon - max_exec_ - t;
+  if (period <= 0 || room < period) return processed;
+  const std::uint64_t k = std::min(static_cast<std::uint64_t>(room / period),
+                                   (max_events - processed) / period_events);
+  if (k == 0) return processed;
+
+  const auto times = static_cast<Time>(k);
+  const Time shift = times * period;
+  for (Event& ev : events_) ev.time += shift;  // uniform shift keeps the heap
+  for (const AppId app : active_) {
+    for (std::uint32_t a = app_actor_base_[app]; a < app_actor_base_[app + 1]; ++a) {
+      ready_time_[a] += shift;
+      ActorStats& s = actor_stats_[a];
+      const ActorStats& base = snap_stats_[a];
+      s.firings += k * (s.firings - base.firings);
+      s.total_waiting += times * (s.total_waiting - base.total_waiting);
+      s.total_service += times * (s.total_service - base.total_service);
+    }
+  }
+  for (NodeId n = 0; n < node_count_; ++n) {
+    node_busy_time_[n] += times * (node_busy_time_[n] - snap_busy_[n]);
+  }
+  for (std::uint32_t j = 0; j < active_.size(); ++j) {
+    std::vector<Time>& it = iteration_times_[j];
+    const std::size_t first = snap_iters_[j];
+    const std::size_t last = it.size();
+    for (std::uint64_t m = 1; m <= k; ++m) {
+      const Time offset = static_cast<Time>(m) * period;
+      for (std::size_t i = first; i < last; ++i) it.push_back(it[i] + offset);
+    }
+  }
+  ff_events_ = k * period_events;
+  return processed + ff_events_;
 }
 
 SimResultView SimEngine::finalise_view(std::uint64_t processed) {

@@ -56,6 +56,61 @@
 // topology attached no message is ever created and runs are bitwise
 // identical to the pre-interconnect engine.
 //
+// Event loop: a handled event stays at the heap root while it is processed;
+// the first event it schedules replaces the root in one sift-down, and the
+// root is popped only if it scheduled none. Each node's FCFS ready list is a
+// fixed ring in one flat array, sized by the actors mapped to the node (an
+// actor is queued at most once). Application iterations are counted
+// incrementally: each actor counts down its repetition count q(a) and keeps
+// its lead over its application's iteration count, and the application
+// completes an iteration when its last actor with lead 0 gets ahead.
+//
+// Steady-state fast-forward. Self-timed execution with fixed execution
+// times is a deterministic finite-state system, so it settles into a
+// periodic regime. A run looks for that regime when it has fixed execution
+// times (no exec_models), FCFS or round-robin arbitration, no trace and no
+// routed channels. TDMA completions depend on absolute time modulo the
+// wheel, stochastic runs on the RNG state, traced runs record every event,
+// and routed runs carry link queues and messages the snapshot does not
+// hold, so those runs only step.
+//
+//  * Snapshot. At each iteration completion of the first active application
+//    the dynamic state is encoded relative to the current time t: per node
+//    its busy flag, round-robin cursor and FCFS ring contents in order; per
+//    active actor its state, iteration countdown, lead, wait so far if
+//    queued (t - ready time) and the tokens on its input channels; and the
+//    pending events in (time, creation order) as (time - t, actor).
+//  * Detection. Brent's cycle detection keeps one saved snapshot, replaced
+//    at power-of-two step counts, and compares the live state against it
+//    with early exit; nothing is hashed. The saved snapshot also records
+//    the accumulators at that point: time, event count, per-actor stats,
+//    node busy time and iteration counts.
+//  * Why a jump is exact. Events are ordered by (time, creation order), and
+//    every new event is created after every pending one, so two states with
+//    equal snapshots evolve identically, shifted by the period P between
+//    them, as long as nothing reads absolute time. Only two things do: the
+//    horizon (events past it are not processed, busy time is clipped at it)
+//    and the max_events cap. Within those bounds every accumulator grows by
+//    the same amount each period.
+//  * The jump. Advancing k whole periods adds k*P to the pending event
+//    times and the ready times, adds k times the per-period change to the
+//    actor stats, node busy time and event count, and appends k copies of
+//    the period's iteration times shifted by P, 2P, ... kP. Leads,
+//    countdowns, tokens and queues are unchanged.
+//  * The bound on k. With t the current time and X the largest execution
+//    time of an active actor, k is the largest value with
+//    t + k*P + X <= horizon and events + k*(events per period) <=
+//    max_events. The last skipped period then ends at least X before the
+//    horizon, so no dispatch inside it is clipped, and the cap is never
+//    crossed. The run then steps the rest; at most one jump happens.
+//
+// fast_forwarded_events() reports how many of the last run's
+// events_processed a jump accounted for. It is a diagnostic: results are
+// bitwise identical to stepping every event (tests/test_sim_engine.cpp
+// pins them with golden digests and against traced runs, which never
+// jump). The snapshot buffers are members sized at build time, so the
+// steady-state contract below covers runs that jump.
+//
 // An engine is a mutable session object: not thread-safe. Sharded callers
 // (api::Workbench sweeps) keep one engine per worker. Copying an engine
 // clones its cached structure — that is how worker clones are made.
@@ -202,6 +257,17 @@ class SimEngine {
   /// \return per-application result views, in use-case order
   [[nodiscard]] SimResultView run_view(const SimOptions& opts = {});
 
+  /// \brief Events of the last run that a steady-state fast-forward
+  /// accounted for instead of stepping them (see the header comment).
+  ///
+  /// A diagnostic output, included in that run's events_processed; 0 when
+  /// the run did not jump or is not eligible (TDMA, stochastic models,
+  /// traced or routed runs).
+  /// \return skipped event count of the last run_view()/run()
+  [[nodiscard]] std::uint64_t fast_forwarded_events() const noexcept {
+    return ff_events_;
+  }
+
  private:
   enum class ActorState : std::uint8_t { Idle, Queued, Running };
 
@@ -235,6 +301,8 @@ class SimEngine {
   };
 
   void build(const platform::SystemView& view);
+  /// Clears dynamic state and arms a run of `uc` (already validated).
+  void arm(const platform::UseCase& uc);
   void bind_options(const SimOptions& opts);
   /// Installs (building + caching on first sight) the rings of `uc`.
   void install_rings(const platform::UseCase& uc);
@@ -246,7 +314,8 @@ class SimEngine {
   [[nodiscard]] sdf::Time draw_exec(std::uint32_t a);
   [[nodiscard]] bool inputs_available(std::uint32_t a) const;
   void consume_inputs(std::uint32_t a);
-  void schedule_completion(std::uint32_t a, sdf::Time t);
+  /// Schedules an event; replaces the spent root if one is being handled.
+  void push_event(sdf::Time t, std::uint32_t id);
   [[nodiscard]] std::pair<sdf::Time, sdf::Time> tdma_completion(
       std::uint32_t a, sdf::Time t, sdf::Time demand) const;
   void try_enqueue(std::uint32_t a, sdf::Time t);
@@ -256,7 +325,19 @@ class SimEngine {
   void send_message(std::uint32_t chan, sdf::Time t);
   void try_dispatch_link(platform::LinkId link, sdf::Time t);
   void on_link_completion(std::uint32_t msg, sdf::Time t);
-  void update_iterations(std::uint32_t active_app, sdf::Time t);
+  void complete_iteration(std::uint32_t active_app, sdf::Time t);
+  /// Feeds the state after an iteration of the first active application
+  /// into the cycle detection; on a repeat, jumps. Returns the new event
+  /// count.
+  [[nodiscard]] std::uint64_t seek_period(sdf::Time t, std::uint64_t processed,
+                                          std::uint64_t max_events);
+  /// Emits the snapshot encoding of the live state at time t into `sink`
+  /// (returns false to stop early); false if the sink stopped it.
+  template <class Sink>
+  bool encode_state(sdf::Time t, Sink&& sink);
+  void save_state(sdf::Time t, std::uint64_t processed);
+  [[nodiscard]] std::uint64_t fast_forward(sdf::Time t, std::uint64_t processed,
+                                           std::uint64_t max_events);
   [[nodiscard]] SimResultView finalise_view(std::uint64_t processed);
 
   // --- static structure (built once per system) ----------------------------
@@ -314,23 +395,51 @@ class SimEngine {
   std::vector<sdf::Time> slot_len_;            // flat actor -> TDMA slot
   std::vector<const sdf::ExecTimeDistribution*> dist_;  // nullptr = fixed time
   util::Rng sample_rng_{0};
+  sdf::Time max_exec_ = 0;                     // largest active exec time
 
   // --- dynamic state (cleared by reset, capacity kept) ---------------------
   std::vector<std::uint64_t> tokens_;
   std::vector<ActorState> state_;
   std::vector<sdf::Time> ready_time_;
-  /// Per-node FCFS ready list: a vector + head cursor (pop never shrinks,
-  /// reset rewinds), so steady-state operation does not allocate.
-  std::vector<std::vector<std::uint32_t>> fcfs_queue_;
-  std::vector<std::size_t> fcfs_head_;
+  /// Per-node FCFS ready lists: node n's ring is
+  /// fcfs_ring_[fcfs_start_[n] .. fcfs_start_[n+1]), one slot per actor
+  /// mapped to n, with a head cursor and a length.
+  std::vector<std::uint32_t> fcfs_ring_;
+  std::vector<std::uint32_t> fcfs_start_;      // node -> offset (size nodes+1)
+  std::vector<std::uint32_t> fcfs_head_;
+  std::vector<std::uint32_t> fcfs_len_;
   std::vector<std::size_t> rr_next_;           // node -> ring cursor
   std::vector<std::uint8_t> node_busy_;
   std::vector<sdf::Time> node_busy_time_;
   std::vector<Event> events_;                  // binary min-heap (std::*_heap)
   std::uint64_t next_seq_ = 0;
+  bool root_spent_ = false;                    // events_[0] is being handled
+
+  // Iteration counting: per flat actor, firings left until its next
+  // multiple of q(a), and its lead over its application's iteration count;
+  // per active app, how many of its actors have lead 0.
+  std::vector<std::uint64_t> iter_left_;
+  std::vector<std::uint64_t> iter_lead_;
+  std::vector<std::uint32_t> app_lagging_;
+
+  // Fast-forward: the saved snapshot of Brent's cycle detection, the
+  // accumulators at the save point, and the pending-event sort buffer. All
+  // are sized at build time.
+  bool seeking_ = false;                       // run is eligible, no jump yet
+  bool period_mark_ = false;                   // first app just iterated
+  std::uint64_t snap_power_ = 1;
+  std::uint64_t snap_steps_ = 0;
+  std::vector<std::uint64_t> snap_;            // empty until the first save
+  sdf::Time snap_time_ = 0;
+  std::uint64_t snap_processed_ = 0;
+  std::vector<ActorStats> snap_stats_;         // flat actor -> stats at save
+  std::vector<sdf::Time> snap_busy_;           // node -> busy time at save
+  std::vector<std::size_t> snap_iters_;        // active app -> iterations
+  std::vector<Event> pending_;
+  std::uint64_t ff_events_ = 0;
 
   // Interconnect dynamic state: per-link FCFS queues of in-flight messages
-  // (vector + head cursor, like the node ready lists) and a pooled message
+  // (vector + head cursor with amortised compaction) and a pooled message
   // arena with a free list. Links arbitrate FCFS under every arbitration
   // mode; their events ride the one preallocated heap, tagged by the high
   // bit of Event::actor.
@@ -343,9 +452,7 @@ class SimEngine {
 
   // Metrics arenas (flat-actor arrays are full-size; per-app arrays use the
   // first active-count slots and never shrink, so capacity survives resets).
-  std::vector<std::uint64_t> completions_;
   std::vector<ActorStats> actor_stats_;
-  std::vector<std::uint64_t> app_iterations_;        // per active app
   std::vector<std::vector<sdf::Time>> iteration_times_;  // per active app
   std::vector<TraceEvent> trace_;
 

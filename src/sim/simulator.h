@@ -36,7 +36,7 @@ struct SimOptions {
   sdf::Time tdma_slot = 0;          ///< TDMA slot length; 0 = actor exec time
   double warmup_fraction = 0.25;    ///< iterations discarded for steady state
   std::uint64_t min_iterations = 4; ///< below this, results flagged unconverged
-  std::uint64_t max_events = 0;     ///< safety cap (0 = derived from horizon)
+  std::uint64_t max_events = 0;     ///< safety cap on events (0 = 200 000 000)
 
   /// Stochastic execution times (Section 6 extension): one model per
   /// (active) application, one distribution per actor. Empty = the graphs'
