@@ -106,11 +106,6 @@ SystemId AnalysisService::register_system(platform::System sys) {
   return static_cast<SystemId>(registrations_.size() - 1);
 }
 
-const platform::System& AnalysisService::system(SystemId id) const {
-  std::lock_guard<std::mutex> lock(m_);
-  return registrations_.at(id).system;
-}
-
 std::size_t AnalysisService::tenant_count() const {
   std::lock_guard<std::mutex> lock(m_);
   return registrations_.size();

@@ -358,12 +358,6 @@ class AnalysisService {
   /// \return dense handle for submit()/sweep_use_cases()
   SystemId register_system(platform::System sys);
 
-  /// \brief The registered system behind a handle (the resident copy).
-  /// \param id handle from register_system; throws std::out_of_range
-  ///        otherwise
-  /// \return the tenant's system
-  [[nodiscard]] const platform::System& system(SystemId id) const;
-
   /// \brief Number of registered tenants.
   /// \return registration count (never shrinks)
   [[nodiscard]] std::size_t tenant_count() const;

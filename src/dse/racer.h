@@ -108,7 +108,7 @@ struct RacerOptions {
 /// \brief Racing introspection: pulls per fidelity tier, eliminations per
 /// round, and the work saved versus the exhaustive path.
 ///
-/// Plain counters (fixed-size, codec-trivial, allocation-free); surfaced
+/// Plain counters (fixed-size, trivially copyable, allocation-free); surfaced
 /// through MapperResult / FrontierResult / MappingRace, api::Workbench,
 /// api::AnalysisService and the CLI's `[racer: ...]` line. All counts are
 /// part of the determinism contract: identical for any thread count.

@@ -1,6 +1,7 @@
 #include "sdf/exec_time.h"
 
 #include <algorithm>
+#include <cmath>
 
 #include "sdf/graph.h"
 
@@ -62,6 +63,12 @@ ExecTimeDistribution::ExecTimeDistribution(std::vector<Outcome> outcomes, Normal
     mean_ += o.weight * v;
     m2_ += o.weight * v * v;
   }
+  // Negated so a NaN or infinite weight (and so a NaN or infinite sum)
+  // fails too.
+  if (!(std::abs(acc - 1.0) <= kWeightSumTolerance)) {
+    throw std::invalid_argument(
+        "ExecTimeDistribution: from_normalised weights must sum to 1");
+  }
   cumulative_.back() = 1.0;  // guard against rounding drift
 }
 
@@ -75,10 +82,18 @@ ExecTimeDistribution ExecTimeDistribution::constant(Time value) {
 }
 
 ExecTimeDistribution ExecTimeDistribution::uniform(Time lo, Time hi) {
+  if (lo < 0) throw std::invalid_argument("ExecTimeDistribution: negative time");
   if (lo > hi) throw std::invalid_argument("ExecTimeDistribution: lo > hi");
+  // 0 <= lo <= hi, so the width cannot overflow; counting offsets from lo
+  // keeps hi == kTimeInfinity from overflowing the loop variable.
+  const Time span = hi - lo;
+  if (span >= kMaxUniformOutcomes) {
+    throw std::invalid_argument(
+        "ExecTimeDistribution: uniform range wider than kMaxUniformOutcomes");
+  }
   std::vector<Outcome> outcomes;
-  outcomes.reserve(static_cast<std::size_t>(hi - lo + 1));
-  for (Time v = lo; v <= hi; ++v) outcomes.push_back(Outcome{v, 1.0});
+  outcomes.reserve(static_cast<std::size_t>(span + 1));
+  for (Time i = 0; i <= span; ++i) outcomes.push_back(Outcome{lo + i, 1.0});
   return ExecTimeDistribution(std::move(outcomes));
 }
 

@@ -27,7 +27,13 @@ class ExecTimeDistribution {
   /// Degenerate distribution at `value` (the paper's base model).
   static ExecTimeDistribution constant(Time value);
 
-  /// Uniform over the integers lo..hi inclusive.
+  /// Widest uniform range accepted: uniform() stores one outcome per
+  /// integer, so a hostile range must fail before it sizes an allocation.
+  static constexpr Time kMaxUniformOutcomes = Time{1} << 20;
+
+  /// Uniform over the integers lo..hi inclusive. Throws
+  /// std::invalid_argument when lo < 0, lo > hi, or the range holds more
+  /// than kMaxUniformOutcomes integers.
   static ExecTimeDistribution uniform(Time lo, Time hi);
 
   /// Explicit pmf: entries (value, weight); weights are normalised.
@@ -37,12 +43,17 @@ class ExecTimeDistribution {
   };
   static ExecTimeDistribution discrete(std::vector<Outcome> outcomes);
 
-  /// Trusted reconstruction from an already-normalised outcome list (values
-  /// ascending, weights summing to ~1), as produced by outcomes(). Skips
-  /// the normalising division, so a distribution rebuilt from its own
-  /// outcomes() is *bitwise* identical (weights, mean, moments, sampling) —
-  /// the contract serialisers (sdf::io, net::codec) rely on. Throws
-  /// std::invalid_argument on empty, unsorted or non-positive input.
+  /// How far the weights passed to from_normalised() may sum from 1.
+  static constexpr double kWeightSumTolerance = 1e-9;
+
+  /// Reconstruction from an already-normalised outcome list (values
+  /// ascending, weights summing to 1 within kWeightSumTolerance), as
+  /// produced by outcomes(). Skips the normalising division, so a
+  /// distribution rebuilt from its own outcomes() is *bitwise* identical
+  /// (weights, mean, moments, sampling) — the contract sdf::io's text
+  /// round trip relies on. Throws std::invalid_argument on empty, unsorted
+  /// or non-positive input, and on weights that are not finite or do not
+  /// sum to 1.
   static ExecTimeDistribution from_normalised(std::vector<Outcome> outcomes);
 
   [[nodiscard]] double mean() const noexcept { return mean_; }

@@ -2,6 +2,7 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <optional>
 #include <sstream>
 
@@ -141,8 +142,8 @@ std::optional<Graph> read_one(std::istream& is, std::size_t& line_no,
         } else if (shape == "discrete") {
           std::size_t k = 0;
           if (!(ls >> k) || k == 0) fail(line_no, "discrete requires <k> > 0");
+          // No reserve(k): k is untrusted until its pairs have been read.
           std::vector<ExecTimeDistribution::Outcome> outcomes;
-          outcomes.reserve(k);
           for (std::size_t i = 0; i < k; ++i) {
             Time v = 0;
             std::string w;
@@ -179,6 +180,10 @@ std::optional<Graph> read_one(std::istream& is, std::size_t& line_no,
       if (s == kInvalidActor) fail(line_no, "unknown actor " + src);
       if (d == kInvalidActor) fail(line_no, "unknown actor " + dst);
       if (prod <= 0 || cons <= 0 || tokens < 0) fail(line_no, "invalid channel parameters");
+      constexpr std::int64_t kMaxRate = std::numeric_limits<std::uint32_t>::max();
+      if (prod > kMaxRate || cons > kMaxRate) {
+        fail(line_no, "channel rate exceeds " + std::to_string(kMaxRate));
+      }
       try {
         g->add_channel(s, d, static_cast<std::uint32_t>(prod),
                        static_cast<std::uint32_t>(cons),

@@ -71,10 +71,24 @@ TEST(ExecTime, DiscreteSamplingFrequencies) {
 
 TEST(ExecTime, InvalidInputsThrow) {
   EXPECT_THROW(ExecTimeDistribution::uniform(5, 4), std::invalid_argument);
+  EXPECT_THROW(ExecTimeDistribution::uniform(-1, 3), std::invalid_argument);
+  EXPECT_THROW(ExecTimeDistribution::uniform(
+                   0, ExecTimeDistribution::kMaxUniformOutcomes),
+               std::invalid_argument);
   EXPECT_THROW(ExecTimeDistribution::discrete({}), std::invalid_argument);
   EXPECT_THROW(ExecTimeDistribution::discrete({{-1, 1.0}}), std::invalid_argument);
   EXPECT_THROW(ExecTimeDistribution::discrete({{1, 0.0}}), std::invalid_argument);
   EXPECT_THROW(ExecTimeDistribution::discrete({{1, -2.0}}), std::invalid_argument);
+}
+
+TEST(ExecTime, UniformAcceptsItsWidestRangeAndTheTopOfTime) {
+  constexpr Time kMax = ExecTimeDistribution::kMaxUniformOutcomes;
+  EXPECT_EQ(ExecTimeDistribution::uniform(0, kMax - 1).outcomes().size(),
+            static_cast<std::size_t>(kMax));
+  // The loop must stop at hi, not step past the largest Time.
+  const auto top = ExecTimeDistribution::uniform(kTimeInfinity - 2, kTimeInfinity);
+  ASSERT_EQ(top.outcomes().size(), 3u);
+  EXPECT_EQ(top.outcomes().back().value, kTimeInfinity);
 }
 
 TEST(ExecTime, ZeroMeanResidualIsZero) {

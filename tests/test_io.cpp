@@ -2,9 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cctype>
+#include <cmath>
 #include <sstream>
+#include <string_view>
+#include <typeinfo>
 
+#include "gen/graph_generator.h"
 #include "helpers.h"
+#include "util/rng.h"
 
 namespace procon::sdf {
 namespace {
@@ -155,6 +162,141 @@ TEST(Io, ModelFreeReadRejectsDistLines) {
   EXPECT_THROW(graph_from_text(text), ParseError);
   std::istringstream is(text);
   EXPECT_THROW((void)read_graphs(is), ParseError);
+}
+
+// ---- hostile numbers -------------------------------------------------------
+//
+// sdf::io is the CLI's only input parser: a hostile number must fail as a
+// ParseError naming its line, never as a wrapped rate, a non-finite model, a
+// std::length_error / std::bad_alloc from sizing, or signed overflow.
+
+TEST(Io, HostileNumbersRaiseParseErrorNamingTheLine) {
+  struct Row {
+    std::string_view what;
+    std::string_view line;  // becomes line 4 of a two-actor cycle
+  };
+  const Row rows[] = {
+      {"prod rate wraps uint32", "channel a b 4294967297 1 0"},
+      {"cons rate wraps uint32", "channel a b 1 4294967297 0"},
+      {"weights sum to 2", "dist a discrete 2 1 0x1p0 2 0x1p0"},
+      {"nan weight", "dist a discrete 1 1 nan"},
+      {"inf weight", "dist a discrete 1 1 inf"},
+      {"nan among finite weights", "dist a discrete 2 1 0x1p-1 2 nan"},
+      {"k would length_error", "dist a discrete 1000000000000000000 1 0x1p0"},
+      {"k would bad_alloc", "dist a discrete 100000000000 1 0x1p0"},
+      {"uniform too wide to build", "dist a uniform 0 100000000000"},
+      {"uniform width overflows", "dist a uniform 0 9223372036854775807"},
+      {"uniform lo negative", "dist a uniform -9223372036854775808 0"},
+  };
+  for (const Row& row : rows) {
+    const std::string text = "graph g\nactor a 1\nactor b 1\n" +
+                             std::string(row.line) +
+                             "\nchannel a b 1 1 0\nchannel b a 1 1 1\nend\n";
+    std::istringstream is(text);
+    std::vector<ExecTimeModel> models;
+    try {
+      (void)read_graphs(is, models);
+      ADD_FAILURE() << row.what << ": parsed";
+    } catch (const ParseError& e) {
+      EXPECT_NE(std::string(e.what()).find("line 4"), std::string::npos)
+          << row.what << ": " << e.what();
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << row.what << ": escaped as " << typeid(e).name() << ": "
+                    << e.what();
+    }
+  }
+}
+
+/// Replaces 1-4 random tokens of `base` with extreme numbers and, one time
+/// in four, truncates the result.
+std::string mutate(const std::string& base, util::Rng& rng) {
+  static constexpr std::array<std::string_view, 8> kExtremes = {
+      "0",   "-1",  "4294967297", "9223372036854775807", "-9223372036854775808",
+      "nan", "inf", "1000000000000"};
+  // Token spans: maximal runs of non-whitespace.
+  std::vector<std::pair<std::size_t, std::size_t>> tokens;
+  for (std::size_t i = 0; i < base.size();) {
+    if (std::isspace(static_cast<unsigned char>(base[i]))) {
+      ++i;
+      continue;
+    }
+    const std::size_t start = i;
+    while (i < base.size() && !std::isspace(static_cast<unsigned char>(base[i]))) ++i;
+    tokens.emplace_back(start, i - start);
+  }
+  const auto swaps = rng.uniform_int(1, 4);
+  std::vector<std::string_view> replacement(tokens.size());
+  for (std::int64_t k = 0; k < swaps; ++k) {
+    const auto t = static_cast<std::size_t>(
+        rng.uniform_int(0, static_cast<std::int64_t>(tokens.size()) - 1));
+    replacement[t] = kExtremes[static_cast<std::size_t>(rng.uniform_int(
+        0, static_cast<std::int64_t>(kExtremes.size()) - 1))];
+  }
+  std::string out;
+  std::size_t at = 0;
+  for (std::size_t t = 0; t < tokens.size(); ++t) {
+    if (replacement[t].empty()) continue;
+    out.append(base, at, tokens[t].first - at);
+    out.append(replacement[t]);
+    at = tokens[t].first + tokens[t].second;
+  }
+  out.append(base, at);
+  if (rng.uniform01() < 0.25) {
+    out.resize(static_cast<std::size_t>(
+        rng.uniform_int(0, static_cast<std::int64_t>(out.size()))));
+  }
+  return out;
+}
+
+TEST(Io, MutatedNumbersOnlyEscapeAsParseOrGraphError) {
+  // Generated graphs with constant and uniform models (write_graph emits a
+  // non-constant model as `discrete` hexfloat pairs), plus one graph that
+  // spells out the `uniform` and `constant` shapes.
+  util::Rng rng(0x5DF);
+  gen::GeneratorOptions gopts;
+  gopts.min_actors = 3;
+  gopts.max_actors = 5;
+  std::ostringstream os;
+  for (const Graph& g : gen::generate_graphs(rng, gopts, 3)) {
+    ExecTimeModel model;
+    for (const Actor& a : g.actors()) {
+      const Time d = a.exec_time / 4;
+      model.push_back(d == 0 ? ExecTimeDistribution::constant(a.exec_time)
+                             : ExecTimeDistribution::uniform(a.exec_time - d,
+                                                             a.exec_time + d));
+    }
+    write_graph(os, g, model);
+  }
+  os << "graph shapes\nactor x 4\nactor y 6\ndist x uniform 3 5\n"
+        "dist y constant 6\nchannel x y 2 1 0\nchannel y x 1 2 2\nend\n";
+  const std::string valid = os.str();
+
+  const auto parse = [](const std::string& text) {
+    std::istringstream is(text);
+    std::vector<ExecTimeModel> models;
+    const std::vector<Graph> graphs = read_graphs(is, models);
+    EXPECT_EQ(models.size(), graphs.size());
+    for (const ExecTimeModel& m : models) {
+      for (const ExecTimeDistribution& d : m) {
+        EXPECT_TRUE(std::isfinite(d.mean())) << "non-finite mean in:\n" << text;
+      }
+    }
+    return graphs.size();
+  };
+  ASSERT_EQ(parse(valid), 4u);
+
+  for (int mutant = 0; mutant < 20'000; ++mutant) {
+    const std::string text = mutate(valid, rng);
+    try {
+      (void)parse(text);
+    } catch (const ParseError&) {
+    } catch (const GraphError&) {
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << "mutant " << mutant << " escaped as " << typeid(e).name()
+                    << ": " << e.what();
+    }
+    if (::testing::Test::HasFailure()) break;  // one report, not thousands
+  }
 }
 
 TEST(Io, DotContainsActorsAndRates) {

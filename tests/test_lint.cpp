@@ -35,17 +35,16 @@ std::vector<RuleLine> rule_lines(const std::vector<Finding>& findings) {
 
 /// Lints `name` and asserts the exact (rule, line) multiset.
 void expect_findings(const std::string& name,
-                     const std::vector<RuleLine>& expected,
-                     Options opts = {}) {
-  const std::vector<Finding> got = lint_file(fixture(name), opts);
+                     const std::vector<RuleLine>& expected) {
+  const std::vector<Finding> got = lint_file(fixture(name), Options{});
   EXPECT_EQ(rule_lines(got), expected) << "fixture: " << name;
 }
 
 /// Proves a rule is live on its fixture: disabling exactly that rule makes
 /// the fixture lint clean (any co-firing rules are disabled alongside).
 void expect_rule_is_live(const std::string& name,
-                         const std::vector<std::string>& rules_to_disable,
-                         Options opts = {}) {
+                         const std::vector<std::string>& rules_to_disable) {
+  Options opts;
   ASSERT_FALSE(lint_file(fixture(name), opts).empty())
       << "fixture " << name << " found nothing with all rules on";
   opts.disabled.insert(opts.disabled.end(), rules_to_disable.begin(),
@@ -113,23 +112,6 @@ TEST(Lint, WarmPushBackExactFindings) {
   // Locals co-fire warm-container-construct; disable both to prove both.
   expect_rule_is_live("warm_push_back.cpp",
                       {"warm-push-back", "warm-container-construct"});
-}
-
-// ---- codec-bounds family --------------------------------------------------
-
-TEST(Lint, CodecUnguardedSizeExactFindings) {
-  Options opts;
-  opts.codec_path = "codec_unguarded_size";
-  expect_findings("codec_unguarded_size.cpp",
-                  {{"codec-unguarded-size", 18}, {"codec-unguarded-size", 19}},
-                  opts);
-  expect_rule_is_live("codec_unguarded_size.cpp", {"codec-unguarded-size"},
-                      opts);
-}
-
-TEST(Lint, CodecFamilyOnlyActiveOnCodecPath) {
-  // Same fixture, default codec_path ("net/codec"): the family is inert.
-  expect_findings("codec_unguarded_size.cpp", {});
 }
 
 // ---- escapes and meta rules -----------------------------------------------

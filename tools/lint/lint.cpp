@@ -43,10 +43,6 @@ const std::vector<RuleInfo>& rule_table() {
       {"warm-push-back", "warm-path",
        "push_back/emplace_back on a body-local container without a prior "
        "reserve() on it reallocates on the warm path"},
-      {"codec-unguarded-size", "codec-bounds",
-       "resize/reserve/sized construction from a decoded integer that did "
-       "not flow through get_count()/take(); a hostile length must fail "
-       "before it sizes an allocation"},
       {"lint-allow-without-justification", "meta",
        "a lint:allow(rule) escape must carry a `: justification` explaining "
        "why the contract holds anyway"},
@@ -113,7 +109,7 @@ std::size_t find_close_brace(const Toks& code, std::size_t i) {
   return code.size();
 }
 
-/// Allocating container types for the warm-path and codec families.
+/// Allocating container types for the warm-path family.
 /// std::function is ruled separately (warm-std-function).
 const std::set<std::string_view>& alloc_types() {
   static const std::set<std::string_view> kTypes = {
@@ -133,13 +129,6 @@ const std::set<std::string_view>& unordered_types() {
       "unordered_map", "unordered_set", "unordered_multimap",
       "unordered_multiset"};
   return kTypes;
-}
-
-/// Decoder read methods of net::WireReader whose results taint sizes.
-const std::set<std::string_view>& wire_reads() {
-  static const std::set<std::string_view> kReads = {
-      "u8", "u16", "u32", "u64", "i8", "i16", "i32", "i64"};
-  return kReads;
 }
 
 // ---- allow-escape parsing -------------------------------------------------
@@ -213,7 +202,6 @@ class Linter {
   void run() {
     collect_unordered_vars();
     scan();
-    if (file_.find(opts_.codec_path) != std::string::npos) lint_codec();
   }
 
  private:
@@ -567,131 +555,6 @@ class Linter {
         }
       }
     }
-  }
-
-  // -- codec-bounds family --
-
-  /// Taint tracking over the whole file: variables assigned from raw
-  /// WireReader reads are tainted; assignment through the get_count()/take()
-  /// guards sanitises. Taint is per-function (cleared when the brace depth
-  /// returns to namespace level).
-  void lint_codec() {
-    std::set<std::string> tainted;
-    int depth = 0;
-    int ns_depth = 0;
-    for (std::size_t i = 0; i < code_.size(); ++i) {
-      const Token& t = code_[i];
-      if (t.kind == TokKind::Identifier && t.text == "namespace") {
-        // Count namespace braces so function-end detection stays right.
-        std::size_t j = i + 1;
-        while (j < code_.size() && (code_[j].kind == TokKind::Identifier ||
-                                    is_punct(code_[j], "::"))) {
-          ++j;
-        }
-        if (j < code_.size() && is_punct(code_[j], "{")) {
-          ++ns_depth;
-          ++depth;
-          i = j;
-        }
-        continue;
-      }
-      if (is_punct(t, "{")) {
-        ++depth;
-        continue;
-      }
-      if (is_punct(t, "}")) {
-        --depth;
-        if (depth <= ns_depth) {
-          if (depth < ns_depth) ns_depth = depth;
-          tainted.clear();  // left a top-level function (or a namespace)
-        }
-        continue;
-      }
-      if (t.kind != TokKind::Identifier) continue;
-
-      // Assignment / initialisation: `name = <rhs> ;`
-      if (i + 1 < code_.size() && is_punct(code_[i + 1], "=")) {
-        const std::size_t rhs_begin = i + 2;
-        std::size_t rhs_end = rhs_begin;
-        int d = 0;
-        while (rhs_end < code_.size()) {
-          const Token& r = code_[rhs_end];
-          if (is_punct(r, "(") || is_punct(r, "{")) ++d;
-          if (is_punct(r, ")") || is_punct(r, "}")) --d;
-          if (d <= 0 && (is_punct(r, ";") || (d < 0))) break;
-          ++rhs_end;
-        }
-        const std::string name(t.text);
-        if (range_has_guard(rhs_begin, rhs_end)) {
-          tainted.erase(name);
-        } else if (range_is_tainted(rhs_begin, rhs_end, tainted)) {
-          tainted.insert(name);
-        }
-        continue;
-      }
-
-      // `x.resize(<arg>)` / `x.reserve(<arg>)`
-      if ((t.text == "resize" || t.text == "reserve") && i >= 1 &&
-          (is_punct(code_[i - 1], ".") || is_punct(code_[i - 1], "->")) &&
-          i + 1 < code_.size() && is_punct(code_[i + 1], "(")) {
-        const std::size_t close = skip_parens(code_, i + 1);
-        if (!range_has_guard(i + 2, close - 1) &&
-            range_is_tainted(i + 2, close - 1, tainted)) {
-          report("codec-unguarded-size", t.line,
-                 std::string(t.text) +
-                     " sized from a decoded integer that did not flow "
-                     "through get_count()");
-        }
-        continue;
-      }
-
-      // `std::vector<T> v(<arg>)` — sized construction.
-      if (alloc_types().count(t.text)) {
-        std::size_t j = i + 1;
-        if (j < code_.size() && is_punct(code_[j], "<")) {
-          const std::size_t after = skip_template(code_, j);
-          if (after == j) continue;
-          j = after;
-        }
-        if (j + 1 < code_.size() && code_[j].kind == TokKind::Identifier &&
-            is_punct(code_[j + 1], "(")) {
-          const std::size_t close = skip_parens(code_, j + 1);
-          if (!range_has_guard(j + 2, close - 1) &&
-              range_is_tainted(j + 2, close - 1, tainted)) {
-            report("codec-unguarded-size", t.line,
-                   std::string(t.text) +
-                       " constructed with a size from a decoded integer "
-                       "that did not flow through get_count()");
-          }
-        }
-      }
-    }
-  }
-
-  bool range_has_guard(std::size_t begin, std::size_t end) const {
-    for (std::size_t j = begin; j < end && j < code_.size(); ++j) {
-      if (code_[j].kind == TokKind::Identifier &&
-          (code_[j].text == "get_count" || code_[j].text == "take") &&
-          j + 1 < code_.size() && is_punct(code_[j + 1], "(")) {
-        return true;
-      }
-    }
-    return false;
-  }
-
-  bool range_is_tainted(std::size_t begin, std::size_t end,
-                        const std::set<std::string>& tainted) const {
-    for (std::size_t j = begin; j < end && j < code_.size(); ++j) {
-      const Token& t = code_[j];
-      if (t.kind != TokKind::Identifier) continue;
-      if (tainted.count(std::string(t.text))) return true;
-      // A raw read call anywhere in the range: r.u32(), u32(), …
-      if (wire_reads().count(t.text) && j + 1 < code_.size() &&
-          is_punct(code_[j + 1], "(")) {
-        return true;
-      }
-    }
-    return false;
   }
 
   std::string file_;

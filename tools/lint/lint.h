@@ -1,6 +1,6 @@
 // procon_lint — repo-specific contract checker for the procon codebase.
 //
-// Three contract families are enforced at the source level, before any test
+// Two contract families are enforced at the source level, before any test
 // has to *happen* to exercise the violating path (docs/ARCHITECTURE.md
 // "Contract enforcement" maps each rule to the cached-object contract it
 // guards):
@@ -15,11 +15,7 @@
 //    zero-heap-allocation serving paths; local container construction,
 //    `new`, std::function and unreserved push_back on body-locals are
 //    flagged (member/workspace arenas stay fair game — the grow-only
-//    contract lives there);
-//  * codec bounds (codec-*): in src/net/codec.*, every resize/reserve or
-//    sized container construction whose argument derives from a decoded
-//    integer must flow through the get_count()/take() guards, so a hostile
-//    length can never drive a giant allocation.
+//    contract lives there).
 //
 // Escape hatch: `// lint:allow(rule-id): justification` on the finding's
 // line suppresses that rule there; an escape without a justification (or
@@ -34,7 +30,7 @@ namespace procon::lint {
 
 struct RuleInfo {
   std::string_view id;       ///< stable rule identifier, e.g. "det-rand"
-  std::string_view family;   ///< determinism | warm-path | codec-bounds | meta
+  std::string_view family;   ///< determinism | warm-path | meta
   std::string_view summary;  ///< one-line description (drives --list-rules)
 };
 
@@ -56,8 +52,6 @@ struct Finding {
 struct Options {
   /// Rule ids switched off (findings for them are dropped entirely).
   std::vector<std::string> disabled;
-  /// Path substring that activates the codec-bounds family for a file.
-  std::string codec_path = "net/codec";
   /// Annotation macro marking zero-alloc warm-path function definitions.
   std::string warm_annotation = "PROCON_WARM_PATH";
   /// Namespace components whose code must be deterministic.
@@ -67,8 +61,7 @@ struct Options {
   [[nodiscard]] bool enabled(std::string_view rule) const;
 };
 
-/// Lints one in-memory source. `path` is used for reporting and for the
-/// codec-family path match only.
+/// Lints one in-memory source. `path` is used for reporting only.
 [[nodiscard]] std::vector<Finding> lint_source(std::string_view path,
                                                std::string_view src,
                                                const Options& opts);

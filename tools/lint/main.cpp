@@ -3,8 +3,6 @@
 //   procon_lint [options] <file>...
 //     --list-rules             print the markdown rule table and exit
 //     --disable=ID[,ID...]     switch rules off
-//     --codec-file=SUBSTR      path substring activating the codec family
-//                              (default "net/codec")
 //     --warm-annotation=NAME   warm-path marker macro (default
 //                              PROCON_WARM_PATH)
 //
@@ -43,15 +41,13 @@ int main(int argc, char** argv) {
       list_rules = true;
     } else if (arg.rfind("--disable=", 0) == 0) {
       split_csv(arg.substr(10), opts.disabled);
-    } else if (arg.rfind("--codec-file=", 0) == 0) {
-      opts.codec_path = std::string(arg.substr(13));
     } else if (arg.rfind("--warm-annotation=", 0) == 0) {
       opts.warm_annotation = std::string(arg.substr(18));
     } else if (arg == "--help" || arg == "-h") {
       std::fprintf(stderr,
                    "usage: procon_lint [--list-rules] [--disable=ID,...] "
-                   "[--codec-file=SUBSTR]\n"
-                   "                   [--warm-annotation=NAME] <file>...\n");
+                   "[--warm-annotation=NAME]\n"
+                   "                   <file>...\n");
       return 0;
     } else if (arg.rfind("--", 0) == 0) {
       std::fprintf(stderr, "procon_lint: unknown option '%s'\n",

@@ -28,19 +28,6 @@
 //       Workbench oracle, then stream a sink-based use-case sweep. Prints
 //       the service counters (coalesce hits, sessions built/evicted) and a
 //       tt-stats line for the shared transposition table.
-//   client <file> (--spawn N | --endpoints h:p,h:p,...) [--tenants K]
-//          [--queries Q]
-//       Routed cluster workload (net::ClusterClient): build K tenant
-//       systems from the file, register each on its fingerprint-derived
-//       home shard, pipeline a mixed query workload over the wire, and
-//       verify every decoded result bitwise against a direct
-//       api::AnalysisService oracle. With --spawn N the shards are
-//       in-process loopback net::AnalysisServers on ephemeral ports (and
-//       when N > 1 the fleet starts at one shard and grows mid-run, so the
-//       snapshot/migration path runs too); with --endpoints the shards are
-//       external procon_server processes. Prints each shard's
-//       ServiceStats and transposition-table counters fetched over
-//       StatsRequest frames.
 //   buffers <file>
 //       Buffer-capacity / period Pareto frontier per graph (incremental
 //       explorer).
@@ -50,7 +37,6 @@
 //       End-to-end smoke test (used by CTest); exits non-zero on failure.
 #include <fstream>
 #include <iostream>
-#include <memory>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -60,9 +46,6 @@
 #include "analysis/transposition_table.h"
 #include "api/service.h"
 #include "api/workbench.h"
-#include "net/client.h"
-#include "net/codec.h"
-#include "net/server.h"
 #include "gen/graph_generator.h"
 #include "gen/use_cases.h"
 #include "platform/system.h"
@@ -90,8 +73,6 @@ int usage(int code) {
       "  procon sweep    <file> [--full | --per-size N] [--threads T] [--method M]\n"
       "  procon serve    <file> [--clients N] [--queries Q] [--threads T]\n"
       "                  [--capacity S]\n"
-      "  procon client   <file> (--spawn N | --endpoints h:p,...)\n"
-      "                  [--tenants K] [--queries Q]\n"
       "  procon buffers  <file>\n"
       "  procon dot      <file>\n"
       "  procon selftest\n";
@@ -489,137 +470,6 @@ int cmd_serve(int argc, char** argv) {
   return 0;
 }
 
-int cmd_client(int argc, char** argv) {
-  if (argc < 3) return usage(2);
-  const auto tenants_n = std::max<std::size_t>(
-      1, std::stoull(flag_value(argc, argv, "--tenants", "4")));
-  const auto queries = static_cast<std::size_t>(
-      std::stoull(flag_value(argc, argv, "--queries", "56")));
-  const auto spawn = static_cast<std::size_t>(
-      std::stoull(flag_value(argc, argv, "--spawn", "0")));
-  const std::string endpoint_list =
-      flag_value(argc, argv, "--endpoints", "");
-
-  const auto graphs = load_graphs(argv[2]);
-  // K tenants from one file: tenant k keeps the first n - (k mod n) + 1
-  // applications, so fingerprints repeat every n tenants — repeats land on
-  // the same shard and share one resident session there.
-  std::vector<platform::System> systems;
-  systems.reserve(tenants_n);
-  for (std::size_t k = 0; k < tenants_n; ++k) {
-    std::vector<sdf::Graph> apps(
-        graphs.begin(),
-        graphs.begin() +
-            static_cast<std::ptrdiff_t>(graphs.size() - k % graphs.size()));
-    systems.push_back(make_system(std::move(apps)));
-  }
-
-  // The shard fleet: in-process loopback servers, or external endpoints.
-  std::vector<std::unique_ptr<net::AnalysisServer>> spawned;
-  std::vector<std::string> endpoints;
-  if (spawn > 0) {
-    for (std::size_t i = 0; i < spawn; ++i) {
-      spawned.push_back(std::make_unique<net::AnalysisServer>(
-          net::ServerOptions{}));
-      endpoints.push_back(":" + std::to_string(spawned.back()->port()));
-    }
-  } else {
-    std::stringstream ss(endpoint_list);
-    std::string e;
-    while (std::getline(ss, e, ',')) {
-      if (!e.empty()) endpoints.push_back(e);
-    }
-  }
-  if (endpoints.empty()) return usage(2);
-
-  // Spawned multi-shard fleets start at one shard and grow mid-run: the
-  // displaced tenants travel the snapshot/migration frames.
-  const bool migrate = spawned.size() > 1;
-  std::vector<std::string> initial = endpoints;
-  if (migrate) initial.resize(1);
-  net::ClusterClient cluster(net::ClusterOptions{.endpoints = initial});
-
-  // The identity oracle: a direct in-process service over the same
-  // tenants. Every routed result must decode to the same bytes.
-  api::AnalysisService oracle(api::ServiceOptions{});
-  std::vector<net::TenantId> routed_ids;
-  std::vector<api::SystemId> oracle_ids;
-  for (const auto& sys : systems) {
-    routed_ids.push_back(cluster.register_system(sys));
-    oracle_ids.push_back(oracle.register_system(sys));
-  }
-
-  const auto desc_for = [&](std::size_t k) {
-    api::QueryDesc d;
-    d.kind = static_cast<api::QueryKind>(k % 8);
-    d.app = static_cast<sdf::AppId>(
-        k % systems[k % systems.size()].app_count());
-    d.sim.horizon = 20'000;  // keep Simulate queries smoke-sized
-    return d;
-  };
-
-  std::size_t mismatches = 0;
-  const auto run_batch = [&](std::size_t from, std::size_t to) {
-    std::vector<net::PendingQuery> pending;
-    pending.reserve(to - from);
-    for (std::size_t k = from; k < to; ++k) {
-      pending.push_back(
-          cluster.submit(routed_ids[k % systems.size()], desc_for(k)));
-    }
-    for (std::size_t k = from; k < to; ++k) {
-      const api::QueryValue routed = cluster.await(pending[k - from]);
-      const api::QueryValue direct =
-          oracle.submit(oracle_ids[k % systems.size()], desc_for(k)).get();
-      // Bitwise identity, provenance excluded (wall time is not a result).
-      net::WireWriter a;
-      net::WireWriter b;
-      net::encode_query_payload(a, routed);
-      net::encode_query_payload(b, direct);
-      if (!std::equal(a.view().begin(), a.view().end(), b.view().begin(),
-                      b.view().end())) {
-        ++mismatches;
-      }
-    }
-  };
-
-  run_batch(0, queries / 2);
-  std::size_t migrated = 0;
-  if (migrate) {
-    migrated = cluster.set_endpoints(endpoints);
-    std::cout << "[migration: fleet grew 1 -> " << endpoints.size()
-              << " shard(s), " << migrated << " tenant(s) moved]\n";
-  }
-  run_batch(queries / 2, queries);
-
-  // Per-shard counters over the wire (StatsRequest), so an operator sees
-  // the cross-tenant sharing that fingerprint routing produces remotely.
-  util::Table table("Cluster: " + std::to_string(tenants_n) +
-                    " tenant(s) x " + std::to_string(queries) +
-                    " routed queries, " +
-                    std::to_string(cluster.router().shard_count()) +
-                    " shard(s)");
-  table.set_header({"shard", "submitted", "coalesced", "result hits",
-                    "executed", "sessions", "tt hit-rate"});
-  for (std::size_t s = 0; s < cluster.router().shard_count(); ++s) {
-    const net::WireStats ws = cluster.stats(s);
-    table.add_row({cluster.router().endpoints()[s],
-                   std::to_string(ws.service.submitted),
-                   std::to_string(ws.service.coalesced),
-                   std::to_string(ws.service.result_hits),
-                   std::to_string(ws.service.executed),
-                   std::to_string(ws.service.sessions_built),
-                   util::format_double(100.0 * ws.table.hit_rate(), 1) + "%"});
-  }
-  std::cout << table.render();
-  std::cout << "[identity: " << (queries - mismatches) << "/" << queries
-            << " routed results bitwise-equal to the direct oracle]\n";
-  if (mismatches != 0) {
-    std::cerr << "error: routed results diverged from the direct oracle\n";
-    return 1;
-  }
-  return 0;
-}
-
 int cmd_buffers(int argc, char** argv) {
   if (argc < 3) return usage(2);
   api::Workbench wb(make_system(load_graphs(argv[2])),
@@ -752,7 +602,6 @@ int main(int argc, char** argv) {
     if (cmd == "simulate") return cmd_simulate(argc, argv);
     if (cmd == "sweep") return cmd_sweep(argc, argv);
     if (cmd == "serve") return cmd_serve(argc, argv);
-    if (cmd == "client") return cmd_client(argc, argv);
     if (cmd == "buffers") return cmd_buffers(argc, argv);
     if (cmd == "dot") return cmd_dot(argc, argv);
     if (cmd == "selftest") return cmd_selftest();
