@@ -77,7 +77,7 @@ void run_session_mix(api::Workbench& wb, std::vector<double>& out) {
   }
   for (sdf::AppId app = 0; app < static_cast<sdf::AppId>(frontier_apps); ++app) {
     const auto frontier = wb.buffer_frontier(app, bopts);
-    for (const dse::BufferPoint& p : frontier->points) {
+    for (const dse::BufferPoint& p : *frontier) {
       out.push_back(p.period);
       out.push_back(static_cast<double>(p.total_tokens));
     }

@@ -1,21 +1,17 @@
-// Workbench sharding and incremental-DSE speedups.
+// Workbench sharding speedup and determinism.
 //
-// Two comparisons on the paper workload, both with bitwise identity checks
-// (the parallel / incremental paths must return the same bits as the
-// serial / per-candidate references):
+// On the paper workload, with bitwise identity checks (the parallel paths
+// must return the same bits as the serial ones):
 //
 //  1. use-case sweep: Workbench::sweep_use_cases with 1 thread vs one
 //     worker per hardware thread, over the --per-size sampled (or --full
 //     enumerated) use-case list;
-//  2. buffer exploration: explore_buffer_tradeoff engine-per-candidate
-//     (incremental = false) vs the incremental reverse-channel patch, per
-//     application, plus a mapper determinism probe (1 thread == N threads).
+//  2. a mapper determinism probe (1 thread == N threads).
 //
 // Emits BENCH_workbench.json so the perf trajectory is tracked per PR.
 //
 // Flags: the common harness set (--seed, --apps, --per-size, --full, ...).
 #include <algorithm>
-#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <iostream>
@@ -39,17 +35,6 @@ bool same_estimates(const std::vector<api::UseCaseResult>& a,
           a[i].estimates[j].isolation_period != b[i].estimates[j].isolation_period) {
         return false;
       }
-    }
-  }
-  return true;
-}
-
-bool same_frontier(const std::vector<dse::BufferPoint>& a,
-                   const std::vector<dse::BufferPoint>& b) {
-  if (a.size() != b.size()) return false;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    if (a[i].capacities != b[i].capacities || a[i].period != b[i].period) {
-      return false;
     }
   }
   return true;
@@ -82,26 +67,7 @@ int main(int argc, char** argv) {
           ? swept_serial.provenance.wall_ms / swept_parallel.provenance.wall_ms
           : 0.0;
 
-  // --- 2. buffer exploration: per-candidate vs incremental ------------------
-  double percand_ms = 0.0, incremental_ms = 0.0;
-  bool buffers_identical = true;
-  for (sdf::AppId i = 0; i < sys.app_count(); ++i) {
-    dse::BufferExplorerOptions bopts;
-    bopts.incremental = false;
-    bench::Stopwatch percand_watch;
-    const auto reference = dse::explore_buffer_tradeoff(sys.app(i), bopts);
-    percand_ms += 1000.0 * percand_watch.seconds();
-
-    bopts.incremental = true;
-    bench::Stopwatch inc_watch;
-    const auto incremental = dse::explore_buffer_tradeoff(sys.app(i), bopts);
-    incremental_ms += 1000.0 * inc_watch.seconds();
-
-    buffers_identical = buffers_identical && same_frontier(reference, incremental);
-  }
-  const double buffer_speedup = incremental_ms > 0.0 ? percand_ms / incremental_ms : 0.0;
-
-  // --- 3. mapper determinism probe ------------------------------------------
+  // --- 2. mapper determinism probe ------------------------------------------
   dse::MapperOptions mopts;
   mopts.iterations = 300;
   mopts.seed = opts.seed;
@@ -130,22 +96,19 @@ int main(int argc, char** argv) {
       "\"use_cases\":%zu,\"threads\":%zu,"
       "\"sweep_serial_ms\":%.3f,\"sweep_parallel_ms\":%.3f,"
       "\"sweep_speedup\":%.2f,\"sweep_identical\":%s,"
-      "\"buffer_percandidate_ms\":%.3f,\"buffer_incremental_ms\":%.3f,"
-      "\"buffer_speedup\":%.2f,\"buffer_identical\":%s,"
       "\"mapper_deterministic\":%s}",
       static_cast<unsigned long long>(opts.seed), sys.app_count(),
       use_cases.size(), parallel.thread_count(),
       swept_serial.provenance.wall_ms, swept_parallel.provenance.wall_ms,
-      sweep_speedup, sweep_identical ? "true" : "false", percand_ms,
-      incremental_ms, buffer_speedup, buffers_identical ? "true" : "false",
+      sweep_speedup, sweep_identical ? "true" : "false",
       mapper_deterministic ? "true" : "false");
 
   std::cout << json << "\n";
   std::ofstream out("BENCH_workbench.json");
   out << json << "\n";
 
-  if (!sweep_identical || !buffers_identical || !mapper_deterministic) {
-    std::cerr << "FAIL: parallel/incremental paths disagree with references\n";
+  if (!sweep_identical || !mapper_deterministic) {
+    std::cerr << "FAIL: parallel paths disagree with the serial references\n";
     return 1;
   }
   return 0;

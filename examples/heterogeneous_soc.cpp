@@ -75,10 +75,10 @@ int main() {
   for (sdf::AppId i = 0; i < bench.app_count(); ++i) {
     const auto frontier = bench.buffer_frontier(i);
     buffers.add_row({chosen.app(i).name(),
-                     std::to_string(frontier->points.size()),
-                     util::format_double(frontier->points.front().period, 1),
-                     util::format_double(frontier->points.back().period, 1),
-                     std::to_string(frontier->points.back().total_tokens)});
+                     std::to_string(frontier->size()),
+                     util::format_double(frontier->front().period, 1),
+                     util::format_double(frontier->back().period, 1),
+                     std::to_string(frontier->back().total_tokens)});
   }
   std::cout << buffers.render() << '\n';
 

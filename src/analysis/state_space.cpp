@@ -149,14 +149,19 @@ StateSpaceResult self_timed_period(const Graph& g, const StateSpaceOptions& opts
     }
 
     // Phase 3: advance time to the next completion.
-    Time step = sdf::kTimeInfinity;
+    Time step = 0;
     for (ActorId a = 0; a < n; ++a) {
-      if (st.remaining[a] > 0) step = std::min(step, st.remaining[a]);
+      if (st.remaining[a] > 0 && (step == 0 || st.remaining[a] < step)) {
+        step = st.remaining[a];
+      }
     }
-    if (step == sdf::kTimeInfinity) {
+    if (step == 0) {
       // Nothing executing and nothing could start: deadlock.
       result.deadlocked = true;
       return result;
+    }
+    if (now > sdf::kTimeInfinity - step) {
+      throw sdf::GraphError("self_timed_period: time overflows int64");
     }
     now += step;
     for (ActorId a = 0; a < n; ++a) {

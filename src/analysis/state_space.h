@@ -37,6 +37,8 @@ struct StateSpaceResult {
 
 /// Runs self-timed execution of `g` until the state recurs. The graph must
 /// be consistent; inconsistent graphs yield deadlocked=true, converged=false.
+/// Throws sdf::GraphError when the execution clock would pass INT64_MAX
+/// (execution times too large for sdf::Time arithmetic).
 [[nodiscard]] StateSpaceResult self_timed_period(const sdf::Graph& g,
                                                  const StateSpaceOptions& opts = {});
 

@@ -39,7 +39,8 @@ struct PeriodResult {
                                           std::span<const double> exec_times = {});
 
 /// Exact rational period of an integer-time graph via state-space
-/// execution. Throws sdf::GraphError on inconsistent graphs.
+/// execution. Throws sdf::GraphError on inconsistent graphs and when the
+/// execution clock would overflow int64.
 [[nodiscard]] util::Rational compute_period_exact(const sdf::Graph& g);
 
 /// Which actors limit the throughput: the (deduplicated, id-ordered) actors

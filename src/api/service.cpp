@@ -127,18 +127,6 @@ analysis::TranspositionTable::Stats AnalysisService::transposition_stats() const
   return table_ ? table_->stats() : analysis::TranspositionTable::Stats{};
 }
 
-dse::RacerStats AnalysisService::racer_stats() const {
-  std::lock_guard<std::mutex> lock(m_);
-  dse::RacerStats out = retired_racer_;
-  for (const auto& s : sessions_) {
-    // Busy sessions are being mutated by a drainer outside the service
-    // lock; skip them rather than race on their counters (their totals
-    // show up at the next idle snapshot or at eviction).
-    if (s->bench != nullptr && !s->busy) out.merge(s->bench->racer_stats());
-  }
-  return out;
-}
-
 AnalysisService::Session* AnalysisService::find_serial(
     std::uint64_t serial) noexcept {
   for (auto& s : sessions_) {
@@ -205,9 +193,6 @@ AnalysisService::Session& AnalysisService::session_for(
         }
       }
       if (victim == sessions_.size()) break;  // everything busy: overflow
-      if (sessions_[victim]->bench != nullptr) {
-        retired_racer_.merge(sessions_[victim]->bench->racer_stats());
-      }
       sessions_.erase(sessions_.begin() + static_cast<std::ptrdiff_t>(victim));
       ++stats_.sessions_evicted;
     }
@@ -278,21 +263,6 @@ std::string AnalysisService::coalesce_key(std::uint64_t serial,
       append_u64(key, d.app);
       append_u64(key, d.buffers.max_steps);
       append_double(key, d.buffers.convergence);
-      append_u64(key, d.buffers.incremental ? 1 : 0);
-      // Racing options change the walk (and the statistics in the result),
-      // so two descriptors may only coalesce when every racer knob matches.
-      append_u64(key, d.buffers.racer.enabled ? 1 : 0);
-      append_u64(key, d.buffers.racer.estimator_pulls);
-      append_u64(key, d.buffers.racer.sim_pulls);
-      append_u64(key, static_cast<std::uint64_t>(d.buffers.racer.sim_horizon));
-      append_double(key, d.buffers.racer.confidence);
-      append_double(key, d.buffers.racer.rel_slack);
-      append_u64(key, d.buffers.racer.max_survivors);
-      append_u64(key, d.buffers.racer.budget);
-      append_u64(key, d.buffers.racer.batch);
-      append_u64(key, d.buffers.racer.resync_every);
-      append_double(key, d.buffers.racer.staleness_slack);
-      append_u64(key, d.buffers.racer.seed);
       break;
     case QueryKind::Contention:
       for (const sdf::AppId a : d.use_case) append_u64(key, a);

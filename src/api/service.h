@@ -88,9 +88,7 @@ struct QueryDesc {
   prob::EstimatorOptions estimator;  ///< Contention configuration
   wcrt::WcrtOptions wcrt;            ///< Wcrt configuration
   sim::SimOptions sim;               ///< Simulate configuration
-  /// BufferFrontier configuration, including its racing options
-  /// (buffers.racer — enabled=false keeps the exhaustive greedy walk).
-  dse::BufferExplorerOptions buffers;
+  dse::BufferExplorerOptions buffers;  ///< BufferFrontier configuration
   /// Candidate interconnects for TopologySweep, evaluated in order (the
   /// sweep reads `estimator`, `sim` and `use_case` above for its options).
   std::vector<platform::Topology> topologies;
@@ -102,7 +100,7 @@ struct QueryDesc {
 using QueryValue = std::variant<Report<analysis::PeriodResult>,
                                 Report<analysis::GraphLatencyResult>,
                                 Report<analysis::BottleneckReport>,
-                                Report<dse::FrontierResult>,
+                                Report<std::vector<dse::BufferPoint>>,
                                 Report<std::vector<prob::AppEstimate>>,
                                 Report<std::vector<wcrt::AppBound>>,
                                 Report<sim::SimResult>,
@@ -413,13 +411,6 @@ class AnalysisService {
   /// \return hits / misses / stores / evictions / verify failures
   [[nodiscard]] analysis::TranspositionTable::Stats transposition_stats() const;
 
-  /// Aggregated dse::Racer statistics across every session of this service
-  /// (live idle sessions plus everything retired by eviction; sessions
-  /// currently executing a query are skipped and show up at the next idle
-  /// snapshot). Behind the CLI's `[racer: ...]` line, mirroring
-  /// transposition_stats().
-  [[nodiscard]] dse::RacerStats racer_stats() const;
-
   /// \brief Blocks until every query submitted so far has finished.
   void drain();
 
@@ -511,7 +502,6 @@ class AnalysisService {
   std::size_t result_cache_epochs_ = 4;
   std::size_t result_cache_stride_ = 64;
   ServiceStats stats_;
-  dse::RacerStats retired_racer_;  // racer counters of evicted sessions
   std::uint64_t clock_ = 0;          // LRU stamps
   std::uint64_t session_serial_ = 0; // unique session ids, never reused
   std::size_t session_capacity_ = 8;

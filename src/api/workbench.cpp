@@ -291,19 +291,14 @@ Report<analysis::BottleneckReport> Workbench::bottleneck(sdf::AppId app) {
   return report;
 }
 
-Report<dse::FrontierResult> Workbench::buffer_frontier(
+Report<std::vector<dse::BufferPoint>> Workbench::buffer_frontier(
     sdf::AppId app, const dse::BufferExplorerOptions& opts) {
   check_app(app);
   Timer timer;
-  Report<dse::FrontierResult> report;
-  report.value = dse::explore_buffer_frontier(sys_.app(app), opts, table_.get());
-  racer_stats_.merge(report.value.racer);
-  report.provenance = {opts.racer.enabled
-                           ? "greedy frontier (raced candidates)"
-                           : opts.incremental
-                               ? "greedy frontier (incremental reverse-channel patch)"
-                               : "greedy frontier (engine per candidate)",
-                       report.value.points.size(), 1, timer.ms()};
+  Report<std::vector<dse::BufferPoint>> report;
+  report.value = dse::explore_buffer_tradeoff(sys_.app(app), opts, table_.get());
+  report.provenance = {"greedy frontier (incremental reverse-channel patch)",
+                       report.value.size(), 1, timer.ms()};
   return report;
 }
 
@@ -586,33 +581,11 @@ sim::SimEngine& Workbench::topology_sim_engine(const platform::System& scratch) 
 Report<std::vector<double>> Workbench::score_mappings(
     std::span<const platform::Mapping> candidates,
     const prob::EstimatorOptions& opts) {
-  // Shim over the racer's oracle mode: every unique candidate is evaluated
-  // to full precision (same estimator pipeline, same MappingScore keys),
-  // structurally identical candidates share one evaluation and one table
-  // entry — per-candidate values are unchanged.
   Timer timer;
-  dse::RacerOptions oracle;
-  oracle.enabled = false;
-  dse::MappingRace race = dse::race_mapping_scores(
-      candidates, opts, oracle, &pool_, worker_sets(), table_.get());
-  racer_stats_.merge(race.stats);
   Report<std::vector<double>> report;
-  report.value = std::move(race.scores);
+  report.value = dse::score_mappings(candidates, opts, &pool_, worker_sets(),
+                                     table_.get());
   report.provenance = {"mapping score: " + prob::method_name(opts.method),
-                       candidates.size(), pool_.size(), timer.ms()};
-  return report;
-}
-
-Report<dse::MappingRace> Workbench::race_mappings(
-    std::span<const platform::Mapping> candidates,
-    const prob::EstimatorOptions& opts, const dse::RacerOptions& racer) {
-  Timer timer;
-  Report<dse::MappingRace> report;
-  report.value = dse::race_mapping_scores(candidates, opts, racer, &pool_,
-                                          worker_sets(), table_.get());
-  racer_stats_.merge(report.value.stats);
-  report.provenance = {racer.enabled ? "mapping race (fidelity ladder)"
-                                     : "mapping race (oracle mode)",
                        candidates.size(), pool_.size(), timer.ms()};
   return report;
 }
@@ -625,10 +598,7 @@ Report<dse::MapperResult> Workbench::optimise_mapping(const dse::MapperOptions& 
   // construction the free function pays.
   report.value = dse::optimise_mapping(sys_.apps(), sys_.platform(), sys_.mapping(),
                                        opts, &pool_, worker_sets(), table_.get());
-  racer_stats_.merge(report.value.racer);
-  report.provenance = {opts.racer.enabled
-                           ? "simulated annealing (raced candidates)"
-                           : "simulated annealing (speculative scoring)",
+  report.provenance = {"simulated annealing (speculative scoring)",
                        report.value.scored_candidates, pool_.size(), timer.ms()};
   return report;
 }

@@ -207,11 +207,9 @@ class Workbench {
   /// Critical-cycle actors (== analysis::find_bottleneck).
   [[nodiscard]] Report<analysis::BottleneckReport> bottleneck(sdf::AppId app);
 
-  /// Buffer-size / period Pareto frontier plus racing statistics
-  /// (== dse::explore_buffer_frontier; with opts.racer.enabled == false the
-  /// points are bitwise dse::explore_buffer_tradeoff and the statistics are
-  /// all zero).
-  [[nodiscard]] Report<dse::FrontierResult> buffer_frontier(
+  /// Buffer-size / period Pareto frontier (== dse::explore_buffer_tradeoff,
+  /// memoised in the session's transposition table).
+  [[nodiscard]] Report<std::vector<dse::BufferPoint>> buffer_frontier(
       sdf::AppId app, const dse::BufferExplorerOptions& opts = {});
 
   // ---- whole-system queries ----------------------------------------------
@@ -308,21 +306,13 @@ class Workbench {
 
   /// Scores candidate mappings of the session's applications (max estimated
   /// slowdown; == dse::evaluate_mapping per candidate), sharded across the
-  /// pool. Results in input order, bitwise identical for any thread count.
+  /// pool (== dse::score_mappings on the session's worker workspaces and
+  /// transposition table). Results in input order, bitwise identical for
+  /// any thread count. Throws sdf::GraphError for a candidate that maps an
+  /// actor to a node the platform does not have.
   [[nodiscard]] Report<std::vector<double>> score_mappings(
       std::span<const platform::Mapping> candidates,
       const prob::EstimatorOptions& opts = {});
-
-  /// Races candidate mappings through the dse::Racer fidelity ladder
-  /// (== dse::race_mapping_scores on the session's cached workspaces, pool
-  /// and transposition table). With racer.enabled == false this is the
-  /// exhaustive path — per-candidate values bitwise score_mappings —
-  /// plus the winner index and (zero-saving) statistics. Deterministic for
-  /// any thread count either way; score_mappings is a shim over that mode.
-  [[nodiscard]] Report<dse::MappingRace> race_mappings(
-      std::span<const platform::Mapping> candidates,
-      const prob::EstimatorOptions& opts = {},
-      const dse::RacerOptions& racer = {});
 
   /// Simulated-annealing mapping exploration from the session's current
   /// mapping, with speculative candidate scoring on the pool
@@ -343,15 +333,6 @@ class Workbench {
   [[nodiscard]] const std::shared_ptr<analysis::TranspositionTable>&
   transposition_table() const noexcept {
     return table_;
-  }
-
-  /// Aggregated racing statistics over every DSE query of this session
-  /// (buffer_frontier, race_mappings / score_mappings, optimise_mapping) —
-  /// the session-level counterpart of transposition_stats(), behind the
-  /// CLI's `[racer: ...]` line. Oracle-mode queries contribute races with
-  /// zero savings (eval_ratio 1).
-  [[nodiscard]] const dse::RacerStats& racer_stats() const noexcept {
-    return racer_stats_;
   }
 
  private:
@@ -404,13 +385,12 @@ class Workbench {
   std::vector<wcrt::AppBound> bound_pool_;           // grow-only result slots
   Report<std::span<const prob::AppEstimate>> contention_report_;
   sim::SimResultView sweep_sim_view_;                // per-use-case sim views
-  dse::RacerStats racer_stats_;                      // merged across DSE queries
 
   // Topology-sweep state: a lazily-built clone of the session system that
   // sweep_topologies retargets per candidate, plus a fingerprint-keyed LRU
   // of flattened SimEngines — one per distinct retargeted structure, so a
-  // re-swept topology list skips the rebuild (the session's 9th family of
-  // cached objects).
+  // re-swept topology list skips the rebuild (cached object 8 in
+  // docs/ARCHITECTURE.md).
   static constexpr std::size_t kTopologySimCacheCapacity = 8;
   struct TopologySimEntry {
     std::uint64_t fingerprint = 0;              // retargeted system fingerprint

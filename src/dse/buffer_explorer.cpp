@@ -1,12 +1,9 @@
 #include "dse/buffer_explorer.h"
 
-#include <algorithm>
-#include <functional>
-#include <optional>
-
 #include "analysis/engine.h"
 #include "analysis/howard.h"
 #include "analysis/hsdf.h"
+#include "sdf/transform.h"
 #include "sdf/zobrist.h"
 
 namespace procon::dse {
@@ -123,96 +120,11 @@ class BoundedPeriodEvaluator {
   analysis::HowardSolver solver_;
 };
 
-/// ArmSource racing the per-channel growth candidates of one greedy step.
-/// Pulls return the channel's cached prior (the bounded period of its
-/// candidate the last time it was fully evaluated) SHIFTED by the walk's
-/// progress since that measurement: a prior taken when the period was B
-/// reads as prior - (B - current) today. Without the shift, the channel
-/// committed last step (whose refreshed prior equals the new current
-/// period) would dominate every stale prior and the race would re-try it
-/// forever; the relative view ranks arms by how promising their bump was
-/// against the period of its day. Full
-/// evaluations bump the capacity, solve, restore, and refresh the prior
-/// and its baseline. All evaluation goes through the single shared
-/// bounded-period evaluator, so races must stay serial (pool == nullptr).
-class BufferArms final : public ArmSource {
- public:
-  BufferArms(const sdf::Graph& g, std::vector<std::uint64_t>& caps,
-             const std::function<double(const std::vector<std::uint64_t>&)>& eval,
-             double staleness_slack, const double& current)
-      : g_(g), caps_(caps), eval_(eval), staleness_(staleness_slack),
-        current_(current) {
-    for (sdf::ChannelId c = 0; c < g.channel_count(); ++c) {
-      if (!g.channel(c).is_self_loop()) channels_.push_back(c);
-    }
-    prior_.assign(channels_.size(), 0.0);
-    base_.assign(channels_.size(), 0.0);
-    age_.assign(channels_.size(), 0);
-  }
-
-  [[nodiscard]] std::size_t arm_count() const noexcept { return channels_.size(); }
-  [[nodiscard]] sdf::ChannelId channel(std::size_t arm) const { return channels_[arm]; }
-  [[nodiscard]] std::uint64_t increment(std::size_t arm) const {
-    return g_.channel(channels_[arm]).prod_rate;
-  }
-  /// Called after a capacity commit: every arm's candidate vector changed,
-  /// so every prior ages by one step (growing its interval radius).
-  void age_all() noexcept {
-    for (auto& a : age_) ++a;
-  }
-
-  [[nodiscard]] std::uint64_t arm_fingerprint(std::size_t /*arm*/) const override {
-    return 0;  // growth candidates are pairwise distinct; no merging
-  }
-  [[nodiscard]] double pull(std::size_t arm, std::size_t /*rung*/,
-                            std::size_t /*worker*/) override {
-    // Relative view: the prior minus the global improvement since it was
-    // measured (base_ - current_ >= 0 as the walk only improves).
-    return prior_[arm] - (base_[arm] - current_);
-  }
-  [[nodiscard]] double radius_hint(std::size_t arm) const override {
-    return staleness_ * static_cast<double>(age_[arm]) * std::abs(prior_[arm]);
-  }
-  [[nodiscard]] double full_eval(std::size_t arm, std::size_t /*worker*/) override {
-    const sdf::ChannelId c = channels_[arm];
-    const std::uint64_t inc = increment(arm);
-    caps_[c] += inc;
-    const double p = eval_(caps_);
-    caps_[c] -= inc;
-    prior_[arm] = p;
-    base_[arm] = current_;
-    age_[arm] = 0;
-    return p;
-  }
-
- private:
-  const sdf::Graph& g_;
-  std::vector<std::uint64_t>& caps_;
-  const std::function<double(const std::vector<std::uint64_t>&)>& eval_;
-  double staleness_;
-  const double& current_;       // the walk's live committed period
-  std::vector<sdf::ChannelId> channels_;
-  std::vector<double> prior_;   // last full-precision period per arm
-  std::vector<double> base_;    // committed period when that prior was taken
-  std::vector<std::uint64_t> age_;  // commits since that evaluation
-};
-
 }  // namespace
-
-std::vector<BufferPoint> explore_buffer_tradeoff(const sdf::Graph& g,
-                                                 const BufferExplorerOptions& options) {
-  return explore_buffer_frontier(g, options, nullptr).points;
-}
 
 std::vector<BufferPoint> explore_buffer_tradeoff(const sdf::Graph& g,
                                                  const BufferExplorerOptions& options,
                                                  analysis::TranspositionTable* table) {
-  return explore_buffer_frontier(g, options, table).points;
-}
-
-FrontierResult explore_buffer_frontier(const sdf::Graph& g,
-                                       const BufferExplorerOptions& options,
-                                       analysis::TranspositionTable* table) {
   // Hoisted once for the whole exploration: the self-loop closure and its
   // repetition vector. Bounding a channel appends a reverse "space" channel
   // whose rates are the forward rates swapped, so every bounded variant
@@ -225,61 +137,33 @@ FrontierResult explore_buffer_frontier(const sdf::Graph& g,
                                          .repetition = &*q};
 
   // Capacity vectors index the original graph's channels; the closure keeps
-  // those ids and appends its self-loops, which stay unbounded (capacity 0).
-  FrontierResult out;
-  std::vector<std::uint64_t> padded(closed.channel_count(), 0);
-  std::optional<BoundedPeriodEvaluator> evaluator;
-  std::function<double(const std::vector<std::uint64_t>&)> bounded_period;
-  if (options.incremental) {
-    evaluator.emplace(g, closed, *q);
-    bounded_period = [&](const std::vector<std::uint64_t>& caps) {
-      const auto r = evaluator->period(caps);
-      if (r.deadlocked) {
-        throw sdf::GraphError("explore_buffer_tradeoff: bounded graph deadlocks");
-      }
-      return r.period;
-    };
-  } else {
-    // Reference path: bounded graph copy + fresh engine per candidate.
-    bounded_period = [&](const std::vector<std::uint64_t>& caps) {
-      std::copy(caps.begin(), caps.end(), padded.begin());
-      analysis::ThroughputEngine engine(sdf::with_buffer_capacities(closed, padded),
-                                        eng_opts);
-      const auto r = engine.recompute();
-      if (r.deadlocked) {
-        throw sdf::GraphError("explore_buffer_tradeoff: bounded graph deadlocks");
-      }
-      return r.period;
-    };
-  }
-
-  if (table != nullptr) {
-    // Memoise per capacity vector: the bounded period is a pure function of
-    // (graph structure, caps) — the incremental evaluator's diff-patching
-    // tolerates skipped evaluations, since it patches against the caps it
-    // last *computed*, not the caps it was last asked about.
-    const std::uint64_t gcomp = sdf::ZobristHash::graph_component(g);
-    bounded_period = [table, gcomp, raw = std::move(bounded_period)](
-                         const std::vector<std::uint64_t>& caps) {
+  // those ids and appends its self-loops, which stay unbounded.
+  BoundedPeriodEvaluator evaluator(g, closed, *q);
+  const std::uint64_t gcomp =
+      table != nullptr ? sdf::ZobristHash::graph_component(g) : 0;
+  // Memoised per capacity vector: the bounded period is a pure function of
+  // (graph structure, caps). The evaluator's diff-patching tolerates
+  // skipped evaluations, since it patches against the caps it last
+  // *computed*, not the caps it was last asked about.
+  const auto bounded_period = [&](const std::vector<std::uint64_t>& caps) {
+    analysis::TTKey key;
+    analysis::TTValue v;
+    if (table != nullptr) {
       analysis::TTKeyBuilder b(gcomp, analysis::TTQuery::BufferPeriod);
       b.absorb(caps.size());
       for (const std::uint64_t c : caps) b.absorb(c);
-      const analysis::TTKey key = b.key();
-      analysis::TTValue v;
+      key = b.key();
       if (table->lookup(key, v)) return v.primary;
-      v.primary = raw(caps);
+    }
+    const analysis::PeriodResult r = evaluator.period(caps);
+    if (r.deadlocked) {
+      throw sdf::GraphError("explore_buffer_tradeoff: bounded graph deadlocks");
+    }
+    if (table != nullptr) {
+      v.primary = r.period;
       table->store(key, v);
-      return v.primary;
-    };
-  }
-
-  // Count every candidate evaluation the walk requests (after the table
-  // layer, so hits count too and the number is table-state invariant) —
-  // the honest cost figure racer-vs-exhaustive comparisons divide.
-  bounded_period = [&out, raw = std::move(bounded_period)](
-                       const std::vector<std::uint64_t>& caps) {
-    ++out.evaluations;
-    return raw(caps);
+    }
+    return r.period;
   };
 
   double unbounded = 0.0;
@@ -307,69 +191,9 @@ FrontierResult explore_buffer_frontier(const sdf::Graph& g,
   }
   std::vector<std::uint64_t> caps = sdf::minimal_feasible_capacities(g);
 
-  std::vector<BufferPoint>& frontier = out.points;
+  std::vector<BufferPoint> frontier;
   double current = bounded_period(caps);
   frontier.push_back(BufferPoint{caps, total_of(caps), current});
-
-  if (options.racer.enabled) {
-    // Racing walk: per greedy step, race the per-channel growth candidates
-    // on cached priors; only the most promising channels get full
-    // (Howard-solve) evaluations. Step 0 and every resync_every-th step run
-    // a full sweep (every arm full-evaluated, priors refreshed) — step 0
-    // seeds the priors. A plateau verdict from cheap evidence goes straight
-    // to the grow-all fallback: grow-all's capacities dominate every
-    // single-bump candidate componentwise and the period is monotone
-    // non-increasing in capacities, so grow-all improves whenever any
-    // single bump would — a failing grow-all is a *proof* of plateau, no
-    // verification sweep needed. The trade is step granularity (a stale
-    // prior can hide which single channel binds, and the walk then takes a
-    // coarser all-channel step), not termination or period quality.
-    Racer racer;
-    BufferArms arms(g, caps, bounded_period, options.racer.staleness_slack,
-                    current);
-    if (arms.arm_count() > 0) {
-      std::vector<ArmOutcome> outcomes(arms.arm_count());
-      RacerOptions step_opts = options.racer;
-      step_opts.estimator_pulls = 1;  // one prior-based look per arm
-      step_opts.sim_pulls = 0;
-      RacerOptions sweep_opts = step_opts;
-      sweep_opts.max_survivors = arms.arm_count();  // full refresh
-
-      for (std::size_t step = 0; step < options.max_steps; ++step) {
-        if (current <= unbounded * (1.0 + options.convergence)) break;
-        const bool resync = options.racer.resync_every != 0 &&
-                            step % options.racer.resync_every == 0;
-        std::size_t best =
-            racer.race(resync ? sweep_opts : step_opts, arms.arm_count(), arms,
-                       std::span<ArmOutcome>(outcomes), nullptr);
-        // The exhaustive walk evaluates every channel's candidate per step.
-        racer.stats().exhaustive_evals += arms.arm_count();
-        const double best_period = outcomes[best].score;
-        if (best_period < current - 1e-12) {
-          caps[arms.channel(best)] += arms.increment(best);
-          current = best_period;
-          arms.age_all();
-        } else {
-          // Cheap evidence says plateau: grow every channel once (as the
-          // exhaustive walk's fallback). By monotonicity this dominates
-          // every single-bump candidate, so if even this does not help the
-          // walk has provably converged.
-          auto grown = caps;
-          for (sdf::ChannelId c = 0; c < g.channel_count(); ++c) {
-            if (!g.channel(c).is_self_loop()) grown[c] += g.channel(c).prod_rate;
-          }
-          const double candidate = bounded_period(grown);
-          if (candidate >= current - 1e-12) break;
-          caps = std::move(grown);
-          current = candidate;
-          arms.age_all();
-        }
-        frontier.push_back(BufferPoint{caps, total_of(caps), current});
-      }
-    }
-    out.racer = racer.stats();
-    return out;
-  }
 
   for (std::size_t step = 0; step < options.max_steps; ++step) {
     if (current <= unbounded * (1.0 + options.convergence)) break;
@@ -407,7 +231,7 @@ FrontierResult explore_buffer_frontier(const sdf::Graph& g,
     }
     frontier.push_back(BufferPoint{caps, total_of(caps), current});
   }
-  return out;
+  return frontier;
 }
 
 }  // namespace procon::dse

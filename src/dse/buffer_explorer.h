@@ -8,23 +8,20 @@
 // most per token, and records the Pareto frontier (total buffer size vs
 // period).
 //
-// Candidate evaluation has two engines with bitwise-identical results:
-//  * per-candidate (incremental = false): build a bounded graph copy and a
-//    fresh ThroughputEngine per capacity vector — the reference path;
-//  * incremental (default): a capacity bump only changes the *reverse*
-//    ("space") channel of the bumped channel, and channels expand to HSDF
-//    independently, so the evaluator re-expands just that channel's edges
-//    and re-merges them with the cached remainder instead of re-deriving
-//    the whole expansion per candidate (bench_workbench tracks the factor).
+// Candidates are evaluated incrementally: a capacity bump only changes the
+// *reverse* ("space") channel of the bumped channel, and channels expand to
+// HSDF independently, so the evaluator re-expands just that channel's edges
+// and re-merges them with the cached remainder instead of re-deriving the
+// whole expansion per candidate. Every period is bitwise the one a fresh
+// ThroughputEngine reports on the bounded graph copy; tests/buffer_oracle.h
+// keeps that engine-per-candidate walk as the test oracle.
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
 #include "analysis/transposition_table.h"
-#include "dse/racer.h"
 #include "sdf/graph.h"
-#include "sdf/transform.h"
 
 namespace procon::dse {
 
@@ -38,36 +35,6 @@ struct BufferExplorerOptions {
   std::size_t max_steps = 256;  ///< capacity increments to try
   /// Stop when within this relative distance of the unbounded period.
   double convergence = 1e-9;
-  /// Patch only the bumped channel's reverse-channel HSDF edges per
-  /// candidate instead of rebuilding an engine from scratch. Identical
-  /// results; false keeps the reference path (and the bench baseline).
-  bool incremental = true;
-  /// Candidate racing (dse::Racer): when enabled, each greedy step races
-  /// the per-channel growth candidates on cached priors instead of
-  /// re-evaluating every channel — full (Howard-solve) evaluations go only
-  /// to the `racer.max_survivors` most promising channels, with periodic
-  /// full re-sync sweeps (`racer.resync_every`). Plateau verdicts need no
-  /// verification sweep: the grow-all fallback's capacities dominate every
-  /// single-bump candidate componentwise, and the period is monotone
-  /// non-increasing in capacities, so a failing grow-all proves no single
-  /// bump could have improved. Off by default: the exhaustive greedy walk,
-  /// bitwise-stable across releases.
-  RacerOptions racer{.enabled = false};
-};
-
-/// Frontier plus racing introspection (the session-facing result of
-/// api::Workbench::buffer_frontier).
-struct FrontierResult {
-  /// The Pareto staircase (first point = minimal feasible configuration).
-  std::vector<BufferPoint> points;
-  /// Racing statistics (all-zero when options.racer.enabled == false).
-  RacerStats racer;
-  /// Bounded-period candidate evaluations the walk requested (transposition
-  /// hits included, so the count is table-state invariant). Counted on both
-  /// the exhaustive and the racing walk — the honest numerator/denominator
-  /// for racer-vs-exhaustive cost comparisons, including re-sync sweeps and
-  /// grow-all probes.
-  std::uint64_t evaluations = 0;
 };
 
 /// Explores the trade-off for one application graph. The first point is the
@@ -76,29 +43,15 @@ struct FrontierResult {
 /// total buffer size (a Pareto staircase). Throws sdf::GraphError for
 /// graphs that deadlock unbounded. (Session entry point:
 /// api::Workbench::buffer_frontier, same bits plus provenance.)
+///
+/// `table` (optional) memoises the per-capacity-vector bounded period (and
+/// the unbounded reference period), keyed by the graph's Zobrist component
+/// x the caps vector. The greedy walk re-evaluates neighbouring capacity
+/// vectors constantly — and repeated explorations of structurally
+/// identical graphs (e.g. across tenants) re-evaluate all of them — so
+/// warm walks skip the Howard solves entirely. Periods are stored bitwise;
+/// the frontier is identical with table == nullptr.
 [[nodiscard]] std::vector<BufferPoint> explore_buffer_tradeoff(
-    const sdf::Graph& g, const BufferExplorerOptions& options = {});
-
-/// Table-backed variant: memoises the per-capacity-vector bounded period
-/// (and the unbounded reference period) in `table`, keyed by the graph's
-/// Zobrist component x the caps vector. The greedy walk re-evaluates
-/// neighbouring capacity vectors constantly — and repeated explorations of
-/// structurally identical graphs (e.g. across tenants) re-evaluate all of
-/// them — so warm walks skip the Howard solves entirely. Periods are
-/// stored bitwise; the frontier is identical with table == nullptr (which
-/// is exactly the two-argument overload).
-[[nodiscard]] std::vector<BufferPoint> explore_buffer_tradeoff(
-    const sdf::Graph& g, const BufferExplorerOptions& options,
-    analysis::TranspositionTable* table);
-
-/// Full-result variant: the frontier plus the racing statistics. With
-/// options.racer.enabled == false the points are bitwise identical to
-/// explore_buffer_tradeoff (which is a shim over this function) and the
-/// statistics are all zero. With racing enabled the walk is still fully
-/// deterministic (priors and sweeps are serial and counter-free); the
-/// frontier may differ from the exhaustive one within the racer's
-/// confidence tolerance, for a fraction of its full evaluations.
-[[nodiscard]] FrontierResult explore_buffer_frontier(
     const sdf::Graph& g, const BufferExplorerOptions& options = {},
     analysis::TranspositionTable* table = nullptr);
 

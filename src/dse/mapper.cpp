@@ -5,9 +5,22 @@
 #include <stdexcept>
 
 #include "analysis/engine.h"
+#include "util/rng.h"
 
 namespace procon::dse {
 namespace {
+
+/// Mixes every EstimatorOptions field into a transposition key, so the same
+/// (system fingerprint, estimator configuration) always builds the same
+/// MappingScore key — for score_mappings and the annealer alike.
+void absorb_estimator_options(analysis::TTKeyBuilder& builder,
+                              const prob::EstimatorOptions& options) noexcept {
+  builder.absorb(static_cast<std::uint64_t>(options.method));
+  builder.absorb(static_cast<std::uint64_t>(options.order));
+  builder.absorb(static_cast<std::uint64_t>(options.iterations));
+  builder.absorb(options.mc_trials);
+  builder.absorb(options.mc_seed);
+}
 
 /// Builds one ThroughputEngine per application; candidate scoring re-uses
 /// the cached structure and only rewrites execution times.
@@ -69,9 +82,35 @@ double evaluate_mapping(std::span<const sdf::Graph> apps,
                         const prob::EstimatorOptions& estimator) {
   platform::System sys(std::vector<sdf::Graph>(apps.begin(), apps.end()),
                        platform, mapping);
+  sys.validate();
   const prob::ContentionEstimator est(estimator);
   auto engines = make_engines(apps);
   return score_system(sys, est, engines);
+}
+
+std::vector<double> score_mappings(std::span<const platform::Mapping> candidates,
+                                   const prob::EstimatorOptions& estimator,
+                                   util::ThreadPool* pool,
+                                   std::span<AnalysisWorkspace> workspaces,
+                                   analysis::TranspositionTable* table) {
+  if (workspaces.empty()) {
+    throw std::invalid_argument("score_mappings: need at least one workspace");
+  }
+  const prob::ContentionEstimator est(estimator);
+  std::vector<double> scores(candidates.size(), 0.0);
+  const auto score_one = [&](std::size_t i, std::size_t w) {
+    AnalysisWorkspace& ws = workspaces[w];
+    ws.sys.set_mapping(candidates[i]);
+    scores[i] = scored_system(ws.sys, est, ws.engines, estimator, table);
+  };
+  // The pool hands out worker ids up to its own size, so sharding needs a
+  // workspace per pool worker; with fewer workspaces score serially.
+  if (pool != nullptr && workspaces.size() >= pool->size()) {
+    pool->for_each_index(candidates.size(), score_one);
+  } else {
+    for (std::size_t i = 0; i < candidates.size(); ++i) score_one(i, 0);
+  }
+  return scores;
 }
 
 MapperResult optimise_mapping(std::span<const sdf::Graph> apps,
@@ -158,74 +197,6 @@ MapperResult optimise_mapping(std::span<const sdf::Graph> apps,
   };
   std::vector<Proposal> batch;
   std::size_t step = 0;
-
-  if (options.racer.enabled) {
-    // Racing mode: each round proposes a fixed-width batch of moves from
-    // the current state (proposal b of the round draws from the counter
-    // stream at global proposal index step + b), races the batch through
-    // the fidelity ladder, and applies one Metropolis test to the
-    // full-precision winner. The width is options.racer.batch — fixed, not
-    // worker-count derived — so the trajectory, every statistic and even
-    // scored_candidates are bitwise identical for any thread count.
-    Racer racer;
-    MappingArms arms(workspaces, options.estimator, options.racer, table);
-    std::vector<platform::Mapping> candidates;
-    std::vector<ArmOutcome> outcomes;
-    util::ThreadPool* shard =
-        pool != nullptr && workspaces.size() >= pool->size() ? pool : nullptr;
-    const std::size_t batch_width = std::max<std::size_t>(1, options.racer.batch);
-    std::size_t round = 0;
-    while (step < options.iterations) {
-      const std::size_t width =
-          std::min(batch_width, options.iterations - step);
-      batch.assign(width, Proposal{});
-      candidates.assign(width, current);
-      for (std::size_t b = 0; b < width; ++b) {
-        util::Rng rng = util::counter_rng(options.seed, 1, step + b);
-        Proposal& p = batch[b];
-        p.slot = slots[static_cast<std::size_t>(
-            rng.uniform_int(0, static_cast<std::int64_t>(slots.size()) - 1))];
-        p.old_node = current.node_of(p.slot.app, p.slot.actor);
-        auto node = static_cast<platform::NodeId>(rng.uniform_int(
-            0, static_cast<std::int64_t>(platform.node_count()) - 2));
-        if (node >= p.old_node) ++node;
-        p.new_node = node;
-        candidates[b].assign(p.slot.app, p.slot.actor, p.new_node);
-      }
-      arms.bind(candidates);
-      outcomes.assign(width, ArmOutcome{});
-      const std::size_t best = racer.race(options.racer, width, arms,
-                                          std::span<ArmOutcome>(outcomes), shard);
-      // Exhaustive speculation would have full-evaluated the whole batch.
-      racer.stats().exhaustive_evals += width;
-      result.scored_candidates += width;
-
-      const double temperature =
-          options.initial_temperature *
-          std::pow(options.cooling, static_cast<double>(step));
-      const double winner_score = outcomes[best].score;
-      const double delta = winner_score - current_score;
-      const double draw = util::counter_rng(options.seed, 2, round).uniform01();
-      const bool accept =
-          delta <= 0.0 ||
-          (temperature > 0.0 && draw < std::exp(-delta / temperature));
-      if (accept) {
-        current.assign(batch[best].slot.app, batch[best].slot.actor,
-                       batch[best].new_node);
-        current_score = winner_score;
-        ++result.accepted_moves;
-        if (winner_score < result.score) {
-          result.score = winner_score;
-          result.mapping = current;
-        }
-      }
-      step += width;
-      ++round;
-    }
-    result.evaluations = 1 + static_cast<std::size_t>(racer.stats().full_evals);
-    result.racer = racer.stats();
-    return result;
-  }
 
   while (step < options.iterations) {
     // Speculate the next W steps from the current state. Proposals and

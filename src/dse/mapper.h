@@ -3,9 +3,9 @@
 // The paper's speed argument (minutes of analysis vs hours of simulation)
 // is what makes automatic mapping exploration practical: a candidate
 // mapping can be scored analytically in microseconds. This module provides
-// a simulated-annealing mapper that minimises the worst estimated slowdown
-// (max over applications of estimated period / isolation period) by moving
-// one actor to another node per step.
+// the candidate scorer (max over applications of estimated period /
+// isolation period) and a simulated-annealing mapper that minimises it by
+// moving one actor to another node per step.
 //
 // Candidate scoring shards across a thread pool by speculation: each batch
 // proposes the next W moves from the current state, scores them
@@ -24,52 +24,68 @@
 
 #include "analysis/engine.h"
 #include "analysis/transposition_table.h"
-#include "dse/racer.h"
 #include "platform/system.h"
 #include "prob/estimator.h"
-#include "util/rng.h"
 #include "util/thread_pool.h"
 
 namespace procon::dse {
 
+/// \brief Worker-local mutable scoring state: a system whose mapping is
+/// rebound per candidate plus one engine per application.
+///
+/// Sessions (api::Workbench) keep one per pool worker and hand them to
+/// score_mappings / optimise_mapping so repeated queries skip the per-call
+/// graph copies and engine construction.
+struct AnalysisWorkspace {
+  platform::System sys;                             ///< mapping rebound per candidate
+  std::vector<analysis::ThroughputEngine> engines;  ///< one per application
+};
+
 struct MapperOptions {
-  std::size_t iterations = 2000;   ///< annealing steps (proposals, in racing mode)
+  std::size_t iterations = 2000;   ///< annealing steps
   double initial_temperature = 1.0;
   double cooling = 0.995;          ///< geometric temperature decay per step
   std::uint64_t seed = 1;
   prob::EstimatorOptions estimator;  ///< scoring method (2nd order default)
-  /// Candidate racing (dse::Racer): when enabled, each annealing round
-  /// proposes `racer.batch` moves, races them through the fidelity ladder
-  /// and applies one Metropolis test to the full-precision winner — far
-  /// fewer full evaluations per proposal. Off by default (the exhaustive
-  /// speculative-annealing path, bitwise-stable across releases).
-  RacerOptions racer{.enabled = false};
 };
 
 struct MapperResult {
   platform::Mapping mapping;
   double score = 0.0;         ///< worst estimated slowdown of `mapping`
   double initial_score = 0.0; ///< score of the starting mapping
-  /// Committed full-precision evaluations (start + one per annealing step;
-  /// in racing mode, start + one per survivor); independent of worker count.
+  /// Committed evaluations (start + one per annealing step); independent of
+  /// worker count.
   std::size_t evaluations = 0;
   std::size_t accepted_moves = 0;
   /// Total candidates scored including speculation discarded past an
-  /// accepted move. Depends on the speculation width (= worker count) in
-  /// the exhaustive path — diagnostic only there; in racing mode the width
-  /// is the fixed racer.batch, so the count is deterministic too.
+  /// accepted move. Depends on the speculation width (= worker count), so
+  /// it is diagnostic only.
   std::size_t scored_candidates = 0;
-  /// Racing statistics (all-zero when options.racer.enabled == false).
-  RacerStats racer;
 };
 
 /// Scores one complete mapping: max over applications of the estimated
 /// normalised period (>= 1; lower is better). Throws sdf::GraphError on
-/// invalid systems.
+/// invalid systems, including an actor mapped to a node the platform does
+/// not have.
 [[nodiscard]] double evaluate_mapping(std::span<const sdf::Graph> apps,
                                       const platform::Platform& platform,
                                       const platform::Mapping& mapping,
                                       const prob::EstimatorOptions& estimator = {});
+
+/// Scores candidate mappings of the workspaces' applications, in input
+/// order; each value is bitwise dse::evaluate_mapping of that candidate.
+/// `workspaces[w]` serves pool worker w: with one workspace per pool worker
+/// the candidates shard across `pool`, otherwise (or with pool == nullptr)
+/// they are scored serially on workspaces[0]. At least one workspace is
+/// required; their mappings are overwritten. `table` (optional) memoises
+/// the scores under the same keys as optimise_mapping. Throws
+/// sdf::GraphError for a candidate that maps an actor to a node the
+/// platform does not have.
+[[nodiscard]] std::vector<double> score_mappings(
+    std::span<const platform::Mapping> candidates,
+    const prob::EstimatorOptions& estimator, util::ThreadPool* pool,
+    std::span<AnalysisWorkspace> workspaces,
+    analysis::TranspositionTable* table = nullptr);
 
 /// Simulated annealing from `start` (use Mapping::by_index / random /
 /// load_balanced to seed it). Deterministic for a fixed options.seed — the

@@ -61,21 +61,30 @@ System::System(std::vector<sdf::Graph> apps, Platform platform, Mapping mapping)
   }
 }
 
-void System::set_mapping(Mapping&& mapping) {
+void System::check_mapping(const Mapping& mapping) const {
   if (mapping.app_count() != apps_.size()) {
-    throw sdf::GraphError("System::set_mapping: mapping/application count mismatch");
+    throw sdf::GraphError("System: mapping/application count mismatch");
   }
+  for (sdf::AppId id = 0; id < apps_.size(); ++id) {
+    for (sdf::ActorId a = 0; a < apps_[id].actor_count(); ++a) {
+      if (mapping.node_of(id, a) >= platform_.node_count()) {
+        throw sdf::GraphError("System: actor mapped to nonexistent node");
+      }
+    }
+  }
+}
+
+void System::set_mapping(Mapping&& mapping) {
+  check_mapping(mapping);
   // The incoming Mapping carries its own live fingerprint, so the system
   // fingerprint (which XORs it in on read) needs no extra work here.
   mapping_ = std::move(mapping);
 }
 
 void System::set_mapping(const Mapping& mapping) {
-  if (mapping.app_count() != apps_.size()) {
-    throw sdf::GraphError("System::set_mapping: mapping/application count mismatch");
-  }
+  check_mapping(mapping);
   // Copy-assign in place: same-shape rows reuse the resident rows' heap
-  // storage, keeping warm explorer/racer rebinds allocation-free.
+  // storage, keeping warm explorer rebinds allocation-free.
   mapping_ = mapping;
 }
 
@@ -148,9 +157,7 @@ void System::validate() const {
       platform_.topology().node_count() != platform_.node_count()) {
     throw sdf::GraphError("System: topology/platform node count mismatch");
   }
-  if (mapping_.app_count() != apps_.size()) {
-    throw sdf::GraphError("System: mapping/application count mismatch");
-  }
+  check_mapping(mapping_);
   for (sdf::AppId id = 0; id < apps_.size(); ++id) {
     const sdf::Graph& g = apps_[id];
     if (g.actor_count() == 0) {
@@ -161,11 +168,6 @@ void System::validate() const {
     }
     if (!sdf::is_deadlock_free(g)) {
       throw sdf::GraphError("System: application '" + g.name() + "' deadlocks");
-    }
-    for (sdf::ActorId a = 0; a < g.actor_count(); ++a) {
-      if (mapping_.node_of(id, a) >= platform_.node_count()) {
-        throw sdf::GraphError("System: actor mapped to nonexistent node");
-      }
     }
   }
 }

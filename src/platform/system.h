@@ -32,12 +32,12 @@ class System {
 
   /// Replaces the actor-to-node mapping, keeping applications and platform.
   /// Lets mapping explorers rebind the same system per candidate instead of
-  /// re-copying every application graph. Throws sdf::GraphError if the
-  /// mapping's application count does not match.
+  /// re-copying every application graph. Throws sdf::GraphError (and keeps
+  /// the resident mapping) if the mapping's application count does not
+  /// match or an actor sits on a node the platform does not have.
   void set_mapping(Mapping&& mapping);
   /// Copying overload: assigns into the resident mapping's storage, so
-  /// rebinding a same-shape candidate performs no heap allocation (the
-  /// racer's warm-pull contract rides on this).
+  /// rebinding a same-shape candidate performs no heap allocation.
   void set_mapping(const Mapping& mapping);
 
   /// Attaches an interconnect to the platform (or detaches it when
@@ -82,8 +82,9 @@ class System {
   /// The use-case containing every application.
   [[nodiscard]] UseCase full_use_case() const;
 
-  /// Validation: mapping complete, every app consistent & deadlock-free.
-  /// Throws sdf::GraphError with a descriptive message on violation.
+  /// Validation: mapping complete and on the platform's nodes, every app
+  /// consistent & deadlock-free. Throws sdf::GraphError with a descriptive
+  /// message on violation.
   void validate() const;
 
   /// Live Zobrist fingerprint of the whole system:
@@ -115,6 +116,11 @@ class System {
   }
 
  private:
+  /// Throws sdf::GraphError unless `mapping` has one row per application
+  /// and every actor sits on a node below platform().node_count() (so an
+  /// unmapped kInvalidNode actor fails too). O(actors), allocation-free.
+  void check_mapping(const Mapping& mapping) const;
+
   std::vector<sdf::Graph> apps_;
   Platform platform_;
   Mapping mapping_;

@@ -63,9 +63,9 @@ class Rng {
 /// Root of a counter-derived random stream: mixes (seed, stream, index)
 /// through two splitmix64 avalanche rounds into one well-distributed 64-bit
 /// value. Draw k of stream s is a pure function of (seed, s, k) — the
-/// primitive behind every speculative / raced computation in the repo
-/// (mapper proposal batches, racer arm pulls): work items can be evaluated
-/// in any order, on any worker, without consuming a shared generator.
+/// primitive for counter-indexed work (e.g. the benchmark's per-op draws):
+/// work items can be evaluated in any order, on any worker, without
+/// consuming a shared generator.
 [[nodiscard]] std::uint64_t counter_seed(std::uint64_t seed, std::uint64_t stream,
                                          std::uint64_t index) noexcept;
 

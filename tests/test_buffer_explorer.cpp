@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include "analysis/throughput.h"
+#include "analysis/transposition_table.h"
+#include "buffer_oracle.h"
 #include "gen/graph_generator.h"
 #include "helpers.h"
 #include "util/rng.h"
@@ -77,7 +79,8 @@ TEST(BufferExplorer, StepCapRespected) {
 }
 
 // Property: on generated graphs the frontier is a valid Pareto staircase
-// ending at (near) the unbounded period.
+// ending at (near) the unbounded period, and it equals the
+// engine-per-candidate oracle bit for bit, with and without a table.
 class BufferExplorerProperty : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(BufferExplorerProperty, ValidStaircase) {
@@ -97,6 +100,15 @@ TEST_P(BufferExplorerProperty, ValidStaircase) {
   EXPECT_GE(frontier.back().period, unbounded - 1e-6);
   EXPECT_LE(frontier.back().period, unbounded * 1.001 + 1e-6)
       << "seed=" << GetParam();
+
+  const auto oracle = procon::testing::buffer_frontier_oracle(g);
+  procon::testing::expect_same_frontier(frontier, oracle);
+  analysis::TranspositionTable table(1 << 12, 2);
+  for (int pass = 0; pass < 2; ++pass) {  // cold, then warm table entries
+    procon::testing::expect_same_frontier(
+        explore_buffer_tradeoff(g, {}, &table), oracle);
+  }
+  EXPECT_GT(table.stats().hits, 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, BufferExplorerProperty,

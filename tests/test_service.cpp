@@ -22,6 +22,7 @@
 #include <vector>
 
 #include "api/service.h"
+#include "buffer_oracle.h"
 #include "gen/graph_generator.h"
 #include "gen/use_cases.h"
 #include "util/rng.h"
@@ -80,7 +81,7 @@ void expect_same_sim(const sim::SimResult& a, const sim::SimResult& b) {
 /// The mixed query a stress client submits for slot k of system `sys_apps`.
 QueryDesc mixed_query(std::size_t k, std::size_t sys_apps) {
   QueryDesc d;
-  switch (k % 4) {
+  switch (k % 5) {
     case 0:
       d.kind = QueryKind::Throughput;
       d.app = static_cast<sdf::AppId>(k % sys_apps);
@@ -90,6 +91,10 @@ QueryDesc mixed_query(std::size_t k, std::size_t sys_apps) {
       break;
     case 2:
       d.kind = QueryKind::Wcrt;
+      break;
+    case 3:
+      d.kind = QueryKind::BufferFrontier;
+      d.app = static_cast<sdf::AppId>(k % sys_apps);
       break;
     default:
       d.kind = QueryKind::Simulate;
@@ -114,6 +119,13 @@ TEST(AnalysisService, MultiClientStressMatchesSerialWorkbenchOracle) {
   const auto wc_b = oracle_b.wcrt();
   const auto sim_a = oracle_a.simulate(sim::SimOptions{.horizon = 20'000});
   const auto sim_b = oracle_b.simulate(sim::SimOptions{.horizon = 20'000});
+  std::vector<std::vector<dse::BufferPoint>> frontiers_a, frontiers_b;
+  for (sdf::AppId i = 0; i < sys_a.app_count(); ++i) {
+    frontiers_a.push_back(*oracle_a.buffer_frontier(i));
+  }
+  for (sdf::AppId i = 0; i < sys_b.app_count(); ++i) {
+    frontiers_b.push_back(*oracle_b.buffer_frontier(i));
+  }
 
   for (const std::size_t workers : {std::size_t{1}, std::size_t{4}}) {
     AnalysisService service(
@@ -142,10 +154,11 @@ TEST(AnalysisService, MultiClientStressMatchesSerialWorkbenchOracle) {
       for (std::size_t k = 0; k < kQueries; ++k) {
         const bool on_a = (c + k) % 2 == 0;
         const QueryValue& v = tickets[c][k].get();
-        switch (k % 4) {
+        const std::size_t apps = on_a ? sys_a.app_count() : sys_b.app_count();
+        switch (k % 5) {
           case 0: {
             const auto& r = std::get<api::Report<analysis::PeriodResult>>(v);
-            if (k % (on_a ? sys_a.app_count() : sys_b.app_count()) == 0) {
+            if (k % apps == 0) {
               EXPECT_EQ(r->period, (on_a ? period_a0 : period_b0)->period);
             }
             break;
@@ -164,6 +177,13 @@ TEST(AnalysisService, MultiClientStressMatchesSerialWorkbenchOracle) {
               EXPECT_EQ((*r)[i].isolation_period, oracle[i].isolation_period);
               EXPECT_EQ((*r)[i].worst_case_period, oracle[i].worst_case_period);
             }
+            break;
+          }
+          case 3: {
+            const auto& r =
+                std::get<api::Report<std::vector<dse::BufferPoint>>>(v);
+            procon::testing::expect_same_frontier(
+                *r, (on_a ? frontiers_a : frontiers_b)[k % apps]);
             break;
           }
           default: {

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <string>
+
 #include "analysis/throughput.h"
 #include "gen/graph_generator.h"
 #include "helpers.h"
@@ -104,6 +107,30 @@ TEST(ComputePeriodExact, ThrowsOnDeadlock) {
   g.add_channel(x, y, 1, 1, 0);
   g.add_channel(y, x, 1, 1, 0);
   EXPECT_THROW((void)compute_period_exact(g), sdf::GraphError);
+}
+
+TEST(StateSpace, ClockOverflowRaisesGraphError) {
+  // Two-actor cycles whose clock would pass INT64_MAX: both actors at 2^62
+  // (the clock reaches 2^63), and INT64_MAX beside 1 (an execution time
+  // equal to the largest Time, not a "nothing running" marker).
+  const struct {
+    sdf::Time t0, t1;
+  } rows[] = {
+      {sdf::Time{1} << 62, sdf::Time{1} << 62},
+      {std::numeric_limits<sdf::Time>::max(), 1},
+  };
+  for (const auto& row : rows) {
+    const Graph g = procon::testing::two_actor_cycle(row.t0, row.t1);
+    std::string message;
+    try {
+      (void)self_timed_period(g.with_self_loops());
+    } catch (const sdf::GraphError& e) {
+      message = e.what();
+    }
+    EXPECT_NE(message.find("overflows int64"), std::string::npos)
+        << "t0=" << row.t0 << " t1=" << row.t1 << ": '" << message << "'";
+    EXPECT_THROW((void)compute_period_exact(g), sdf::GraphError);
+  }
 }
 
 // The central cross-validation property: the MCR engine (used for the

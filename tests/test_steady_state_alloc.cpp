@@ -16,9 +16,7 @@
 //  * a warm streaming sweep (estimates + bounds + sim views) of a
 //    previously-seen use-case list performs ZERO heap allocations end to
 //    end, with results identical to the vector-returning sweep;
-//  * the SimEngine ring-cache LRU bound evicts and rebuilds identically;
-//  * a warm dse::Racer race (tier-(a) pulls in the persistent workspaces,
-//    grow-only racer arenas) performs ZERO heap allocations.
+//  * the SimEngine ring-cache LRU bound evicts and rebuilds identically.
 //
 // Each warm bracket is additionally armed (util/contracts.h ArmGuard), so
 // the PROCON_ASSERT_NO_ALLOC scopes inside the library's annotated warm
@@ -31,7 +29,6 @@
 
 #include "admission/admission.h"
 #include "api/workbench.h"
-#include "dse/racer.h"
 #include "gen/graph_generator.h"
 #include "gen/use_cases.h"
 #include "helpers.h"
@@ -449,50 +446,6 @@ TEST(SteadyStateAlloc, RingCacheLruEvictsAndRebuildsIdentically) {
     (void)snug.run_view(opts);
     EXPECT_EQ(allocations() - before, 0u)
         << "warm within-capacity reset+run_view allocated";
-  }
-}
-
-TEST(SteadyStateAlloc, WarmRacerRaceIsAllocationFree) {
-  const platform::System sys = random_system(55, 3);
-  // One workspace, no pool: the fully serial race.
-  std::vector<dse::AnalysisWorkspace> workspaces;
-  {
-    dse::AnalysisWorkspace ws;
-    ws.sys = sys;
-    for (const sdf::Graph& g : sys.apps()) ws.engines.emplace_back(g);
-    workspaces.push_back(std::move(ws));
-  }
-  util::Rng rng(5);
-  std::vector<platform::Mapping> candidates;
-  for (int i = 0; i < 10; ++i) {
-    candidates.push_back(
-        platform::Mapping::random(sys.apps(), sys.platform(), rng));
-  }
-
-  dse::RacerOptions ropts;
-  ropts.enabled = true;
-  ropts.estimator_pulls = 2;
-  ropts.sim_pulls = 0;  // tier (a) only: the zero-alloc warm contract
-  dse::MappingArms arms(workspaces, prob::EstimatorOptions{}, ropts,
-                        /*table=*/nullptr);
-  dse::Racer racer;
-  std::vector<dse::ArmOutcome> outcomes(candidates.size());
-
-  // Cold race: grows the racer arenas, the workspace estimator scratch and
-  // the fingerprint slots.
-  arms.bind(candidates);
-  const std::size_t cold =
-      racer.race(ropts, candidates.size(), arms, outcomes);
-
-  for (int rep = 0; rep < 3; ++rep) {
-    const util::contracts::ArmGuard armed;
-    const std::uint64_t before = allocations();
-    arms.bind(candidates);
-    const std::size_t warm =
-        racer.race(ropts, candidates.size(), arms, outcomes);
-    EXPECT_EQ(allocations() - before, 0u)
-        << "warm racer race allocated (rep " << rep << ")";
-    EXPECT_EQ(warm, cold);  // and stays bitwise on the same arms
   }
 }
 

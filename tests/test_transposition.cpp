@@ -497,7 +497,7 @@ WorkbenchRecord run_workbench_script(api::Workbench& wb) {
   }
   const auto frontier =
       wb.buffer_frontier(0, dse::BufferExplorerOptions{.max_steps = 12});
-  for (const auto& pt : frontier->points) {
+  for (const auto& pt : *frontier) {
     rec.doubles.push_back(pt.period);
     rec.ints.push_back(pt.total_tokens);
     for (const auto c : pt.capacities) rec.ints.push_back(c);

@@ -9,6 +9,7 @@
 
 #include "analysis/latency.h"
 #include "analysis/throughput.h"
+#include "buffer_oracle.h"
 #include "dse/buffer_explorer.h"
 #include "dse/mapper.h"
 #include "gen/graph_generator.h"
@@ -141,19 +142,13 @@ TEST(Workbench, SimulateMatchesSimulatorBitwise) {
 }
 
 TEST(Workbench, BufferFrontierMatchesExplorerBothPaths) {
+  // The session query (incremental evaluator) against the
+  // engine-per-candidate oracle walk.
   Workbench wb(random_system(5, 3), WorkbenchOptions{.threads = 1});
   for (sdf::AppId i = 0; i < wb.app_count(); ++i) {
-    dse::BufferExplorerOptions reference_opts;
-    reference_opts.incremental = false;
-    const auto reference =
-        dse::explore_buffer_tradeoff(wb.system().app(i), reference_opts);
-    const auto incremental = wb.buffer_frontier(i);  // incremental by default
-    ASSERT_EQ(incremental->points.size(), reference.size());
-    for (std::size_t k = 0; k < reference.size(); ++k) {
-      EXPECT_EQ(incremental->points[k].capacities, reference[k].capacities);
-      EXPECT_EQ(incremental->points[k].total_tokens, reference[k].total_tokens);
-      EXPECT_EQ(incremental->points[k].period, reference[k].period);
-    }
+    procon::testing::expect_same_frontier(
+        *wb.buffer_frontier(i),
+        procon::testing::buffer_frontier_oracle(wb.system().app(i)));
   }
 }
 
@@ -209,6 +204,38 @@ TEST(Workbench, ScoreMappingsMatchesEvaluateMapping) {
     EXPECT_EQ((*scores)[k], dse::evaluate_mapping(sys.apps(), sys.platform(),
                                                   candidates[k]));
   }
+}
+
+TEST(Workbench, CandidateOnMissingNodeRaisesGraphError) {
+  // Three generated apps of 3-4 actors on four nodes: an actor moved to
+  // node 4 (== node_count) or left on kInvalidNode must be rejected as a
+  // GraphError by both scorers, never read past the per-node tables.
+  util::Rng rng(3);
+  gen::GeneratorOptions gopts;
+  gopts.min_actors = 3;
+  gopts.max_actors = 4;
+  auto graphs = gen::generate_graphs(rng, gopts, 3);
+  platform::Platform plat = platform::Platform::homogeneous(4);
+  platform::Mapping good = platform::Mapping::by_index(graphs, plat);
+  const platform::System sys(std::move(graphs), std::move(plat), good);
+  Workbench wb(sys, WorkbenchOptions{.threads = 2});
+
+  for (const platform::NodeId node :
+       {static_cast<platform::NodeId>(sys.platform().node_count()),
+        platform::kInvalidNode}) {
+    platform::Mapping bad = good;
+    bad.assign(1, 0, node);
+    const std::vector<platform::Mapping> candidates{good, bad};
+    EXPECT_THROW((void)wb.score_mappings(candidates), sdf::GraphError)
+        << "node " << node;
+    EXPECT_THROW(
+        (void)dse::evaluate_mapping(sys.apps(), sys.platform(), bad),
+        sdf::GraphError)
+        << "node " << node;
+  }
+  // The session is still usable after the rejected query.
+  EXPECT_EQ((*wb.score_mappings(std::vector<platform::Mapping>{good}))[0],
+            dse::evaluate_mapping(sys.apps(), sys.platform(), good));
 }
 
 TEST(Workbench, OptimiseMappingIsThreadCountInvariant) {

@@ -282,26 +282,6 @@ int cmd_sweep(int argc, char** argv) {
   }
   std::cout << table.render();
   print_provenance(swept.provenance);
-
-  // Candidate-mapping race: a dozen random mappings through the racer's
-  // fidelity ladder (full precision only for survivors), mirroring the
-  // sweep's estimator configuration.
-  util::Rng map_rng(std::stoull(flag_value(argc, argv, "--seed", "2007")) + 1);
-  std::vector<platform::Mapping> candidates;
-  candidates.reserve(12);
-  for (int i = 0; i < 12; ++i) {
-    candidates.push_back(platform::Mapping::random(
-        wb.system().apps(), wb.system().platform(), map_rng));
-  }
-  const auto race = wb.race_mappings(candidates, sopts.estimator);
-  const dse::RacerStats& rs = wb.racer_stats();
-  std::cout << "[racer: best candidate #" << race->best << " (score "
-            << util::format_double(race->outcomes[race->best].score, 3)
-            << "), " << rs.races << " race(s), " << rs.arms << " arm(s), "
-            << rs.estimator_pulls + rs.sim_pulls << " cheap pull(s), "
-            << rs.full_evals << " full eval(s), " << rs.eliminated
-            << " eliminated, " << rs.pruned_similar << " pruned similar, "
-            << util::format_double(rs.eval_ratio(), 2) << "x eval savings]\n";
   return 0;
 }
 
@@ -428,29 +408,6 @@ int cmd_serve(int argc, char** argv) {
             << tt.evictions << " eviction(s), " << tt.verify_failures
             << " verify failure(s)]\n";
 
-  // Raced buffer frontiers: one BufferFrontier ticket per tenant with the
-  // dse::Racer enabled, then the aggregated racing counters — one line so
-  // an operator can see at a glance how much full-precision work the
-  // candidate racing saved.
-  {
-    api::QueryDesc d;
-    d.kind = api::QueryKind::BufferFrontier;
-    d.buffers.max_steps = 48;
-    d.buffers.racer.enabled = true;
-    auto ta = service.submit(a, d);
-    auto tb = service.submit(b, d);
-    (void)ta.get();
-    (void)tb.get();
-    const dse::RacerStats rs = service.racer_stats();
-    std::cout << "[racer: " << rs.races << " race(s), " << rs.arms
-              << " arm(s), " << rs.estimator_pulls + rs.sim_pulls
-              << " cheap pull(s), " << rs.full_evals << " full eval(s), "
-              << rs.eliminated << " eliminated, " << rs.pruned_similar
-              << " pruned similar, "
-              << util::format_double(rs.eval_ratio(), 2)
-              << "x eval savings]\n";
-  }
-
   // Streaming sweep: per-use-case views delivered to a sink, first 8 rows.
   util::Rng rng(2007);
   const auto ucs = gen::sample_use_cases(sys_a.app_count(), 2, rng);
@@ -478,10 +435,10 @@ int cmd_buffers(int argc, char** argv) {
   table.set_header({"app", "point", "total tokens", "period"});
   for (sdf::AppId i = 0; i < wb.app_count(); ++i) {
     const auto frontier = wb.buffer_frontier(i);
-    for (std::size_t k = 0; k < frontier->points.size(); ++k) {
+    for (std::size_t k = 0; k < frontier->size(); ++k) {
       table.add_row({wb.system().app(i).name(), std::to_string(k),
-                     std::to_string(frontier->points[k].total_tokens),
-                     util::format_double(frontier->points[k].period, 3)});
+                     std::to_string((*frontier)[k].total_tokens),
+                     util::format_double((*frontier)[k].period, 3)});
     }
   }
   std::cout << table.render();
