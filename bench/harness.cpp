@@ -77,36 +77,6 @@ const std::vector<Technique>& paper_techniques() {
   return kTechniques;
 }
 
-std::vector<double> estimate_periods(const platform::System& sys,
-                                     const Technique& technique) {
-  return estimate_periods(platform::SystemView(sys), technique);
-}
-
-std::vector<double> estimate_periods(const platform::SystemView& view,
-                                     const Technique& technique) {
-  std::vector<double> periods;
-  if (technique.is_wcrt) {
-    std::vector<analysis::ThroughputEngine> engines;
-    engines.reserve(view.app_count());
-    for (sdf::AppId i = 0; i < view.app_count(); ++i) {
-      engines.emplace_back(view.app(i));
-    }
-    std::vector<analysis::ThroughputEngine*> ptrs;
-    ptrs.reserve(engines.size());
-    for (auto& e : engines) ptrs.push_back(&e);
-    for (const auto& b : wcrt::worst_case_bounds(
-             view, {}, std::span<analysis::ThroughputEngine* const>(ptrs))) {
-      periods.push_back(b.worst_case_period);
-    }
-  } else {
-    const prob::ContentionEstimator est(technique.estimator);
-    for (const auto& e : est.estimate(view)) {
-      periods.push_back(e.estimated_period);
-    }
-  }
-  return periods;
-}
-
 std::vector<double> estimate_periods(api::Workbench& wb, const platform::UseCase& uc,
                                      const Technique& technique) {
   std::vector<double> periods;

@@ -63,21 +63,9 @@ struct Technique {
 };
 [[nodiscard]] const std::vector<Technique>& paper_techniques();
 
-/// Per-application periods estimated by one technique on one use-case
-/// system (all apps of `sys` considered active).
-[[nodiscard]] std::vector<double> estimate_periods(const platform::System& sys,
-                                                   const Technique& technique);
-
-/// Zero-copy variant: estimates the applications selected by `view`
-/// without materialising the restriction (one-shot engines per call;
-/// sweeping benches should prefer the Workbench overload below).
-[[nodiscard]] std::vector<double> estimate_periods(const platform::SystemView& view,
-                                                   const Technique& technique);
-
-/// Session variant: the same estimate through a Workbench, whose cached
-/// per-application engines amortise structure across the use-cases and
-/// techniques a bench iterates over. Results are bitwise identical to the
-/// System overload.
+/// Per-application periods estimated by one technique on use-case `uc`,
+/// through a Workbench whose cached per-application engines amortise
+/// structure across the use-cases and techniques a bench iterates over.
 [[nodiscard]] std::vector<double> estimate_periods(api::Workbench& wb,
                                                    const platform::UseCase& uc,
                                                    const Technique& technique);

@@ -21,8 +21,8 @@
 // verdict-only probe (WhatIfOptions::with_estimates = false) of a cached
 // candidate into a reused WhatIfReport performs zero heap allocations when
 // the verdict is an admission (asserted by
-// tests/test_steady_state_alloc.cpp, tracked by bench_steady_state);
-// rejections additionally build the human-readable reason string.
+// tests/test_steady_state_alloc.cpp); rejections additionally build the
+// human-readable reason string.
 #pragma once
 
 #include <cstdint>

@@ -14,8 +14,10 @@
 // zero-token deadlock). recompute(exec_times) then only rewrites node
 // weights in place and re-runs Howard warm-started from the previous policy,
 // which converges in one or two improvement rounds under the small
-// perturbations these loops produce — an order of magnitude faster than the
-// fresh path (bench_engine tracks the exact factor).
+// perturbations these loops produce. The ledger's traced runs measure both
+// starts (`analysis.recompute_cold_us`, `analysis.recompute_warm_us`), and
+// CrossValidation.EngineRecomputeMatchesFreshComputePeriod checks them
+// against the fresh path.
 //
 // Caching contract: the *structure* (actors, channels, rates, initial
 // tokens) is fixed for the engine's lifetime; only execution times may vary

@@ -14,9 +14,9 @@
 // improvement rounds instead of a full cold start. ThroughputEngine
 // (analysis/engine.h) builds on exactly this property.
 //
-// This engine is an order of magnitude faster than the Lawler parametric
-// search on the expansions this library produces (see bench_micro) and is
-// cross-validated against it on thousands of random graphs in the tests.
+// This engine is faster than the Lawler parametric search on the
+// expansions this library produces and is cross-validated against it on
+// thousands of random graphs in the tests.
 // mcr_binary_search remains the default reference implementation.
 #pragma once
 

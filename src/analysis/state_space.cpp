@@ -117,6 +117,8 @@ StateSpaceResult self_timed_period(const Graph& g, const StateSpaceOptions& opts
           instant_progress = true;
         }
       }
+      // A cycle of zero-time actors never leaves this instant.
+      if (fired >= max_firings) return result;
       for (ActorId a = 0; a < n; ++a) {
         if (can_start(a)) {
           for (const ChannelId cid : g.in_channels(a)) {

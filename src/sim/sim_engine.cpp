@@ -342,6 +342,10 @@ PROCON_WARM_PATH SimResultView SimEngine::run_view(const SimOptions& opts) {
   opts_.sample_seed = opts.sample_seed;
   opts_.collect_trace = opts.collect_trace;
   bind_options(opts);
+  if (!firings_end_in_range()) {
+    throw std::invalid_argument(
+        "simulate: horizon plus the longest firing overflows sdf::Time");
+  }
   armed_ = false;  // dynamic state is about to be spent
 
   // Fast-forward eligibility (sim_engine.h): fixed times, no TDMA, no
@@ -388,6 +392,35 @@ PROCON_WARM_PATH SimResultView SimEngine::run_view(const SimOptions& opts) {
     }
   }
   return finalise_view(processed);
+}
+
+bool SimEngine::firings_end_in_range() const {
+  const bool tdma = opts_.arbitration == Arbitration::Tdma;
+  for (NodeId n = 0; n < node_count_; ++n) {
+    const std::span<const std::uint32_t> wheel = ring(n);
+    Time wheel_period = 0;
+    if (tdma) {
+      for (const std::uint32_t a : wheel) {
+        if (__builtin_add_overflow(wheel_period, slot_len_[a], &wheel_period)) return false;
+      }
+    }
+    for (const std::uint32_t a : wheel) {
+      // The longest draw: the fixed time, or the largest outcome (outcomes
+      // are ascending).
+      Time reach = dist_[a] != nullptr ? dist_[a]->outcomes().back().value : exec_[a];
+      // TDMA: the first serving slot begins within a turn of the ready
+      // time, and at most ceil(reach / slot) + 1 slots serve the firing
+      // (the first may be partial), so it ends within reach / slot + 3
+      // turns.
+      Time turns = 0;
+      if (tdma && (__builtin_add_overflow(reach / slot_len_[a], 3, &turns) ||
+                   __builtin_mul_overflow(turns, wheel_period, &reach))) {
+        return false;
+      }
+      if (reach > sdf::kTimeInfinity - opts_.horizon) return false;
+    }
+  }
+  return true;
 }
 
 Time SimEngine::draw_exec(std::uint32_t a) {

@@ -29,7 +29,7 @@
 // results as views into engine-owned storage. The second and every later
 // reset(uc) + run_view() of a previously-seen use-case therefore performs
 // ZERO heap allocations (tests/test_steady_state_alloc.cpp asserts this
-// with an instrumented allocator; bench_steady_state tracks it per PR).
+// with an instrumented allocator).
 // The value-returning run() stays as a deep-copying shim.
 //
 // The ring cache is bounded: a capacity set at construction (default
@@ -237,10 +237,11 @@ class SimEngine {
   /// throws sdf::GraphError (dynamic state is spent, rerunning it would not
   /// be a simulation from time zero).
   /// \param opts horizon, arbitration, execution-time models, trace flag.
-  ///        Throws std::invalid_argument for a non-positive horizon and
-  ///        sdf::GraphError for execution-time model mismatches
-  ///        (opts.exec_models entries pair with *active* applications, in
-  ///        use-case order).
+  ///        Throws std::invalid_argument for a non-positive horizon or
+  ///        one so close to INT64_MAX that a firing started by it could
+  ///        end past it, and sdf::GraphError for execution-time model
+  ///        mismatches (opts.exec_models entries pair with *active*
+  ///        applications, in use-case order).
   /// \return owning per-application results, in use-case order
   [[nodiscard]] SimResult run(const SimOptions& opts = {});
 
@@ -304,6 +305,10 @@ class SimEngine {
   /// Clears dynamic state and arms a run of `uc` (already validated).
   void arm(const platform::UseCase& uc);
   void bind_options(const SimOptions& opts);
+  /// Whether every firing ready by the horizon ends within sdf::Time. The
+  /// event loop adds times unchecked (t + demand, TDMA wheel turns), so
+  /// run_view() checks this bound once per run instead of per event.
+  [[nodiscard]] bool firings_end_in_range() const;
   /// Installs (building + caching on first sight) the rings of `uc`.
   void install_rings(const platform::UseCase& uc);
   [[nodiscard]] std::span<const std::uint32_t> ring(platform::NodeId node) const {

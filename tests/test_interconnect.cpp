@@ -14,6 +14,7 @@
 #include <stdexcept>
 #include <vector>
 
+#include "api/workbench.h"
 #include "gen/graph_generator.h"
 #include "helpers.h"
 #include "platform/system.h"
@@ -91,6 +92,15 @@ void expect_same(const sim::SimResult& a, const sim::SimResult& b) {
   }
   EXPECT_EQ(a.node_utilisation, b.node_utilisation);
   EXPECT_EQ(a.link_utilisation, b.link_utilisation);
+}
+
+void expect_same_estimates(const std::vector<prob::AppEstimate>& a,
+                           const std::vector<prob::AppEstimate>& b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(a[i].isolation_period, b[i].isolation_period);
+    EXPECT_EQ(a[i].estimated_period, b[i].estimated_period);
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -238,6 +248,37 @@ TEST(Interconnect, DetachingATopologyRestoresThePlainSystemBitwise) {
 
   const sim::SimOptions sopts{.horizon = 100'000};
   expect_same(sim::simulate(plain, sopts), sim::simulate(roamed, sopts));
+}
+
+TEST(Interconnect, TopologySweepNoneEntryAndWarmRepeatAreBitwiseStable) {
+  const System sys = random_system(31, 3, 4);
+  std::vector<Topology> topologies;
+  topologies.emplace_back();  // kind None
+  topologies.push_back(Topology::bus(4, 4, 1));
+  topologies.push_back(Topology::ring(4, 2, 1));
+  topologies.push_back(Topology::mesh(2, 2, 2, 1));
+
+  api::Workbench wb(sys);
+  api::TopologySweepOptions topts;
+  topts.sim.horizon = 20'000;
+  const auto cold = wb.sweep_topologies(topologies, topts);
+  ASSERT_EQ(cold->size(), topologies.size());
+
+  // The None entry is the topology-free pipeline.
+  sim::SimEngine plain(sys);
+  plain.reset();
+  expect_same((*cold)[0].sim, plain.run(topts.sim));
+  expect_same_estimates((*cold)[0].estimates,
+                        prob::ContentionEstimator(topts.estimator).estimate(SystemView(sys)));
+
+  // A second sweep reuses the cached per-topology engines and changes no bit.
+  const auto warm = wb.sweep_topologies(topologies, topts);
+  ASSERT_EQ(warm->size(), topologies.size());
+  for (std::size_t i = 0; i < topologies.size(); ++i) {
+    SCOPED_TRACE(i);
+    expect_same((*cold)[i].sim, (*warm)[i].sim);
+    expect_same_estimates((*cold)[i].estimates, (*warm)[i].estimates);
+  }
 }
 
 // ---------------------------------------------------------------------------

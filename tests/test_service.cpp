@@ -210,10 +210,12 @@ TEST(AnalysisService, CoalescingSharesOneExecution) {
   const SystemId id = service.register_system(random_system(7, 3));
 
   // Occupy the single background worker with a long simulation so the
-  // coalescable twins stay pending long enough to attach.
+  // coalescable twins stay pending long enough to attach. TDMA runs never
+  // fast-forward, so this one steps every event up to the horizon.
   QueryDesc slow;
   slow.kind = QueryKind::Simulate;
   slow.sim.horizon = 3'000'000;
+  slow.sim.arbitration = sim::Arbitration::Tdma;
   auto blocker = service.submit(id, slow);
 
   QueryDesc q;
@@ -244,9 +246,10 @@ TEST(AnalysisService, CancelAbandonsPendingQueries) {
   AnalysisService service(ServiceOptions{.threads = 2});
   const SystemId id = service.register_system(random_system(5, 3));
 
-  QueryDesc slow;
+  QueryDesc slow;  // a stepped TDMA run, as above
   slow.kind = QueryKind::Simulate;
   slow.sim.horizon = 3'000'000;
+  slow.sim.arbitration = sim::Arbitration::Tdma;
   auto blocker = service.submit(id, slow);
 
   QueryDesc q;

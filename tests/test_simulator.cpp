@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <stdexcept>
+
 #include "analysis/throughput.h"
 #include "helpers.h"
 
@@ -149,6 +152,42 @@ TEST(Simulator, ShortHorizonUnconverged) {
 TEST(Simulator, InvalidHorizonThrows) {
   EXPECT_THROW((void)simulate(fig2_system(), SimOptions{.horizon = 0}),
                std::invalid_argument);
+
+  // Near INT64_MAX: a firing that starts by the horizon must end within
+  // sdf::Time, or the run is rejected before it starts.
+  constexpr sdf::Time kMax = std::numeric_limits<sdf::Time>::max();
+  constexpr sdf::Time k62 = sdf::Time{1} << 62;
+  const struct {
+    const char* label;
+    std::size_t apps;  // copies of a two-actor cycle, actor j on node j
+    sdf::Time exec;
+    Arbitration arbitration;
+    sdf::Time horizon;
+    bool throws;
+  } rows[] = {
+      {"fcfs 2^62 at INT64_MAX", 1, k62, Arbitration::Fcfs, kMax, true},
+      {"fcfs 2^62 at INT64_MAX - 2^62", 1, k62, Arbitration::Fcfs, kMax - k62, false},
+      {"tdma 2x 2^61 at 2^62", 2, k62 / 2, Arbitration::Tdma, k62, true},
+  };
+  for (const auto& row : rows) {
+    SCOPED_TRACE(row.label);
+    std::vector<sdf::Graph> apps(row.apps,
+                                 procon::testing::two_actor_cycle(row.exec, row.exec));
+    platform::Platform plat = platform::Platform::homogeneous(2);
+    platform::Mapping map = platform::Mapping::by_index(apps, plat);
+    const platform::System sys(std::move(apps), std::move(plat), std::move(map));
+    const SimOptions opts{.horizon = row.horizon, .arbitration = row.arbitration};
+    if (row.throws) {
+      EXPECT_THROW((void)simulate(sys, opts), std::invalid_argument);
+      continue;
+    }
+    const SimResult r = simulate(sys, opts);
+    EXPECT_EQ(r.horizon, row.horizon);
+    for (const double u : r.node_utilisation) {
+      EXPECT_GE(u, 0.0);
+      EXPECT_LE(u, 1.0);
+    }
+  }
 }
 
 TEST(Simulator, InvalidSystemThrows) {

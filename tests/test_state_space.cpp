@@ -93,6 +93,15 @@ TEST(StateSpace, MaxFiringsCapReturnsUnconverged) {
       self_timed_period(fig2_graph_a().with_self_loops(), opts);
   EXPECT_FALSE(r.converged);
   EXPECT_FALSE(r.deadlocked);
+
+  // A cycle of zero-time actors fires forever without time advancing: the
+  // cap must stop it too, and the exact period reports non-convergence.
+  const Graph zero = procon::testing::two_actor_cycle(0, 0);
+  const StateSpaceResult z = self_timed_period(
+      zero.with_self_loops(), StateSpaceOptions{.max_firings = 10'000});
+  EXPECT_FALSE(z.converged);
+  EXPECT_FALSE(z.deadlocked);
+  EXPECT_THROW((void)compute_period_exact(zero), sdf::GraphError);
 }
 
 TEST(ComputePeriodExact, MatchesStateSpace) {
