@@ -19,7 +19,7 @@ int main(int argc, char** argv) {
   // engines are built once instead of once per (use-case, technique).
   api::Workbench wb(sys, api::WorkbenchOptions{.threads = 1});
   // One simulation engine for every reference run: reset per use-case, the
-  // flattened structure and restrict_to copies are paid zero times per sweep.
+  // flattened structure and per-use-case copies are paid zero times per sweep.
   sim::SimEngine sim_engine(sys);
 
   std::cout << "=== E3 / Figure 6: period inaccuracy vs number of concurrent "

@@ -33,7 +33,7 @@ int main(int argc, char** argv) {
 
   // One session: engine structure is paid once, not per (use-case, technique).
   api::Workbench wb(sys, api::WorkbenchOptions{.threads = 1});
-  // One simulation engine, reset per use-case (no restrict_to copies).
+  // One simulation engine, reset per use-case (no per-use-case copies).
   sim::SimEngine sim_engine(sys);
 
   bench::Stopwatch total;

@@ -80,9 +80,9 @@ struct SimReference {
                                               sdf::Time horizon);
 
 /// Warm-engine variant for per-use-case reference sweeps: restricts the
-/// shared engine to `uc` (zero-copy) and reruns it — no per-use-case
-/// restrict_to copy or simulator rebuild. Results are identical to
-/// simulate_reference(sys.restrict_to(uc), horizon).
+/// shared engine to `uc` (zero-copy) and reruns it — no per-use-case copy
+/// or simulator rebuild. Results are identical to
+/// simulate_reference(SystemView(sys, uc).materialise(), horizon).
 [[nodiscard]] SimReference simulate_reference(sim::SimEngine& engine,
                                               const platform::UseCase& uc,
                                               sdf::Time horizon);

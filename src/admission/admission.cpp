@@ -206,9 +206,10 @@ std::vector<prob::AppEstimate> AdmissionController::full_report(
   // estimator over a zero-copy view of the resident store, through the
   // cached per-application engines.
   const platform::SystemView view(store_, uc);
-  const prob::ContentionEstimator est(estimator);
-  return est.estimate(view, {},
-                      std::span<analysis::ThroughputEngine* const>(engines));
+  prob::EstimatorWorkspace ws;
+  std::vector<prob::AppEstimate> out(uc.size());
+  prob::ContentionEstimator(estimator).estimate_into(view, {}, engines, ws, out);
+  return out;
 }
 
 Decision AdmissionController::request(const sdf::Graph& app,

@@ -276,7 +276,7 @@ std::vector<std::uint32_t> HowardSolver::critical_cycle() const {
   return std::vector<std::uint32_t>(walk.begin() + order[v], walk.end());
 }
 
-CriticalCycleResult mcr_with_critical_cycle(const Hsdf& h, const McrOptions&) {
+CriticalCycleResult mcr_with_critical_cycle(const Hsdf& h) {
   CriticalCycleResult result;
   if (h.node_count() == 0 || h.edges.empty()) return result;
 

@@ -67,11 +67,10 @@ struct CriticalCycleResult {
 
 /// Default engine: Howard's policy iteration. The final policy's functional
 /// graph contains a maximum-ratio cycle, so after the solve the critical
-/// cycle is one policy walk — no parametric re-search (the options are
-/// accepted for signature compatibility and ignored). The ratio is exact
-/// (a cycle's weight/token quotient), not a bisection midpoint.
-[[nodiscard]] CriticalCycleResult mcr_with_critical_cycle(const Hsdf& h,
-                                                          const McrOptions& opts = {});
+/// cycle is one policy walk — no parametric re-search, hence no tolerance
+/// options. The ratio is exact (a cycle's weight/token quotient), not a
+/// bisection midpoint.
+[[nodiscard]] CriticalCycleResult mcr_with_critical_cycle(const Hsdf& h);
 
 /// Reference path: Lawler parametric search, then Bellman-Ford predecessor
 /// tracking slightly below lambda* to expose one critical cycle. Slower and

@@ -215,9 +215,9 @@ class Ticket {
 
   /// \brief Zero-copy result access: wait(), then shared ownership of the
   /// immutable value — no deep copy, valid after the ticket (and the
-  /// service) are gone. The handle the AnalysisServer's completion path
-  /// uses to encode results without copying Reports. Throws exactly like
-  /// get() on Failed/Cancelled queries.
+  /// service) are gone, so a consumer can keep or forward a result without
+  /// copying its Report. Throws exactly like get() on Failed/Cancelled
+  /// queries.
   /// \return shared handle to the query result
   [[nodiscard]] std::shared_ptr<const T> share() const {
     auto& s = check();

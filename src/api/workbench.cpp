@@ -26,14 +26,12 @@ class Timer {
 /// one (isolation, worst-case) entry per app plus one (waiting, response)
 /// entry per actor, all keyed by the restriction fingerprint and the WCRT
 /// options; a query hits only if *every* entry is present (all-or-nothing),
-/// otherwise it recomputes and stores the full set. `Sys` is a
-/// platform::System or platform::SystemView (both expose app()).
-template <typename Sys>
+/// otherwise it recomputes and stores the full set.
 bool probe_wcrt(analysis::TranspositionTable* table, std::uint64_t fp,
-                const wcrt::WcrtOptions& opts, const Sys& sys,
+                const wcrt::WcrtOptions& opts, const platform::SystemView& view,
                 std::vector<wcrt::AppBound>& out) {
   if (table == nullptr) return false;
-  const std::size_t napps = sys.app_count();
+  const std::size_t napps = view.app_count();
   out.clear();
   out.resize(napps);
   for (std::size_t i = 0; i < napps; ++i) {
@@ -45,7 +43,7 @@ bool probe_wcrt(analysis::TranspositionTable* table, std::uint64_t fp,
     if (!table->lookup(app_key.key(), v)) return false;
     out[i].isolation_period = v.primary;
     out[i].worst_case_period = v.secondary;
-    const std::size_t nactors = sys.app(static_cast<sdf::AppId>(i)).actor_count();
+    const std::size_t nactors = view.app(static_cast<sdf::AppId>(i)).actor_count();
     out[i].actors.resize(nactors);
     for (std::size_t a = 0; a < nactors; ++a) {
       analysis::TTKeyBuilder actor_key(fp, analysis::TTQuery::WcrtActorBound);
@@ -361,7 +359,7 @@ const Report<std::span<const prob::AppEstimate>>& Workbench::contention_core(
       std::span<const prob::AppEstimate>(est_pool_.data(), uc.size());
   // Assigning a const char* into the retained string reuses its capacity —
   // the warm path stays heap-free.
-  contention_report_.provenance.method = prob::method_name_c(opts.method);
+  contention_report_.provenance.method = prob::method_name(opts.method);
   contention_report_.provenance.evaluations =
       static_cast<std::size_t>(opts.iterations);
   contention_report_.provenance.threads = deep ? pool_.size() : 1;
@@ -370,35 +368,22 @@ const Report<std::span<const prob::AppEstimate>>& Workbench::contention_core(
 }
 
 Report<std::vector<wcrt::AppBound>> Workbench::wcrt(const wcrt::WcrtOptions& opts) {
-  Timer timer;
-  Report<std::vector<wcrt::AppBound>> report;
-  // The full-system restriction is the identity remap, so its fingerprint
-  // is the system's own (maintained) one — no view needed to probe.
-  if (probe_wcrt(table_.get(), sys_.fingerprint(), opts, sys_, report.value)) {
-    report.provenance = {"Analyzed Worst Case", 1, 1, timer.ms()};
-    return report;
-  }
-  auto ptrs = engines_for(engines_, sys_.full_use_case());
-  report.value = wcrt::worst_case_bounds(
-      sys_, opts, std::span<analysis::ThroughputEngine* const>(ptrs));
-  store_wcrt(table_.get(), sys_.fingerprint(), opts, report.value);
-  report.provenance = {"Analyzed Worst Case", 1, 1, timer.ms()};
-  return report;
+  return wcrt(full_uc_, opts);
 }
 
 Report<std::vector<wcrt::AppBound>> Workbench::wcrt(const platform::UseCase& uc,
                                                     const wcrt::WcrtOptions& opts) {
   Timer timer;
-  const platform::SystemView view(sys_, uc);  // zero-copy restriction
+  scratch_view_.rebind(sys_, uc);  // zero-copy restriction, capacity reused
   Report<std::vector<wcrt::AppBound>> report;
-  const std::uint64_t fp = table_ != nullptr ? view.fingerprint() : 0;
-  if (probe_wcrt(table_.get(), fp, opts, view, report.value)) {
+  const std::uint64_t fp = table_ != nullptr ? scratch_view_.fingerprint() : 0;
+  if (probe_wcrt(table_.get(), fp, opts, scratch_view_, report.value)) {
     report.provenance = {"Analyzed Worst Case", 1, 1, timer.ms()};
     return report;
   }
-  auto ptrs = engines_for(engines_, uc);
-  report.value = wcrt::worst_case_bounds(
-      view, opts, std::span<analysis::ThroughputEngine* const>(ptrs));
+  report.value.resize(uc.size());
+  wcrt::worst_case_bounds_into(scratch_view_, opts, scratch_engines_for(uc),
+                               wcrt_ws_, report.value);
   store_wcrt(table_.get(), fp, opts, report.value);
   report.provenance = {"Analyzed Worst Case", 1, 1, timer.ms()};
   return report;
@@ -445,20 +430,21 @@ Report<std::vector<UseCaseResult>> Workbench::sweep_use_cases(
     dse::AnalysisWorkspace& ws = workers[w];
     const platform::UseCase& uc = use_cases[i];
     // Zero-copy restriction: the estimator and the bounds read the selected
-    // applications through a view, the simulator through its remap tables —
-    // the per-use-case restrict_to deep copy is gone from the sweep.
+    // applications through a view, the simulator through its remap tables.
+    // Workspaces are per item, so workers share nothing mutable.
     const platform::SystemView view(sys_, uc);
     UseCaseResult& out = report.value[i];
     out.use_case = uc;
     {
-      auto ptrs = engines_for(ws.engines, uc);
-      out.estimates = est.estimate(
-          view, {}, std::span<analysis::ThroughputEngine* const>(ptrs));
+      prob::EstimatorWorkspace est_ws;
+      out.estimates.resize(uc.size());
+      est.estimate_into(view, {}, engines_for(ws.engines, uc), est_ws, out.estimates);
     }
     if (opts.with_wcrt) {
-      auto ptrs = engines_for(ws.engines, uc);
-      out.bounds = wcrt::worst_case_bounds(
-          view, opts.wcrt, std::span<analysis::ThroughputEngine* const>(ptrs));
+      wcrt::WcrtWorkspace wcrt_ws;
+      out.bounds.resize(uc.size());
+      wcrt::worst_case_bounds_into(view, opts.wcrt, engines_for(ws.engines, uc),
+                                   wcrt_ws, out.bounds);
     }
     if (sim_engines != nullptr) {
       sim::SimEngine& se = (*sim_engines)[w];
@@ -466,7 +452,7 @@ Report<std::vector<UseCaseResult>> Workbench::sweep_use_cases(
       out.sim = se.run(opts.sim);
     }
   });
-  report.provenance = {"sweep: " + prob::method_name(opts.estimator.method),
+  report.provenance = {"sweep: " + std::string(prob::method_name(opts.estimator.method)),
                        use_cases.size(), pool_.size(), timer.ms()};
   return report;
 }
@@ -543,8 +529,8 @@ Report<std::vector<TopologyResult>> Workbench::sweep_topologies(
     {
       // Session engines: topology changes neither application structure nor
       // the mapping, so the per-app ThroughputEngines apply unchanged.
-      const auto engines = scratch_engines_for(uc);
-      out.estimates = est.estimate(view, {}, engines);
+      out.estimates.resize(uc.size());
+      est.estimate_into(view, {}, scratch_engines_for(uc), est_ws_, out.estimates);
     }
     if (opts.with_sim) {
       sim::SimEngine& se = topology_sim_engine(scratch);
@@ -552,7 +538,8 @@ Report<std::vector<TopologyResult>> Workbench::sweep_topologies(
       out.sim = se.run(opts.sim);
     }
   }
-  report.provenance = {"topology sweep: " + prob::method_name(opts.estimator.method),
+  report.provenance = {"topology sweep: " +
+                           std::string(prob::method_name(opts.estimator.method)),
                        topologies.size(), 1, timer.ms()};
   return report;
 }
@@ -585,7 +572,7 @@ Report<std::vector<double>> Workbench::score_mappings(
   Report<std::vector<double>> report;
   report.value = dse::score_mappings(candidates, opts, &pool_, worker_sets(),
                                      table_.get());
-  report.provenance = {"mapping score: " + prob::method_name(opts.method),
+  report.provenance = {"mapping score: " + std::string(prob::method_name(opts.method)),
                        candidates.size(), pool_.size(), timer.ms()};
   return report;
 }
@@ -595,7 +582,7 @@ Report<dse::MapperResult> Workbench::optimise_mapping(const dse::MapperOptions& 
   Report<dse::MapperResult> report;
   // The session's per-worker workspaces carry the scoring state, so
   // repeated mapper queries skip the per-call graph copies and engine
-  // construction the free function pays.
+  // construction.
   report.value = dse::optimise_mapping(sys_.apps(), sys_.platform(), sys_.mapping(),
                                        opts, &pool_, worker_sets(), table_.get());
   report.provenance = {"simulated annealing (speculative scoring)",

@@ -2,11 +2,11 @@
 //
 // The paper's core claim is that analytic contention estimation is fast
 // enough to drive design-space exploration and run-time decisions across
-// many concurrent use-cases. The free functions this library grew up with
-// (compute_period, ContentionEstimator::estimate, worst_case_bounds,
-// simulate, explore_buffer_tradeoff, optimise_mapping) each re-ingest raw
-// graphs and re-pay every structure-dependent analysis step per call. A
-// Workbench is constructed once from a platform::System and owns instead:
+// many concurrent use-cases. Each one-shot analysis (compute_period,
+// ContentionEstimator::estimate, worst_case_bounds, simulate) takes one
+// platform::SystemView and re-pays every structure-dependent analysis step
+// per call. A Workbench is constructed once from a platform::System and
+// owns instead:
 //
 //   * one ThroughputEngine per application (self-loop closure, repetition
 //     vector, HSDF topology and structural verdicts cached once),
@@ -20,11 +20,12 @@
 //
 // Every query returns Report<T>: the value plus provenance (method,
 // evaluation count, workers, wall time). Results are bitwise identical to
-// the corresponding free functions: engines are reset to a cold start at
-// each query boundary, so a query is a pure function of the session's
-// system and the query options, never of query history or scheduling.
-// In particular sweep_use_cases and optimise_mapping return the same bits
-// for any thread count.
+// the corresponding one-shot (the session calls the same allocation-free
+// cores, estimate_into and worst_case_bounds_into, through its cached
+// engines): engines are reset to a cold start at each query boundary, so a
+// query is a pure function of the session's system and the query options,
+// never of query history or scheduling. In particular sweep_use_cases and
+// optimise_mapping return the same bits for any thread count.
 //
 // Thread-safety: a Workbench is a mutable session — queries update cached
 // engines, so concurrent queries on one Workbench are not allowed. The
@@ -172,9 +173,9 @@ struct TopologyResult {
 /// thread pool for sharded queries; see the header comment above for the
 /// full caching contract.
 ///
-/// Determinism: every query is bitwise identical to the legacy free
-/// function it replaces (engines cold-start at each query boundary), and
-/// the sharded queries return identical bits for any thread count.
+/// Determinism: every query is bitwise identical to the corresponding
+/// one-shot (engines cold-start at each query boundary), and the sharded
+/// queries return identical bits for any thread count.
 ///
 /// Thread-safety: a Workbench is a mutable session — queries update cached
 /// engines, so concurrent queries on one Workbench are not allowed. The
@@ -223,7 +224,7 @@ class Workbench {
   [[nodiscard]] Report<std::vector<prob::AppEstimate>> contention(
       const prob::EstimatorOptions& opts = {});
 
-  /// Same, restricted to one use-case (== estimate on sys.restrict_to(uc)),
+  /// Same, restricted to one use-case (== estimate(SystemView(sys, uc))),
   /// with the same nested per-app sharding for deep fixed-point runs.
   [[nodiscard]] Report<std::vector<prob::AppEstimate>> contention(
       const platform::UseCase& uc, const prob::EstimatorOptions& opts = {});
@@ -243,17 +244,19 @@ class Workbench {
   [[nodiscard]] const Report<std::span<const prob::AppEstimate>>& contention_view(
       const platform::UseCase& uc, const prob::EstimatorOptions& opts = {});
 
-  /// Worst-case period bounds (== wcrt::worst_case_bounds).
+  /// Worst-case period bounds (== wcrt::worst_case_bounds), through the
+  /// session's engines and WCRT workspace.
   [[nodiscard]] Report<std::vector<wcrt::AppBound>> wcrt(
       const wcrt::WcrtOptions& opts = {});
-  /// Worst-case bounds restricted to one use-case (zero-copy view).
+  /// Worst-case bounds restricted to one use-case (zero-copy view;
+  /// == worst_case_bounds(SystemView(sys, uc))).
   [[nodiscard]] Report<std::vector<wcrt::AppBound>> wcrt(
       const platform::UseCase& uc, const wcrt::WcrtOptions& opts = {});
 
   /// Reference discrete-event simulation (== sim::simulate), on the
   /// session's cached SimEngine: the first call flattens the system once,
   /// every further call is a reset + run. Use-case runs restrict through
-  /// the engine's id remap tables — no restrict_to copy, no rebuild.
+  /// the engine's id remap tables — no copy, no rebuild.
   [[nodiscard]] Report<sim::SimResult> simulate(const sim::SimOptions& opts = {});
   /// Simulation restricted to one use-case: a reset(uc) + run of the
   /// session engine, whose per-use-case arbitration rings are cached after
@@ -374,8 +377,9 @@ class Workbench {
   std::vector<sim::SimEngine> sim_workers_;          // lazy, for with_sim sweeps
 
   // Steady-state serving scratch: session-owned arenas behind the
-  // allocation-free query paths (contention_view, streaming sweeps). All
-  // grow-only; see the method docs for lifetime rules.
+  // allocation-free query paths (contention_view, streaming sweeps) and the
+  // serial wcrt and topology queries. All grow-only; see the method docs
+  // for lifetime rules.
   platform::UseCase full_uc_;                        // 0..N-1, built once
   platform::SystemView scratch_view_;                // rebound per query
   std::vector<analysis::ThroughputEngine*> ptr_scratch_;

@@ -38,11 +38,17 @@ std::vector<analysis::ThroughputEngine> make_engines(
 /// speculative scoring bitwise deterministic across worker counts.
 double score_system(const platform::System& sys, const prob::ContentionEstimator& est,
                     std::span<analysis::ThroughputEngine> engines) {
-  for (analysis::ThroughputEngine& e : engines) e.reset();
-  double worst = 0.0;
-  for (const auto& e : est.estimate(sys, {}, engines)) {
-    worst = std::max(worst, e.normalised_period());
+  std::vector<analysis::ThroughputEngine*> ptrs;
+  ptrs.reserve(engines.size());
+  for (analysis::ThroughputEngine& e : engines) {
+    e.reset();
+    ptrs.push_back(&e);
   }
+  prob::EstimatorWorkspace ws;
+  std::vector<prob::AppEstimate> estimates(sys.app_count());
+  est.estimate_into(sys, {}, ptrs, ws, estimates);
+  double worst = 0.0;
+  for (const auto& e : estimates) worst = std::max(worst, e.normalised_period());
   return worst;
 }
 
@@ -111,27 +117,6 @@ std::vector<double> score_mappings(std::span<const platform::Mapping> candidates
     for (std::size_t i = 0; i < candidates.size(); ++i) score_one(i, 0);
   }
   return scores;
-}
-
-MapperResult optimise_mapping(std::span<const sdf::Graph> apps,
-                              const platform::Platform& platform,
-                              const platform::Mapping& start,
-                              const MapperOptions& options,
-                              util::ThreadPool* pool) {
-  // One system clone + engine set per worker. Engines are built once and
-  // copied (a copy shares no state and skips the expansion/DFS work).
-  const std::size_t workers = pool != nullptr ? pool->size() : 1;
-  auto prototype = make_engines(apps);
-  std::vector<AnalysisWorkspace> workspaces;
-  workspaces.reserve(workers);
-  for (std::size_t w = 0; w < workers; ++w) {
-    AnalysisWorkspace ws;
-    ws.sys = platform::System(std::vector<sdf::Graph>(apps.begin(), apps.end()),
-                              platform, start);
-    ws.engines = prototype;
-    workspaces.push_back(std::move(ws));
-  }
-  return optimise_mapping(apps, platform, start, options, pool, workspaces);
 }
 
 MapperResult optimise_mapping(std::span<const sdf::Graph> apps,

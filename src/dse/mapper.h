@@ -89,24 +89,15 @@ struct MapperResult {
 
 /// Simulated annealing from `start` (use Mapping::by_index / random /
 /// load_balanced to seed it). Deterministic for a fixed options.seed — the
-/// same result for any `pool` size, including none (serial).
-/// `pool` may be nullptr; it is borrowed for the call, not retained.
+/// same result for any `pool` size, including none (serial), and any
+/// workspace count. `pool` may be nullptr; it is borrowed for the call,
+/// not retained. api::Workbench::optimise_mapping runs it on the session's
+/// pool and per-worker workspaces.
 ///
-/// Deprecated entry point: prefer api::Workbench::optimise_mapping, which
-/// reuses the session's cached engines and thread pool across queries.
-[[deprecated("one-shot shim; use api::Workbench::optimise_mapping or the "
-             "workspace overload")]] [[nodiscard]]
-MapperResult optimise_mapping(std::span<const sdf::Graph> apps,
-                              const platform::Platform& platform,
-                              const platform::Mapping& start,
-                              const MapperOptions& options = {},
-                              util::ThreadPool* pool = nullptr);
-
-/// Variant with caller-owned scoring state: `workspaces[w]` serves pool
-/// worker w. At least one is required; sharding needs one per pool worker
-/// (fewer fall back to serial scoring and also narrow the speculation
-/// width). The workspaces' mappings are overwritten. Results are identical
-/// to the building overload for any workspace count.
+/// Caller-owned scoring state: `workspaces[w]` serves pool worker w. At
+/// least one is required; sharding needs one per pool worker (fewer fall
+/// back to serial scoring and also narrow the speculation width). The
+/// workspaces' mappings are overwritten.
 ///
 /// `table` (optional) memoises candidate scores keyed by the workspace
 /// system's live Zobrist fingerprint x the estimator configuration: a

@@ -31,7 +31,7 @@ namespace procon::gen {
                                                               util::Rng& rng);
 
 /// Zero-copy restriction views for a batch of use-cases over one system —
-/// what a sweep iterates instead of per-use-case restrict_to copies. The
+/// what a sweep iterates instead of per-use-case materialised copies. The
 /// views borrow `sys`, which must outlive them.
 [[nodiscard]] std::vector<platform::SystemView> restrict_views(
     const platform::System& sys, std::span<const platform::UseCase> use_cases);

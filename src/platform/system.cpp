@@ -3,9 +3,6 @@
 #include <stdexcept>
 
 #include "platform/system_view.h"
-
-#include "sdf/algorithms.h"
-#include "sdf/repetition.h"
 #include "sdf/zobrist.h"
 
 namespace procon::platform {
@@ -118,10 +115,6 @@ const sdf::Graph& System::app(sdf::AppId id) const {
   return apps_[id];
 }
 
-System System::restrict_to(const UseCase& use_case) const {
-  return SystemView(*this, use_case).materialise();
-}
-
 void System::append_app(sdf::Graph app, std::span<const NodeId> nodes) {
   if (nodes.size() != app.actor_count()) {
     throw sdf::GraphError("System::append_app: mapping size mismatch");
@@ -153,23 +146,8 @@ void System::validate() const {
   if (!mapping_.is_complete()) {
     throw sdf::GraphError("System: mapping is incomplete");
   }
-  if (platform_.has_topology() &&
-      platform_.topology().node_count() != platform_.node_count()) {
-    throw sdf::GraphError("System: topology/platform node count mismatch");
-  }
-  check_mapping(mapping_);
-  for (sdf::AppId id = 0; id < apps_.size(); ++id) {
-    const sdf::Graph& g = apps_[id];
-    if (g.actor_count() == 0) {
-      throw sdf::GraphError("System: application '" + g.name() + "' is empty");
-    }
-    if (!sdf::is_consistent(g)) {
-      throw sdf::GraphError("System: application '" + g.name() + "' is inconsistent");
-    }
-    if (!sdf::is_deadlock_free(g)) {
-      throw sdf::GraphError("System: application '" + g.name() + "' deadlocks");
-    }
-  }
+  // One set of rules: the whole-system view checks the rest.
+  SystemView(*this).validate();
 }
 
 }  // namespace procon::platform

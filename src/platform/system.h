@@ -1,6 +1,8 @@
 // A System bundles applications, platform and mapping - the unit every
-// analysis and the simulator operate on. A UseCase selects the subset of
-// applications that run concurrently (the paper's central notion).
+// analysis and the simulator operate on, read through a
+// platform::SystemView (platform/system_view.h). A UseCase selects the
+// subset of applications that run concurrently (the paper's central
+// notion).
 #pragma once
 
 #include <cstdint>
@@ -56,15 +58,6 @@ class System {
   /// fingerprint delta. Throws std::out_of_range on a bad id.
   void set_link_latency(LinkId id, sdf::Time latency);
 
-  /// Restriction of this system to a use-case: keeps only the selected
-  /// applications (re-indexed 0..k-1) and their mapping entries.
-  ///
-  /// This is the *copying* restriction, kept for callers that need a
-  /// standalone System (implemented as SystemView::materialise). Analysis
-  /// and simulation paths should restrict through a zero-copy
-  /// platform::SystemView instead (see platform/system_view.h).
-  [[nodiscard]] System restrict_to(const UseCase& use_case) const;
-
   /// Appends one application with actor a mapped on nodes[a] (run-time
   /// admission: the admitted set grows in place, no re-copy of the resident
   /// applications). Throws sdf::GraphError on a mapping size mismatch.
@@ -83,8 +76,9 @@ class System {
   [[nodiscard]] UseCase full_use_case() const;
 
   /// Validation: mapping complete and on the platform's nodes, every app
-  /// consistent & deadlock-free. Throws sdf::GraphError with a descriptive
-  /// message on violation.
+  /// consistent & deadlock-free, an attached topology spanning the
+  /// platform's nodes. Throws sdf::GraphError with a descriptive message on
+  /// violation. Same rules as SystemView::validate on the whole system.
   void validate() const;
 
   /// Live Zobrist fingerprint of the whole system:

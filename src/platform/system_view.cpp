@@ -93,6 +93,10 @@ void SystemView::validate() const {
   if (sys_->mapping().app_count() != sys_->app_count()) {
     throw sdf::GraphError("SystemView: mapping/application count mismatch");
   }
+  if (platform().has_topology() &&
+      platform().topology().node_count() != platform().node_count()) {
+    throw sdf::GraphError("SystemView: topology/platform node count mismatch");
+  }
   for (sdf::AppId i = 0; i < uc_.size(); ++i) {
     const sdf::Graph& g = app(i);
     if (g.actor_count() == 0) {
@@ -110,8 +114,8 @@ void SystemView::validate() const {
       try {
         node = node_of(i, a);
       } catch (const std::out_of_range&) {
-        // Mapping row shorter than the application: report it the way
-        // System::validate does, not as a raw index error.
+        // Mapping row shorter than the application: report it as an
+        // invalid system, not as a raw index error.
         throw sdf::GraphError("SystemView: mapping is incomplete for application '" +
                               g.name() + "'");
       }

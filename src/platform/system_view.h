@@ -1,22 +1,28 @@
 // SystemView: a non-owning, index-remapped restriction of a System to a
-// UseCase — the zero-copy counterpart of System::restrict_to.
+// UseCase, and the one input of every one-shot analysis (the estimator,
+// the WCRT bounds, the simulator).
 //
 // A view holds only the parent pointer plus remap tables (view app id ->
 // parent app id, and flattened actor/channel offsets in view order); no
-// graph, platform or mapping data is copied. Consumers that used to pay a
-// full restrict_to deep copy per swept use-case (the estimator, the WCRT
-// bounds, the simulator, Workbench sweeps) read the selected applications
-// through the view instead. A full-system view (every application, in
-// order) is the identity remap, so the same code path serves restricted
-// and unrestricted queries.
+// graph, platform or mapping data is copied. A full-system view (every
+// application, in order) is the identity remap, so the same code path
+// serves restricted and unrestricted queries. materialise() is the one
+// copying restriction, for callers that need a standalone System.
+//
+// A System converts implicitly to its full view, the way std::string
+// converts to std::string_view: estimate(sys), worst_case_bounds(sys),
+// simulate(sys, opts) and SimEngine(sys) all call the view signature.
 //
 // View-local ids: application i of the view is parent application
 // use_case()[i]; actor and channel ids stay app-local (restriction never
 // renumbers within an application), and the flattened actor/channel id
 // spaces (actor_base/channel_base) are in view order — exactly the
-// numbering a materialised restrict_to copy would produce.
+// numbering of the materialised copy.
 //
-// Lifetime: the view borrows the parent System, which must outlive it.
+// Lifetime: the view borrows the parent System, which must outlive it —
+// the implicit conversion makes this easy to get wrong, e.g.
+// `SystemView v = make_system();` dangles at the end of the statement,
+// while passing a temporary System straight to a one-shot call is fine.
 // The parent must not be structurally modified (apps appended/removed)
 // while views over it are in use; rebinding the mapping in place
 // (System::set_mapping) is visible through the view, by design.
@@ -31,7 +37,7 @@
 namespace procon::platform {
 
 /// \brief Non-owning, index-remapped restriction of a System to a UseCase —
-/// the zero-copy counterpart of System::restrict_to.
+/// the one input of every one-shot analysis.
 ///
 /// Holds only the parent pointer plus remap tables; see the header comment
 /// above for id conventions and the lifetime contract (the parent System
@@ -48,12 +54,15 @@ class SystemView {
   /// first rebind().
   SystemView() = default;
 
-  /// Full view: every application of `sys`, identity remap.
-  explicit SystemView(const System& sys);
+  /// Full view: every application of `sys`, identity remap. Implicit, so a
+  /// System passes wherever a view is expected; the view must not outlive
+  /// `sys`.
+  SystemView(const System& sys);  // NOLINT(google-explicit-constructor)
 
   /// Restriction to `use_case` (parent app ids; need not be sorted, must be
-  /// in range — throws std::out_of_range like restrict_to did). Entries are
-  /// remapped to view ids 0..k-1 in use-case order.
+  /// in range — throws std::out_of_range otherwise). Entries are remapped
+  /// to view ids 0..k-1 in use-case order; a repeated entry selects the
+  /// application twice.
   SystemView(const System& sys, UseCase use_case);
 
   /// Re-points this view at (`sys`, `use_case`), reusing the remap tables'
@@ -114,14 +123,16 @@ class SystemView {
   /// equal (the transposition-sharing hook).
   [[nodiscard]] std::uint64_t fingerprint() const;
 
-  /// Deep copy: a standalone System equal to what restrict_to returns
-  /// (graphs in view order, mapping rows remapped).
+  /// Deep copy: a standalone System holding the selected applications
+  /// (graphs in view order, mapping rows remapped) — the one copying
+  /// restriction.
   [[nodiscard]] System materialise() const;
 
   /// Validation of the selected applications only: their mapping rows are
-  /// complete and in range, each selected app consistent & deadlock-free.
-  /// Throws sdf::GraphError on violation (matches System::validate on the
-  /// materialised restriction).
+  /// complete and in range, each selected app consistent & deadlock-free,
+  /// and an attached topology spans the platform's nodes. Throws
+  /// sdf::GraphError on violation. System::validate runs these rules on
+  /// the whole system. Every one-shot analysis calls it first.
   void validate() const;
 
  private:

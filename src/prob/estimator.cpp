@@ -10,7 +10,7 @@
 
 namespace procon::prob {
 
-const char* method_name_c(Method m) noexcept {
+const char* method_name(Method m) noexcept {
   switch (m) {
     case Method::Exact: return "Probabilistic Exact";
     case Method::SecondOrder: return "Probabilistic Second Order";
@@ -22,8 +22,6 @@ const char* method_name_c(Method m) noexcept {
   }
   return "?";
 }
-
-std::string method_name(Method m) { return method_name_c(m); }
 
 ContentionEstimator::ContentionEstimator(EstimatorOptions opts) : opts_(opts) {
   if (opts_.order < 1) throw std::invalid_argument("estimator order must be >= 1");
@@ -78,77 +76,21 @@ void ensure_slots(std::vector<T>& arena, std::size_t count) {
 }  // namespace
 
 std::vector<AppEstimate> ContentionEstimator::estimate(
-    const platform::System& sys) const {
-  return estimate(platform::SystemView(sys), {});
-}
-
-std::vector<AppEstimate> ContentionEstimator::estimate(
-    const platform::System& sys, std::span<const sdf::ExecTimeModel> models) const {
-  return estimate(platform::SystemView(sys), models);
-}
-
-std::vector<AppEstimate> ContentionEstimator::estimate(
     const platform::SystemView& view,
     std::span<const sdf::ExecTimeModel> models) const {
+  view.validate();
   // One-shot call: build the per-application engines locally. Each engine
-  // caches every structure-dependent analysis step; the Step-5 loop below
-  // then only rewrites execution times per pass.
+  // caches every structure-dependent analysis step; the Step-5 loop then
+  // only rewrites execution times per pass.
   std::vector<analysis::ThroughputEngine> engines;
   engines.reserve(view.app_count());
-  for (sdf::AppId i = 0; i < view.app_count(); ++i) {
-    const sdf::Graph& app = view.app(i);
-    try {
-      engines.emplace_back(app);
-    } catch (const sdf::GraphError&) {
-      throw sdf::GraphError("estimate: application '" + app.name() +
-                            "' is inconsistent");
-    }
-  }
+  for (sdf::AppId i = 0; i < view.app_count(); ++i) engines.emplace_back(view.app(i));
   std::vector<analysis::ThroughputEngine*> ptrs;
   ptrs.reserve(engines.size());
   for (analysis::ThroughputEngine& e : engines) ptrs.push_back(&e);
-  return estimate(view, models, std::span<analysis::ThroughputEngine* const>(ptrs));
-}
-
-std::vector<AppEstimate> ContentionEstimator::estimate(
-    const platform::System& sys, std::span<const sdf::ExecTimeModel> models,
-    std::span<analysis::ThroughputEngine> engines) const {
-  std::vector<analysis::ThroughputEngine*> ptrs;
-  ptrs.reserve(engines.size());
-  for (analysis::ThroughputEngine& e : engines) ptrs.push_back(&e);
-  return estimate(platform::SystemView(sys), models,
-                  std::span<analysis::ThroughputEngine* const>(ptrs));
-}
-
-std::vector<AppEstimate> ContentionEstimator::estimate(
-    const platform::System& sys, std::span<const sdf::ExecTimeModel> models,
-    std::span<analysis::ThroughputEngine* const> engines) const {
-  return estimate(platform::SystemView(sys), models, engines);
-}
-
-std::vector<AppEstimate> ContentionEstimator::estimate(
-    const platform::SystemView& view, std::span<const sdf::ExecTimeModel> models,
-    std::span<analysis::ThroughputEngine* const> engines) const {
-  return estimate_impl(view, models, engines, nullptr);
-}
-
-std::vector<AppEstimate> ContentionEstimator::estimate(
-    const platform::SystemView& view, std::span<const sdf::ExecTimeModel> models,
-    std::span<analysis::ThroughputEngine* const> engines,
-    util::ThreadPool& pool) const {
-  return estimate_impl(view, models, engines, &pool);
-}
-
-std::vector<AppEstimate> ContentionEstimator::estimate_impl(
-    const platform::SystemView& view, std::span<const sdf::ExecTimeModel> models,
-    std::span<analysis::ThroughputEngine* const> engines,
-    util::ThreadPool* pool) const {
-  // One-shot storage: the value-returning overloads pay a fresh workspace
-  // and result vector per call; steady-state callers hold both and use
-  // estimate_into directly.
   EstimatorWorkspace ws;
   std::vector<AppEstimate> out(view.app_count());
-  estimate_into(view, models, engines, ws, out, pool);
+  estimate_into(view, models, ptrs, ws, out);
   return out;
 }
 

@@ -39,7 +39,6 @@
 #pragma once
 
 #include <span>
-#include <string>
 #include <vector>
 
 #include "analysis/engine.h"
@@ -50,7 +49,7 @@
 #include "prob/waiting_time.h"
 
 namespace procon::util {
-class ThreadPool;  // estimator.h stays light; see the pool overload below
+class ThreadPool;  // estimator.h stays light; see estimate_into's pool
 }
 
 namespace procon::prob {
@@ -65,13 +64,10 @@ enum class Method {
   MonteCarlo,  ///< sampling of the queue model (see prob/monte_carlo.h)
 };
 
-/// Human-readable method name ("Probabilistic Second Order" etc.).
-[[nodiscard]] std::string method_name(Method m);
-
-/// Allocation-free variant: the same names as static strings. Steady-state
-/// callers assign the result into a reused std::string (capacity retained),
-/// keeping warm report paths heap-free.
-[[nodiscard]] const char* method_name_c(Method m) noexcept;
+/// Human-readable method name ("Probabilistic Second Order" etc.), as a
+/// static string: steady-state callers assign it into a reused std::string
+/// (capacity retained), keeping warm report paths heap-free.
+[[nodiscard]] const char* method_name(Method m) noexcept;
 
 struct EstimatorOptions {
   Method method = Method::SecondOrder;
@@ -152,89 +148,43 @@ class ContentionEstimator {
  public:
   explicit ContentionEstimator(EstimatorOptions opts = {});
 
-  /// Runs the Figure 4 algorithm on all applications of `sys` (assumed all
-  /// concurrently active). Throws sdf::GraphError for invalid systems.
+  /// Runs the Figure 4 algorithm on the applications `view` selects (all
+  /// assumed concurrently active; results in view order). A System passes
+  /// as its full view. Validates the view first and throws sdf::GraphError
+  /// for invalid systems.
   ///
-  /// Deprecated one-shot shim: builds fresh engines per call. Repeated
-  /// callers should use api::Workbench::contention / sweep_use_cases, which
-  /// return the same bits from session-cached engines.
-  [[deprecated("one-shot shim; use api::Workbench::contention or the "
-               "SystemView/engine overloads")]] [[nodiscard]]
-  std::vector<AppEstimate> estimate(const platform::System& sys) const;
-
-  /// Stochastic variant (Section 6 extension): one execution-time model per
-  /// application, one distribution per actor. Means drive the throughput
-  /// analysis, residual-life times drive mu; with all-constant models this
-  /// is identical to estimate(sys).
-  [[deprecated("one-shot shim; use api::Workbench::contention or the "
-               "SystemView/engine overloads")]] [[nodiscard]]
-  std::vector<AppEstimate> estimate(
-      const platform::System& sys,
-      std::span<const sdf::ExecTimeModel> models) const;
-
-  /// Zero-copy restriction variant: runs the algorithm on the applications
-  /// selected by `view` (view/use-case order), reading graphs and mapping
-  /// rows through the view — no restrict_to copy. Builds fresh engines for
-  /// the selected applications; repeated callers should pass engines.
+  /// Stochastic variant (Section 6 extension): `models` holds one
+  /// execution-time model per view application, one distribution per actor.
+  /// Means drive the throughput analysis, residual-life times drive mu;
+  /// with all-constant models this is identical to the deterministic call.
+  ///
+  /// One-shot: builds fresh engines, workspace and result slots per call.
+  /// Repeated callers use api::Workbench::contention / contention_view, or
+  /// estimate_into with engines and a workspace they own — the same bits.
   [[nodiscard]] std::vector<AppEstimate> estimate(
       const platform::SystemView& view,
       std::span<const sdf::ExecTimeModel> models = {}) const;
 
-  /// View variant with caller-owned engines: engines[i] must have been built
-  /// from view.app(i). This is the core implementation every other overload
-  /// funnels into.
-  [[nodiscard]] std::vector<AppEstimate> estimate(
-      const platform::SystemView& view, std::span<const sdf::ExecTimeModel> models,
-      std::span<analysis::ThroughputEngine* const> engines) const;
-
-  /// Nested-sharding variant: same algorithm and bitwise-identical results
-  /// as the engine overload above, but the per-application analysis steps
-  /// of every fixed-point pass (isolation periods, load derivation, and the
-  /// Step-5 response-time period recomputes — one Howard solve per app per
-  /// pass) are sharded across `pool`. Each application's engine is touched
-  /// by exactly one work item per pass, and results land in per-app slots,
-  /// so the outcome is independent of worker count and scheduling. Called
-  /// from inside a body already running on `pool` (an api::Workbench sweep
-  /// item), the sharding degrades to the inline serial loop — safe by
-  /// ThreadPool's nesting contract. Worth it for deep fixed-point runs
-  /// (EstimatorOptions::iterations > 1) or many applications; for a single
-  /// cheap pass the fan-out overhead can dominate.
-  [[nodiscard]] std::vector<AppEstimate> estimate(
-      const platform::SystemView& view, std::span<const sdf::ExecTimeModel> models,
-      std::span<analysis::ThroughputEngine* const> engines,
-      util::ThreadPool& pool) const;
-
-  /// Same algorithm, but all period analyses go through caller-owned
-  /// ThroughputEngines (one per application of `sys`, in order). Callers
-  /// that score the same applications many times — the mapping explorer,
-  /// admission what-ifs — build the engines once and amortise every
-  /// structure-dependent step across calls; each recompute then only
-  /// rewrites execution times and warm-starts Howard. The engines must have
-  /// been built from exactly the applications of `sys`.
-  [[nodiscard]] std::vector<AppEstimate> estimate(
-      const platform::System& sys, std::span<const sdf::ExecTimeModel> models,
-      std::span<analysis::ThroughputEngine> engines) const;
-
-  /// Pointer variant of the engine overload, for callers whose engines are
-  /// not contiguous per system — a Workbench sweep selects the engines of a
-  /// use-case's applications out of a per-worker clone set. engines[i] must
-  /// have been built from apps()[i] of `sys`; entries are dereferenced, never
-  /// retained.
-  [[nodiscard]] std::vector<AppEstimate> estimate(
-      const platform::System& sys, std::span<const sdf::ExecTimeModel> models,
-      std::span<analysis::ThroughputEngine* const> engines) const;
-
-  /// Sink-friendly core: writes the estimates into caller-owned slots
-  /// instead of returning a fresh vector. `out` must have exactly
+  /// Allocation-free core: writes the estimates into caller-owned slots
+  /// through caller-owned engines (engines[i] built from view.app(i) and
+  /// dereferenced, never retained). Does not validate the view: callers
+  /// hold views of systems they validated once. `out` must have exactly
   /// view.app_count() elements; every field of every slot (including each
   /// slot's `actors` vector, resized in place) is overwritten, so stale
   /// contents never leak through. All temporaries come from `ws` with
   /// grow-only capacity: once the workspace and the out-slots have seen the
   /// shapes involved, repeated calls perform zero heap allocations — the
   /// per-use-case pass of api::Workbench's streaming sweeps and the warm
-  /// contention path. `pool` (optional) shards the per-app passes exactly
-  /// like the pool overload of estimate(). Results are bitwise identical to
-  /// estimate() on the same inputs for any pool size.
+  /// contention path.
+  ///
+  /// `pool` (optional) shards the per-application steps of every pass
+  /// (isolation periods, load derivation, and the step-5 Howard solves)
+  /// across its workers. Each application's engine is touched by exactly
+  /// one work item per pass and results land in per-app slots, so the
+  /// outcome is bitwise identical for any pool size. Called from inside a
+  /// body already running on `pool`, the sharding degrades to the inline
+  /// serial loop (ThreadPool's nesting contract). Worth it only for deep
+  /// fixed-point runs (EstimatorOptions::iterations > 1).
   void estimate_into(const platform::SystemView& view,
                      std::span<const sdf::ExecTimeModel> models,
                      std::span<analysis::ThroughputEngine* const> engines,
@@ -244,12 +194,6 @@ class ContentionEstimator {
   [[nodiscard]] const EstimatorOptions& options() const noexcept { return opts_; }
 
  private:
-  /// Shared body of the engine overloads; `pool` == nullptr runs serially.
-  [[nodiscard]] std::vector<AppEstimate> estimate_impl(
-      const platform::SystemView& view, std::span<const sdf::ExecTimeModel> models,
-      std::span<analysis::ThroughputEngine* const> engines,
-      util::ThreadPool* pool) const;
-
   EstimatorOptions opts_;
 };
 

@@ -23,13 +23,6 @@ constexpr std::uint32_t kLinkFlag = 0x80000000u;
 constexpr std::uint64_t kDefaultMaxEvents = 200'000'000ULL;
 }  // namespace
 
-SimEngine::SimEngine(const platform::System& sys, std::size_t ring_cache_capacity)
-    : ring_capacity_(std::max<std::size_t>(ring_cache_capacity, 1)) {
-  sys.validate();
-  build(platform::SystemView(sys));
-  reset();
-}
-
 SimEngine::SimEngine(const platform::SystemView& view, std::size_t ring_cache_capacity)
     : ring_capacity_(std::max<std::size_t>(ring_cache_capacity, 1)) {
   view.validate();

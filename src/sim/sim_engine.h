@@ -2,24 +2,25 @@
 // resettable engine (the cached-structure treatment that
 // analysis::ThroughputEngine gave the period analysis).
 //
-// Construction flattens the whole System once into static tables — flat
-// actor/channel arrays with CSR in/out adjacency, per-node arbitration
-// rings, per-app repetition counts — and validates it once. After that,
-// repeated simulations only clear dynamic state:
+// Construction flattens a SystemView (a System passes as its full view)
+// once into static tables — flat actor/channel arrays with CSR in/out
+// adjacency, per-node arbitration rings, per-app repetition counts — and
+// validates it once. After that, repeated simulations only clear dynamic
+// state:
 //
 //   SimEngine engine(sys);          // O(system): flatten + validate
 //   engine.reset();                 // arm a full-system run
 //   SimResult full = engine.run({});
 //   engine.reset({0, 2});           // arm a use-case-restricted run
-//   SimResult uc = engine.run({});  // == simulate(sys.restrict_to({0,2}))
+//   SimResult uc = engine.run({});  // == simulate(SystemView(sys, {0, 2}))
 //
 // reset(uc) restricts zero-copy: it activates the selected applications via
 // the flat-id remap tables (no graph or mapping copies, no revalidation)
 // and installs the active arbitration rings in use-case order, so event
 // creation order — and therefore every tie-break — matches a fresh
-// simulation of the materialised restriction exactly. Results are bitwise
-// identical to sim::simulate on the equivalent (restricted) System; the
-// free function is now a thin shim over this class.
+// simulation of the materialised restriction exactly. The one-shot
+// sim::simulate (sim/simulator.h) builds an engine per call; results are
+// bitwise identical either way.
 //
 // Steady-state serving contract: every per-use-case structure is cached on
 // first sight. The arbitration rings of a use-case are built once (CSR,
@@ -133,11 +134,11 @@ namespace procon::sim {
 
 /// \brief Resettable discrete-event simulation engine with cached structure.
 ///
-/// Flattens a platform::System (or a restriction view of one) once into
-/// flat CSR tables and serves repeated simulations through
+/// Flattens a platform::SystemView (a System passes as its full view) once
+/// into flat CSR tables and serves repeated simulations through
 /// reset()/reset(uc)/run()/run_view(). Results are bitwise identical to a
-/// fresh sim::simulate of the materialised (restricted) system, for every
-/// arbitration mode, seed and execution-time model.
+/// fresh sim::simulate of the same view, for every arbitration mode, seed
+/// and execution-time model.
 ///
 /// Determinism: simultaneous events are processed in creation order and all
 /// arbitration tie-breaks follow use-case order, so a run is a pure
@@ -154,27 +155,18 @@ class SimEngine {
   /// unbounded stream of distinct use-cases stays bounded.
   static constexpr std::size_t kDefaultRingCacheCapacity = 256;
 
-  /// \brief Flattens and validates `sys`.
+  /// \brief Validates and flattens the applications `view` selects.
   ///
-  /// Throws sdf::GraphError on validate() failures. The system is copied
-  /// into flat tables; the engine does not retain a reference. Arms a
-  /// full-system run (no reset() needed before the first run()).
-  /// \param sys the applications + platform + mapping to simulate
-  /// \param ring_cache_capacity maximum resident per-use-case ring sets
-  ///        (least-recently-reset eviction beyond it; clamped to >= 1)
-  explicit SimEngine(const platform::System& sys,
-                     std::size_t ring_cache_capacity = kDefaultRingCacheCapacity);
-
-  /// \brief Builds the engine over the applications a restriction view
-  /// selects.
-  ///
-  /// Only the selected applications are validated and flattened
-  /// (O(restriction), like building from the materialised copy, without the
-  /// copy). Duplicate view entries become independent flat applications,
-  /// exactly as restrict_to would duplicate the graph. The engine's
-  /// application ids are the *view's* ids 0..k-1; reset(uc) indexes that
-  /// space. The view (and its parent) are not retained.
-  /// \param view zero-copy restriction selecting the applications to flatten
+  /// A System passes as its full view. Only the selected applications are
+  /// validated and flattened (O(restriction), like building from the
+  /// materialised copy, without the copy). Throws sdf::GraphError on
+  /// SystemView::validate failures. Duplicate view entries become
+  /// independent flat applications, exactly as materialise() would
+  /// duplicate the graph. The engine's application ids are the *view's*
+  /// ids 0..k-1; reset(uc) indexes that space. The view (and its parent)
+  /// are copied into flat tables, never retained. Arms a full-system run
+  /// (no reset() needed before the first run()).
+  /// \param view the applications + platform + mapping to simulate
   /// \param ring_cache_capacity maximum resident per-use-case ring sets
   ///        (least-recently-reset eviction beyond it; clamped to >= 1)
   explicit SimEngine(const platform::SystemView& view,
@@ -217,7 +209,7 @@ class SimEngine {
   /// \brief Arms a run restricted to `uc`.
   ///
   /// Results are indexed in use-case order, exactly like
-  /// simulate(sys.restrict_to(uc), opts). The use-case's arbitration rings
+  /// simulate(SystemView(sys, uc), opts). The use-case's arbitration rings
   /// are built and cached on first sight; later resets to the same use-case
   /// only install the cached rings and clear dynamic state — zero heap
   /// allocations once the use-case has been seen.
@@ -466,15 +458,5 @@ class SimEngine {
   std::vector<double> node_util_;
   std::vector<double> link_util_;
 };
-
-/// \brief Runs the applications selected by a zero-copy restriction view.
-///
-/// One-shot convenience: builds a SimEngine over the view per call. Results
-/// are indexed in view order, exactly like simulate(view.materialise()).
-/// \param view restriction selecting the applications to run
-/// \param opts simulation options (see SimOptions)
-/// \return owning per-application results, in view order
-[[nodiscard]] SimResult simulate(const platform::SystemView& view,
-                                 const SimOptions& opts = {});
 
 }  // namespace procon::sim

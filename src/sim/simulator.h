@@ -18,7 +18,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "platform/system.h"
+#include "platform/system_view.h"
 #include "sdf/exec_time.h"
 #include "sim/metrics.h"
 
@@ -51,24 +51,16 @@ struct SimOptions {
   bool collect_trace = false;
 };
 
-/// Runs all applications of `sys` concurrently until the horizon.
-/// Throws sdf::GraphError on invalid systems (validate() failures).
+/// Runs the applications `view` selects concurrently until the horizon
+/// (results in view order). A System passes as its full view. Throws
+/// std::invalid_argument for a non-positive horizon and sdf::GraphError on
+/// invalid systems (SystemView::validate failures).
 ///
-/// One-shot convenience shim over sim::SimEngine (sim/sim_engine.h):
-/// builds the engine's cached structure per call. Repeated simulations of
-/// one system (sweeps, stochastic replications) should construct a
-/// SimEngine once and reset()+run() it — identical results, without the
-/// per-call flatten/validate.
-[[nodiscard]] SimResult simulate(const platform::System& sys,
-                                 const SimOptions& opts = {});
-
-/// Runs only the applications of one use-case (the restriction the paper's
-/// per-use-case reference sweeps simulate). Results are indexed in
-/// use-case order, exactly as simulate(sys.restrict_to(uc), opts) — but
-/// restricted zero-copy through the engine's id remap tables, without the
-/// restrict_to deep copy.
-[[nodiscard]] SimResult simulate(const platform::System& sys,
-                                 const platform::UseCase& uc,
+/// One-shot: builds a sim::SimEngine (sim/sim_engine.h) over the view per
+/// call. Repeated simulations of one system (sweeps, stochastic
+/// replications) construct the engine once and reset()+run_view() it —
+/// identical results, without the per-call flatten/validate.
+[[nodiscard]] SimResult simulate(const platform::SystemView& view,
                                  const SimOptions& opts = {});
 
 }  // namespace procon::sim

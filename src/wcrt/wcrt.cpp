@@ -23,31 +23,19 @@ double wcrt_tdma(double own_exec, double own_slot,
   return own_exec + slots_needed * wheel_rest;
 }
 
-std::vector<AppBound> worst_case_bounds(const platform::System& sys,
+std::vector<AppBound> worst_case_bounds(const platform::SystemView& view,
                                         const WcrtOptions& opts) {
+  view.validate();
   // One-shot call: build the per-application engines locally and delegate.
   std::vector<analysis::ThroughputEngine> engines;
-  engines.reserve(sys.app_count());
-  for (const sdf::Graph& g : sys.apps()) engines.emplace_back(g);
+  engines.reserve(view.app_count());
+  for (sdf::AppId i = 0; i < view.app_count(); ++i) engines.emplace_back(view.app(i));
   std::vector<analysis::ThroughputEngine*> ptrs;
   ptrs.reserve(engines.size());
   for (analysis::ThroughputEngine& e : engines) ptrs.push_back(&e);
-  return worst_case_bounds(platform::SystemView(sys), opts,
-                           std::span<analysis::ThroughputEngine* const>(ptrs));
-}
-
-std::vector<AppBound> worst_case_bounds(
-    const platform::System& sys, const WcrtOptions& opts,
-    std::span<analysis::ThroughputEngine* const> engines) {
-  return worst_case_bounds(platform::SystemView(sys), opts, engines);
-}
-
-std::vector<AppBound> worst_case_bounds(
-    const platform::SystemView& view, const WcrtOptions& opts,
-    std::span<analysis::ThroughputEngine* const> engines) {
   WcrtWorkspace ws;
   std::vector<AppBound> out(view.app_count());
-  worst_case_bounds_into(view, opts, engines, ws, out);
+  worst_case_bounds_into(view, opts, ptrs, ws, out);
   return out;
 }
 

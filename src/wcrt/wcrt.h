@@ -54,32 +54,16 @@ struct AppBound {
   }
 };
 
-/// Computes per-application worst-case period bounds for all applications
-/// of `sys` running concurrently.
+/// Computes per-application worst-case period bounds for the applications
+/// `view` selects, all running concurrently (results in view order). A
+/// System passes as its full view. Validates the view first and throws
+/// sdf::GraphError for invalid systems.
 ///
-/// Deprecated one-shot shim: builds fresh engines per call; prefer
-/// api::Workbench::wcrt (same bits, session-cached engines).
-[[deprecated("one-shot shim; use api::Workbench::wcrt or the SystemView/engine "
-             "overloads")]] [[nodiscard]]
-std::vector<AppBound> worst_case_bounds(const platform::System& sys,
-                                        const WcrtOptions& opts = {});
-
-/// Same analysis through caller-owned engines (engines[i] built from
-/// apps()[i] of `sys`): the isolation and worst-case periods are two weight
-/// assignments over each engine's cached structure. Lets a session
-/// (api::Workbench) reuse its per-application engines across repeated
-/// bound queries instead of re-paying structure per call.
-[[nodiscard]] std::vector<AppBound> worst_case_bounds(
-    const platform::System& sys, const WcrtOptions& opts,
-    std::span<analysis::ThroughputEngine* const> engines);
-
-/// Zero-copy restriction variant: bounds for the applications selected by
-/// `view` (view order), engines[i] built from view.app(i). The core
-/// implementation every other overload funnels into — a Workbench sweep
-/// passes a per-use-case view instead of a restrict_to copy.
-[[nodiscard]] std::vector<AppBound> worst_case_bounds(
-    const platform::SystemView& view, const WcrtOptions& opts,
-    std::span<analysis::ThroughputEngine* const> engines);
+/// One-shot: builds fresh engines, workspace and result slots per call.
+/// Repeated callers use api::Workbench::wcrt, or worst_case_bounds_into
+/// with engines and a workspace they own — the same bits.
+[[nodiscard]] std::vector<AppBound> worst_case_bounds(const platform::SystemView& view,
+                                                      const WcrtOptions& opts = {});
 
 /// One actor's execution time (and TDMA slot) grouped on its node —
 /// exposed only as the element type of WcrtWorkspace's grouping arena.
@@ -98,12 +82,15 @@ struct WcrtWorkspace {
   std::vector<double> others;                     ///< per-actor fold scratch
 };
 
-/// Sink-friendly core: same bounds as the view overload, written into
-/// caller-owned slots. `out` must have exactly view.app_count() elements;
-/// every field of every slot (including each slot's `actors` vector,
-/// resized in place) is overwritten. With a warmed workspace and out-slots
-/// this performs zero heap allocations — the with_wcrt pass of
-/// api::Workbench's streaming sweeps.
+/// Allocation-free core: the same bounds as worst_case_bounds, through
+/// caller-owned engines (engines[i] built from view.app(i); the isolation
+/// and worst-case periods are two weight assignments over each engine's
+/// cached structure), written into caller-owned slots. Does not validate
+/// the view. `out` must have exactly view.app_count() elements; every
+/// field of every slot (including each slot's `actors` vector, resized in
+/// place) is overwritten. With a warmed workspace and out-slots this
+/// performs zero heap allocations — the with_wcrt pass of api::Workbench's
+/// streaming sweeps.
 void worst_case_bounds_into(const platform::SystemView& view,
                             const WcrtOptions& opts,
                             std::span<analysis::ThroughputEngine* const> engines,

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "platform/system.h"
+#include "platform/system_view.h"
 #include "sdf/graph.h"
 
 namespace procon::testing {
@@ -56,6 +57,11 @@ inline platform::System fig2_system() {
   platform::Platform plat = platform::Platform::homogeneous(3);
   platform::Mapping map = platform::Mapping::by_index(apps, plat);
   return platform::System(std::move(apps), std::move(plat), std::move(map));
+}
+
+/// Application A of the Figure 2 system alone, on its own nodes.
+inline platform::System fig2_app_a_system() {
+  return platform::SystemView(fig2_system(), {0}).materialise();
 }
 
 /// A trivial two-actor pipeline with a feedback token, period = t0 + t1.

@@ -14,6 +14,17 @@ using procon::testing::fig2_graph_b;
 
 std::vector<sdf::Graph> two_apps() { return {fig2_graph_a(), fig2_graph_b()}; }
 
+/// Serial annealing on one freshly built workspace.
+MapperResult anneal(std::span<const sdf::Graph> apps, const platform::Platform& plat,
+                    const platform::Mapping& start, const MapperOptions& opts = {}) {
+  AnalysisWorkspace ws{
+      platform::System(std::vector<sdf::Graph>(apps.begin(), apps.end()), plat, start),
+      {}};
+  for (const sdf::Graph& g : apps) ws.engines.emplace_back(g);
+  return optimise_mapping(apps, plat, start, opts, nullptr,
+                          std::span<AnalysisWorkspace>(&ws, 1));
+}
+
 TEST(EvaluateMapping, DisjointMappingScoresOne) {
   const auto apps = two_apps();
   const platform::Platform plat = platform::Platform::homogeneous(6);
@@ -42,7 +53,7 @@ TEST(Mapper, FindsDisjointMappingWhenRoomExists) {
   MapperOptions opts;
   opts.iterations = 800;
   opts.seed = 3;
-  const MapperResult r = optimise_mapping(apps, plat, start, opts);
+  const MapperResult r = anneal(apps, plat, start, opts);
   EXPECT_NEAR(r.score, 1.0, 1e-6);
   EXPECT_LE(r.score, r.initial_score + 1e-12);
   EXPECT_TRUE(r.mapping.is_complete());
@@ -54,7 +65,7 @@ TEST(Mapper, NeverWorseThanStart) {
   const platform::Mapping start = platform::Mapping::by_index(apps, plat);
   MapperOptions opts;
   opts.iterations = 200;
-  const MapperResult r = optimise_mapping(apps, plat, start, opts);
+  const MapperResult r = anneal(apps, plat, start, opts);
   EXPECT_LE(r.score, r.initial_score + 1e-12);
   EXPECT_GE(r.score, 1.0 - 1e-9);  // cannot beat isolation
 }
@@ -66,8 +77,8 @@ TEST(Mapper, DeterministicForSeed) {
   MapperOptions opts;
   opts.iterations = 300;
   opts.seed = 42;
-  const MapperResult a = optimise_mapping(apps, plat, start, opts);
-  const MapperResult b = optimise_mapping(apps, plat, start, opts);
+  const MapperResult a = anneal(apps, plat, start, opts);
+  const MapperResult b = anneal(apps, plat, start, opts);
   EXPECT_DOUBLE_EQ(a.score, b.score);
   EXPECT_EQ(a.accepted_moves, b.accepted_moves);
   for (sdf::AppId i = 0; i < apps.size(); ++i) {
@@ -85,7 +96,7 @@ TEST(Mapper, SingleNodePlatformDegenerates) {
     m.assign(0, a, 0);
     m.assign(1, a, 0);
   }
-  const MapperResult r = optimise_mapping(apps, plat, m);
+  const MapperResult r = anneal(apps, plat, m);
   EXPECT_DOUBLE_EQ(r.score, r.initial_score);
   EXPECT_EQ(r.evaluations, 1u);
 }
@@ -94,8 +105,7 @@ TEST(Mapper, IncompleteStartThrows) {
   const auto apps = two_apps();
   const platform::Platform plat = platform::Platform::homogeneous(3);
   platform::Mapping incomplete(apps);
-  EXPECT_THROW((void)optimise_mapping(apps, plat, incomplete, MapperOptions{}),
-               std::invalid_argument);
+  EXPECT_THROW((void)anneal(apps, plat, incomplete), std::invalid_argument);
 }
 
 TEST(Mapper, CountsEvaluationsAndAcceptances) {
@@ -104,7 +114,7 @@ TEST(Mapper, CountsEvaluationsAndAcceptances) {
   const platform::Mapping start = platform::Mapping::by_index(apps, plat);
   MapperOptions opts;
   opts.iterations = 100;
-  const MapperResult r = optimise_mapping(apps, plat, start, opts);
+  const MapperResult r = anneal(apps, plat, start, opts);
   EXPECT_EQ(r.evaluations, 101u);  // start + one per step
   EXPECT_LE(r.accepted_moves, 100u);
 }
@@ -125,7 +135,7 @@ TEST_P(MapperProperty, OptimisedMappingHelpsInSimulation) {
   MapperOptions opts;
   opts.iterations = 400;
   opts.seed = GetParam();
-  const MapperResult r = optimise_mapping(apps, plat, start, opts);
+  const MapperResult r = anneal(apps, plat, start, opts);
   ASSERT_LE(r.score, r.initial_score + 1e-12);
 
   auto simulated_worst = [&](const platform::Mapping& m) {

@@ -70,8 +70,8 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 TEST(Estimator, MethodNames) {
-  EXPECT_EQ(method_name(Method::SecondOrder), "Probabilistic Second Order");
-  EXPECT_EQ(method_name(Method::Composability), "Composability-based");
+  EXPECT_STREQ(method_name(Method::SecondOrder), "Probabilistic Second Order");
+  EXPECT_STREQ(method_name(Method::Composability), "Composability-based");
 }
 
 TEST(Estimator, InvalidOptionsThrow) {
@@ -101,7 +101,7 @@ TEST(Estimator, MthOrderMatchesSecondAndFourth) {
 
 TEST(Estimator, SingleApplicationNoContention) {
   // A use-case with one application: no waiting, period = isolation period.
-  const auto sys = fig2_system().restrict_to({0});
+  const auto sys = procon::testing::fig2_app_a_system();
   const auto r = ContentionEstimator().estimate(sys);
   ASSERT_EQ(r.size(), 1u);
   EXPECT_NEAR(r[0].estimated_period, r[0].isolation_period, 1e-9);

@@ -154,7 +154,8 @@ TEST(Integration, UseCaseRestrictionConsistent) {
   // Estimating a restricted system equals estimating those apps directly.
   const auto sys = testing::fig2_system();
   const auto full = prob::ContentionEstimator().estimate(sys);
-  const auto only_a = prob::ContentionEstimator().estimate(sys.restrict_to({0}));
+  const auto only_a =
+      prob::ContentionEstimator().estimate(platform::SystemView(sys, {0}).materialise());
   EXPECT_NEAR(only_a[0].isolation_period, full[0].isolation_period, 1e-12);
   EXPECT_LE(only_a[0].estimated_period, full[0].estimated_period);
 }

@@ -211,6 +211,18 @@ TEST(Topology, PlatformRejectsNodeCountMismatch) {
   EXPECT_THROW(sys.set_topology(Topology::bus(4)), std::invalid_argument);
   EXPECT_THROW(sys.set_topology(Topology::mesh(2, 2)), std::invalid_argument);
   EXPECT_NO_THROW(sys.set_topology(Topology::ring(3)));
+
+  // A node added after the topology leaves it one node short: the view
+  // validation that every one-shot and SimEngine run rejects the system.
+  Platform grown = Platform::homogeneous(3);
+  grown.set_topology(Topology::ring(3));
+  grown.add_node("late");
+  std::vector<sdf::Graph> apps{testing::fig2_graph_a()};
+  Mapping m = Mapping::by_index(apps, grown);
+  const System short_ring(std::move(apps), std::move(grown), std::move(m));
+  EXPECT_THROW(short_ring.validate(), sdf::GraphError);
+  EXPECT_THROW(sim::SimEngine{short_ring}, sdf::GraphError);
+  EXPECT_THROW((void)prob::ContentionEstimator().estimate(short_ring), sdf::GraphError);
 }
 
 // ---------------------------------------------------------------------------
@@ -289,7 +301,7 @@ TEST(Interconnect, ViewMatchesMaterialiseOnRoutedSystems) {
   sys.set_topology(Topology::mesh(2, 3, 1, 2));
   const UseCase uc{0, 2};
   const SystemView view(sys, uc);
-  const System copy = sys.restrict_to(uc);
+  const System copy = view.materialise();
 
   EXPECT_EQ(view.fingerprint(), copy.fingerprint());
   EXPECT_TRUE(copy.platform().topology() == sys.platform().topology())
@@ -425,7 +437,7 @@ TEST(Interconnect, SimEngineMatchesOneShotSimulateOnRoutedSystems) {
 
   const UseCase uc{1, 2};
   engine.reset(uc);
-  expect_same(engine.run(sopts), sim::simulate(sys.restrict_to(uc), sopts));
+  expect_same(engine.run(sopts), sim::simulate(SystemView(sys, uc).materialise(), sopts));
 }
 
 // ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@
 #include "platform/mapping.h"
 #include "platform/platform.h"
 #include "platform/system.h"
+#include "platform/system_view.h"
 #include "util/rng.h"
 
 namespace procon::platform {
@@ -100,9 +101,9 @@ TEST(System, ValidatesCleanSystem) {
   EXPECT_EQ(sys.app(0).name(), "A");
 }
 
-TEST(System, RestrictToSubset) {
+TEST(System, MaterialisedSubset) {
   const System sys = procon::testing::fig2_system();
-  const System sub = sys.restrict_to({1});
+  const System sub = SystemView(sys, {1}).materialise();
   EXPECT_EQ(sub.app_count(), 1u);
   EXPECT_EQ(sub.app(0).name(), "B");
   // Mapping entries survive re-indexing.
@@ -115,11 +116,6 @@ TEST(System, RestrictToSubset) {
 TEST(System, FullUseCase) {
   const System sys = procon::testing::fig2_system();
   EXPECT_EQ(sys.full_use_case(), (UseCase{0, 1}));
-}
-
-TEST(System, RestrictToInvalidAppThrows) {
-  const System sys = procon::testing::fig2_system();
-  EXPECT_THROW((void)sys.restrict_to({7}), std::out_of_range);
 }
 
 TEST(System, ValidateRejectsIncompleteMapping) {

@@ -444,9 +444,10 @@ TEST(AnalysisService, CancelAfterCoalesceDoesNotAbandonTheLeader) {
   AnalysisService service(ServiceOptions{.threads = 2});
   const SystemId id = service.register_system(random_system(61, 3));
 
-  QueryDesc slow;
+  QueryDesc slow;  // a stepped TDMA run, as above
   slow.kind = QueryKind::Simulate;
   slow.sim.horizon = 3'000'000;
+  slow.sim.arbitration = sim::Arbitration::Tdma;
   auto blocker = service.submit(id, slow);
 
   QueryDesc q;
@@ -476,9 +477,10 @@ TEST(AnalysisService, CoalescedFollowerOutlivesACancelledLeader) {
   AnalysisService service(ServiceOptions{.threads = 2});
   const SystemId id = service.register_system(random_system(62, 3));
 
-  QueryDesc slow;
+  QueryDesc slow;  // a stepped TDMA run, as above
   slow.kind = QueryKind::Simulate;
   slow.sim.horizon = 3'000'000;
+  slow.sim.arbitration = sim::Arbitration::Tdma;
   auto blocker = service.submit(id, slow);
 
   QueryDesc q;
@@ -519,9 +521,10 @@ TEST(AnalysisService, DestructionWithInFlightCoalescedTicketsIsSafe) {
   {
     AnalysisService service(ServiceOptions{.threads = 2});
     const SystemId id = service.register_system(random_system(63, 3));
-    QueryDesc slow;
+    QueryDesc slow;  // a stepped TDMA run, as above
     slow.kind = QueryKind::Simulate;
     slow.sim.horizon = 1'000'000;
+    slow.sim.arbitration = sim::Arbitration::Tdma;
     auto blocker = service.submit(id, slow);
 
     QueryDesc q;

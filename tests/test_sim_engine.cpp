@@ -124,7 +124,7 @@ TEST(SimEngine, RunWithoutResetThrows) {
 
 TEST(SimEngine, RestrictedRunsMatchMaterialisedCopies) {
   // The central equivalence: reset(uc)+run over the shared engine ==
-  // fresh simulate of the restrict_to copy, for every sampled use-case,
+  // fresh simulate of the materialised copy, for every sampled use-case,
   // every arbitration mode, with traces on.
   for (const std::uint64_t seed : {3u, 1234u}) {
     const platform::System sys = random_system(seed, 5);
@@ -139,10 +139,11 @@ TEST(SimEngine, RestrictedRunsMatchMaterialisedCopies) {
         opts.collect_trace = true;
         engine.reset(uc);
         const SimResult warm = engine.run(opts);
-        const SimResult fresh = simulate(sys.restrict_to(uc), opts);
+        const SimResult fresh =
+            simulate(platform::SystemView(sys, uc).materialise(), opts);
         expect_same(warm, fresh);
-        // And the zero-copy free-function path agrees too.
-        const SimResult via_uc = simulate(sys, uc, opts);
+        // And the zero-copy one-shot path agrees too.
+        const SimResult via_uc = simulate(platform::SystemView(sys, uc), opts);
         expect_same(warm, via_uc);
       }
     }
@@ -161,7 +162,8 @@ TEST(SimEngine, StochasticModelsAndSeedsMatch) {
       opts.sample_seed = sample_seed;
       engine.reset(uc);
       const SimResult warm = engine.run(opts);
-      const SimResult fresh = simulate(sys.restrict_to(uc), opts);
+      const SimResult fresh =
+          simulate(platform::SystemView(sys, uc).materialise(), opts);
       expect_same(warm, fresh);
     }
   }
@@ -209,10 +211,11 @@ TEST(SimEngine, WorkbenchSimulateAndSweepUseTheEngine) {
   SimOptions opts;
   opts.horizon = 10'000;
 
-  // Session simulate == free function, full and restricted, repeatedly.
+  // Session simulate == one-shot, full and restricted, repeatedly.
   for (int rep = 0; rep < 2; ++rep) {
     expect_same(*wb.simulate(opts), simulate(sys, opts));
-    expect_same(*wb.simulate({0, 2}, opts), simulate(sys, {0, 2}, opts));
+    expect_same(*wb.simulate({0, 2}, opts),
+                simulate(platform::SystemView(sys, {0, 2}), opts));
   }
 
   // with_sim sweeps return per-use-case simulations identical to the
@@ -226,13 +229,13 @@ TEST(SimEngine, WorkbenchSimulateAndSweepUseTheEngine) {
   const auto swept_serial = serial.sweep_use_cases(use_cases, sopts);
   ASSERT_EQ(swept->size(), use_cases.size());
   for (std::size_t i = 0; i < use_cases.size(); ++i) {
-    expect_same((*swept)[i].sim, simulate(sys, use_cases[i], opts));
+    expect_same((*swept)[i].sim, simulate(platform::SystemView(sys, use_cases[i]), opts));
     expect_same((*swept)[i].sim, (*swept_serial)[i].sim);
   }
 }
 
 TEST(SimEngine, RestrictedSimulateIgnoresInvalidAppsOutsideUseCase) {
-  // restrict_to semantics: only the selected applications are validated, so
+  // Restriction semantics: only the selected applications are validated, so
   // a deadlocked app elsewhere in the system must not block the run (it did
   // not before the SimEngine refactor either).
   std::vector<sdf::Graph> apps;
@@ -250,14 +253,16 @@ TEST(SimEngine, RestrictedSimulateIgnoresInvalidAppsOutsideUseCase) {
   }
   const platform::System sys(std::move(apps), std::move(plat), std::move(map));
 
-  const SimResult r = simulate(sys, {0}, SimOptions{.horizon = 10'000});
+  const SimResult r =
+      simulate(platform::SystemView(sys, {0}), SimOptions{.horizon = 10'000});
   ASSERT_EQ(r.apps.size(), 1u);
   EXPECT_TRUE(r.apps[0].converged);
   // The full system (and a full engine) still refuses to build.
   EXPECT_THROW((void)simulate(sys, SimOptions{.horizon = 10'000}), sdf::GraphError);
   EXPECT_THROW(SimEngine{sys}, sdf::GraphError);
-  // Duplicate entries simulate two independent copies, like restrict_to.
-  const SimResult dup = simulate(sys, {0, 0}, SimOptions{.horizon = 10'000});
+  // Duplicate entries simulate two independent copies, like materialise().
+  const SimResult dup =
+      simulate(platform::SystemView(sys, {0, 0}), SimOptions{.horizon = 10'000});
   ASSERT_EQ(dup.apps.size(), 2u);
 }
 
@@ -548,7 +553,7 @@ TEST(SimEngine, SimulateViewOverloadMatches) {
   SimOptions opts;
   opts.horizon = 12'000;
   const SimResult via_view = simulate(platform::SystemView(sys, uc), opts);
-  const SimResult via_copy = simulate(sys.restrict_to(uc), opts);
+  const SimResult via_copy = simulate(platform::SystemView(sys, uc).materialise(), opts);
   expect_same(via_view, via_copy);
 }
 

@@ -17,7 +17,7 @@ using procon::testing::fig2_graph_b_reversed;
 using procon::testing::fig2_system;
 
 TEST(Simulator, SingleAppMatchesAnalyticalPeriod) {
-  const auto sys = fig2_system().restrict_to({0});
+  const auto sys = procon::testing::fig2_app_a_system();
   const SimResult r = simulate(sys, SimOptions{.horizon = 100'000});
   ASSERT_EQ(r.apps.size(), 1u);
   ASSERT_TRUE(r.apps[0].converged);

@@ -214,7 +214,7 @@ TEST(SteadyStateAlloc, WarmViewsMatchColdRebuildsBitwise) {
       for (int rep = 0; rep < 2; ++rep) {
         warm.reset(uc);
         const sim::SimResult via_view = warm.run_view(opts).materialise();
-        sim::SimEngine cold(sys.restrict_to(uc));
+        sim::SimEngine cold(platform::SystemView(sys, uc).materialise());
         expect_same(via_view, cold.run(opts));
       }
     }

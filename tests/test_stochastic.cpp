@@ -148,7 +148,7 @@ TEST(StochasticSim, MeanPeriodNearMeanBasedAnalysis) {
   // Single application with variable times on dedicated nodes: the average
   // period under sampling should sit near the mean-based analytic period
   // (exact for a sequential cycle, where the period is a sum of times).
-  const auto sys = fig2_system().restrict_to({0});
+  const auto sys = procon::testing::fig2_app_a_system();
   std::vector<ExecTimeModel> models;
   {
     ExecTimeModel m;

@@ -1,11 +1,13 @@
 // Randomized equivalence suite: SystemView-based restriction must agree
-// with System::restrict_to deep copies on every observable — ids, graphs,
-// mapping rows, validate(), and analysis results through the estimator and
-// WCRT paths.
+// with materialised deep copies on every observable — ids, graphs, mapping
+// rows, validate(), and analysis results through the estimator and WCRT
+// paths — and every one-shot analysis must validate its view.
 #include "platform/system_view.h"
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <iterator>
 #include <stdexcept>
 
 #include "analysis/engine.h"
@@ -13,6 +15,7 @@
 #include "gen/use_cases.h"
 #include "helpers.h"
 #include "prob/estimator.h"
+#include "sim/simulator.h"
 #include "util/rng.h"
 #include "wcrt/wcrt.h"
 
@@ -47,12 +50,12 @@ TEST(SystemView, FullViewIsIdentity) {
   EXPECT_NO_THROW(view.validate());
 }
 
-TEST(SystemView, MatchesRestrictToOnEveryObservable) {
+TEST(SystemView, MatchesMaterialisedCopyOnEveryObservable) {
   const System sys = random_system(42, 5);
   util::Rng rng(7);
   for (const auto& uc : gen::sample_use_cases(sys.app_count(), 4, rng)) {
     const SystemView view(sys, uc);
-    const System sub = sys.restrict_to(uc);
+    const System sub = view.materialise();
     ASSERT_EQ(view.app_count(), sub.app_count());
     std::uint32_t actors = 0;
     std::uint32_t channels = 0;
@@ -77,11 +80,20 @@ TEST(SystemView, MatchesRestrictToOnEveryObservable) {
   }
 }
 
-TEST(SystemView, MaterialiseEqualsRestrictTo) {
+TEST(SystemView, MaterialiseBuildsTheSelectedSystem) {
   const System sys = random_system(99, 4);
   const UseCase uc{1, 3};
-  const System a = SystemView(sys, uc).materialise();
-  const System b = sys.restrict_to(uc);
+  const SystemView view(sys, uc);
+  const System a = view.materialise();
+  // Hand-built oracle: the selected graphs with their mapping rows.
+  std::vector<sdf::Graph> graphs{sys.app(1), sys.app(3)};
+  Mapping rows(graphs);
+  for (sdf::AppId i = 0; i < graphs.size(); ++i) {
+    for (sdf::ActorId x = 0; x < graphs[i].actor_count(); ++x) {
+      rows.assign(i, x, sys.mapping().node_of(uc[i], x));
+    }
+  }
+  const System b(std::move(graphs), sys.platform(), std::move(rows));
   ASSERT_EQ(a.app_count(), b.app_count());
   for (sdf::AppId i = 0; i < a.app_count(); ++i) {
     EXPECT_EQ(a.app(i).name(), b.app(i).name());
@@ -89,15 +101,17 @@ TEST(SystemView, MaterialiseEqualsRestrictTo) {
       EXPECT_EQ(a.mapping().node_of(i, x), b.mapping().node_of(i, x));
     }
   }
+  EXPECT_EQ(a.fingerprint(), b.fingerprint());
+  EXPECT_EQ(view.fingerprint(), a.fingerprint());
 }
 
-TEST(SystemView, EstimatorAgreesWithRestrictedCopy) {
+TEST(SystemView, EstimatorAgreesWithMaterialisedCopy) {
   const System sys = random_system(2024, 5);
   util::Rng rng(11);
   const prob::ContentionEstimator est;
   for (const auto& uc : gen::sample_use_cases(sys.app_count(), 3, rng)) {
     const auto through_view = est.estimate(SystemView(sys, uc));
-    const auto through_copy = est.estimate(SystemView(sys.restrict_to(uc)));
+    const auto through_copy = est.estimate(SystemView(sys, uc).materialise());
     ASSERT_EQ(through_view.size(), through_copy.size());
     for (std::size_t i = 0; i < through_view.size(); ++i) {
       EXPECT_EQ(through_view[i].isolation_period, through_copy[i].isolation_period);
@@ -111,7 +125,7 @@ TEST(SystemView, EstimatorAgreesWithRestrictedCopy) {
   }
 }
 
-TEST(SystemView, WcrtAgreesWithRestrictedCopy) {
+TEST(SystemView, WcrtAgreesWithMaterialisedCopy) {
   const System sys = random_system(31337, 4);
   util::Rng rng(5);
   for (const auto& uc : gen::sample_use_cases(sys.app_count(), 3, rng)) {
@@ -121,10 +135,10 @@ TEST(SystemView, WcrtAgreesWithRestrictedCopy) {
     std::vector<analysis::ThroughputEngine*> ptrs;
     for (auto& e : engines) ptrs.push_back(&e);
 
-    const auto through_view = wcrt::worst_case_bounds(
-        view, {}, std::span<analysis::ThroughputEngine* const>(ptrs));
-    for (auto& e : engines) e.reset();
-    const auto through_copy = wcrt::worst_case_bounds(sys.restrict_to(uc), {});
+    wcrt::WcrtWorkspace ws;
+    std::vector<wcrt::AppBound> through_view(view.app_count());
+    wcrt::worst_case_bounds_into(view, {}, ptrs, ws, through_view);
+    const auto through_copy = wcrt::worst_case_bounds(view.materialise());
     ASSERT_EQ(through_view.size(), through_copy.size());
     for (std::size_t i = 0; i < through_view.size(); ++i) {
       EXPECT_EQ(through_view[i].isolation_period, through_copy[i].isolation_period);
@@ -149,19 +163,18 @@ TEST(SystemView, RestrictViewsBatchesOneViewPerUseCase) {
 
 TEST(SystemView, UnsortedUseCaseKeepsOrder) {
   const System sys = random_system(8, 4);
-  const UseCase uc{2, 0};  // restrict_to honours the given order; so must we
+  const UseCase uc{2, 0};  // the given order is the view order
   const SystemView view(sys, uc);
   EXPECT_EQ(view.app(0).name(), sys.app(2).name());
   EXPECT_EQ(view.app(1).name(), sys.app(0).name());
-  const System sub = sys.restrict_to(uc);
+  const System sub = view.materialise();
   EXPECT_EQ(sub.app(0).name(), view.app(0).name());
   EXPECT_EQ(sub.app(1).name(), view.app(1).name());
 }
 
-TEST(SystemView, OutOfRangeThrowsLikeRestrictTo) {
+TEST(SystemView, OutOfRangeThrows) {
   const System sys = fig2_system();
   EXPECT_THROW((void)SystemView(sys, UseCase{7}), std::out_of_range);
-  EXPECT_THROW((void)sys.restrict_to({7}), std::out_of_range);
   const SystemView view(sys, UseCase{1});
   EXPECT_THROW((void)view.app(1), std::out_of_range);
   EXPECT_THROW((void)view.app_of_actor(99), std::out_of_range);
@@ -180,6 +193,30 @@ TEST(SystemView, AppendAndPopKeepViewsConsistent) {
   sys.pop_app();
   EXPECT_EQ(sys.app_count(), before);
   EXPECT_THROW(sys.append_app(extra, {0}), sdf::GraphError);  // size mismatch
+}
+
+TEST(SystemView, OneShotsRejectActorsOffThePlatform) {
+  // Rows: two bad systems x the three one-shots. Each must raise GraphError
+  // from SystemView::validate before any per-node table is indexed.
+  const auto bad_system = [](bool unmapped) {
+    std::vector<sdf::Graph> apps{procon::testing::two_actor_cycle(40, 60)};
+    Mapping m(apps);
+    m.assign(0, 0, 0);
+    if (!unmapped) m.assign(0, 1, 3);  // node 3 of a 1-node platform
+    return System(std::move(apps), Platform::homogeneous(1), std::move(m));
+  };
+  const std::function<void(const System&)> one_shots[] = {
+      [](const System& s) { (void)prob::ContentionEstimator().estimate(s); },
+      [](const System& s) { (void)wcrt::worst_case_bounds(s); },
+      [](const System& s) { (void)sim::simulate(s, sim::SimOptions{.horizon = 1'000}); },
+  };
+  for (const bool unmapped : {false, true}) {
+    const System sys = bad_system(unmapped);
+    for (std::size_t k = 0; k < std::size(one_shots); ++k) {
+      EXPECT_THROW(one_shots[k](sys), sdf::GraphError)
+          << (unmapped ? "unmapped actor" : "actor on node 3") << ", one-shot " << k;
+    }
+  }
 }
 
 }  // namespace

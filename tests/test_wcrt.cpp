@@ -85,7 +85,7 @@ TEST(WorstCase, TdmaExactWhenSlotDividesExec) {
 }
 
 TEST(WorstCase, NoContentionNoWait) {
-  const auto sys = procon::testing::fig2_system().restrict_to({0});
+  const auto sys = procon::testing::fig2_app_a_system();
   const auto bounds = worst_case_bounds(sys);
   EXPECT_NEAR(bounds[0].worst_case_period, bounds[0].isolation_period, 1e-9);
   for (const auto& a : bounds[0].actors) {

@@ -106,23 +106,42 @@ TEST(Workbench, ContentionMatchesOnRandomisedSystems) {
 TEST(Workbench, RestrictedContentionMatchesRestrictedSystem) {
   Workbench wb(random_system(7, 4), WorkbenchOptions{.threads = 1});
   for (const auto& uc : gen::all_use_cases(wb.app_count())) {
-    const auto legacy =
-        prob::ContentionEstimator().estimate(wb.system().restrict_to(uc));
+    const auto legacy = prob::ContentionEstimator().estimate(
+        platform::SystemView(wb.system(), uc).materialise());
     expect_estimates_equal(*wb.contention(uc), legacy);
   }
 }
 
+void expect_bounds_equal(const std::vector<wcrt::AppBound>& a,
+                         const std::vector<wcrt::AppBound>& b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(a[i].isolation_period, b[i].isolation_period);
+    EXPECT_EQ(a[i].worst_case_period, b[i].worst_case_period);
+    ASSERT_EQ(a[i].actors.size(), b[i].actors.size());
+    for (std::size_t j = 0; j < a[i].actors.size(); ++j) {
+      EXPECT_EQ(a[i].actors[j].waiting_time, b[i].actors[j].waiting_time);
+      EXPECT_EQ(a[i].actors[j].response_time, b[i].actors[j].response_time);
+    }
+  }
+}
+
 TEST(Workbench, WcrtMatchesWorstCaseBoundsBitwise) {
+  // Full systems, then every use-case against the one-shot on a copied
+  // restricted System, under both policies.
   for (const auto policy :
        {wcrt::Policy::RoundRobinNonPreemptive, wcrt::Policy::TdmaPreemptive}) {
     const wcrt::WcrtOptions opts{.policy = policy};
-    Workbench wb(fig2_system(), WorkbenchOptions{.threads = 1});
-    const auto legacy = wcrt::worst_case_bounds(wb.system(), opts);
-    const auto report = wb.wcrt(opts);
-    ASSERT_EQ(report->size(), legacy.size());
-    for (std::size_t i = 0; i < legacy.size(); ++i) {
-      EXPECT_EQ((*report)[i].isolation_period, legacy[i].isolation_period);
-      EXPECT_EQ((*report)[i].worst_case_period, legacy[i].worst_case_period);
+    Workbench fig2(fig2_system(), WorkbenchOptions{.threads = 1});
+    expect_bounds_equal(*fig2.wcrt(opts), wcrt::worst_case_bounds(fig2.system(), opts));
+
+    Workbench wb(random_system(7, 4), WorkbenchOptions{.threads = 1});
+    expect_bounds_equal(*wb.wcrt(opts), wcrt::worst_case_bounds(wb.system(), opts));
+    for (const auto& uc : gen::all_use_cases(wb.app_count())) {
+      expect_bounds_equal(
+          *wb.wcrt(uc, opts),
+          wcrt::worst_case_bounds(platform::SystemView(wb.system(), uc).materialise(),
+                                  opts));
     }
   }
 }
@@ -183,8 +202,8 @@ TEST(Workbench, SweepMatchesPerUseCaseLegacyEstimates) {
   const auto swept = wb.sweep_use_cases(use_cases);
   ASSERT_EQ(swept->size(), use_cases.size());
   for (std::size_t i = 0; i < use_cases.size(); ++i) {
-    const auto legacy =
-        prob::ContentionEstimator().estimate(sys.restrict_to(use_cases[i]));
+    const auto legacy = prob::ContentionEstimator().estimate(
+        platform::SystemView(sys, use_cases[i]).materialise());
     expect_estimates_equal((*swept)[i].estimates, legacy);
   }
 }
@@ -258,9 +277,12 @@ TEST(Workbench, OptimiseMappingIsThreadCountInvariant) {
       EXPECT_EQ(a->mapping.node_of(i, act), b->mapping.node_of(i, act));
     }
   }
-  // And equals the free-function entry point from the same start.
+  // And equals the library entry point on a freshly built workspace.
+  dse::AnalysisWorkspace ws{sys, {}};
+  for (const sdf::Graph& g : sys.apps()) ws.engines.emplace_back(g);
   const auto legacy =
-      dse::optimise_mapping(sys.apps(), sys.platform(), sys.mapping(), opts);
+      dse::optimise_mapping(sys.apps(), sys.platform(), sys.mapping(), opts, nullptr,
+                            std::span<dse::AnalysisWorkspace>(&ws, 1));
   EXPECT_EQ(a->score, legacy.score);
   EXPECT_EQ(a->accepted_moves, legacy.accepted_moves);
 }

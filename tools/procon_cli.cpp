@@ -194,7 +194,7 @@ int cmd_estimate(int argc, char** argv) {
   const prob::EstimatorOptions eopts = parse_estimator(argc, argv);
   const auto est = wb.contention(eopts);
   const auto wc = wb.wcrt();
-  util::Table table("Contention estimates (" + prob::method_name(eopts.method) +
+  util::Table table("Contention estimates (" + std::string(prob::method_name(eopts.method)) +
                     "), actor j -> node j");
   table.set_header({"app", "isolation", "estimated", "normalised", "throughput",
                     "worst-case bound"});
@@ -265,7 +265,7 @@ int cmd_sweep(int argc, char** argv) {
   const auto swept = wb.sweep_use_cases(use_cases, sopts);
 
   util::Table table("Use-case sweep (" +
-                    prob::method_name(sopts.estimator.method) + ")");
+                    std::string(prob::method_name(sopts.estimator.method)) + ")");
   table.set_header({"use-case", "app", "isolation", "estimated", "normalised"});
   for (const api::UseCaseResult& r : *swept) {
     std::string label;
@@ -485,7 +485,7 @@ int cmd_selftest() {
   }
   api::Workbench wb(make_system(parsed), api::WorkbenchOptions{.threads = 2});
 
-  // Workbench queries must equal the legacy free functions bit for bit.
+  // Workbench queries must equal the one-shot functions bit for bit.
   for (sdf::AppId i = 0; i < wb.app_count(); ++i) {
     CLI_CHECK(wb.throughput(i)->period ==
               analysis::compute_period(wb.system().app(i)).period);
@@ -493,9 +493,8 @@ int cmd_selftest() {
               analysis::compute_latency(wb.system().app(i)).latency);
   }
   const auto est = wb.contention();
-  // Independent path: one-shot engines over a full-system view.
-  const auto fresh =
-      prob::ContentionEstimator().estimate(platform::SystemView(wb.system()));
+  // Independent path: one-shot engines over the full system.
+  const auto fresh = prob::ContentionEstimator().estimate(wb.system());
   CLI_CHECK(est->size() == fresh.size());
   for (std::size_t i = 0; i < est->size(); ++i) {
     CLI_CHECK((*est)[i].estimated_period == fresh[i].estimated_period);
