@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "api/workbench.h"
+#include "gen/use_cases.h"
 #include "util/stats.h"
 #include "util/table.h"
 
@@ -100,7 +101,8 @@ int main() {
 
   api::SweepOptions sweep_opts;
   sweep_opts.with_wcrt = true;
-  const auto swept = bench.sweep_all_use_cases(sweep_opts);
+  const auto swept =
+      bench.sweep_use_cases(gen::all_use_cases(bench.app_count()), sweep_opts);
 
   util::Table table("Per-feature period (time units) per use-case");
   table.set_header({"use-case", "app", "isolation", "estimated", "worst-case",

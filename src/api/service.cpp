@@ -72,10 +72,7 @@ struct ContentHash {
 }  // namespace
 
 AnalysisService::AnalysisService(const ServiceOptions& opts)
-    : result_cache_epochs_(opts.result_cache_epochs),
-      result_cache_stride_(std::max<std::size_t>(opts.result_cache_stride, 1)),
-      session_capacity_(std::max<std::size_t>(opts.session_capacity, 1)),
-      session_threads_(opts.session_threads),
+    : session_capacity_(std::max<std::size_t>(opts.session_capacity, 1)),
       table_(opts.transposition_capacity > 0
                  ? std::make_shared<analysis::TranspositionTable>(
                        opts.transposition_capacity, opts.transposition_shards)
@@ -179,14 +176,14 @@ AnalysisService::Session& AnalysisService::session_for(
     }
 
     // Miss: evict idle least-recently-used sessions down to capacity.
-    // Busy, queued, pinned or constructing sessions are never evicted
+    // Busy, queued or constructing sessions are never evicted
     // (their addresses are live in workers/builders); if everything is
     // busy the store temporarily overflows and is trimmed by a later miss.
     while (sessions_.size() >= session_capacity_) {
       std::size_t victim = sessions_.size();
       for (std::size_t i = 0; i < sessions_.size(); ++i) {
         const Session& s = *sessions_[i];
-        if (s.busy || s.pins > 0 || s.constructing || !s.queue.empty()) continue;
+        if (s.busy || s.constructing || !s.queue.empty()) continue;
         if (victim == sessions_.size() ||
             s.last_used < sessions_[victim]->last_used) {
           victim = i;
@@ -217,7 +214,7 @@ AnalysisService::Session& AnalysisService::session_for(
     try {
       bench = std::make_unique<Workbench>(
           reg.system,
-          WorkbenchOptions{.threads = session_threads_, .table = table_});
+          WorkbenchOptions{.threads = 1, .table = table_});
     } catch (...) {
       lock.lock();
       Session* mine = find_serial(serial);
@@ -434,12 +431,9 @@ QueryTicket AnalysisService::submit(SystemId id, QueryDesc desc) {
 AnalysisService::Session* AnalysisService::schedule(Session& s) {
   // One drainer per session at a time serialises Workbench access; the
   // drainer re-checks the queue before exiting, so a job enqueued while it
-  // winds down is never stranded. While a sweep is waiting the session is
-  // theirs at the next boundary — don't race a fresh drainer against it
-  // (the sweep reposts one for the remaining queue when it finishes). The
-  // session pointer is stable: it is unique_ptr-owned and never evicted
-  // while busy.
-  if (s.busy || s.queue.empty() || s.sweep_waiters > 0) return nullptr;
+  // winds down is never stranded. The session pointer is stable: it is
+  // unique_ptr-owned and never evicted while busy.
+  if (s.busy || s.queue.empty()) return nullptr;
   s.busy = true;
   return &s;
 }
@@ -447,10 +441,7 @@ AnalysisService::Session* AnalysisService::schedule(Session& s) {
 void AnalysisService::drain_session(Session* s) {
   std::unique_lock<std::mutex> lock(m_);
   for (;;) {
-    // Yield to a waiting streaming sweep at the next query boundary: a
-    // continuous ticket stream must not starve sweeps (the sweep reposts
-    // this drainer for the remaining queue when it finishes).
-    if (s->queue.empty() || s->sweep_waiters > 0) {
+    if (s->queue.empty()) {
       s->busy = false;
       idle_cv_.notify_all();
       return;
@@ -505,69 +496,21 @@ void AnalysisService::drain_session(Session* s) {
 
 void AnalysisService::store_result(const std::string& key,
                                    std::shared_ptr<const QueryValue> value) {
-  if (result_cache_epochs_ == 0) return;
   results_[key] = CachedResult{std::move(value), result_epoch_};
   // Epoch-based reclamation: every stride executions the epoch advances
-  // and entries not hit for result_cache_epochs_ epochs are forgotten.
+  // and entries not hit for kResultCacheEpochs epochs are forgotten.
   // Holders of the value (tickets, share() handles) are unaffected — the
   // arena slot is a shared_ptr, reclamation only drops the cache's ref.
-  if (++epoch_executed_ >= result_cache_stride_) {
+  if (++epoch_executed_ >= kResultCacheStride) {
     epoch_executed_ = 0;
     ++result_epoch_;
-    if (result_epoch_ >= result_cache_epochs_) {
-      const std::uint64_t horizon = result_epoch_ - result_cache_epochs_;
+    if (result_epoch_ >= kResultCacheEpochs) {
+      const std::uint64_t horizon = result_epoch_ - kResultCacheEpochs;
       for (auto it = results_.begin(); it != results_.end();) {
         it = it->second.epoch <= horizon ? results_.erase(it) : std::next(it);
       }
     }
   }
-}
-
-SweepSummary AnalysisService::sweep_use_cases(
-    SystemId id, std::span<const platform::UseCase> use_cases,
-    const SweepOptions& opts, SweepSink& sink) {
-  Session* s = nullptr;
-  {
-    std::unique_lock<std::mutex> lock(m_);
-    s = &session_for(lock, id);
-    // Pin (no eviction while we wait) and signal the drainer to yield at
-    // its next query boundary — sweeps acquire the session after the
-    // currently-running ticket, ahead of queued ones, so a continuous
-    // submit stream cannot starve them. Queued tickets resume afterwards.
-    ++s->pins;
-    ++s->sweep_waiters;
-    idle_cv_.wait(lock, [&] { return !s->busy; });
-    --s->sweep_waiters;
-    --s->pins;
-    s->busy = true;  // exclusive: tickets queue up behind the sweep
-    s->last_used = ++clock_;
-  }
-  SweepSummary summary;
-  Session* to_drain = nullptr;
-  try {
-    summary = s->bench->sweep_use_cases(use_cases, opts, sink);
-  } catch (...) {
-    {
-      std::lock_guard<std::mutex> lock(m_);
-      s->busy = false;
-      to_drain = schedule(*s);
-      idle_cv_.notify_all();
-    }
-    if (to_drain != nullptr) {
-      pool_.post([this, to_drain] { drain_session(to_drain); });
-    }
-    throw;
-  }
-  {
-    std::lock_guard<std::mutex> lock(m_);
-    s->busy = false;
-    to_drain = schedule(*s);  // tickets that queued during the sweep
-    idle_cv_.notify_all();
-  }
-  if (to_drain != nullptr) {
-    pool_.post([this, to_drain] { drain_session(to_drain); });
-  }
-  return summary;
 }
 
 }  // namespace procon::api

@@ -16,7 +16,7 @@
 //   * a shared util::ThreadPool whose work queue executes submitted
 //     queries.
 //
-// The query surface is asynchronous and streaming:
+// The query surface is asynchronous:
 //
 //   * submit(SystemId, QueryDesc) returns a Ticket — a future-like handle
 //     with wait()/try_get()/get()/cancel(). Queries on one session are
@@ -26,10 +26,10 @@
 //     pending or running query attaches to its ticket state instead of
 //     enqueueing a duplicate — thousands of clients asking the admission
 //     question of the moment cost one evaluation.
-//   * sweep_use_cases(SystemId, ..., SweepSink&) streams per-use-case
-//     results to the caller as views into session-owned arenas
-//     (Workbench::sweep_use_cases streaming overload): caller-driven
-//     consumption, zero result copies, zero heap allocations once warm.
+//   * a recently completed query's result is cached: a matching submit
+//     completes at once, aliasing the same immutable value. A use-case
+//     sweep is one ticket per use-case (Contention / Wcrt / Simulate with a
+//     use_case), each coalesced and result-cached like any other ticket.
 //
 // Determinism: a query executes as exactly one Workbench call on exactly
 // one worker, and Workbench queries are pure functions of (system,
@@ -45,7 +45,6 @@
 #include <exception>
 #include <memory>
 #include <mutex>
-#include <span>
 #include <stdexcept>
 #include <string>
 #include <unordered_map>
@@ -281,12 +280,9 @@ struct ServiceOptions {
   std::size_t threads = 0;
   /// Maximum live Workbench sessions; beyond it the least-recently-used
   /// *idle* session is evicted (rebuilt identically on next touch).
-  /// Clamped to >= 1.
+  /// Clamped to >= 1. Each session runs its queries serially: parallelism
+  /// comes from the service pool, across sessions.
   std::size_t session_capacity = 8;
-  /// Worker count inside each session's own pool (sharded queries of one
-  /// ticket). Default 1: cross-query parallelism comes from the service
-  /// pool, so per-query sharding usually only adds oversubscription.
-  std::size_t session_threads = 1;
   /// Entry capacity of the service-wide analysis::TranspositionTable,
   /// shared by every session the service builds. Because Zobrist
   /// fingerprints are name-free, structurally identical tenants hit each
@@ -298,16 +294,6 @@ struct ServiceOptions {
   /// clamped to >= 1). More shards = less lock contention between sessions
   /// executing on different pool workers.
   std::size_t transposition_shards = 16;
-  /// Epochs a completed result stays in the service's result cache. A
-  /// submit whose coalescing key matches a cached result completes
-  /// immediately — same shared value slot, zero re-execution, zero copy
-  /// (bitwise-identical by the purity contract). 0 disables the cache.
-  std::size_t result_cache_epochs = 4;
-  /// Executed queries per reclamation epoch: every this-many executions
-  /// the epoch advances and entries older than result_cache_epochs are
-  /// dropped. Outstanding Ticket/share() holders keep their values alive
-  /// (shared_ptr); reclamation only forgets the cache's reference.
-  std::size_t result_cache_stride = 64;
 };
 
 /// \brief Service-level counters (monotonic since construction).
@@ -322,7 +308,7 @@ struct ServiceStats {
 };
 
 /// \brief Asynchronous, multi-tenant analysis server over Workbench
-/// sessions: register Systems, submit ticketed queries, stream sweeps.
+/// sessions: register Systems, submit ticketed queries.
 ///
 /// See the header comment above for the architecture. Thread-safety: every
 /// public method may be called from any thread concurrently; per-session
@@ -333,12 +319,12 @@ struct ServiceStats {
 class AnalysisService {
  public:
   /// \brief Builds an empty service (no tenants, no sessions).
-  /// \param opts worker count, session capacity, per-session threads
+  /// \param opts worker count, session capacity, transposition table size
   explicit AnalysisService(const ServiceOptions& opts = {});
 
   /// \brief Blocks until every submitted query finished, then shuts the
   /// pool down. Outstanding tickets stay readable (they own their shared
-  /// state); streaming sweeps must have returned.
+  /// state).
   ~AnalysisService();
 
   AnalysisService(const AnalysisService&) = delete;             ///< unique
@@ -353,7 +339,7 @@ class AnalysisService {
   /// twice yields two SystemIds that *share* one live session (the
   /// fingerprint-keyed LRU) — safe because queries never mutate results.
   /// \param sys the applications + platform + mapping to serve
-  /// \return dense handle for submit()/sweep_use_cases()
+  /// \return dense handle for submit()
   SystemId register_system(platform::System sys);
 
   /// \brief Number of registered tenants.
@@ -379,27 +365,6 @@ class AnalysisService {
   /// \param desc the query (kind + options)
   /// \return ticket tracking the (possibly shared) query
   [[nodiscard]] QueryTicket submit(SystemId id, QueryDesc desc);
-
-  /// \brief Streams a use-case sweep of a tenant to `sink`, caller-driven.
-  ///
-  /// Blocks until the sweep finishes (or the sink stops it): acquires the
-  /// tenant's session exclusively at the next query boundary — after the
-  /// currently-running ticket but ahead of queued ones, so a continuous
-  /// submit stream cannot starve sweeps (queued tickets resume when the
-  /// sweep returns) — then runs the Workbench streaming sweep on the
-  /// *calling* thread, delivering per-use-case views into session-owned
-  /// arenas. Numbers are bitwise identical to the vector-returning
-  /// Workbench sweep; a warm sweep of a previously-seen use-case list
-  /// performs zero heap allocations inside the sweep itself. Throws
-  /// std::out_of_range for unknown ids.
-  /// \param id tenant handle
-  /// \param use_cases use-cases to evaluate, delivered in input order
-  /// \param opts what to evaluate per use-case (estimates / bounds / sim)
-  /// \param sink receives each result; may stop the sweep early
-  /// \return delivery summary (count, early stop, wall time)
-  SweepSummary sweep_use_cases(SystemId id,
-                               std::span<const platform::UseCase> use_cases,
-                               const SweepOptions& opts, SweepSink& sink);
 
   /// \brief Snapshot of the service counters.
   /// \return monotonic totals since construction
@@ -440,9 +405,7 @@ class AnalysisService {
     const platform::System* origin = nullptr;
     bool constructing = false;   // placeholder: Workbench build in flight
     std::deque<Job> queue;       // submitted, not yet executed
-    bool busy = false;           // a drainer or a streaming sweep holds it
-    std::size_t pins = 0;        // sweep acquirers waiting (blocks eviction)
-    std::size_t sweep_waiters = 0;  // drainers yield at the next boundary
+    bool busy = false;           // a drainer holds it
     std::uint64_t last_used = 0; // LRU stamp
   };
 
@@ -459,12 +422,12 @@ class AnalysisService {
   /// tenants' submits only ever wait for the map scan, never for a build.
   /// Concurrent resolvers of the same structure wait on construct_cv_ and
   /// re-find the session by serial. The pointer is stable while
-  /// busy/pinned/constructing.
+  /// busy/constructing or while its queue is non-empty.
   Session& session_for(std::unique_lock<std::mutex>& lock, SystemId id);
   /// The live session with serial `serial`, or nullptr (under the lock).
   [[nodiscard]] Session* find_serial(std::uint64_t serial) noexcept;
   /// Publishes a completed result under `key` at the current epoch and
-  /// advances the reclamation epoch every result_cache_stride executions
+  /// advances the reclamation epoch every kResultCacheStride executions
   /// (under the lock).
   void store_result(const std::string& key,
                     std::shared_ptr<const QueryValue> value);
@@ -494,18 +457,20 @@ class AnalysisService {
   std::vector<std::unique_ptr<Session>> sessions_;
   std::unordered_map<std::string, std::shared_ptr<detail::TicketShared<QueryValue>>>
       inflight_;
-  // Completed-result arena: coalescing keys -> shared value slots, pruned
-  // by epoch (see ServiceOptions::result_cache_epochs).
+  // Completed-result arena: coalescing keys -> shared value slots. An entry
+  // lives kResultCacheEpochs epochs past its last hit, an epoch being
+  // kResultCacheStride executions. Outstanding Ticket/share() holders keep
+  // their values alive (shared_ptr); reclamation only forgets the cache's
+  // reference.
+  static constexpr std::uint64_t kResultCacheEpochs = 4;
+  static constexpr std::uint64_t kResultCacheStride = 64;
   std::unordered_map<std::string, CachedResult> results_;
   std::uint64_t result_epoch_ = 0;      // advances per stride executions
   std::uint64_t epoch_executed_ = 0;    // executions in the current epoch
-  std::size_t result_cache_epochs_ = 4;
-  std::size_t result_cache_stride_ = 64;
   ServiceStats stats_;
   std::uint64_t clock_ = 0;          // LRU stamps
   std::uint64_t session_serial_ = 0; // unique session ids, never reused
   std::size_t session_capacity_ = 8;
-  std::size_t session_threads_ = 1;
   // One table for the whole service: every session shares it, so a tenant's
   // warm entries serve every structurally identical tenant. shared_ptr so
   // sessions (whose Workbench holds a reference) can outlive nothing —

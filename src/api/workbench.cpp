@@ -4,7 +4,6 @@
 #include <chrono>
 #include <utility>
 
-#include "gen/use_cases.h"
 #include "sdf/repetition.h"
 
 namespace procon::api {
@@ -333,28 +332,9 @@ const Report<std::span<const prob::AppEstimate>>& Workbench::contention_core(
   scratch_view_.rebind(sys_, uc);  // zero-copy restriction, capacity reused
   const prob::ContentionEstimator est(opts);
   const auto engines = scratch_engines_for(uc);
-  // Duplicate use-case entries alias one engine across view slots; sharding
-  // would then race two workers on the same mutable engine, so they force
-  // the serial path (results are identical either way).
-  bool unique_apps = true;
-  for (std::size_t i = 0; i + 1 < uc.size() && unique_apps; ++i) {
-    for (std::size_t j = i + 1; j < uc.size(); ++j) {
-      if (uc[i] == uc[j]) {
-        unique_apps = false;
-        break;
-      }
-    }
-  }
-  // Deep fixed-point runs shard their per-app engine work (one Howard solve
-  // per app per pass) across the session pool — nested sharding *inside*
-  // one use-case evaluation. Results are bitwise identical either way; a
-  // single cheap pass is not worth the fan-out overhead.
-  const bool deep =
-      opts.iterations > 1 && pool_.size() > 1 && uc.size() > 1 && unique_apps;
   if (est_pool_.size() < uc.size()) est_pool_.resize(uc.size());
   est.estimate_into(scratch_view_, {}, engines, est_ws_,
-                    std::span<prob::AppEstimate>(est_pool_.data(), uc.size()),
-                    deep ? &pool_ : nullptr);
+                    std::span<prob::AppEstimate>(est_pool_.data(), uc.size()));
   contention_report_.value =
       std::span<const prob::AppEstimate>(est_pool_.data(), uc.size());
   // Assigning a const char* into the retained string reuses its capacity —
@@ -362,7 +342,7 @@ const Report<std::span<const prob::AppEstimate>>& Workbench::contention_core(
   contention_report_.provenance.method = prob::method_name(opts.method);
   contention_report_.provenance.evaluations =
       static_cast<std::size_t>(opts.iterations);
-  contention_report_.provenance.threads = deep ? pool_.size() : 1;
+  contention_report_.provenance.threads = 1;
   contention_report_.provenance.wall_ms = timer.ms();
   return contention_report_;
 }
@@ -455,60 +435,6 @@ Report<std::vector<UseCaseResult>> Workbench::sweep_use_cases(
   report.provenance = {"sweep: " + std::string(prob::method_name(opts.estimator.method)),
                        use_cases.size(), pool_.size(), timer.ms()};
   return report;
-}
-
-Report<std::vector<UseCaseResult>> Workbench::sweep_all_use_cases(
-    const SweepOptions& opts) {
-  const auto all = gen::all_use_cases(sys_.app_count());
-  return sweep_use_cases(all, opts);
-}
-
-SweepSummary Workbench::sweep_use_cases(std::span<const platform::UseCase> use_cases,
-                                        const SweepOptions& opts, SweepSink& sink) {
-  Timer timer;
-  const prob::ContentionEstimator est(opts.estimator);
-  sim::SimEngine* se = opts.with_sim ? &sim_engine() : nullptr;
-
-  SweepSummary summary;
-  for (std::size_t i = 0; i < use_cases.size(); ++i) {
-    const platform::UseCase& uc = use_cases[i];
-    // Zero-copy restriction into the session's scratch view; session
-    // engines reset per item, so each result is a pure function of the
-    // use-case and options — identical bits to the vector-returning sweep.
-    scratch_view_.rebind(sys_, uc);
-    UseCaseView result;
-    result.use_case = std::span<const sdf::AppId>(uc);
-    {
-      const auto engines = scratch_engines_for(uc);
-      if (est_pool_.size() < uc.size()) est_pool_.resize(uc.size());
-      est.estimate_into(scratch_view_, {}, engines, est_ws_,
-                        std::span<prob::AppEstimate>(est_pool_.data(), uc.size()));
-      result.estimates =
-          std::span<const prob::AppEstimate>(est_pool_.data(), uc.size());
-    }
-    if (opts.with_wcrt) {
-      const auto engines = scratch_engines_for(uc);  // reset again, like the
-                                                     // vector sweep's second
-                                                     // engines_for call
-      if (bound_pool_.size() < uc.size()) bound_pool_.resize(uc.size());
-      wcrt::worst_case_bounds_into(
-          scratch_view_, opts.wcrt, engines, wcrt_ws_,
-          std::span<wcrt::AppBound>(bound_pool_.data(), uc.size()));
-      result.bounds = std::span<const wcrt::AppBound>(bound_pool_.data(), uc.size());
-    }
-    if (se != nullptr) {
-      se->reset(uc);
-      sweep_sim_view_ = se->run_view(opts.sim);
-      result.sim = &sweep_sim_view_;
-    }
-    ++summary.delivered;
-    if (!sink.on_use_case(i, result)) {
-      summary.stopped_early = true;
-      break;
-    }
-  }
-  summary.wall_ms = timer.ms();
-  return summary;
 }
 
 Report<std::vector<TopologyResult>> Workbench::sweep_topologies(

@@ -98,53 +98,6 @@ struct SweepOptions {
   sim::SimOptions sim;
 };
 
-/// \brief One use-case's sweep results as views into session-owned storage
-/// (the streaming counterpart of UseCaseResult).
-///
-/// Every span/pointer borrows the sweeping Workbench's arenas and is valid
-/// only for the duration of the SweepSink::on_use_case call that delivers
-/// it; consumers that need to keep a result copy it (e.g.
-/// SimResultView::materialise()).
-struct UseCaseView {
-  /// The evaluated use-case (parent application ids, in input order).
-  std::span<const sdf::AppId> use_case;
-  /// One estimate per selected application, in use-case order.
-  std::span<const prob::AppEstimate> estimates;
-  /// Worst-case bounds (empty unless SweepOptions::with_wcrt).
-  std::span<const wcrt::AppBound> bounds;
-  /// Reference simulation views (null unless SweepOptions::with_sim).
-  const sim::SimResultView* sim = nullptr;
-};
-
-/// \brief Consumer of a streaming use-case sweep (caller-driven
-/// consumption: results are delivered one use-case at a time, in input
-/// order, as views into engine-owned arenas).
-///
-/// Implementations decide per result whether to aggregate, copy, forward or
-/// stop; the sweep owns no per-use-case result storage beyond its reused
-/// arenas, which is what makes warm sweeps allocation-free.
-class SweepSink {
- public:
-  virtual ~SweepSink() = default;
-  /// \brief Delivers use-case `index`'s results.
-  ///
-  /// Called from the sweeping thread, in input order. The views in `result`
-  /// are invalidated when the call returns (the next use-case reuses the
-  /// arenas).
-  /// \param index position of this use-case in the swept list
-  /// \param result views into session-owned storage
-  /// \return true to continue the sweep, false to stop after this use-case
-  virtual bool on_use_case(std::size_t index, const UseCaseView& result) = 0;
-};
-
-/// \brief Plain-data summary of a streaming sweep (deliberately no strings:
-/// the warm streaming path performs zero heap allocations end to end).
-struct SweepSummary {
-  std::size_t delivered = 0;  ///< sink callbacks made
-  bool stopped_early = false; ///< the sink returned false before the end
-  double wall_ms = 0.0;       ///< wall-clock time of the sweep
-};
-
 /// \brief What a topology sweep evaluates per candidate interconnect.
 struct TopologySweepOptions {
   /// Link-aware estimator configuration (method, fixed-point passes).
@@ -216,16 +169,12 @@ class Workbench {
   // ---- whole-system queries ----------------------------------------------
 
   /// Probabilistic contention estimate for all applications running
-  /// concurrently (== prob::ContentionEstimator::estimate). Deep fixed-point
-  /// runs (EstimatorOptions::iterations > 1) shard their per-application
-  /// engine work across the session pool — nested sharding inside one
-  /// use-case evaluation — with bitwise-identical results for any thread
-  /// count.
+  /// concurrently (== prob::ContentionEstimator::estimate), computed
+  /// serially on the calling thread.
   [[nodiscard]] Report<std::vector<prob::AppEstimate>> contention(
       const prob::EstimatorOptions& opts = {});
 
-  /// Same, restricted to one use-case (== estimate(SystemView(sys, uc))),
-  /// with the same nested per-app sharding for deep fixed-point runs.
+  /// Same, restricted to one use-case (== estimate(SystemView(sys, uc))).
   [[nodiscard]] Report<std::vector<prob::AppEstimate>> contention(
       const platform::UseCase& uc, const prob::EstimatorOptions& opts = {});
 
@@ -233,7 +182,7 @@ class Workbench {
   /// numbers, but the estimates are served as a span into session-owned
   /// slots (the estimator runs in the session's persistent workspace). The
   /// returned reference — value span and provenance alike — is valid until
-  /// the next contention/contention_view/sweep call or session destruction.
+  /// the next contention/contention_view call or session destruction.
   /// After one warm-up query per distinct shape, repeated calls perform
   /// zero heap allocations; contention() is a deep-copying shim over this
   /// path.
@@ -259,8 +208,7 @@ class Workbench {
   /// the engine's id remap tables — no copy, no rebuild.
   [[nodiscard]] Report<sim::SimResult> simulate(const sim::SimOptions& opts = {});
   /// Simulation restricted to one use-case: a reset(uc) + run of the
-  /// session engine, whose per-use-case arbitration rings are cached after
-  /// first sight.
+  /// session engine.
   [[nodiscard]] Report<sim::SimResult> simulate(const platform::UseCase& uc,
                                                 const sim::SimOptions& opts = {});
 
@@ -272,23 +220,6 @@ class Workbench {
   /// function of the use-case and options).
   [[nodiscard]] Report<std::vector<UseCaseResult>> sweep_use_cases(
       std::span<const platform::UseCase> use_cases, const SweepOptions& opts = {});
-
-  /// All 2^N - 1 non-empty use-cases (the paper's full enumeration).
-  [[nodiscard]] Report<std::vector<UseCaseResult>> sweep_all_use_cases(
-      const SweepOptions& opts = {});
-
-  /// Streaming sweep: evaluates the use-cases serially in input order and
-  /// delivers each result to `sink` as views into session-owned arenas —
-  /// the zero-allocation counterpart of the vector-returning sweep
-  /// (estimates and bounds come from persistent workspaces, simulations
-  /// from the session SimEngine's run_view()). Numbers are bitwise
-  /// identical to sweep_use_cases(use_cases, opts) on the same session.
-  /// After one warm pass over a use-case list (shapes and sim ring cache
-  /// seen), re-sweeping the same list performs zero heap allocations
-  /// (asserted by tests/test_steady_state_alloc.cpp). The sink may stop the
-  /// sweep early by returning false.
-  SweepSummary sweep_use_cases(std::span<const platform::UseCase> use_cases,
-                               const SweepOptions& opts, SweepSink& sink);
 
   /// Evaluates the session's applications under each candidate interconnect
   /// topology: the sweep retargets a lazily-built clone of the session
@@ -377,18 +308,15 @@ class Workbench {
   std::vector<sim::SimEngine> sim_workers_;          // lazy, for with_sim sweeps
 
   // Steady-state serving scratch: session-owned arenas behind the
-  // allocation-free query paths (contention_view, streaming sweeps) and the
-  // serial wcrt and topology queries. All grow-only; see the method docs
-  // for lifetime rules.
+  // allocation-free contention_view and the serial wcrt and topology
+  // queries. All grow-only; see the method docs for lifetime rules.
   platform::UseCase full_uc_;                        // 0..N-1, built once
   platform::SystemView scratch_view_;                // rebound per query
   std::vector<analysis::ThroughputEngine*> ptr_scratch_;
   prob::EstimatorWorkspace est_ws_;
   wcrt::WcrtWorkspace wcrt_ws_;
   std::vector<prob::AppEstimate> est_pool_;          // grow-only result slots
-  std::vector<wcrt::AppBound> bound_pool_;           // grow-only result slots
   Report<std::span<const prob::AppEstimate>> contention_report_;
-  sim::SimResultView sweep_sim_view_;                // per-use-case sim views
 
   // Topology-sweep state: a lazily-built clone of the session system that
   // sweep_topologies retargets per candidate, plus a fingerprint-keyed LRU

@@ -6,7 +6,6 @@
 #include "prob/monte_carlo.h"
 #include "util/contracts.h"
 #include "util/rng.h"
-#include "util/thread_pool.h"
 
 namespace procon::prob {
 
@@ -97,7 +96,7 @@ std::vector<AppEstimate> ContentionEstimator::estimate(
 PROCON_WARM_PATH void ContentionEstimator::estimate_into(
     const platform::SystemView& view, std::span<const sdf::ExecTimeModel> models,
     std::span<analysis::ThroughputEngine* const> engines, EstimatorWorkspace& ws,
-    std::span<AppEstimate> out, util::ThreadPool* pool) const {
+    std::span<AppEstimate> out) const {
   PROCON_ASSERT_NO_ALLOC("ContentionEstimator::estimate_into");
   const std::size_t napps = view.app_count();
   if (!models.empty() && models.size() != napps) {
@@ -109,21 +108,6 @@ PROCON_WARM_PATH void ContentionEstimator::estimate_into(
   if (out.size() != napps) {
     throw sdf::GraphError("estimate: output slot count mismatch");
   }
-  // Per-application sharding hook: every per-app step below writes only to
-  // its own slot and touches only its own engine, so running items on the
-  // pool (or inline when nested/serial) yields identical bits in any case.
-  // Generic lambda: the serial branch calls the body directly — no
-  // std::function type erasure, so warm serial queries stay heap-free.
-  const auto for_each_app = [&](const auto& fn) {
-    if (pool != nullptr && napps > 1) {
-      pool->for_each_index(napps, [&](std::size_t item, std::size_t) {
-        fn(static_cast<sdf::AppId>(item));
-      });
-    } else {
-      for (sdf::AppId i = 0; i < napps; ++i) fn(static_cast<sdf::AppId>(i));
-    }
-  };
-
   // All temporaries live in the workspace with grow-only capacity: a warm
   // call of previously-seen shapes touches the heap zero times.
   ensure_slots(ws.means, napps);
@@ -131,7 +115,7 @@ PROCON_WARM_PATH void ContentionEstimator::estimate_into(
   ensure_slots(ws.response, napps);
 
   // Step 1: isolation periods (repetition vectors are cached in the engines).
-  for_each_app([&](sdf::AppId i) {
+  for (sdf::AppId i = 0; i < napps; ++i) {
     const sdf::Graph& app = view.app(i);
     if (engines[i]->actor_count() != app.actor_count()) {
       throw sdf::GraphError("estimate: engine does not match application '" +
@@ -155,7 +139,7 @@ PROCON_WARM_PATH void ContentionEstimator::estimate_into(
     out[i].isolation_period = iso.period;
     out[i].estimated_period = iso.period;  // starting point for iteration
     out[i].actors.resize(app.actor_count());
-  });
+  }
 
   // Interconnect: enumerate the routed channels once per call — routes are
   // pure structure, reused every pass; only their loads change per pass.
@@ -191,7 +175,7 @@ PROCON_WARM_PATH void ContentionEstimator::estimate_into(
 
   for (int pass = 0; pass < opts_.iterations; ++pass) {
     // Step 2: per-actor loads from the current period estimates.
-    for_each_app([&](sdf::AppId i) {
+    for (sdf::AppId i = 0; i < napps; ++i) {
       const sdf::RepetitionVector& q = engines[i]->repetition_vector();
       if (models.empty()) {
         derive_loads_into(view.app(i), q, out[i].estimated_period, ws.loads[i]);
@@ -199,7 +183,7 @@ PROCON_WARM_PATH void ContentionEstimator::estimate_into(
         derive_loads_stochastic_into(view.app(i), q, out[i].estimated_period,
                                      models[i], ws.loads[i]);
       }
-    });
+    }
 
     // Step 3: group by node (the grouping arena keeps each node's slot
     // capacity across passes and calls).
@@ -296,15 +280,14 @@ PROCON_WARM_PATH void ContentionEstimator::estimate_into(
 
     // Step 5: periods of the response-time graphs — a warm-started weight
     // rewrite on the cached structure, not a fresh analysis. One Howard
-    // solve per application: the dominant cost of deep fixed-point runs,
-    // and exactly what the per-app sharding spreads across workers.
-    for_each_app([&](sdf::AppId i) {
+    // solve per application: the dominant cost of deep fixed-point runs.
+    for (sdf::AppId i = 0; i < napps; ++i) {
       const auto res = engines[i]->recompute(ws.response[i]);
       if (res.deadlocked) {
         throw sdf::GraphError("estimate: response-time graph deadlocks");
       }
       out[i].estimated_period = res.period;
-    });
+    }
   }
 }
 

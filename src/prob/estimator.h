@@ -48,10 +48,6 @@
 #include "prob/load.h"
 #include "prob/waiting_time.h"
 
-namespace procon::util {
-class ThreadPool;  // estimator.h stays light; see estimate_into's pool
-}
-
 namespace procon::prob {
 
 enum class Method {
@@ -129,9 +125,7 @@ struct LinkOccupant {
 /// the step-3 per-node grouping, step-4 response times and the
 /// waiting-time fold buffer) lives here with grow-only capacity, so a
 /// warm estimate_into() call of previously-seen shapes performs zero heap
-/// allocations. One workspace per serial caller (it is mutated freely);
-/// sharded callers may share one workspace across a pool because every
-/// per-application slot is written by exactly one work item.
+/// allocations. One workspace per caller at a time (it is mutated freely).
 struct EstimatorWorkspace {
   std::vector<std::vector<double>> means;        ///< per app: mean exec times
   std::vector<std::vector<ActorLoad>> loads;     ///< per app: step-2 loads
@@ -174,22 +168,12 @@ class ContentionEstimator {
   /// contents never leak through. All temporaries come from `ws` with
   /// grow-only capacity: once the workspace and the out-slots have seen the
   /// shapes involved, repeated calls perform zero heap allocations — the
-  /// per-use-case pass of api::Workbench's streaming sweeps and the warm
-  /// contention path.
-  ///
-  /// `pool` (optional) shards the per-application steps of every pass
-  /// (isolation periods, load derivation, and the step-5 Howard solves)
-  /// across its workers. Each application's engine is touched by exactly
-  /// one work item per pass and results land in per-app slots, so the
-  /// outcome is bitwise identical for any pool size. Called from inside a
-  /// body already running on `pool`, the sharding degrades to the inline
-  /// serial loop (ThreadPool's nesting contract). Worth it only for deep
-  /// fixed-point runs (EstimatorOptions::iterations > 1).
+  /// warm path of api::Workbench::contention_view. Runs serially on the
+  /// calling thread.
   void estimate_into(const platform::SystemView& view,
                      std::span<const sdf::ExecTimeModel> models,
                      std::span<analysis::ThroughputEngine* const> engines,
-                     EstimatorWorkspace& ws, std::span<AppEstimate> out,
-                     util::ThreadPool* pool = nullptr) const;
+                     EstimatorWorkspace& ws, std::span<AppEstimate> out) const;
 
   [[nodiscard]] const EstimatorOptions& options() const noexcept { return opts_; }
 

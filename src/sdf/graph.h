@@ -59,7 +59,6 @@ class Graph {
                         std::uint32_t cons_rate, std::uint64_t initial_tokens = 0);
 
   [[nodiscard]] const std::string& name() const noexcept { return name_; }
-  void set_name(std::string n) { name_ = std::move(n); }
 
   [[nodiscard]] std::size_t actor_count() const noexcept { return actors_.size(); }
   [[nodiscard]] std::size_t channel_count() const noexcept { return channels_.size(); }

@@ -23,8 +23,7 @@ constexpr std::uint32_t kLinkFlag = 0x80000000u;
 constexpr std::uint64_t kDefaultMaxEvents = 200'000'000ULL;
 }  // namespace
 
-SimEngine::SimEngine(const platform::SystemView& view, std::size_t ring_cache_capacity)
-    : ring_capacity_(std::max<std::size_t>(ring_cache_capacity, 1)) {
+SimEngine::SimEngine(const platform::SystemView& view) {
   view.validate();
   build(view);
   reset();
@@ -129,6 +128,9 @@ void SimEngine::build(const platform::SystemView& view) {
   view_apps_.reserve(view.app_count());
   node_util_.resize(node_count_);
   fcfs_ring_.resize(actor_count_);
+  rings_.start.resize(node_count_ + 1);
+  rings_.flat.resize(actor_count_);
+  ring_cursor_.resize(node_count_);
   fcfs_head_.resize(node_count_);
   fcfs_len_.resize(node_count_);
   rr_next_.resize(node_count_);
@@ -152,70 +154,26 @@ void SimEngine::build(const platform::SystemView& view) {
   pending_.reserve(events_.capacity());
 }
 
-void SimEngine::install_rings(const platform::UseCase& uc) {
-  const auto it = ring_index_.find(uc);
-  if (it != ring_index_.end()) {
-    rings_idx_ = it->second;  // previously seen: install, nothing to build
-    ring_store_[rings_idx_].last_used = ++ring_clock_;
-    return;
-  }
-
-  // Capacity bound: evict the least-recently-reset entry before building a
-  // new one. The victim's slot goes on the free list and is rebuilt in
-  // place (vectors keep their capacity); eviction is correctness-neutral
-  // because the build below is a pure function of structure and use-case.
-  // The currently-installed entry is never the victim — a cache of
-  // capacity 1 simply replaces the previous entry on every new use-case.
-  while (ring_index_.size() >= ring_capacity_) {
-    std::size_t victim = SIZE_MAX;
-    for (const auto& [key, idx] : ring_index_) {
-      (void)key;
-      if (idx == rings_idx_ && ring_index_.size() > 1) continue;
-      if (victim == SIZE_MAX ||
-          ring_store_[idx].last_used < ring_store_[victim].last_used) {
-        victim = idx;
-      }
-    }
-    if (victim == SIZE_MAX) break;
-    ring_index_.erase(ring_store_[victim].key);
-    ring_free_.push_back(victim);
-  }
-
-  // First sight of this use-case: build its rings in CSR form — members of
-  // a node's ring in use-case order then local id, the exact push order a
-  // fresh build of the materialised restriction would produce, so
-  // round-robin scans and TDMA wheels tie-break identically.
-  std::size_t slot;
-  if (!ring_free_.empty()) {
-    slot = ring_free_.back();
-    ring_free_.pop_back();
-  } else {
-    slot = ring_store_.size();
-    ring_store_.emplace_back();
-  }
-  RingSet& rs = ring_store_[slot];
-  rs.start.assign(node_count_ + 1, 0);
-  std::uint32_t total = 0;
-  for (const AppId app : uc) {
-    total += app_actor_base_[app + 1] - app_actor_base_[app];
-  }
-  rs.flat.resize(total);
+PROCON_WARM_PATH void SimEngine::build_rings(const platform::UseCase& uc) {
+  PROCON_ASSERT_NO_ALLOC("SimEngine::build_rings");
+  // Rings in CSR form: members of a node's ring in use-case order then
+  // local id, the exact push order a fresh build of the materialised
+  // restriction would produce, so round-robin scans and TDMA wheels
+  // tie-break identically. The buffers are sized at build time for the
+  // full system, so rebuilding never allocates.
+  std::fill(rings_.start.begin(), rings_.start.end(), std::uint32_t{0});
   for (const AppId app : uc) {
     for (std::uint32_t a = app_actor_base_[app]; a < app_actor_base_[app + 1]; ++a) {
-      ++rs.start[node_of_[a] + 1];
+      ++rings_.start[node_of_[a] + 1];
     }
   }
-  for (NodeId n = 0; n < node_count_; ++n) rs.start[n + 1] += rs.start[n];
-  std::vector<std::uint32_t> cursor(rs.start.begin(), rs.start.end() - 1);
+  for (NodeId n = 0; n < node_count_; ++n) rings_.start[n + 1] += rings_.start[n];
+  std::copy(rings_.start.begin(), rings_.start.end() - 1, ring_cursor_.begin());
   for (const AppId app : uc) {
     for (std::uint32_t a = app_actor_base_[app]; a < app_actor_base_[app + 1]; ++a) {
-      rs.flat[cursor[node_of_[a]]++] = a;
+      rings_.flat[ring_cursor_[node_of_[a]]++] = a;
     }
   }
-  rs.key.assign(uc.begin(), uc.end());
-  rs.last_used = ++ring_clock_;
-  rings_idx_ = slot;
-  ring_index_.emplace(uc, slot);
 }
 
 PROCON_WARM_PATH void SimEngine::reset() {
@@ -276,8 +234,8 @@ void SimEngine::arm(const platform::UseCase& uc) {
   // alive across resets; only the first active-count slots are used.
   for (std::uint32_t j = 0; j < active_.size(); ++j) iteration_times_[j].clear();
 
-  // Arbitration rings: cached per use-case, built on first sight only.
-  install_rings(active_);
+  // Arbitration rings: a pure function of the use-case, rebuilt in place.
+  build_rings(active_);
   armed_ = true;
 }
 

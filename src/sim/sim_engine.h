@@ -16,31 +16,24 @@
 //
 // reset(uc) restricts zero-copy: it activates the selected applications via
 // the flat-id remap tables (no graph or mapping copies, no revalidation)
-// and installs the active arbitration rings in use-case order, so event
+// and builds the active arbitration rings in use-case order, so event
 // creation order — and therefore every tie-break — matches a fresh
 // simulation of the materialised restriction exactly. The one-shot
 // sim::simulate (sim/simulator.h) builds an engine per call; results are
 // bitwise identical either way.
 //
-// Steady-state serving contract: every per-use-case structure is cached on
-// first sight. The arbitration rings of a use-case are built once (CSR,
-// keyed by the use-case) and only *installed* on later resets, the event
-// queue / ready lists / iteration-time and trace arenas are preallocated
-// and keep their capacity across resets, and run_view() returns the
-// results as views into engine-owned storage. The second and every later
-// reset(uc) + run_view() of a previously-seen use-case therefore performs
-// ZERO heap allocations (tests/test_steady_state_alloc.cpp asserts this
-// with an instrumented allocator).
+// Steady-state serving contract: reset(uc) rebuilds the use-case's
+// arbitration rings (CSR) in place, in buffers sized at build time for the
+// full system — a ring is a pure function of the use-case, so rebuilding
+// gives the same bits as keeping it. The event queue, ready lists,
+// iteration-time and trace arenas keep their capacity across resets, and
+// run_view() returns the results as views into engine-owned storage. A
+// reset(uc) of any use-case, seen before or not, performs ZERO heap
+// allocations, and so does a run_view() whose arenas already hold the
+// capacity from an earlier run of the use-case
+// (tests/test_steady_state_alloc.cpp asserts both with an instrumented
+// allocator).
 // The value-returning run() stays as a deep-copying shim.
-//
-// The ring cache is bounded: a capacity set at construction (default
-// generous) caps the number of distinct use-cases whose rings stay
-// resident, with least-recently-reset eviction beyond it — a long-running
-// server sweeping unbounded distinct use-cases no longer grows without
-// bound. Eviction is correctness-neutral: resetting to an evicted
-// use-case rebuilds its rings bit-identically (the build is a pure
-// function of structure and use-case); only the zero-allocation guarantee
-// narrows to working sets that fit the capacity.
 //
 // Interconnect: when the platform carries a topology (platform::Topology),
 // every channel whose producer and consumer sit on different nodes is
@@ -118,8 +111,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
-#include <map>
 #include <span>
 #include <vector>
 
@@ -147,14 +138,9 @@ namespace procon::sim {
 ///
 /// Thread-safety: a SimEngine is a mutable session object; concurrent calls
 /// on one engine are not allowed. Sharded callers clone one engine per
-/// worker (copying clones the cached structure and ring cache).
+/// worker (copying clones the cached structure).
 class SimEngine {
  public:
-  /// \brief Default bound on resident per-use-case ring sets — generous
-  /// enough that fixed sweep lists never evict, small enough that an
-  /// unbounded stream of distinct use-cases stays bounded.
-  static constexpr std::size_t kDefaultRingCacheCapacity = 256;
-
   /// \brief Validates and flattens the applications `view` selects.
   ///
   /// A System passes as its full view. Only the selected applications are
@@ -167,10 +153,7 @@ class SimEngine {
   /// are copied into flat tables, never retained. Arms a full-system run
   /// (no reset() needed before the first run()).
   /// \param view the applications + platform + mapping to simulate
-  /// \param ring_cache_capacity maximum resident per-use-case ring sets
-  ///        (least-recently-reset eviction beyond it; clamped to >= 1)
-  explicit SimEngine(const platform::SystemView& view,
-                     std::size_t ring_cache_capacity = kDefaultRingCacheCapacity);
+  explicit SimEngine(const platform::SystemView& view);
 
   /// \brief Number of applications of the underlying system.
   /// \return the flattened application count (view ids 0..app_count()-1)
@@ -184,24 +167,6 @@ class SimEngine {
     return active_;
   }
 
-  /// \brief Number of distinct use-cases whose arbitration rings are cached.
-  ///
-  /// Grows by one the first time a use-case is reset to (including the
-  /// full-system use-case) up to ring_cache_capacity(); beyond that, the
-  /// least-recently-reset set is evicted first. A repeated sweep over a
-  /// fixed use-case list that fits the capacity stops growing it after the
-  /// first pass.
-  /// \return cached ring-set count (<= ring_cache_capacity())
-  [[nodiscard]] std::size_t ring_cache_size() const noexcept {
-    return ring_index_.size();
-  }
-
-  /// \brief Maximum resident ring sets before least-recently-reset eviction.
-  /// \return the construction-time capacity (>= 1)
-  [[nodiscard]] std::size_t ring_cache_capacity() const noexcept {
-    return ring_capacity_;
-  }
-
   /// \brief Arms a full-system run: every application active, all dynamic
   /// state cleared (tokens to initial marking, queues and metrics emptied).
   void reset();
@@ -209,10 +174,9 @@ class SimEngine {
   /// \brief Arms a run restricted to `uc`.
   ///
   /// Results are indexed in use-case order, exactly like
-  /// simulate(SystemView(sys, uc), opts). The use-case's arbitration rings
-  /// are built and cached on first sight; later resets to the same use-case
-  /// only install the cached rings and clear dynamic state — zero heap
-  /// allocations once the use-case has been seen.
+  /// simulate(SystemView(sys, uc), opts). Rebuilds the use-case's
+  /// arbitration rings in place and clears dynamic state — zero heap
+  /// allocations for any use-case, seen before or not.
   /// \param uc engine app ids, unique and in range — throws sdf::GraphError
   ///        otherwise
   void reset(const platform::UseCase& uc);
@@ -280,9 +244,7 @@ class SimEngine {
   /// — the exact push order a fresh restricted build would produce.
   struct RingSet {
     std::vector<std::uint32_t> start;  // node -> offset (size nodes+1)
-    std::vector<std::uint32_t> flat;   // active flat actor ids
-    platform::UseCase key;             // owning use-case (for LRU eviction)
-    std::uint64_t last_used = 0;       // reset stamp (LRU order)
+    std::vector<std::uint32_t> flat;   // active flat actor ids (size actors)
   };
 
   /// One inter-node transfer in flight on the interconnect: the producing
@@ -301,11 +263,11 @@ class SimEngine {
   /// event loop adds times unchecked (t + demand, TDMA wheel turns), so
   /// run_view() checks this bound once per run instead of per event.
   [[nodiscard]] bool firings_end_in_range() const;
-  /// Installs (building + caching on first sight) the rings of `uc`.
-  void install_rings(const platform::UseCase& uc);
+  /// Rebuilds rings_ in place for `uc` (already validated).
+  void build_rings(const platform::UseCase& uc);
   [[nodiscard]] std::span<const std::uint32_t> ring(platform::NodeId node) const {
-    const RingSet& rs = ring_store_[rings_idx_];
-    return {rs.flat.data() + rs.start[node], rs.start[node + 1] - rs.start[node]};
+    return {rings_.flat.data() + rings_.start[node],
+            rings_.start[node + 1] - rings_.start[node]};
   }
 
   [[nodiscard]] sdf::Time draw_exec(std::uint32_t a);
@@ -368,21 +330,9 @@ class SimEngine {
   std::vector<platform::LinkId> route_links_;
   std::vector<sdf::Time> route_service_;
 
-  // --- ring cache (one RingSet per recently-seen use-case) -----------------
-  // Entries live in a deque (stable under growth) and are addressed by
-  // index, so the engine stays default-copyable: worker clones copy the
-  // cache and their index remains valid. Bounded by ring_capacity_ with
-  // least-recently-reset eviction; evicted slots go on the free list and
-  // are rebuilt in place (their vectors keep capacity), never erased from
-  // the deque.
-  std::deque<RingSet> ring_store_;
-  std::map<platform::UseCase, std::size_t> ring_index_;
-  std::vector<std::size_t> ring_free_;         // evicted ring_store_ slots
-  std::size_t ring_capacity_ = kDefaultRingCacheCapacity;
-  std::uint64_t ring_clock_ = 0;               // stamps installs (LRU order)
-  std::size_t rings_idx_ = 0;                  // active entry in ring_store_
-
   // --- per-reset state (active restriction) --------------------------------
+  RingSet rings_;                              // active use-case's rings
+  std::vector<std::uint32_t> ring_cursor_;     // node -> fill cursor (build_rings)
   platform::UseCase active_;                   // active apps, use-case order
   std::vector<std::uint32_t> active_index_;    // parent app -> active slot or ~0
   bool armed_ = false;

@@ -62,7 +62,6 @@ void ThreadPool::run_task(std::function<void()>& task, std::size_t worker) {
   tls_pool_context = PoolContext{this, worker};
   task();  // tasks must not throw; an escaping exception terminates
   tls_pool_context = enclosing;
-  tasks_inflight_.fetch_sub(1, std::memory_order_relaxed);
 }
 
 void ThreadPool::worker_loop(std::size_t worker) {
@@ -100,7 +99,6 @@ void ThreadPool::worker_loop(std::size_t worker) {
 }
 
 void ThreadPool::post(std::function<void()> task) {
-  tasks_inflight_.fetch_add(1, std::memory_order_relaxed);
   if (workers_ == 0) {
     // No background execution available: run inline so posted work always
     // completes. Callers (the service) treat this as a synchronous submit.

@@ -14,15 +14,14 @@
 // path free of synchronisation overhead and makes "1 thread" genuinely
 // sequential in benchmarks.
 //
-// Nested sharding: for_each_index may be called from inside a body running
-// on this pool (e.g. a use-case sweep item that internally shards its
-// per-application engine work). Such a nested call degrades to an inline
-// serial loop on the calling worker, reusing the enclosing body's worker
-// index — items run in index order, no deadlock, no worker-scratch
-// collisions. Only *top-level* calls fan out across the pool, so callers
-// can unconditionally hand the pool down to composable helpers (the
-// contention estimator's per-app passes) and get parallelism exactly when
-// the outer level is not already sharded.
+// Nested calls: no library code calls for_each_index from inside a body or
+// task running on the same pool — parallelism lives only at the top level
+// (use-case sweeps, mapper scoring, service tickets). The pool still guards
+// against it, because a nested call would otherwise deadlock: the calling
+// worker could never join the generation it waits on. A nested call
+// therefore degrades to an inline serial loop on the calling worker,
+// reusing the enclosing body's worker index — items run in index order, no
+// worker-scratch collisions.
 //
 // Work queue: beyond the synchronous parallel loop, the pool carries a
 // FIFO task queue (post()) for detached jobs — the execution substrate of
@@ -68,7 +67,7 @@ class ThreadPool {
   /// Nest-safe: when called from inside a body already running on *this*
   /// pool, the loop runs inline and serially (items in index order) on the
   /// calling worker, with the enclosing body's worker index — see the
-  /// nested-sharding note above. Exceptions then propagate directly.
+  /// nested-call note above. Exceptions then propagate directly.
   void for_each_index(std::size_t count,
                       const std::function<void(std::size_t item, std::size_t worker)>& body);
 
@@ -82,12 +81,6 @@ class ThreadPool {
   /// pool — it degrades to the inline serial loop. The destructor drains
   /// all posted tasks before joining the workers.
   void post(std::function<void()> task);
-
-  /// Number of posted tasks not yet finished (queued or running). Mainly
-  /// for tests and shutdown diagnostics; racy by nature.
-  [[nodiscard]] std::size_t pending_tasks() const noexcept {
-    return tasks_inflight_.load(std::memory_order_relaxed);
-  }
 
  private:
   void worker_loop(std::size_t worker);
@@ -108,7 +101,6 @@ class ThreadPool {
   bool stop_ = false;
 
   std::deque<std::function<void()>> tasks_;  // posted work, FIFO
-  std::atomic<std::size_t> tasks_inflight_{0};
 
   std::atomic<std::size_t> next_{0};
   std::exception_ptr error_;

@@ -89,8 +89,7 @@ struct WcrtWorkspace {
 /// the view. `out` must have exactly view.app_count() elements; every
 /// field of every slot (including each slot's `actors` vector, resized in
 /// place) is overwritten. With a warmed workspace and out-slots this
-/// performs zero heap allocations — the with_wcrt pass of api::Workbench's
-/// streaming sweeps.
+/// performs zero heap allocations — the path of api::Workbench::wcrt.
 void worst_case_bounds_into(const platform::SystemView& view,
                             const WcrtOptions& opts,
                             std::span<analysis::ThroughputEngine* const> engines,

@@ -11,11 +11,9 @@
 //  * session LRU: eviction under a capacity bound is correctness-neutral
 //    (rebuilt sessions answer identically), and bitwise-identical
 //    registrations share one live session;
-//  * streaming sweeps: service-level sink sweeps match the Workbench
-//    vector sweep.
+//  * result cache: a repeated query is served without re-execution.
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <memory>
 #include <optional>
 #include <thread>
@@ -24,7 +22,6 @@
 #include "api/service.h"
 #include "buffer_oracle.h"
 #include "gen/graph_generator.h"
-#include "gen/use_cases.h"
 #include "util/rng.h"
 
 namespace procon {
@@ -332,112 +329,6 @@ TEST(AnalysisService, FailedQueriesSurfaceThroughTheTicket) {
   EXPECT_EQ(t.status(), TicketStatus::Failed);
   EXPECT_THROW((void)t.get(), sdf::GraphError);
   EXPECT_THROW((void)service.submit(77, q), std::out_of_range);
-}
-
-/// Sink that deep-copies everything (the identity oracle for view sweeps).
-class CollectingSink : public api::SweepSink {
- public:
-  bool on_use_case(std::size_t index, const api::UseCaseView& r) override {
-    indices.push_back(index);
-    estimates.emplace_back(r.estimates.begin(), r.estimates.end());
-    bounds.emplace_back(r.bounds.begin(), r.bounds.end());
-    sims.push_back(r.sim != nullptr ? r.sim->materialise() : sim::SimResult{});
-    return true;
-  }
-  std::vector<std::size_t> indices;
-  std::vector<std::vector<prob::AppEstimate>> estimates;
-  std::vector<std::vector<wcrt::AppBound>> bounds;
-  std::vector<sim::SimResult> sims;
-};
-
-TEST(AnalysisService, StreamingSweepMatchesVectorSweep) {
-  const platform::System sys = random_system(55, 4);
-  AnalysisService service(ServiceOptions{.threads = 2});
-  const SystemId id = service.register_system(sys);
-
-  util::Rng rng(3);
-  const auto use_cases = gen::sample_use_cases(sys.app_count(), 2, rng);
-  api::SweepOptions sopts;
-  sopts.with_wcrt = true;
-  sopts.with_sim = true;
-  sopts.sim.horizon = 10'000;
-
-  CollectingSink sink;
-  const api::SweepSummary summary =
-      service.sweep_use_cases(id, use_cases, sopts, sink);
-  EXPECT_EQ(summary.delivered, use_cases.size());
-  EXPECT_FALSE(summary.stopped_early);
-
-  api::Workbench oracle(sys, api::WorkbenchOptions{.threads = 1});
-  const auto vec = oracle.sweep_use_cases(use_cases, sopts);
-  ASSERT_EQ(vec->size(), sink.estimates.size());
-  for (std::size_t i = 0; i < vec->size(); ++i) {
-    EXPECT_EQ(sink.indices[i], i);
-    expect_same_estimates(sink.estimates[i], (*vec)[i].estimates);
-    ASSERT_EQ(sink.bounds[i].size(), (*vec)[i].bounds.size());
-    for (std::size_t k = 0; k < sink.bounds[i].size(); ++k) {
-      EXPECT_EQ(sink.bounds[i][k].worst_case_period,
-                (*vec)[i].bounds[k].worst_case_period);
-    }
-    expect_same_sim(sink.sims[i], (*vec)[i].sim);
-  }
-
-  // Early stop: the sink controls consumption.
-  class StopAfterOne : public api::SweepSink {
-   public:
-    bool on_use_case(std::size_t, const api::UseCaseView&) override {
-      ++seen;
-      return false;
-    }
-    std::size_t seen = 0;
-  };
-  StopAfterOne stopper;
-  const auto stopped = service.sweep_use_cases(id, use_cases, {}, stopper);
-  EXPECT_TRUE(stopped.stopped_early);
-  EXPECT_EQ(stopped.delivered, 1u);
-  EXPECT_EQ(stopper.seen, 1u);
-}
-
-TEST(AnalysisService, SweepIsNotStarvedByAContinuousSubmitStream) {
-  const platform::System sys = random_system(66, 4);
-  AnalysisService service(ServiceOptions{.threads = 2});
-  const SystemId id = service.register_system(sys);
-
-  util::Rng rng(5);
-  const auto use_cases = gen::sample_use_cases(sys.app_count(), 2, rng);
-
-  // A client hammering the same session in a tight loop until told to stop:
-  // without boundary-yield the sweep's acquisition predicate would never
-  // see an empty queue.
-  std::atomic<bool> stop{false};
-  std::thread hammer([&] {
-    QueryDesc q;
-    q.kind = QueryKind::Throughput;
-    while (!stop.load()) {
-      auto t = service.submit(id, q);
-      t.wait();
-    }
-  });
-
-  class CountSink : public api::SweepSink {
-   public:
-    bool on_use_case(std::size_t, const api::UseCaseView&) override {
-      ++seen;
-      return true;
-    }
-    std::size_t seen = 0;
-  };
-  CountSink sink;
-  const auto summary = service.sweep_use_cases(id, use_cases, {}, sink);
-  EXPECT_EQ(summary.delivered, use_cases.size());
-  EXPECT_EQ(sink.seen, use_cases.size());
-
-  stop.store(true);
-  hammer.join();
-  service.drain();
-  EXPECT_EQ(service.stats().submitted,
-            service.stats().executed + service.stats().coalesced +
-                service.stats().result_hits + service.stats().cancelled);
 }
 
 TEST(AnalysisService, CancelAfterCoalesceDoesNotAbandonTheLeader) {

@@ -4,19 +4,16 @@
 //  * the second and every later reset(uc) + run_view() of a previously-seen
 //    use-case performs ZERO heap allocations, and its results stay bitwise
 //    identical to a cold rebuild of the materialised restriction;
+//  * a reset(uc) of a use-case the engine has never seen performs ZERO heap
+//    allocations too (its rings are rebuilt in place);
 //  * a verdict-only what_if_admit probe of an LRU-cached candidate into a
 //    reused WhatIfReport performs ZERO heap allocations and agrees with the
 //    value-returning probe;
 //  * LRU eviction is correctness-neutral: an evicted candidate re-probes
 //    identically;
-//  * deep fixed-point contention queries are thread-count invariant with
-//    the nested per-app sharding;
+//  * deep fixed-point contention queries are thread-count invariant;
 //  * warm Workbench::contention_view queries run entirely in the session's
-//    persistent estimator workspace — ZERO heap allocations;
-//  * a warm streaming sweep (estimates + bounds + sim views) of a
-//    previously-seen use-case list performs ZERO heap allocations end to
-//    end, with results identical to the vector-returning sweep;
-//  * the SimEngine ring-cache LRU bound evicts and rebuilds identically.
+//    persistent estimator workspace — ZERO heap allocations.
 //
 // Each warm bracket is additionally armed (util/contracts.h ArmGuard), so
 // the PROCON_ASSERT_NO_ALLOC scopes inside the library's annotated warm
@@ -101,17 +98,15 @@ TEST(SteadyStateAlloc, WarmSimQueriesAreAllocationFree) {
   sim::SimOptions opts;
   opts.horizon = 20'000;
 
-  // First pass: builds each use-case's ring set and grows every arena.
+  // First pass: grows the iteration-time arenas.
   for (const auto& uc : use_cases) {
     engine.reset(uc);
     (void)engine.run_view(opts);
   }
-  const std::size_t cached = engine.ring_cache_size();
-  EXPECT_GE(cached, use_cases.size());
 
-  // Second pass over the same list: every query must be allocation-free,
-  // and the ring cache must not grow. The contract covers runs that take a
-  // steady-state fast-forward, so at least one bracket must jump.
+  // Second pass over the same list: every query must be allocation-free.
+  // The contract covers runs that take a steady-state fast-forward, so at
+  // least one bracket must jump.
   std::size_t jumped = 0;
   for (const auto& uc : use_cases) {
     const util::contracts::ArmGuard armed;
@@ -124,8 +119,37 @@ TEST(SteadyStateAlloc, WarmSimQueriesAreAllocationFree) {
     EXPECT_EQ(view.apps.size(), uc.size());
     jumped += engine.fast_forwarded_events() > 0 ? 1 : 0;
   }
-  EXPECT_EQ(engine.ring_cache_size(), cached);
   EXPECT_GT(jumped, 0u);
+}
+
+TEST(SteadyStateAlloc, ResetOfAnUnseenUseCaseIsAllocationFree) {
+  // reset(uc) rebuilds the use-case's arbitration rings in place, in
+  // buffers sized at construction, so resetting to a use-case the engine
+  // has never seen touches the allocator zero times.
+  const platform::System sys = random_system(321, 5);
+  sim::SimEngine engine(sys);
+  const auto use_cases = gen::all_use_cases(sys.app_count());
+  {
+    const util::contracts::ArmGuard armed;
+    const std::uint64_t before = allocations();
+    for (const auto& uc : use_cases) engine.reset(uc);
+    EXPECT_EQ(allocations() - before, 0u) << "reset of an unseen use-case allocated";
+  }
+
+  // The rebuilt rings give a fresh simulation's bits under every
+  // arbitration (round-robin and TDMA walk the rings in order).
+  for (const sim::Arbitration arb :
+       {sim::Arbitration::Fcfs, sim::Arbitration::RoundRobin,
+        sim::Arbitration::Tdma}) {
+    sim::SimOptions opts;
+    opts.horizon = 10'000;
+    opts.arbitration = arb;
+    for (const auto& uc : use_cases) {
+      engine.reset(uc);
+      expect_same(engine.run_view(opts).materialise(),
+                  sim::simulate(platform::SystemView(sys, uc), opts));
+    }
+  }
 }
 
 TEST(SteadyStateAlloc, WarmRoutedSimQueriesAreAllocationFree) {
@@ -210,7 +234,8 @@ TEST(SteadyStateAlloc, WarmViewsMatchColdRebuildsBitwise) {
     opts.horizon = 15'000;
     opts.arbitration = arb;
     for (const auto& uc : use_cases) {
-      // Twice per use-case: the second pass exercises the cached rings.
+      // Twice per use-case: the second pass rebuilds the rings over the
+      // first's.
       for (int rep = 0; rep < 2; ++rep) {
         warm.reset(uc);
         const sim::SimResult via_view = warm.run_view(opts).materialise();
@@ -342,117 +367,10 @@ TEST(SteadyStateAlloc, WarmContentionViewIsAllocationFree) {
   }
 }
 
-/// Sink for the allocation probe: aggregates into preallocated storage so
-/// the warm sweep's zero-alloc bracket measures the sweep, not the sink.
-class ProbeSink : public api::SweepSink {
- public:
-  explicit ProbeSink(std::size_t use_cases) {
-    period_sums.resize(use_cases, 0.0);
-    bound_sums.resize(use_cases, 0.0);
-    sim_events.resize(use_cases, 0);
-  }
-  bool on_use_case(std::size_t index, const api::UseCaseView& r) override {
-    double psum = 0.0;
-    for (const auto& e : r.estimates) psum += e.estimated_period;
-    period_sums[index] = psum;
-    double bsum = 0.0;
-    for (const auto& b : r.bounds) bsum += b.worst_case_period;
-    bound_sums[index] = bsum;
-    sim_events[index] = r.sim != nullptr ? r.sim->events_processed : 0;
-    return true;
-  }
-  std::vector<double> period_sums;
-  std::vector<double> bound_sums;
-  std::vector<std::uint64_t> sim_events;
-};
-
-TEST(SteadyStateAlloc, WarmStreamingSweepIsAllocationFree) {
-  const platform::System sys = random_system(88, 5);
-  api::Workbench wb(sys, api::WorkbenchOptions{.threads = 1});
-  util::Rng rng(17);
-  const auto use_cases = gen::sample_use_cases(sys.app_count(), 2, rng);
-  ASSERT_FALSE(use_cases.empty());
-
-  api::SweepOptions opts;
-  opts.with_wcrt = true;
-  opts.with_sim = true;
-  opts.sim.horizon = 10'000;
-
-  ProbeSink warmup(use_cases.size());
-  (void)wb.sweep_use_cases(use_cases, opts, warmup);  // sizes every arena
-
-  ProbeSink probe(use_cases.size());
-  const std::uint64_t before = allocations();
-  const api::SweepSummary summary = [&] {
-    const util::contracts::ArmGuard armed;
-    return wb.sweep_use_cases(use_cases, opts, probe);
-  }();
-  const std::uint64_t after = allocations();
-  EXPECT_EQ(after - before, 0u)
-      << "warm streaming sweep of a previously-seen use-case list allocated";
-  EXPECT_EQ(summary.delivered, use_cases.size());
-
-  // Identity with the vector-returning sweep (and the warm-up pass).
-  const auto vec = wb.sweep_use_cases(use_cases, opts);
-  ASSERT_EQ(vec->size(), use_cases.size());
-  for (std::size_t i = 0; i < use_cases.size(); ++i) {
-    double psum = 0.0;
-    for (const auto& e : (*vec)[i].estimates) psum += e.estimated_period;
-    EXPECT_EQ(probe.period_sums[i], psum);
-    double bsum = 0.0;
-    for (const auto& b : (*vec)[i].bounds) bsum += b.worst_case_period;
-    EXPECT_EQ(probe.bound_sums[i], bsum);
-    EXPECT_EQ(probe.sim_events[i], (*vec)[i].sim.events_processed);
-    EXPECT_EQ(probe.period_sums[i], warmup.period_sums[i]);
-  }
-}
-
-TEST(SteadyStateAlloc, RingCacheLruEvictsAndRebuildsIdentically) {
-  const platform::System sys = random_system(99, 5);
-  sim::SimOptions opts;
-  opts.horizon = 10'000;
-
-  // Three distinct use-cases against a capacity-2 cache: every pass evicts.
-  const std::vector<platform::UseCase> ucs{{0, 1}, {1, 2, 3}, {0, 4}};
-  sim::SimEngine bounded(sys, /*ring_cache_capacity=*/2);
-  sim::SimEngine unbounded(sys);
-  EXPECT_EQ(bounded.ring_cache_capacity(), 2u);
-
-  for (int round = 0; round < 3; ++round) {
-    for (const auto& uc : ucs) {
-      bounded.reset(uc);
-      const sim::SimResult lru = bounded.run_view(opts).materialise();
-      unbounded.reset(uc);
-      expect_same(lru, unbounded.run_view(opts).materialise());
-      EXPECT_LE(bounded.ring_cache_size(), 2u);
-    }
-  }
-  // The unbounded engine kept everything (3 use-cases + the full system
-  // armed at construction); the bounded one stayed within its capacity.
-  EXPECT_EQ(unbounded.ring_cache_size(), 4u);
-  EXPECT_EQ(bounded.ring_cache_size(), 2u);
-
-  // Within-capacity working sets keep the zero-allocation warm contract.
-  sim::SimEngine snug(sys, /*ring_cache_capacity=*/3);
-  const std::vector<platform::UseCase> pair{{0, 1}, {1, 2, 3}};
-  for (const auto& uc : pair) {
-    snug.reset(uc);
-    (void)snug.run_view(opts);
-  }
-  for (const auto& uc : pair) {
-    const util::contracts::ArmGuard armed;
-    const std::uint64_t before = allocations();
-    snug.reset(uc);
-    (void)snug.run_view(opts);
-    EXPECT_EQ(allocations() - before, 0u)
-        << "warm within-capacity reset+run_view allocated";
-  }
-}
-
 TEST(SteadyStateAlloc, DeepFixedPointContentionIsThreadCountInvariant) {
   const platform::System sys = random_system(2024, 5);
   prob::EstimatorOptions deep;
-  deep.iterations = 4;  // fixed-point passes: the nested-sharding target
+  deep.iterations = 4;  // fixed-point passes
 
   api::Workbench serial(sys, api::WorkbenchOptions{.threads = 1});
   api::Workbench sharded(sys, api::WorkbenchOptions{.threads = 4});
@@ -481,8 +399,7 @@ TEST(SteadyStateAlloc, DeepFixedPointContentionIsThreadCountInvariant) {
   }
 
   // Duplicate use-case entries alias one engine across view slots; the deep
-  // query must fall back to the serial path (never race one engine across
-  // workers) and still match the one-shot estimator.
+  // query must still match the one-shot estimator.
   const platform::UseCase dup{1, 1};
   const auto dup_deep = sharded.contention(dup, deep);
   const auto dup_oracle = prob::ContentionEstimator(deep).estimate(

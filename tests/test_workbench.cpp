@@ -196,6 +196,8 @@ TEST(Workbench, SweepIsThreadCountInvariant) {
 }
 
 TEST(Workbench, SweepMatchesPerUseCaseLegacyEstimates) {
+  // Estimates alone, then with worst-case bounds under both policies; every
+  // row is checked against the one-shots on a copied restricted System.
   const auto sys = random_system(9, 4);
   const auto use_cases = gen::all_use_cases(sys.app_count());
   Workbench wb(sys, WorkbenchOptions{.threads = 3});
@@ -205,6 +207,24 @@ TEST(Workbench, SweepMatchesPerUseCaseLegacyEstimates) {
     const auto legacy = prob::ContentionEstimator().estimate(
         platform::SystemView(sys, use_cases[i]).materialise());
     expect_estimates_equal((*swept)[i].estimates, legacy);
+    EXPECT_TRUE((*swept)[i].bounds.empty());
+  }
+
+  for (const auto policy :
+       {wcrt::Policy::RoundRobinNonPreemptive, wcrt::Policy::TdmaPreemptive}) {
+    SweepOptions opts;
+    opts.with_wcrt = true;
+    opts.wcrt.policy = policy;
+    const auto bounded = wb.sweep_use_cases(use_cases, opts);
+    ASSERT_EQ(bounded->size(), use_cases.size());
+    for (std::size_t i = 0; i < use_cases.size(); ++i) {
+      const platform::System restricted =
+          platform::SystemView(sys, use_cases[i]).materialise();
+      expect_estimates_equal((*bounded)[i].estimates,
+                             prob::ContentionEstimator().estimate(restricted));
+      expect_bounds_equal((*bounded)[i].bounds,
+                          wcrt::worst_case_bounds(restricted, opts.wcrt));
+    }
   }
 }
 
@@ -300,7 +320,7 @@ TEST(Workbench, ProvenanceIsFilledIn) {
   const auto est = wb.contention();
   EXPECT_FALSE(est.provenance.method.empty());
   EXPECT_GE(est.provenance.wall_ms, 0.0);
-  const auto swept = wb.sweep_all_use_cases();
+  const auto swept = wb.sweep_use_cases(gen::all_use_cases(wb.app_count()));
   EXPECT_EQ(swept.provenance.evaluations, 3u);  // 2^2 - 1 use-cases
   EXPECT_EQ(swept.provenance.threads, 2u);
 }

@@ -24,10 +24,10 @@
 //   serve <file> [--clients N] [--queries Q] [--threads T] [--capacity S]
 //       Drive an api::AnalysisService end to end: register the file's
 //       graphs as two tenant systems, hammer them from N client threads
-//       with mixed ticketed queries, verify every result against a serial
-//       Workbench oracle, then stream a sink-based use-case sweep. Prints
-//       the service counters (coalesce hits, sessions built/evicted) and a
-//       tt-stats line for the shared transposition table.
+//       with mixed ticketed queries and verify every result against a
+//       serial Workbench oracle. Prints the service counters (coalesce
+//       hits, sessions built/evicted) and a tt-stats line for the shared
+//       transposition table.
 //   buffers <file>
 //       Buffer-capacity / period Pareto frontier per graph (incremental
 //       explorer).
@@ -285,34 +285,6 @@ int cmd_sweep(int argc, char** argv) {
   return 0;
 }
 
-/// Streams the first rows of a service-side sink sweep into a table.
-class TableSink : public api::SweepSink {
- public:
-  TableSink(util::Table& table, const platform::System& sys, std::size_t limit)
-      : table_(table), sys_(sys), limit_(limit) {}
-
-  bool on_use_case(std::size_t index, const api::UseCaseView& r) override {
-    std::string label;
-    for (const auto id : r.use_case) {
-      if (!label.empty()) label += "+";
-      label += sys_.app(id).name();
-    }
-    double worst = 0.0;
-    for (const auto& e : r.estimates) {
-      worst = std::max(worst, e.normalised_period());
-    }
-    table_.add_row({std::to_string(index), label,
-                    std::to_string(r.estimates.size()),
-                    util::format_double(worst, 3)});
-    return index + 1 < limit_;  // caller-driven: stop once the table is full
-  }
-
- private:
-  util::Table& table_;
-  const platform::System& sys_;
-  std::size_t limit_;
-};
-
 int cmd_serve(int argc, char** argv) {
   if (argc < 3) return usage(2);
   const auto clients = static_cast<std::size_t>(
@@ -407,18 +379,6 @@ int cmd_serve(int argc, char** argv) {
             << util::format_double(100.0 * tt.hit_rate(), 1) << "%, "
             << tt.evictions << " eviction(s), " << tt.verify_failures
             << " verify failure(s)]\n";
-
-  // Streaming sweep: per-use-case views delivered to a sink, first 8 rows.
-  util::Rng rng(2007);
-  const auto ucs = gen::sample_use_cases(sys_a.app_count(), 2, rng);
-  util::Table sweep_table("Streaming sweep (sink-delivered views, first 8)");
-  sweep_table.set_header({"#", "use-case", "apps", "worst normalised"});
-  TableSink sink(sweep_table, sys_a, 8);
-  const api::SweepSummary summary = service.sweep_use_cases(a, ucs, {}, sink);
-  std::cout << sweep_table.render();
-  std::cout << "[sweep: " << summary.delivered << " use-case(s) delivered"
-            << (summary.stopped_early ? " (stopped by sink)" : "") << ", "
-            << util::format_double(summary.wall_ms, 2) << " ms]\n";
 
   if (mismatches != 0) {
     std::cerr << "error: service results diverged from the serial oracle\n";
