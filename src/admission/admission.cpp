@@ -70,22 +70,28 @@ AdmissionController::CandidateEntry& AdmissionController::candidate_for(
     }
   }
 
-  // First sight: validate, build the engine, derive the mapping-independent
-  // analysis state, then cache it (evicting the least recently used slot).
-  if (!sdf::is_consistent(app)) {
+  // First sight: build the engine, which is the validation — its
+  // constructor rejects exactly the inconsistent graphs (no repetition
+  // vector) and its zero-token-cycle verdict exactly the deadlocking ones.
+  // Then derive the mapping-independent analysis state and cache it
+  // (evicting the least recently used slot).
+  CandidateEntry entry;
+  try {
+    entry.engine = std::make_shared<analysis::ThroughputEngine>(app);
+  } catch (const sdf::GraphError&) {
+    // Without a supplied repetition vector, "no repetition vector" is the
+    // only GraphError the constructor raises.
     throw sdf::GraphError("admission: inconsistent graph");
   }
-  if (!sdf::is_deadlock_free(app)) {
+  if (entry.engine->structurally_deadlocked()) {
     throw sdf::GraphError("admission: graph deadlocks");
   }
-  CandidateEntry entry;
-  entry.fingerprint = fp;
-  entry.graph = app;
-  entry.engine = std::make_shared<analysis::ThroughputEngine>(app);
   const auto iso = entry.engine->recompute();
-  if (iso.deadlocked || iso.period <= 0.0) {
+  if (iso.period <= 0.0) {
     throw sdf::GraphError("admission: no positive isolation period");
   }
+  entry.fingerprint = fp;
+  entry.graph = app;
   entry.isolation_period = iso.period;
   entry.loads = prob::derive_loads(app, entry.engine->repetition_vector(), iso.period);
   entry.last_used = ++candidate_clock_;
@@ -197,19 +203,27 @@ void AdmissionController::evaluate_candidate(
   out.admissible = true;
 }
 
-std::vector<prob::AppEstimate> AdmissionController::full_report(
-    const platform::UseCase& uc,
-    const std::vector<analysis::ThroughputEngine*>& engines,
-    const prob::EstimatorOptions& estimator) const {
-  if (uc.empty()) return {};
+void AdmissionController::full_report(const prob::EstimatorOptions& estimator,
+                                      std::vector<prob::AppEstimate>& out) {
   // The same machinery an api::Workbench contention query runs: the Figure 4
   // estimator over a zero-copy view of the resident store, through the
-  // cached per-application engines.
-  const platform::SystemView view(store_, uc);
-  prob::EstimatorWorkspace ws;
-  std::vector<prob::AppEstimate> out(uc.size());
-  prob::ContentionEstimator(estimator).estimate_into(view, {}, engines, ws, out);
-  return out;
+  // cached per-application engines. Resizing keeps the surviving slots, and
+  // with them their actor vectors' capacity.
+  out.resize(report_uc_.size());
+  if (report_uc_.empty()) return;
+  report_view_.rebind(store_, report_uc_);
+  prob::ContentionEstimator(estimator).estimate_into(report_view_, {},
+                                                     report_engines_, report_ws_, out);
+}
+
+void AdmissionController::collect_active(AppHandle skip) {
+  report_uc_.clear();
+  report_engines_.clear();
+  for (AppHandle h = 0; h < apps_.size(); ++h) {
+    if (!apps_[h].active || h == skip) continue;
+    report_uc_.push_back(h);
+    report_engines_.push_back(apps_[h].engine.get());
+  }
 }
 
 Decision AdmissionController::request(const sdf::Graph& app,
@@ -275,7 +289,9 @@ PROCON_WARM_PATH void AdmissionController::what_if_admit(
   out.reason.clear();
   out.predicted_period = 0.0;
   out.peer_periods.clear();
-  out.estimates.clear();
+  // A full report resizes `estimates` in place; only a verdict-only probe
+  // empties it.
+  if (!opts.with_estimates) out.estimates.clear();
 
   if (nodes.size() != app.actor_count()) {
     throw sdf::GraphError("what_if_admit: mapping size mismatch");
@@ -293,15 +309,10 @@ PROCON_WARM_PATH void AdmissionController::what_if_admit(
   // report; every view below sees admitted graphs in place, zero copies.
   store_.append_app(app, nodes);
   try {
-    platform::UseCase uc = active_use_case();
-    // lint:allow(warm-container-construct): with_estimates report path; the
-    // zero-alloc contract covers verdict-only probes, which return above.
-    std::vector<analysis::ThroughputEngine*> engines;
-    engines.reserve(uc.size() + 1);
-    for (const sdf::AppId h : uc) engines.push_back(apps_[h].engine.get());
-    uc.push_back(static_cast<sdf::AppId>(store_.app_count() - 1));
-    engines.push_back(cand.engine.get());
-    out.estimates = full_report(uc, engines, opts.estimator);
+    collect_active();
+    report_uc_.push_back(static_cast<sdf::AppId>(store_.app_count() - 1));
+    report_engines_.push_back(cand.engine.get());
+    full_report(opts.estimator, out.estimates);
   } catch (...) {
     store_.pop_app();
     throw;
@@ -342,8 +353,6 @@ WhatIfReport AdmissionController::what_if_remove(
 
   WhatIfReport out;
   out.admissible = true;
-  platform::UseCase survivors;
-  std::vector<analysis::ThroughputEngine*> engines;
   for (AppHandle h = 0; h < apps_.size(); ++h) {
     if (!apps_[h].active || h == handle) {
       out.peer_periods.push_back(0.0);
@@ -352,10 +361,9 @@ WhatIfReport AdmissionController::what_if_remove(
     out.peer_periods.push_back(
         predict_period(store_.app_component(h), store_.app(h), apps_[h].nodes,
                        apps_[h].loads, *apps_[h].engine, totals_scratch_));
-    survivors.push_back(h);
-    engines.push_back(apps_[h].engine.get());
   }
-  out.estimates = full_report(survivors, engines, estimator);
+  collect_active(handle);
+  full_report(estimator, out.estimates);
   return out;
 }
 

@@ -22,7 +22,18 @@
 // candidate into a reused WhatIfReport performs zero heap allocations when
 // the verdict is an admission (asserted by
 // tests/test_steady_state_alloc.cpp); rejections additionally build the
-// human-readable reason string.
+// human-readable reason string. A full-report probe runs in controller
+// scratch (view, estimator workspace, active set, engine list) and resizes
+// the report's estimates in place.
+//
+// What a miss costs: one structural pass over the new graph — the
+// ThroughputEngine build, which computes the repetition vector once, closes
+// the graph inside its HSDF expansion and is also the validation (its
+// constructor rejects inconsistent graphs, structurally_deadlocked()
+// deadlocking ones; no separate is_consistent / is_deadlock_free pass) —
+// then one cold Howard solve for the isolation period, the load derivation
+// and one graph copy into the LRU slot, made only once the checks pass.
+// Everything after that is the hit path.
 #pragma once
 
 #include <cstdint>
@@ -170,11 +181,12 @@ class AdmissionController {
   /// \brief Steady-state variant of what_if_admit: writes into a reused
   /// report.
   ///
-  /// `out`'s storage (peer_periods, estimates, reason) is cleared and
-  /// refilled, so its capacity amortises across probes. With
-  /// WhatIfOptions::with_estimates = false and the candidate already in the
-  /// LRU, an admitting probe performs zero heap allocations (a rejection
-  /// additionally builds the reason string).
+  /// `out`'s storage (peer_periods, reason) is cleared and refilled, and a
+  /// full report resizes `estimates` in place (slots keep their actor
+  /// vectors), so its capacity amortises across probes; a verdict-only
+  /// probe empties `estimates`. With WhatIfOptions::with_estimates = false
+  /// and the candidate already in the LRU, an admitting probe performs zero
+  /// heap allocations (a rejection additionally builds the reason string).
   /// \param app the hypothetical application
   /// \param nodes actor-to-node assignment (one entry per actor)
   /// \param qos the hypothetical period requirement
@@ -299,12 +311,14 @@ class AdmissionController {
                           const CandidateEntry& cand, const QoS& qos,
                           WhatIfReport& out) const;
 
-  /// Full estimator report over `uc` (store indices) with the cached
-  /// engines of those entries plus optional trailing `extra` engine.
-  [[nodiscard]] std::vector<prob::AppEstimate> full_report(
-      const platform::UseCase& uc,
-      const std::vector<analysis::ThroughputEngine*>& engines,
-      const prob::EstimatorOptions& estimator) const;
+  /// Fills report_uc_ / report_engines_ with the active handles other than
+  /// `skip`, ascending, and their cached engines.
+  void collect_active(AppHandle skip = std::numeric_limits<AppHandle>::max());
+
+  /// Full estimator report over report_uc_ (store indices) through
+  /// report_engines_, written into `out` resized in place.
+  void full_report(const prob::EstimatorOptions& estimator,
+                   std::vector<prob::AppEstimate>& out);
 
   platform::Platform platform_;
   /// Graphs of every application ever admitted, in handle order, with their
@@ -328,6 +342,13 @@ class AdmissionController {
   // because const predictions share it — see the thread-safety note.
   mutable std::vector<prob::Composite> totals_scratch_;
   mutable std::vector<double> response_scratch_;
+  // Full-report scratch (what_if_admit with estimates, what_if_remove): the
+  // would-be active set, its engines, the view over the store and the
+  // estimator workspace, all rebound per report.
+  platform::UseCase report_uc_;
+  std::vector<analysis::ThroughputEngine*> report_engines_;
+  platform::SystemView report_view_;
+  prob::EstimatorWorkspace report_ws_;
 };
 
 }  // namespace procon::admission

@@ -8,14 +8,31 @@
 // repetition vector, the HSDF expansion, the adjacency build and the
 // cycle/deadlock DFS, then cold-starts Howard's policy iteration.
 //
-// ThroughputEngine performs all of that exactly once at construction and
-// caches the result: the closed graph's repetition vector, the HSDF
-// topology in flat CSR form, and the structural verdicts (cycle existence,
-// zero-token deadlock). recompute(exec_times) then only rewrites node
-// weights in place and re-runs Howard warm-started from the previous policy,
-// which converges in one or two improvement rounds under the small
-// perturbations these loops produce. The ledger's traced runs measure both
-// starts (`analysis.recompute_cold_us`, `analysis.recompute_warm_us`), and
+// ThroughputEngine performs the structural work once, in one pass, at
+// construction: it computes the repetition vector once, on the graph
+// itself (the closure's self-loops have rate 1/1, so they leave it
+// unchanged), closes the graph inside the expansion by appending a 1-token
+// self-loop's candidate edges for each actor that lacks one, and hands the
+// sorted, deduplicated edge list straight to Howard's CSR core. No graph
+// copy and no Hsdf are built; the engine keeps only the node -> actor table,
+// the CSR topology and the structural verdicts (cycle existence,
+// zero-token deadlock). Because the candidate list is sorted before use,
+// the edges, their CSR order and so every solve are bitwise those of
+// expanding g.with_self_loops()
+// (CrossValidation.OnePassEngineMatchesClosedCopyBitwise).
+//
+// The construction is also the structural validation: the constructor
+// throws for exactly the inconsistent graphs and structurally_deadlocked()
+// holds for exactly the graphs sdf::is_deadlock_free rejects
+// (CrossValidation.EngineVerdictsMatchStructuralChecks), so the admission
+// controller validates a new application with its engine alone.
+//
+// recompute(exec_times) then only rewrites node weights in place and
+// re-runs Howard warm-started from the previous policy, which converges in
+// one or two improvement rounds under the small perturbations these loops
+// produce. The ledger's traced runs measure the build and both starts
+// (`analysis.engine_build_us`, `analysis.recompute_cold_us`,
+// `analysis.recompute_warm_us`), and
 // CrossValidation.EngineRecomputeMatchesFreshComputePeriod checks them
 // against the fresh path.
 //
@@ -46,16 +63,23 @@ namespace procon::analysis {
 /// facts about the graph.
 struct EngineOptions {
   /// The graph already has a self-loop on every actor (auto-concurrency
-  /// disabled); skip the closure copy. Callers that batch-create engines
+  /// disabled); add no closure edges. Callers that batch-create engines
   /// over pre-closed graphs (e.g. the buffer explorer) set this.
   bool assume_closed = false;
-  /// Known repetition vector of the (closed) graph; skips recomputation.
-  /// Must match the graph or construction throws.
+  /// Known repetition vector of the graph (the closure does not change
+  /// it); skips recomputation. Must match the graph or construction throws.
   const sdf::RepetitionVector* repetition = nullptr;
 };
 
 /// \brief Reusable per-graph period analysis: structure cached once,
 /// execution times rewritten per recompute(), Howard warm-started.
+///
+/// Construction is one structural pass: the repetition vector once, the
+/// self-loop closure inside the expansion, the deduplicated edges straight
+/// into Howard's CSR core (no graph copy, no Hsdf). Its verdicts — the
+/// constructor's GraphError and structurally_deadlocked() — are exactly
+/// sdf::is_consistent and sdf::is_deadlock_free, which makes the engine the
+/// admission controller's validator.
 ///
 /// Caching contract: the *structure* (actors, channels, rates, initial
 /// tokens) is fixed for the engine's lifetime; only execution times may
@@ -77,8 +101,9 @@ struct EngineOptions {
 /// worker and reset() it per independent work item for determinism.
 class ThroughputEngine {
  public:
-  /// Builds all structure-dependent state. Throws sdf::GraphError on
-  /// inconsistent graphs (same contract as compute_period).
+  /// Builds all structure-dependent state in one pass. Throws
+  /// sdf::GraphError on exactly the inconsistent graphs (same contract as
+  /// compute_period).
   explicit ThroughputEngine(const sdf::Graph& g, const EngineOptions& opts = {});
 
   /// Period of the cached structure under `exec_times` (one entry per actor
@@ -103,7 +128,8 @@ class ThroughputEngine {
 
   /// Number of actors of the original graph.
   [[nodiscard]] std::size_t actor_count() const noexcept { return actor_count_; }
-  /// Repetition vector of the (closed) graph, computed once at construction.
+  /// Repetition vector of the graph (and of its closure), computed once at
+  /// construction.
   [[nodiscard]] const sdf::RepetitionVector& repetition_vector() const noexcept {
     return q_;
   }
@@ -111,7 +137,9 @@ class ThroughputEngine {
   [[nodiscard]] std::size_t node_count() const noexcept {
     return node_actor_.size();
   }
-  /// True if the structure deadlocks regardless of execution times.
+  /// True if the structure deadlocks regardless of execution times: a
+  /// zero-token cycle in the expansion, exactly !sdf::is_deadlock_free for
+  /// a consistent graph.
   [[nodiscard]] bool structurally_deadlocked() const noexcept {
     return solver_.deadlocked();
   }
@@ -120,7 +148,7 @@ class ThroughputEngine {
 
  private:
   std::size_t actor_count_ = 0;
-  sdf::RepetitionVector q_;              // of the closed graph
+  sdf::RepetitionVector q_;              // of the graph and its closure
   std::vector<sdf::ActorId> node_actor_; // HSDF node -> source actor
   std::vector<double> default_times_;    // the graph's own times, as doubles
   std::vector<double> node_weight_;      // scratch: per-node exec time

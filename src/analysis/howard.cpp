@@ -14,28 +14,40 @@ constexpr double kNegInf = -1e300;
 }  // namespace
 
 void HowardSolver::build(const Hsdf& h) {
-  n_ = h.node_count();
+  std::vector<HsdfEdgeCandidate> edges;
+  edges.reserve(h.edges.size());
+  for (const HsdfEdge& e : h.edges) {
+    edges.push_back(
+        HsdfEdgeCandidate{(static_cast<std::uint64_t>(e.src) << 32) | e.dst, e.tokens});
+  }
+  build(h.node_count(), edges);
+  for (std::size_t v = 0; v < n_; ++v) weight_[v] = h.nodes[v].exec_time;
+}
+
+void HowardSolver::build(std::size_t node_count,
+                         std::span<const HsdfEdgeCandidate> edges) {
+  n_ = node_count;
   has_cycle_ = false;
   deadlocked_ = false;
   warm_ = false;
 
-  // Counting sort of edges by source into CSR arrays.
+  // Counting sort of edges by source into CSR arrays (stable, so each
+  // node's out-edges keep their input order).
   offset_.assign(n_ + 1, 0);
-  for (const HsdfEdge& e : h.edges) ++offset_[e.src + 1];
+  for (const HsdfEdgeCandidate& e : edges) ++offset_[e.src() + 1];
   for (std::size_t v = 0; v < n_; ++v) offset_[v + 1] += offset_[v];
-  dst_.resize(h.edges.size());
-  tokens_.resize(h.edges.size());
+  dst_.resize(edges.size());
+  tokens_.resize(edges.size());
   {
     std::vector<std::uint32_t> cursor(offset_.begin(), offset_.end() - 1);
-    for (const HsdfEdge& e : h.edges) {
-      const std::uint32_t slot = cursor[e.src]++;
-      dst_[slot] = e.dst;
+    for (const HsdfEdgeCandidate& e : edges) {
+      const std::uint32_t slot = cursor[e.src()]++;
+      dst_[slot] = e.dst();
       tokens_[slot] = static_cast<double>(e.tokens);
     }
   }
 
   weight_.assign(n_, 0.0);
-  for (std::size_t v = 0; v < n_; ++v) weight_[v] = h.nodes[v].exec_time;
 
   alive_.assign(n_, 1);
   if (dst_.empty()) {
@@ -48,11 +60,15 @@ void HowardSolver::build(const Hsdf& h) {
   // guaranteed to end in a cycle: without this, a walk draining into a sink
   // leaves its tail at ratio -inf, the improvement step skips edges into
   // that tail, and a real cycle behind it is never discovered.
-  {
-    std::vector<std::uint32_t> live_out(n_);
-    for (std::uint32_t v = 0; v < n_; ++v) {
-      live_out[v] = offset_[v + 1] - offset_[v];
-    }
+  // A closed expansion (every node on a self-loop chain) has no sink, so
+  // the reverse adjacency is built only when some node starts dead.
+  std::vector<std::uint32_t> live_out(n_);
+  std::vector<std::uint32_t> dead;
+  for (std::uint32_t v = 0; v < n_; ++v) {
+    live_out[v] = offset_[v + 1] - offset_[v];
+    if (live_out[v] == 0) dead.push_back(v);
+  }
+  if (!dead.empty()) {
     std::vector<std::uint32_t> roffset(n_ + 1, 0);
     std::vector<std::uint32_t> rsrc(dst_.size());
     for (const std::uint32_t d : dst_) ++roffset[d + 1];
@@ -65,17 +81,13 @@ void HowardSolver::build(const Hsdf& h) {
         }
       }
     }
-    std::vector<std::uint32_t> stack;
-    for (std::uint32_t v = 0; v < n_; ++v) {
-      if (live_out[v] == 0) stack.push_back(v);
-    }
-    while (!stack.empty()) {
-      const std::uint32_t u = stack.back();
-      stack.pop_back();
+    while (!dead.empty()) {
+      const std::uint32_t u = dead.back();
+      dead.pop_back();
       alive_[u] = 0;
       for (std::uint32_t r = roffset[u]; r < roffset[u + 1]; ++r) {
         const std::uint32_t w = rsrc[r];
-        if (alive_[w] && --live_out[w] == 0) stack.push_back(w);
+        if (alive_[w] && --live_out[w] == 0) dead.push_back(w);
       }
     }
   }
@@ -83,9 +95,11 @@ void HowardSolver::build(const Hsdf& h) {
   // One-time structural checks: any cycle at all, then zero-token cycles
   // (deadlock). Iterative colouring DFS over the CSR arrays.
   enum : std::uint8_t { White, Grey, Black };
+  std::vector<std::uint8_t> colour;
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> stack;
   auto dfs_has_cycle = [&](bool zero_only) {
-    std::vector<std::uint8_t> colour(n_, White);
-    std::vector<std::pair<std::uint32_t, std::uint32_t>> stack;
+    colour.assign(n_, White);
+    stack.clear();
     for (std::uint32_t root = 0; root < n_; ++root) {
       if (colour[root] != White) continue;
       stack.emplace_back(root, offset_[root]);

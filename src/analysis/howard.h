@@ -27,17 +27,24 @@ namespace procon::analysis {
 /// Reusable Howard solver over a fixed edge topology with mutable node
 /// weights. Usage:
 ///   HowardSolver s;
-///   s.build(h);                  // once per structure: CSR + DFS checks
+///   s.build(n, edges);           // once per structure: CSR + DFS checks
 ///   if (s.has_cycle() && !s.deadlocked()) {
 ///     s.set_node_weights(w);     // per analysis: new execution times
 ///     double lambda = s.solve(); // warm-starts after the first call
 ///   }
 class HowardSolver {
  public:
-  /// Builds the CSR topology from `h` (edge weights are NOT taken from the
-  /// HSDF here; call set_node_weights) and runs the one-time structural
-  /// checks: cycle existence and zero-token (deadlock) cycles. Resets any
-  /// previous policy.
+  /// Builds the CSR topology over `node_count` nodes from `edges` and runs
+  /// the one-time structural checks: cycle existence and zero-token
+  /// (deadlock) cycles. Each node's out-edges keep their order in `edges`.
+  /// Node weights are zero until set_node_weights. Resets any previous
+  /// policy. This is the one core: ThroughputEngine and the buffer explorer
+  /// hand it their sorted, deduplicated expansion (dedup_candidates)
+  /// directly, so neither builds an Hsdf.
+  void build(std::size_t node_count, std::span<const HsdfEdgeCandidate> edges);
+
+  /// The same over an explicit HSDF, with node weights taken from its
+  /// nodes' execution times (mcr_howard, mcr_with_critical_cycle).
   void build(const Hsdf& h);
 
   /// True if the graph contains at least one directed cycle.

@@ -85,6 +85,22 @@ void store_wcrt(analysis::TranspositionTable* table, std::uint64_t fp,
   }
 }
 
+/// Fills `ptrs` (capacity reused) with the engines of `uc`'s applications,
+/// each reset to cold start, and returns it as a span.
+std::span<analysis::ThroughputEngine* const> engines_for(
+    std::vector<analysis::ThroughputEngine>& engines, std::span<const sdf::AppId> uc,
+    std::vector<analysis::ThroughputEngine*>& ptrs) {
+  ptrs.clear();
+  for (const sdf::AppId id : uc) {
+    if (id >= engines.size()) {
+      throw sdf::GraphError("Workbench: use-case references unknown application");
+    }
+    engines[id].reset();
+    ptrs.push_back(&engines[id]);
+  }
+  return ptrs;
+}
+
 }  // namespace
 
 Workbench::Workbench(platform::System sys, const WorkbenchOptions& opts)
@@ -113,33 +129,6 @@ const analysis::Hsdf& Workbench::cached_hsdf(sdf::AppId app) {
     hsdf_ready_[app] = 1;
   }
   return hsdf_[app];
-}
-
-std::vector<analysis::ThroughputEngine*> Workbench::engines_for(
-    std::vector<analysis::ThroughputEngine>& engines, const platform::UseCase& uc) {
-  std::vector<analysis::ThroughputEngine*> ptrs;
-  ptrs.reserve(uc.size());
-  for (const sdf::AppId id : uc) {
-    if (id >= engines.size()) {
-      throw sdf::GraphError("Workbench: use-case references unknown application");
-    }
-    engines[id].reset();
-    ptrs.push_back(&engines[id]);
-  }
-  return ptrs;
-}
-
-std::span<analysis::ThroughputEngine* const> Workbench::scratch_engines_for(
-    std::span<const sdf::AppId> uc) {
-  ptr_scratch_.clear();
-  for (const sdf::AppId id : uc) {
-    if (id >= engines_.size()) {
-      throw sdf::GraphError("Workbench: use-case references unknown application");
-    }
-    engines_[id].reset();
-    ptr_scratch_.push_back(&engines_[id]);
-  }
-  return ptr_scratch_;
 }
 
 std::vector<dse::AnalysisWorkspace>& Workbench::worker_sets() {
@@ -331,7 +320,7 @@ const Report<std::span<const prob::AppEstimate>>& Workbench::contention_core(
   Timer timer;
   scratch_view_.rebind(sys_, uc);  // zero-copy restriction, capacity reused
   const prob::ContentionEstimator est(opts);
-  const auto engines = scratch_engines_for(uc);
+  const auto engines = engines_for(engines_, uc, ptr_scratch_);
   if (est_pool_.size() < uc.size()) est_pool_.resize(uc.size());
   est.estimate_into(scratch_view_, {}, engines, est_ws_,
                     std::span<prob::AppEstimate>(est_pool_.data(), uc.size()));
@@ -362,8 +351,9 @@ Report<std::vector<wcrt::AppBound>> Workbench::wcrt(const platform::UseCase& uc,
     return report;
   }
   report.value.resize(uc.size());
-  wcrt::worst_case_bounds_into(scratch_view_, opts, scratch_engines_for(uc),
-                               wcrt_ws_, report.value);
+  wcrt::worst_case_bounds_into(scratch_view_, opts,
+                               engines_for(engines_, uc, ptr_scratch_), wcrt_ws_,
+                               report.value);
   store_wcrt(table_.get(), fp, opts, report.value);
   report.provenance = {"Analyzed Worst Case", 1, 1, timer.ms()};
   return report;
@@ -399,6 +389,7 @@ Report<std::vector<UseCaseResult>> Workbench::sweep_use_cases(
   Timer timer;
   const prob::ContentionEstimator est(opts.estimator);
   auto& workers = worker_sets();
+  if (sweep_scratch_.empty()) sweep_scratch_.resize(pool_.size());
   auto* sim_engines = opts.with_sim ? &sim_worker_engines() : nullptr;
 
   Report<std::vector<UseCaseResult>> report;
@@ -407,24 +398,24 @@ Report<std::vector<UseCaseResult>> Workbench::sweep_use_cases(
     // One engine-set clone per worker; each evaluation resets its engines,
     // so the slot result is a pure function of the use-case — identical
     // regardless of which worker computes it after which other items.
-    dse::AnalysisWorkspace& ws = workers[w];
+    std::vector<analysis::ThroughputEngine>& engines = workers[w].engines;
+    SweepScratch& scratch = sweep_scratch_[w];
     const platform::UseCase& uc = use_cases[i];
     // Zero-copy restriction: the estimator and the bounds read the selected
-    // applications through a view, the simulator through its remap tables.
-    // Workspaces are per item, so workers share nothing mutable.
-    const platform::SystemView view(sys_, uc);
+    // applications through the worker's view, the simulator through its
+    // remap tables. Workers share nothing mutable, and a warm sweep
+    // allocates only its results.
+    scratch.view.rebind(sys_, uc);
     UseCaseResult& out = report.value[i];
     out.use_case = uc;
-    {
-      prob::EstimatorWorkspace est_ws;
-      out.estimates.resize(uc.size());
-      est.estimate_into(view, {}, engines_for(ws.engines, uc), est_ws, out.estimates);
-    }
+    out.estimates.resize(uc.size());
+    est.estimate_into(scratch.view, {}, engines_for(engines, uc, scratch.engines),
+                      scratch.est, out.estimates);
     if (opts.with_wcrt) {
-      wcrt::WcrtWorkspace wcrt_ws;
       out.bounds.resize(uc.size());
-      wcrt::worst_case_bounds_into(view, opts.wcrt, engines_for(ws.engines, uc),
-                                   wcrt_ws, out.bounds);
+      wcrt::worst_case_bounds_into(scratch.view, opts.wcrt,
+                                   engines_for(engines, uc, scratch.engines),
+                                   scratch.wcrt, out.bounds);
     }
     if (sim_engines != nullptr) {
       sim::SimEngine& se = (*sim_engines)[w];
@@ -456,7 +447,8 @@ Report<std::vector<TopologyResult>> Workbench::sweep_topologies(
       // Session engines: topology changes neither application structure nor
       // the mapping, so the per-app ThroughputEngines apply unchanged.
       out.estimates.resize(uc.size());
-      est.estimate_into(view, {}, scratch_engines_for(uc), est_ws_, out.estimates);
+      est.estimate_into(view, {}, engines_for(engines_, uc, ptr_scratch_), est_ws_,
+                        out.estimates);
     }
     if (opts.with_sim) {
       sim::SimEngine& se = topology_sim_engine(scratch);

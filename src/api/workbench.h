@@ -217,7 +217,9 @@ class Workbench {
   /// Estimates every given use-case, sharded across the pool with one
   /// engine-set clone per worker. Results are in input order and bitwise
   /// identical for any thread count (each use-case evaluation is a pure
-  /// function of the use-case and options).
+  /// function of the use-case and options). Each worker reuses its view,
+  /// estimator and WCRT workspaces from item to item, so a warm sweep
+  /// allocates only the results it returns.
   [[nodiscard]] Report<std::vector<UseCaseResult>> sweep_use_cases(
       std::span<const platform::UseCase> use_cases, const SweepOptions& opts = {});
 
@@ -272,14 +274,6 @@ class Workbench {
  private:
   void check_app(sdf::AppId app) const;
   const analysis::Hsdf& cached_hsdf(sdf::AppId app);
-  /// Engine pointers for the given applications, each reset to cold start.
-  std::vector<analysis::ThroughputEngine*> engines_for(
-      std::vector<analysis::ThroughputEngine>& engines,
-      const platform::UseCase& uc);
-  /// Allocation-free engines_for: fills ptr_scratch_ (session engines, each
-  /// reset) and returns it as a span.
-  std::span<analysis::ThroughputEngine* const> scratch_engines_for(
-      std::span<const sdf::AppId> uc);
   /// Shared core of contention()/contention_view(): runs the estimator in
   /// the session workspace, serves the result via contention_report_.
   const Report<std::span<const prob::AppEstimate>>& contention_core(
@@ -304,6 +298,15 @@ class Workbench {
   std::vector<std::uint8_t> hsdf_ready_;
   util::ThreadPool pool_;
   std::vector<dse::AnalysisWorkspace> workers_;      // lazy, for sharded queries
+  /// Per-worker scratch of sweep_use_cases, beside workers_' engine clones:
+  /// the view is rebound and the workspaces reused from item to item.
+  struct SweepScratch {
+    platform::SystemView view;
+    std::vector<analysis::ThroughputEngine*> engines;
+    prob::EstimatorWorkspace est;
+    wcrt::WcrtWorkspace wcrt;
+  };
+  std::vector<SweepScratch> sweep_scratch_;          // lazy, one per worker
   std::vector<sim::SimEngine> sim_engine_;           // lazy, 0 or 1 entries
   std::vector<sim::SimEngine> sim_workers_;          // lazy, for with_sim sweeps
 

@@ -32,14 +32,10 @@ class BoundedPeriodEvaluator {
                          const sdf::RepetitionVector& q)
       : q_(q) {
     node_base_.resize(closed.actor_count());
-    std::uint32_t next = 0;
     for (sdf::ActorId a = 0; a < closed.actor_count(); ++a) {
-      node_base_[a] = next;
-      const double tau = static_cast<double>(closed.actor(a).exec_time);
-      for (std::uint64_t k = 0; k < q[a]; ++k) {
-        h_.nodes.push_back(analysis::HsdfNode{a, static_cast<std::uint32_t>(k), tau});
-      }
-      next += static_cast<std::uint32_t>(q[a]);
+      node_base_[a] = static_cast<std::uint32_t>(weights_.size());
+      weights_.insert(weights_.end(), q[a],
+                      static_cast<double>(closed.actor(a).exec_time));
     }
 
     // The closed graph's own channels (forward + closure self-loops) never
@@ -90,13 +86,9 @@ class BoundedPeriodEvaluator {
       merged_.insert(merged_.end(), seg.begin(), seg.end());
     }
     analysis::dedup_candidates(merged_);
-    h_.edges.clear();
-    h_.edges.reserve(merged_.size());
-    for (const analysis::HsdfEdgeCandidate& cand : merged_) {
-      h_.edges.push_back(analysis::HsdfEdge{cand.src(), cand.dst(), cand.tokens});
-    }
 
-    solver_.build(h_);
+    solver_.build(weights_.size(), merged_);
+    solver_.set_node_weights(weights_);
     analysis::PeriodResult out;
     if (solver_.deadlocked()) {
       out.deadlocked = true;
@@ -110,7 +102,7 @@ class BoundedPeriodEvaluator {
  private:
   sdf::RepetitionVector q_;
   std::vector<std::uint32_t> node_base_;
-  analysis::Hsdf h_;                                  // nodes fixed, edges per candidate
+  std::vector<double> weights_;                       // per HSDF node: exec time
   std::vector<analysis::HsdfEdgeCandidate> static_;   // closed graph's channels
   std::vector<std::vector<analysis::HsdfEdgeCandidate>> segments_;  // per reverse channel
   std::vector<std::uint64_t> cached_caps_;

@@ -102,11 +102,13 @@ void SystemView::validate() const {
     if (g.actor_count() == 0) {
       throw sdf::GraphError("SystemView: application '" + g.name() + "' is empty");
     }
-    if (!sdf::is_consistent(g)) {
+    // One repetition vector per application serves both verdicts.
+    const sdf::DeadlockDiagnosis diag = sdf::diagnose_deadlock(g);
+    if (!diag.consistent) {
       throw sdf::GraphError("SystemView: application '" + g.name() +
                             "' is inconsistent");
     }
-    if (!sdf::is_deadlock_free(g)) {
+    if (!diag.deadlock_free) {
       throw sdf::GraphError("SystemView: application '" + g.name() + "' deadlocks");
     }
     for (sdf::ActorId a = 0; a < g.actor_count(); ++a) {

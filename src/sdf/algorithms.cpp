@@ -78,6 +78,7 @@ DeadlockDiagnosis diagnose_deadlock(const Graph& g) {
   DeadlockDiagnosis diag;
   const auto q_opt = compute_repetition_vector(g);
   if (!q_opt) return diag;  // inconsistent: treated as not deadlock-free
+  diag.consistent = true;
   const RepetitionVector& q = *q_opt;
 
   std::vector<std::uint64_t> tokens(g.channel_count());

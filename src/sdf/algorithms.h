@@ -36,8 +36,10 @@ struct SccResult {
 
 /// Like is_deadlock_free but reports the set of actors that still had
 /// pending firings when execution stalled (empty if none). Used by the
-/// generator's token-repair loop.
+/// generator's token-repair loop, and by SystemView::validate, which reads
+/// both verdicts from this one call.
 struct DeadlockDiagnosis {
+  bool consistent = false;  ///< is_consistent(g); false => not deadlock-free
   bool deadlock_free = false;
   std::vector<ActorId> starved_actors;    ///< actors with pending firings
   std::vector<ChannelId> starved_channels;///< in-channels lacking tokens

@@ -20,7 +20,9 @@ using RepetitionVector = std::vector<std::uint64_t>;
 /// Computes the repetition vector. Returns std::nullopt if the graph is
 /// inconsistent (balance equations unsolvable). For graphs with several
 /// weakly-connected components, each component is normalised independently
-/// (the standard convention). Actors with no channels get q = 1.
+/// (the standard convention). Actors with no channels get q = 1. Firing-rate
+/// ratios are kept gcd-reduced in plain int64; throws util::RationalError
+/// when one of them, or the final integer scaling, overflows.
 [[nodiscard]] std::optional<RepetitionVector> compute_repetition_vector(const Graph& g);
 
 /// True iff the balance equations have a positive solution.

@@ -6,14 +6,6 @@
 namespace procon::util {
 namespace {
 
-std::int64_t checked_mul(std::int64_t a, std::int64_t b) {
-  std::int64_t r = 0;
-  if (__builtin_mul_overflow(a, b, &r)) {
-    throw RationalError("rational multiplication overflow");
-  }
-  return r;
-}
-
 std::int64_t checked_add(std::int64_t a, std::int64_t b) {
   std::int64_t r = 0;
   if (__builtin_add_overflow(a, b, &r)) {

@@ -1,8 +1,9 @@
 // Exact rational arithmetic on 64-bit integers.
 //
-// Used wherever exactness matters for correctness of the analysis:
-// repetition-vector computation (balance equations), token-index algebra in
-// the HSDF expansion, and exact period bookkeeping for integer-time graphs.
+// Used wherever exactness matters for correctness of the analysis: exact
+// period bookkeeping for integer-time graphs. The repetition vector solves
+// its balance equations in plain int64 with the same overflow contract (it
+// throws RationalError and shares checked_mul/gcd64/lcm64).
 // Values are kept normalised (gcd-reduced, denominator > 0) at all times.
 #pragma once
 
@@ -81,6 +82,14 @@ class Rational {
 
 std::ostream& operator<<(std::ostream& os, const Rational& r);
 
+/// a * b; throws RationalError on signed overflow.
+[[nodiscard]] inline std::int64_t checked_mul(std::int64_t a, std::int64_t b) {
+  std::int64_t r = 0;
+  if (__builtin_mul_overflow(a, b, &r)) {
+    throw RationalError("rational multiplication overflow");
+  }
+  return r;
+}
 /// gcd of two non-negative values, gcd(0, x) == x.
 [[nodiscard]] std::int64_t gcd64(std::int64_t a, std::int64_t b) noexcept;
 /// lcm; throws RationalError on overflow.

@@ -124,6 +124,27 @@ TEST(Admission, ValidationErrors) {
   dead.add_channel(y, x, 1, 1, 0);
   EXPECT_THROW((void)ctrl.request(dead, {0, 1}, QoS::no_requirement()),
                sdf::GraphError);
+  // Inconsistent graph: no repetition vector, so the candidate's engine
+  // cannot be built.
+  sdf::Graph inconsistent("inconsistent");
+  const auto u = inconsistent.add_actor("u", 1);
+  const auto v = inconsistent.add_actor("v", 1);
+  inconsistent.add_channel(u, v, 2, 1, 0);
+  inconsistent.add_channel(v, u, 2, 1, 4);
+  // Zero-token self-loop: consistent, but the actor can never fire.
+  sdf::Graph stuck = procon::testing::two_actor_cycle(10, 10);
+  stuck.add_channel(0, 0, 1, 1, 0);
+  for (const sdf::Graph* bad : {&inconsistent, &stuck}) {
+    EXPECT_THROW((void)ctrl.request(*bad, {0, 1}, QoS::no_requirement()),
+                 sdf::GraphError)
+        << bad->name();
+    EXPECT_THROW((void)ctrl.what_if_admit(*bad, {0, 1}, QoS::no_requirement()),
+                 sdf::GraphError)
+        << bad->name();
+  }
+  // Rejected graphs are never cached, and nothing was admitted.
+  EXPECT_EQ(ctrl.candidate_cache_size(), 0u);
+  EXPECT_EQ(ctrl.admitted_count(), 0u);
 }
 
 TEST(Admission, ManyAppsAccumulateLoad) {

@@ -20,6 +20,7 @@
 #include "analysis/throughput.h"
 #include "gen/graph_generator.h"
 #include "helpers.h"
+#include "sdf/algorithms.h"
 #include "sdf/exec_time.h"
 #include "sdf/repetition.h"
 #include "util/rng.h"
@@ -234,6 +235,155 @@ TEST(CrossValidation, EngineRejectsWrongTimesSize) {
   ThroughputEngine engine(procon::testing::fig2_graph_a());
   const std::vector<double> wrong(2, 1.0);
   EXPECT_THROW((void)engine.recompute(wrong), sdf::GraphError);
+}
+
+// The engine closes the graph inside its expansion (self-loop candidate
+// edges appended to the channel candidates) instead of expanding a
+// with_self_loops() copy. dedup_candidates sorts the list, so the edge set,
+// the CSR order and every Howard round must be those of the copy: the
+// reference below is exactly that construction, a HowardSolver built on
+// expand_to_hsdf(g.with_self_loops(), q), driven through the same cold,
+// warm and memo sequence.
+TEST(CrossValidation, OnePassEngineMatchesClosedCopyBitwise) {
+  util::Rng rng(20070620);
+  gen::GeneratorOptions gopts;
+  gopts.min_actors = 3;
+  gopts.max_actors = 10;
+  auto graphs = gen::generate_graphs(rng, gopts, 2000, "one");
+  // Existing self-loops: has_self_loop counts equal rates with >= 1 token,
+  // so these actors get no closure loop; the others still do. A rate-2
+  // loop holding one token deadlocks its actor.
+  const std::size_t base = graphs.size();
+  for (std::size_t i = 0; i < base; i += 8) {
+    for (const auto& [rate, tokens] : {std::pair<std::uint32_t, std::uint64_t>{1, 1},
+                                       {1, 3},
+                                       {2, 2},
+                                       {2, 1}}) {
+      sdf::Graph g = graphs[i];
+      const auto a = static_cast<sdf::ActorId>(
+          rng.uniform_int(0, static_cast<std::int64_t>(g.actor_count()) - 1));
+      g.add_channel(a, a, rate, rate, tokens);
+      graphs.push_back(std::move(g));
+    }
+  }
+
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  std::size_t compared = 0;
+  for (const sdf::Graph& g : graphs) {
+    const sdf::Graph closed = g.with_self_loops();
+    const auto q = sdf::compute_repetition_vector(closed);
+    ASSERT_TRUE(q.has_value()) << g.name();
+    const Hsdf h = expand_to_hsdf(closed, *q);
+    const std::size_t n = g.actor_count();
+    std::vector<std::vector<double>> warm(6, std::vector<double>(n));
+    for (auto& times : warm) {
+      for (double& t : times) t = rng.uniform_real(1.0, 100.0);
+    }
+    std::vector<double> own(n);
+    for (sdf::ActorId a = 0; a < n; ++a) own[a] = static_cast<double>(g.actor(a).exec_time);
+
+    const EngineOptions variants[] = {{},
+                                      {.repetition = &*q},
+                                      {.assume_closed = true},
+                                      {.assume_closed = true, .repetition = &*q}};
+    for (std::size_t v = 0; v < std::size(variants); ++v) {
+      ThroughputEngine engine(variants[v].assume_closed ? closed : g, variants[v]);
+      HowardSolver ref;
+      ref.build(h);
+      ASSERT_EQ(engine.node_count(), h.node_count()) << g.name() << " variant " << v;
+      ASSERT_EQ(engine.structurally_deadlocked(), ref.deadlocked()) << g.name();
+      ASSERT_EQ(engine.has_cycle(), ref.has_cycle()) << g.name();
+      ++compared;
+      if (ref.deadlocked()) {
+        EXPECT_TRUE(engine.recompute().deadlocked) << g.name();
+        continue;
+      }
+
+      std::vector<double> weights(h.node_count());
+      const auto ref_solve = [&](std::span<const double> times) {
+        for (std::size_t k = 0; k < weights.size(); ++k) {
+          weights[k] = times[h.nodes[k].source_actor];
+        }
+        ref.set_node_weights(weights);
+        return ref.solve();
+      };
+      engine.reset();
+      ASSERT_EQ(bits(engine.recompute().period), bits(ref_solve(own)))
+          << g.name() << " variant " << v << " isolation";
+      for (std::size_t k = 0; k < warm.size(); ++k) {
+        ASSERT_EQ(bits(engine.recompute(warm[k]).period), bits(ref_solve(warm[k])))
+            << g.name() << " variant " << v << " warm " << k;
+      }
+      // Memo replay: the engine installs its stored isolation policy; the
+      // reference cold-solves again, and the next warm solve starts from it.
+      engine.reset();
+      ref.reset();
+      ASSERT_EQ(bits(engine.recompute().period), bits(ref_solve(own)))
+          << g.name() << " variant " << v << " memo";
+      ASSERT_EQ(bits(engine.recompute(warm[0]).period), bits(ref_solve(warm[0])))
+          << g.name() << " variant " << v << " warm after memo";
+    }
+  }
+  EXPECT_EQ(compared, 4 * graphs.size());
+}
+
+// The admission controller validates a new application with its engine
+// alone: the constructor throws for exactly the inconsistent graphs and
+// structurally_deadlocked() holds for exactly the consistent graphs that
+// is_deadlock_free rejects.
+TEST(CrossValidation, EngineVerdictsMatchStructuralChecks) {
+  util::Rng rng(20070621);
+  gen::GeneratorOptions gopts;
+  gopts.min_actors = 3;
+  gopts.max_actors = 8;
+  const auto graphs = gen::generate_graphs(rng, gopts, 500, "verdict");
+
+  std::size_t mutants = 0, inconsistent = 0, deadlocked = 0;
+  for (const sdf::Graph& g : graphs) {
+    for (int m = 0; m < 40; ++m) {
+      sdf::Graph mutant(g.name());
+      for (sdf::ActorId a = 0; a < g.actor_count(); ++a) {
+        mutant.add_actor(g.actor(a).name, g.actor(a).exec_time);
+      }
+      for (const sdf::Channel& ch : g.channels()) {
+        sdf::Channel c = ch;
+        switch (rng.uniform_int(0, 7)) {  // most channels stay as they are
+          case 0: c.prod_rate += 1; break;
+          case 1: c.initial_tokens /= 2; break;
+          case 2: c.initial_tokens = 0; break;
+          default: break;
+        }
+        mutant.add_channel(c.src, c.dst, c.prod_rate, c.cons_rate, c.initial_tokens);
+      }
+      const auto pick = [&] {
+        return static_cast<sdf::ActorId>(
+            rng.uniform_int(0, static_cast<std::int64_t>(g.actor_count()) - 1));
+      };
+      if (rng.bernoulli(0.15)) {
+        const sdf::ActorId a = pick();
+        mutant.add_channel(a, a, 1, 1, 0);  // zero-token self-loop
+      }
+      if (rng.bernoulli(0.1)) {
+        const sdf::ActorId a = pick();
+        mutant.add_channel(a, a, 2, 3, 1);  // rate-mismatched self-loop
+      }
+      ++mutants;
+      if (!sdf::is_consistent(mutant)) {
+        ++inconsistent;
+        EXPECT_THROW((void)ThroughputEngine(mutant), sdf::GraphError) << m;
+        continue;
+      }
+      const ThroughputEngine engine(mutant);
+      const bool live = sdf::is_deadlock_free(mutant);
+      deadlocked += live ? 0 : 1;
+      ASSERT_EQ(engine.structurally_deadlocked(), !live) << g.name() << " mutant " << m;
+    }
+  }
+  EXPECT_EQ(mutants, 20000u);
+  // Both verdicts must be exercised in numbers, not by a handful of cases.
+  EXPECT_GT(inconsistent, 2000u);
+  EXPECT_GT(deadlocked, 2000u);
+  EXPECT_GT(mutants - inconsistent - deadlocked, 2000u);
 }
 
 }  // namespace

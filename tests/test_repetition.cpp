@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <queue>
+
+#include "gen/graph_generator.h"
 #include "helpers.h"
+#include "util/rational.h"
+#include "util/rng.h"
 
 namespace procon::sdf {
 namespace {
@@ -128,6 +133,149 @@ TEST(Repetition, RepetitionSumAndWorkload) {
   EXPECT_EQ(repetition_sum(*q), 4u);
   // 1*100 + 2*50 + 1*100 = 300 (equals Per(A): the graph is sequential).
   EXPECT_EQ(iteration_workload(g, *q), 300);
+}
+
+// The util::Rational form compute_repetition_vector had before it moved to
+// plain int64: the oracle for the integer version, which must return the
+// same vector and throw util::RationalError on exactly the same inputs.
+std::optional<RepetitionVector> rational_repetition_vector(const Graph& g) {
+  using util::Rational;
+  const std::size_t n = g.actor_count();
+  std::vector<Rational> ratio(n, Rational(0));
+  std::vector<int> component(n, -1);
+  int ncomp = 0;
+  for (ActorId start = 0; start < n; ++start) {
+    if (component[start] != -1) continue;
+    const int comp = ncomp++;
+    component[start] = comp;
+    ratio[start] = Rational(1);
+    std::queue<ActorId> work;
+    work.push(start);
+    while (!work.empty()) {
+      const ActorId a = work.front();
+      work.pop();
+      auto relax = [&](ActorId b, const Rational& expected) -> bool {
+        if (component[b] == -1) {
+          component[b] = comp;
+          ratio[b] = expected;
+          work.push(b);
+          return true;
+        }
+        return ratio[b] == expected;
+      };
+      for (const ChannelId cid : g.out_channels(a)) {
+        const Channel& c = g.channel(cid);
+        if (!relax(c.dst, ratio[a] * Rational(c.prod_rate) / Rational(c.cons_rate))) {
+          return std::nullopt;
+        }
+      }
+      for (const ChannelId cid : g.in_channels(a)) {
+        const Channel& c = g.channel(cid);
+        if (!relax(c.src, ratio[a] * Rational(c.cons_rate) / Rational(c.prod_rate))) {
+          return std::nullopt;
+        }
+      }
+    }
+  }
+  std::vector<std::int64_t> den_lcm(static_cast<std::size_t>(ncomp), 1);
+  for (ActorId a = 0; a < n; ++a) {
+    auto& l = den_lcm[static_cast<std::size_t>(component[a])];
+    l = util::lcm64(l, ratio[a].den());
+  }
+  std::vector<std::int64_t> num_gcd(static_cast<std::size_t>(ncomp), 0);
+  std::vector<std::int64_t> scaled(n, 0);
+  for (ActorId a = 0; a < n; ++a) {
+    const auto comp = static_cast<std::size_t>(component[a]);
+    scaled[a] = (ratio[a] * Rational(den_lcm[comp])).num();
+    num_gcd[comp] = util::gcd64(num_gcd[comp], scaled[a]);
+  }
+  RepetitionVector q(n, 0);
+  for (ActorId a = 0; a < n; ++a) {
+    q[a] = static_cast<std::uint64_t>(
+        scaled[a] / num_gcd[static_cast<std::size_t>(component[a])]);
+  }
+  return q;
+}
+
+TEST(Repetition, IntegerArithmeticMatchesRationalReference) {
+  util::Rng rng(20070622);
+  std::vector<Graph> graphs;
+  // Generated (consistent) graphs and rate-bumped mutants of them.
+  gen::GeneratorOptions gopts;
+  gopts.min_actors = 3;
+  gopts.max_actors = 12;
+  gopts.max_repetition = 8;
+  for (Graph& g : gen::generate_graphs(rng, gopts, 300, "rep")) {
+    Graph m(g.name() + "m");
+    for (ActorId a = 0; a < g.actor_count(); ++a) m.add_actor(g.actor(a).name, 1);
+    for (const Channel& c : g.channels()) {
+      m.add_channel(c.src, c.dst, c.prod_rate + (rng.bernoulli(0.1) ? 1 : 0), c.cons_rate,
+                    c.initial_tokens);
+    }
+    graphs.push_back(std::move(g));
+    graphs.push_back(std::move(m));
+  }
+  // Random sparse multigraphs with small rates: several components,
+  // isolated actors, parallel channels and self-loops.
+  for (int k = 0; k < 300; ++k) {
+    Graph g("sparse");
+    const auto n = rng.uniform_int(1, 9);
+    for (std::int64_t a = 0; a < n; ++a) g.add_actor("a", 1);
+    const auto m = rng.uniform_int(0, 2 * n);
+    for (std::int64_t c = 0; c < m; ++c) {
+      g.add_channel(static_cast<ActorId>(rng.uniform_int(0, n - 1)),
+                    static_cast<ActorId>(rng.uniform_int(0, n - 1)),
+                    static_cast<std::uint32_t>(rng.uniform_int(1, 6)),
+                    static_cast<std::uint32_t>(rng.uniform_int(1, 6)), 0);
+    }
+    graphs.push_back(std::move(g));
+  }
+  // Long chains and rings with rates near 2^32: the products overflow int64
+  // somewhere along the chain, at the lcm, or in the final scaling — or not.
+  for (int k = 0; k < 600; ++k) {
+    Graph g("wide");
+    const auto n = rng.uniform_int(2, 8);
+    for (std::int64_t a = 0; a < n; ++a) g.add_actor("a", 1);
+    const auto rate = [&] {
+      return rng.bernoulli(0.5)
+                 ? static_cast<std::uint32_t>(rng.uniform_int(4294900000LL, 4294967295LL))
+                 : static_cast<std::uint32_t>(rng.uniform_int(1, 100000));
+    };
+    for (std::int64_t a = 0; a + 1 < n; ++a) {
+      g.add_channel(static_cast<ActorId>(a), static_cast<ActorId>(a + 1), rate(), rate(), 0);
+    }
+    if (k % 3 == 0) g.add_channel(static_cast<ActorId>(n - 1), 0, rate(), rate(), 1);
+    if (k % 5 == 0) g.add_channel(0, static_cast<ActorId>(n - 1), 1, 1, 0);
+    graphs.push_back(std::move(g));
+  }
+
+  std::size_t throws = 0, consistent = 0, inconsistent = 0;
+  for (const Graph& g : graphs) {
+    std::optional<RepetitionVector> want;
+    bool want_throw = false;
+    try {
+      want = rational_repetition_vector(g);
+    } catch (const util::RationalError&) {
+      want_throw = true;
+    }
+    if (want_throw) {
+      ++throws;
+      EXPECT_THROW((void)compute_repetition_vector(g), util::RationalError);
+      continue;
+    }
+    const auto got = compute_repetition_vector(g);
+    ASSERT_EQ(got.has_value(), want.has_value());
+    if (want) {
+      ++consistent;
+      EXPECT_EQ(*got, *want);
+    } else {
+      ++inconsistent;
+    }
+  }
+  // Every outcome is exercised.
+  EXPECT_GT(throws, 100u);
+  EXPECT_GT(consistent, 500u);
+  EXPECT_GT(inconsistent, 100u);
 }
 
 }  // namespace

@@ -410,5 +410,62 @@ TEST(SteadyStateAlloc, DeepFixedPointContentionIsThreadCountInvariant) {
   }
 }
 
+// A warm Workbench::sweep_use_cases runs in per-worker scratch (view,
+// estimator and WCRT workspaces, engine list) kept beside the worker's
+// engine clones, so it allocates only what it returns: the result vector,
+// each item's use-case copy, estimate and bound vectors and their per-app
+// actor vectors, the provenance string and the pool's job wrapper.
+TEST(SteadyStateAlloc, WarmSweepAllocatesOnlyItsResults) {
+  const platform::System sys = random_system(31, 5);
+  const auto use_cases = gen::all_use_cases(sys.app_count());
+  for (const bool with_wcrt : {false, true}) {
+    std::uint64_t bound = 1 + 2 + 1;  // result vector, provenance, job wrapper
+    for (const auto& uc : use_cases) {
+      bound += 2 + uc.size();  // use-case copy, estimates, actor vectors
+      if (with_wcrt) bound += 1 + uc.size();  // bounds, actor vectors
+    }
+    api::SweepOptions opts;
+    opts.with_wcrt = with_wcrt;
+    std::vector<api::UseCaseResult> serial;
+    for (const std::size_t threads : {1u, 2u}) {
+      api::Workbench wb(sys, api::WorkbenchOptions{.threads = threads});
+      (void)wb.sweep_use_cases(use_cases, opts);  // sizes the worker scratch
+      // With one worker the second sweep repeats the first item for item.
+      // With two, the pool hands items out dynamically, so a worker can
+      // meet an item shape (or its first item at all) only in a later sweep,
+      // and its grow-only scratch grows once more then: it must settle
+      // within a few sweeps, never allocate per item.
+      std::uint64_t used = 0;
+      api::Report<std::vector<api::UseCaseResult>> report;
+      for (int sweep = 0; sweep < (threads == 1 ? 1 : 10); ++sweep) {
+        const std::uint64_t before = allocations();
+        report = wb.sweep_use_cases(use_cases, opts);
+        used = allocations() - before;
+        if (used <= bound) break;
+      }
+      EXPECT_LE(used, bound) << "threads " << threads << " with_wcrt " << with_wcrt;
+      // Reused scratch keeps the bits: a settled two-worker sweep equals
+      // the serial one.
+      if (serial.empty()) {
+        serial = report.value;
+        continue;
+      }
+      ASSERT_EQ(report->size(), serial.size());
+      for (std::size_t i = 0; i < serial.size(); ++i) {
+        ASSERT_EQ((*report)[i].estimates.size(), serial[i].estimates.size());
+        for (std::size_t k = 0; k < serial[i].estimates.size(); ++k) {
+          EXPECT_EQ((*report)[i].estimates[k].estimated_period,
+                    serial[i].estimates[k].estimated_period);
+        }
+        ASSERT_EQ((*report)[i].bounds.size(), serial[i].bounds.size());
+        for (std::size_t k = 0; k < serial[i].bounds.size(); ++k) {
+          EXPECT_EQ((*report)[i].bounds[k].worst_case_period,
+                    serial[i].bounds[k].worst_case_period);
+        }
+      }
+    }
+  }
+}
+
 }  // namespace
 }  // namespace procon
