@@ -4,6 +4,7 @@
 #include <functional>
 #include <limits>
 #include <stdexcept>
+#include <string>
 #include <string_view>
 #include <utility>
 
@@ -72,16 +73,15 @@ AdmissionController::CandidateEntry& AdmissionController::candidate_for(
 
   // First sight: build the engine, which is the validation — its
   // constructor rejects exactly the inconsistent graphs (no repetition
-  // vector) and its zero-token-cycle verdict exactly the deadlocking ones.
-  // Then derive the mapping-independent analysis state and cache it
-  // (evicting the least recently used slot).
+  // vector) and the graphs above its expansion cap, before expanding, and
+  // its zero-token-cycle verdict exactly the deadlocking ones. Then derive
+  // the mapping-independent analysis state and cache it (evicting the least
+  // recently used slot).
   CandidateEntry entry;
   try {
     entry.engine = std::make_shared<analysis::ThroughputEngine>(app);
-  } catch (const sdf::GraphError&) {
-    // Without a supplied repetition vector, "no repetition vector" is the
-    // only GraphError the constructor raises.
-    throw sdf::GraphError("admission: inconsistent graph");
+  } catch (const sdf::GraphError& e) {
+    throw sdf::GraphError(std::string("admission: ") + e.what());
   }
   if (entry.engine->structurally_deadlocked()) {
     throw sdf::GraphError("admission: graph deadlocks");

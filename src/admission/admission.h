@@ -29,8 +29,9 @@
 // What a miss costs: one structural pass over the new graph — the
 // ThroughputEngine build, which computes the repetition vector once, closes
 // the graph inside its HSDF expansion and is also the validation (its
-// constructor rejects inconsistent graphs, structurally_deadlocked()
-// deadlocking ones; no separate is_consistent / is_deadlock_free pass) —
+// constructor rejects inconsistent graphs and graphs above its expansion
+// cap, structurally_deadlocked() deadlocking ones; no separate
+// is_consistent / is_deadlock_free pass) —
 // then one cold Howard solve for the isolation period, the load derivation
 // and one graph copy into the LRU slot, made only once the checks pass.
 // Everything after that is the hit path.
@@ -147,9 +148,11 @@ class AdmissionController {
 
   /// \brief Requests admission of `app` with actor a mapped on `nodes[a]`.
   ///
-  /// Consistent, deadlock-free graphs only; throws sdf::GraphError
-  /// otherwise. A granted request commits the application to the resident
-  /// store and updates every touched node composite in O(1) per actor.
+  /// Consistent, deadlock-free graphs within the engine's expansion cap
+  /// (analysis::kMaxRepetitionSum) only; throws sdf::GraphError otherwise,
+  /// the cap before anything is expanded. A granted request commits the
+  /// application to the resident store and updates every touched node
+  /// composite in O(1) per actor.
   /// \param app the application graph asking to run
   /// \param nodes actor-to-node assignment (one entry per actor)
   /// \param qos the application's own period requirement

@@ -14,12 +14,19 @@
 // unchanged), closes the graph inside the expansion by appending a 1-token
 // self-loop's candidate edges for each actor that lacks one, and hands the
 // sorted, deduplicated edge list straight to Howard's CSR core. No graph
-// copy and no Hsdf are built; the engine keeps only the node -> actor table,
-// the CSR topology and the structural verdicts (cycle existence,
-// zero-token deadlock). Because the candidate list is sorted before use,
-// the edges, their CSR order and so every solve are bitwise those of
-// expanding g.with_self_loops()
+// copy and no node objects are built; the engine keeps only the node ->
+// actor table, the CSR topology and the structural verdicts (cycle
+// existence, zero-token deadlock). Because the candidate list is sorted
+// before use, the edges, their CSR order and so every solve are bitwise
+// those of expanding g.with_self_loops()
 // (CrossValidation.OnePassEngineMatchesClosedCopyBitwise).
+//
+// It is the library's one HSDF expansion: period (recompute), latency and
+// bottleneck all run on its CSR, bit for bit the explicit-HSDF pipeline of
+// the test oracle (CrossValidation.EngineLatencyAndBottleneckMatchHsdfOracle),
+// and every one-shot, session, estimator, WCRT and admission path builds
+// one. So its cap on the expansion's size, kMaxRepetitionSum, checked
+// before anything is expanded, bounds them all.
 //
 // The construction is also the structural validation: the constructor
 // throws for exactly the inconsistent graphs and structurally_deadlocked()
@@ -59,6 +66,16 @@
 
 namespace procon::analysis {
 
+/// \brief Largest repetition-vector sum (HSDF firings per iteration) a
+/// ThroughputEngine expands; its constructor rejects larger graphs.
+///
+/// Set from the slowest graph family measured, a -> b at rates (2^k, 1)
+/// and b -> a at (1, 2^k) with 2^k tokens, in a Release build on a shared
+/// 4-vCPU Xeon VM: a cold build plus solve takes 0.12 s at a sum of 2049
+/// and 0.48 s at 4097, and grows about fourfold per doubling of the sum
+/// (1.5 s at 8193). Generated graphs stay below 50.
+inline constexpr std::uint64_t kMaxRepetitionSum = 4096;
+
 /// \brief Construction shortcuts for callers that already know structural
 /// facts about the graph.
 struct EngineOptions {
@@ -71,15 +88,16 @@ struct EngineOptions {
   const sdf::RepetitionVector* repetition = nullptr;
 };
 
-/// \brief Reusable per-graph period analysis: structure cached once,
-/// execution times rewritten per recompute(), Howard warm-started.
+/// \brief Reusable per-graph period, latency and bottleneck analysis:
+/// structure cached once, execution times rewritten per recompute(),
+/// Howard warm-started.
 ///
 /// Construction is one structural pass: the repetition vector once, the
 /// self-loop closure inside the expansion, the deduplicated edges straight
-/// into Howard's CSR core (no graph copy, no Hsdf). Its verdicts — the
-/// constructor's GraphError and structurally_deadlocked() — are exactly
-/// sdf::is_consistent and sdf::is_deadlock_free, which makes the engine the
-/// admission controller's validator.
+/// into Howard's CSR core (no graph copy, no node objects). Its verdicts —
+/// the constructor's GraphError and structurally_deadlocked() — are exactly
+/// sdf::is_consistent and sdf::is_deadlock_free (up to the size cap),
+/// which makes the engine the admission controller's validator.
 ///
 /// Caching contract: the *structure* (actors, channels, rates, initial
 /// tokens) is fixed for the engine's lifetime; only execution times may
@@ -103,7 +121,8 @@ class ThroughputEngine {
  public:
   /// Builds all structure-dependent state in one pass. Throws
   /// sdf::GraphError on exactly the inconsistent graphs (same contract as
-  /// compute_period).
+  /// compute_period), and on graphs whose repetition vector sums above
+  /// kMaxRepetitionSum, before expanding them.
   explicit ThroughputEngine(const sdf::Graph& g, const EngineOptions& opts = {});
 
   /// Period of the cached structure under `exec_times` (one entry per actor
@@ -112,6 +131,22 @@ class ThroughputEngine {
   /// call with empty times on a reset() engine is served by the isolation
   /// memo (see the class comment).
   [[nodiscard]] PeriodResult recompute(std::span<const double> exec_times = {});
+
+  /// Single-iteration latency under `exec_times` (as for recompute()): the
+  /// longest execution-time-weighted path over the expansion's zero-token
+  /// edges, in Kahn topological order, with the critical path's actors
+  /// (deduplicated, in path order); == compute_latency. Touches no solver
+  /// state. Throws sdf::GraphError when the zero-token subgraph is cyclic
+  /// (structurally_deadlocked()).
+  [[nodiscard]] GraphLatencyResult latency(std::span<const double> exec_times = {}) const;
+
+  /// Critical cycle under `exec_times` (as for recompute()): the period and
+  /// the id-ordered actors of the cycle that enforces it;
+  /// == find_bottleneck. Always a cold Howard solve, since the critical
+  /// cycle is read from the ratios of the solve it follows and a memo hit
+  /// computes none. The next recompute() warm-starts from that solve's
+  /// policy; the isolation memo is neither read nor filled.
+  [[nodiscard]] BottleneckReport bottleneck(std::span<const double> exec_times = {});
 
   /// Discards the Howard warm-start state; the next recompute() cold-starts.
   /// Parallel sharding (use-case sweeps, mapper candidate scoring) resets a
@@ -147,6 +182,13 @@ class ThroughputEngine {
   [[nodiscard]] bool has_cycle() const noexcept { return solver_.has_cycle(); }
 
  private:
+  /// `exec_times`, or the graph's own times when empty; throws
+  /// sdf::GraphError on a size mismatch.
+  [[nodiscard]] std::span<const double> times_or_default(
+      std::span<const double> exec_times) const;
+  /// Sets the node weights from per-actor `times` and solves.
+  double solve(std::span<const double> times);
+
   std::size_t actor_count_ = 0;
   sdf::RepetitionVector q_;              // of the graph and its closure
   std::vector<sdf::ActorId> node_actor_; // HSDF node -> source actor

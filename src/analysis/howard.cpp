@@ -13,19 +13,8 @@ constexpr double kNegInf = -1e300;
 
 }  // namespace
 
-void HowardSolver::build(const Hsdf& h) {
-  std::vector<HsdfEdgeCandidate> edges;
-  edges.reserve(h.edges.size());
-  for (const HsdfEdge& e : h.edges) {
-    edges.push_back(
-        HsdfEdgeCandidate{(static_cast<std::uint64_t>(e.src) << 32) | e.dst, e.tokens});
-  }
-  build(h.node_count(), edges);
-  for (std::size_t v = 0; v < n_; ++v) weight_[v] = h.nodes[v].exec_time;
-}
-
 void HowardSolver::build(std::size_t node_count,
-                         std::span<const HsdfEdgeCandidate> edges) {
+                         std::span<const EdgeCandidate> edges) {
   n_ = node_count;
   has_cycle_ = false;
   deadlocked_ = false;
@@ -34,13 +23,13 @@ void HowardSolver::build(std::size_t node_count,
   // Counting sort of edges by source into CSR arrays (stable, so each
   // node's out-edges keep their input order).
   offset_.assign(n_ + 1, 0);
-  for (const HsdfEdgeCandidate& e : edges) ++offset_[e.src() + 1];
+  for (const EdgeCandidate& e : edges) ++offset_[e.src() + 1];
   for (std::size_t v = 0; v < n_; ++v) offset_[v + 1] += offset_[v];
   dst_.resize(edges.size());
   tokens_.resize(edges.size());
   {
     std::vector<std::uint32_t> cursor(offset_.begin(), offset_.end() - 1);
-    for (const HsdfEdgeCandidate& e : edges) {
+    for (const EdgeCandidate& e : edges) {
       const std::uint32_t slot = cursor[e.src()]++;
       dst_[slot] = e.dst();
       tokens_[slot] = static_cast<double>(e.tokens);
@@ -289,40 +278,5 @@ std::vector<std::uint32_t> HowardSolver::critical_cycle() const {
   if (order[v] == UINT32_MAX) return {};  // walk drained (trimmed region)
   return std::vector<std::uint32_t>(walk.begin() + order[v], walk.end());
 }
-
-CriticalCycleResult mcr_with_critical_cycle(const Hsdf& h) {
-  CriticalCycleResult result;
-  if (h.node_count() == 0 || h.edges.empty()) return result;
-
-  HowardSolver solver;
-  solver.build(h);
-  if (!solver.has_cycle()) return result;
-  result.mcr.has_cycle = true;
-  if (solver.deadlocked()) {
-    result.mcr.deadlocked = true;
-    return result;
-  }
-  result.mcr.ratio = solver.solve();
-  result.cycle = solver.critical_cycle();
-  return result;
-}
-
-McrResult mcr_howard(const Hsdf& h) {
-  McrResult result;
-  if (h.node_count() == 0 || h.edges.empty()) return result;
-
-  HowardSolver solver;
-  solver.build(h);
-  if (!solver.has_cycle()) return result;
-  result.has_cycle = true;
-  if (solver.deadlocked()) {
-    result.deadlocked = true;
-    return result;
-  }
-  result.ratio = solver.solve();
-  return result;
-}
-
-McrResult maximum_cycle_ratio(const Hsdf& h) { return mcr_howard(h); }
 
 }  // namespace procon::analysis

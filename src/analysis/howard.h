@@ -14,13 +14,16 @@
 // improvement rounds instead of a full cold start. ThroughputEngine
 // (analysis/engine.h) builds on exactly this property.
 //
-// This engine is faster than the Lawler parametric search on the
-// expansions this library produces and is cross-validated against it on
-// thousands of random graphs in the tests.
-// mcr_binary_search remains the default reference implementation.
+// It is the library's one MCR solver. The tests cross-validate it on
+// thousands of random graphs against the Lawler parametric search and
+// exhaustive cycle enumeration, which live in tests/analysis_oracle.h.
 #pragma once
 
-#include "analysis/mcr.h"
+#include <cstdint>
+#include <span>
+#include <vector>
+
+#include "analysis/expansion.h"
 
 namespace procon::analysis {
 
@@ -38,20 +41,26 @@ class HowardSolver {
   /// the one-time structural checks: cycle existence and zero-token
   /// (deadlock) cycles. Each node's out-edges keep their order in `edges`.
   /// Node weights are zero until set_node_weights. Resets any previous
-  /// policy. This is the one core: ThroughputEngine and the buffer explorer
-  /// hand it their sorted, deduplicated expansion (dedup_candidates)
-  /// directly, so neither builds an Hsdf.
-  void build(std::size_t node_count, std::span<const HsdfEdgeCandidate> edges);
-
-  /// The same over an explicit HSDF, with node weights taken from its
-  /// nodes' execution times (mcr_howard, mcr_with_critical_cycle).
-  void build(const Hsdf& h);
+  /// policy. ThroughputEngine and the buffer explorer hand it their sorted,
+  /// deduplicated expansion (dedup_candidates) directly.
+  void build(std::size_t node_count, std::span<const EdgeCandidate> edges);
 
   /// True if the graph contains at least one directed cycle.
   [[nodiscard]] bool has_cycle() const noexcept { return has_cycle_; }
   /// True if a zero-token cycle exists (period unbounded / deadlock).
   [[nodiscard]] bool deadlocked() const noexcept { return deadlocked_; }
   [[nodiscard]] std::size_t node_count() const noexcept { return n_; }
+
+  /// The CSR topology, read-only: the out-edges of node v are the indices
+  /// [offsets()[v], offsets()[v + 1]) of targets() and tokens(), in their
+  /// order in the edges given to build().
+  [[nodiscard]] std::span<const std::uint32_t> offsets() const noexcept {
+    return offset_;
+  }
+  /// Target node of each edge (see offsets()).
+  [[nodiscard]] std::span<const std::uint32_t> targets() const noexcept { return dst_; }
+  /// Token count (iteration distance) of each edge (see offsets()).
+  [[nodiscard]] std::span<const double> tokens() const noexcept { return tokens_; }
 
   /// Replaces the per-node weight (the execution time folded onto every
   /// outgoing edge). Size must equal node_count().
@@ -117,10 +126,5 @@ class HowardSolver {
   std::vector<std::uint32_t> path_;
   std::vector<std::uint32_t> cyc_;
 };
-
-/// Maximum cycle ratio via Howard's policy iteration. Semantics identical
-/// to mcr_binary_search: detects deadlock (zero-token cycles) and acyclic
-/// graphs the same way.
-[[nodiscard]] McrResult mcr_howard(const Hsdf& h);
 
 }  // namespace procon::analysis

@@ -56,6 +56,7 @@ StateSpaceResult self_timed_period(const Graph& g, const StateSpaceOptions& opts
 
   const std::uint64_t max_firings =
       opts.max_firings ? opts.max_firings : 1'000'000ULL + 10'000ULL * n;
+  result.firing_cap = max_firings;
 
   State st;
   st.tokens.resize(g.channel_count());

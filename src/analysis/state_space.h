@@ -29,6 +29,7 @@ struct StateSpaceOptions {
 struct StateSpaceResult {
   bool deadlocked = false;
   bool converged = false;          ///< recurrent state found within the cap
+  std::uint64_t firing_cap = 0;    ///< the cap this run used (options or default)
   util::Rational period{0};        ///< time units per graph iteration
   sdf::Time transient_end = 0;     ///< time at which the periodic phase began
   std::uint64_t iterations_in_cycle = 0;

@@ -1,45 +1,42 @@
 #include "analysis/throughput.h"
 
-#include <algorithm>
+#include <string>
 
 #include "analysis/engine.h"
+#include "sdf/repetition.h"
 
 namespace procon::analysis {
 
+// One-shot uses of the reusable engine: fresh and cached analyses share a
+// single code path, so the engine's (and the Workbench's) answers are
+// exactly these.
 PeriodResult compute_period(const sdf::Graph& g, std::span<const double> exec_times) {
-  // One-shot use of the reusable engine: fresh and cached analyses share a
-  // single code path, so ThroughputEngine::recompute is exactly equivalent.
   ThroughputEngine engine(g);
   return engine.recompute(exec_times);
 }
 
 BottleneckReport find_bottleneck(const sdf::Graph& g,
                                  std::span<const double> exec_times) {
-  const sdf::Graph closed = g.with_self_loops();
-  const auto q = sdf::compute_repetition_vector(closed);
-  if (!q) throw sdf::GraphError("find_bottleneck: inconsistent graph");
-  const Hsdf h = expand_to_hsdf(closed, *q, exec_times);
-  const CriticalCycleResult cc = mcr_with_critical_cycle(h);
-  BottleneckReport report;
-  report.deadlocked = cc.mcr.deadlocked;
-  report.period = cc.mcr.deadlocked ? 0.0 : cc.mcr.ratio;
-  std::vector<bool> seen(g.actor_count(), false);
-  for (const std::uint32_t node : cc.cycle) {
-    const sdf::ActorId a = h.nodes[node].source_actor;
-    if (!seen[a]) {
-      seen[a] = true;
-      report.actors.push_back(a);
-    }
-  }
-  std::sort(report.actors.begin(), report.actors.end());
-  return report;
+  ThroughputEngine engine(g);
+  return engine.bottleneck(exec_times);
+}
+
+GraphLatencyResult compute_latency(const sdf::Graph& g,
+                                   std::span<const double> exec_times) {
+  const ThroughputEngine engine(g);
+  return engine.latency(exec_times);
 }
 
 util::Rational compute_period_exact(const sdf::Graph& g) {
+  if (!sdf::is_consistent(g)) {
+    throw sdf::GraphError("compute_period_exact: inconsistent graph");
+  }
   const sdf::Graph closed = g.with_self_loops();
   const StateSpaceResult r = self_timed_period(closed);
-  if (r.deadlocked || !r.converged) {
-    throw sdf::GraphError("compute_period_exact: graph deadlocks or did not converge");
+  if (r.deadlocked) throw sdf::GraphError("compute_period_exact: graph deadlocks");
+  if (!r.converged) {
+    throw sdf::GraphError("compute_period_exact: did not converge within " +
+                          std::to_string(r.firing_cap) + " firings");
   }
   return r.period;
 }

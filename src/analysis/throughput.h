@@ -6,13 +6,20 @@
 // default engine is HSDF expansion + maximum cycle ratio, which is exact
 // for real-valued times; the state-space engine provides exact rational
 // results for integer graphs (and cross-validates the MCR path in tests).
+//
+// Period, latency and bottleneck are one job: each one-shot below builds
+// one ThroughputEngine (analysis/engine.h) and asks it once. Repeated
+// callers hold the engine, or an api::Workbench session, whose throughput,
+// latency and bottleneck queries return the same bits from cached
+// structure.
 #pragma once
 
 #include <span>
+#include <vector>
 
-#include "analysis/mcr.h"
 #include "analysis/state_space.h"
 #include "sdf/graph.h"
+#include "util/rational.h"
 
 namespace procon::analysis {
 
@@ -30,17 +37,16 @@ struct PeriodResult {
 /// Computes Per(g) via HSDF + MCR. `exec_times`, if non-empty, overrides
 /// actor execution times (one entry per actor; fractional values allowed).
 /// Auto-concurrency is disabled by inserting self-loops, matching the
-/// paper's operational model. Throws sdf::GraphError on inconsistent graphs.
-///
-/// Deprecated one-shot shim: re-derives all structure per call. Repeated
-/// callers should hold a ThroughputEngine or an api::Workbench session,
-/// whose throughput(app) query returns the same bits from cached structure.
+/// paper's operational model. Throws sdf::GraphError on inconsistent graphs
+/// and on graphs too large to expand (ThroughputEngine's cap).
 [[nodiscard]] PeriodResult compute_period(const sdf::Graph& g,
                                           std::span<const double> exec_times = {});
 
 /// Exact rational period of an integer-time graph via state-space
-/// execution. Throws sdf::GraphError on inconsistent graphs and when the
-/// execution clock would overflow int64.
+/// execution. Throws sdf::GraphError on inconsistent graphs, when the
+/// graph deadlocks, when the execution does not recur within the
+/// state-space firing cap, and when the execution clock would overflow
+/// int64.
 [[nodiscard]] util::Rational compute_period_exact(const sdf::Graph& g);
 
 /// Which actors limit the throughput: the (deduplicated, id-ordered) actors
@@ -53,5 +59,23 @@ struct BottleneckReport {
 };
 [[nodiscard]] BottleneckReport find_bottleneck(const sdf::Graph& g,
                                                std::span<const double> exec_times = {});
+
+/// Single-iteration latency ([16]): the time one iteration takes
+/// end-to-end under self-timed execution with all inputs available, i.e.
+/// the longest execution-time-weighted path through the HSDF expansion's
+/// zero-token edges. Latency and period differ exactly when the graph
+/// pipelines: a graph with period 10 may still take 100 time units from an
+/// iteration's first firing to its last.
+struct GraphLatencyResult {
+  double latency = 0.0;
+  /// Actors on the critical path (deduplicated, in path order).
+  std::vector<sdf::ActorId> critical_actors;
+};
+/// Latency of `g` (with optional execution-time overrides, no
+/// auto-concurrency). Throws sdf::GraphError on inconsistent graphs, on
+/// graphs too large to expand and when the zero-token subgraph is cyclic
+/// (the graph deadlocks).
+[[nodiscard]] GraphLatencyResult compute_latency(const sdf::Graph& g,
+                                                 std::span<const double> exec_times = {});
 
 }  // namespace procon::analysis

@@ -4,8 +4,6 @@
 #include <chrono>
 #include <utility>
 
-#include "sdf/repetition.h"
-
 namespace procon::api {
 namespace {
 
@@ -108,8 +106,6 @@ Workbench::Workbench(platform::System sys, const WorkbenchOptions& opts)
   sys_.validate();
   engines_.reserve(sys_.app_count());
   for (const sdf::Graph& app : sys_.apps()) engines_.emplace_back(app);
-  hsdf_.resize(sys_.app_count());
-  hsdf_ready_.assign(sys_.app_count(), 0);
   full_uc_ = sys_.full_use_case();
   ptr_scratch_.reserve(sys_.app_count());
 }
@@ -118,17 +114,6 @@ void Workbench::check_app(sdf::AppId app) const {
   if (app >= sys_.app_count()) {
     throw sdf::GraphError("Workbench: application id out of range");
   }
-}
-
-const analysis::Hsdf& Workbench::cached_hsdf(sdf::AppId app) {
-  if (!hsdf_ready_[app]) {
-    const sdf::Graph closed = sys_.app(app).with_self_loops();
-    const auto q = sdf::compute_repetition_vector(closed);
-    if (!q) throw sdf::GraphError("Workbench: inconsistent application");
-    hsdf_[app] = analysis::expand_to_hsdf(closed, *q, {});
-    hsdf_ready_[app] = 1;
-  }
-  return hsdf_[app];
 }
 
 std::vector<dse::AnalysisWorkspace>& Workbench::worker_sets() {
@@ -205,18 +190,8 @@ Report<analysis::GraphLatencyResult> Workbench::latency(sdf::AppId app) {
       return report;
     }
   }
-  const analysis::Hsdf& h = cached_hsdf(app);
-  const analysis::LatencyResult r = analysis::iteration_latency(h);
   Report<analysis::GraphLatencyResult> report;
-  report.value.latency = r.latency;
-  std::vector<bool> seen(sys_.app(app).actor_count(), false);
-  for (const std::uint32_t node : r.path) {
-    const sdf::ActorId a = h.nodes[node].source_actor;
-    if (!seen[a]) {
-      seen[a] = true;
-      report.value.critical_actors.push_back(a);
-    }
-  }
+  report.value = engines_[app].latency();
   if (table_ != nullptr &&
       report.value.critical_actors.size() <= analysis::TTValue::kMaxIds) {
     // Results whose critical-actor list does not fit the compact entry are
@@ -251,20 +226,8 @@ Report<analysis::BottleneckReport> Workbench::bottleneck(sdf::AppId app) {
       return report;
     }
   }
-  const analysis::Hsdf& h = cached_hsdf(app);
-  const analysis::CriticalCycleResult cc = analysis::mcr_with_critical_cycle(h);
   Report<analysis::BottleneckReport> report;
-  report.value.deadlocked = cc.mcr.deadlocked;
-  report.value.period = cc.mcr.deadlocked ? 0.0 : cc.mcr.ratio;
-  std::vector<bool> seen(sys_.app(app).actor_count(), false);
-  for (const std::uint32_t node : cc.cycle) {
-    const sdf::ActorId a = h.nodes[node].source_actor;
-    if (!seen[a]) {
-      seen[a] = true;
-      report.value.actors.push_back(a);
-    }
-  }
-  std::sort(report.value.actors.begin(), report.value.actors.end());
+  report.value = engines_[app].bottleneck();
   if (table_ != nullptr && report.value.actors.size() <= analysis::TTValue::kMaxIds) {
     analysis::TTValue v;
     v.primary = report.value.period;

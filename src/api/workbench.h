@@ -9,8 +9,8 @@
 // owns instead:
 //
 //   * one ThroughputEngine per application (self-loop closure, repetition
-//     vector, HSDF topology and structural verdicts cached once),
-//   * one cached HSDF expansion per application (latency / bottleneck),
+//     vector, HSDF topology and structural verdicts cached once), which
+//     serves the period, latency and bottleneck queries alike,
 //   * one sim::SimEngine over the whole system (flat event-driven
 //     structure built once; every simulation query — full, per use-case,
 //     or inside a with_sim sweep — is a reset + run),
@@ -38,8 +38,6 @@
 #include <vector>
 
 #include "analysis/engine.h"
-#include "analysis/hsdf.h"
-#include "analysis/latency.h"
 #include "analysis/throughput.h"
 #include "analysis/transposition_table.h"
 #include "api/report.h"
@@ -273,7 +271,6 @@ class Workbench {
 
  private:
   void check_app(sdf::AppId app) const;
-  const analysis::Hsdf& cached_hsdf(sdf::AppId app);
   /// Shared core of contention()/contention_view(): runs the estimator in
   /// the session workspace, serves the result via contention_report_.
   const Report<std::span<const prob::AppEstimate>>& contention_core(
@@ -294,8 +291,6 @@ class Workbench {
   platform::System sys_;
   std::shared_ptr<analysis::TranspositionTable> table_;  // nullptr = off
   std::vector<analysis::ThroughputEngine> engines_;  // one per application
-  std::vector<analysis::Hsdf> hsdf_;                 // lazy, for latency/bottleneck
-  std::vector<std::uint8_t> hsdf_ready_;
   util::ThreadPool pool_;
   std::vector<dse::AnalysisWorkspace> workers_;      // lazy, for sharded queries
   /// Per-worker scratch of sweep_use_cases, beside workers_' engine clones:

@@ -1,8 +1,8 @@
 #include "dse/buffer_explorer.h"
 
 #include "analysis/engine.h"
+#include "analysis/expansion.h"
 #include "analysis/howard.h"
-#include "analysis/hsdf.h"
 #include "sdf/transform.h"
 #include "sdf/zobrist.h"
 
@@ -102,13 +102,13 @@ class BoundedPeriodEvaluator {
  private:
   sdf::RepetitionVector q_;
   std::vector<std::uint32_t> node_base_;
-  std::vector<double> weights_;                       // per HSDF node: exec time
-  std::vector<analysis::HsdfEdgeCandidate> static_;   // closed graph's channels
-  std::vector<std::vector<analysis::HsdfEdgeCandidate>> segments_;  // per reverse channel
+  std::vector<double> weights_;                   // per HSDF node: exec time
+  std::vector<analysis::EdgeCandidate> static_;   // closed graph's channels
+  std::vector<std::vector<analysis::EdgeCandidate>> segments_;  // per reverse channel
   std::vector<std::uint64_t> cached_caps_;
   std::vector<std::uint8_t> bounded_;
   std::vector<sdf::Channel> forward_;
-  std::vector<analysis::HsdfEdgeCandidate> merged_;   // scratch
+  std::vector<analysis::EdgeCandidate> merged_;   // scratch
   analysis::HowardSolver solver_;
 };
 
@@ -128,6 +128,31 @@ std::vector<BufferPoint> explore_buffer_tradeoff(const sdf::Graph& g,
   const analysis::EngineOptions eng_opts{.assume_closed = true,
                                          .repetition = &*q};
 
+  double unbounded = 0.0;
+  {
+    // The unbounded reference period, keyed on the *closed* graph's
+    // component so it never aliases entries computed from the open graph.
+    // Its engine comes first: it rejects a graph above the expansion cap
+    // (analysis::kMaxRepetitionSum) before the evaluator below expands it.
+    analysis::TTKey key;
+    analysis::TTValue v;
+    bool hit = false;
+    if (table != nullptr) {
+      analysis::TTKeyBuilder b(sdf::ZobristHash::graph_component(closed),
+                               analysis::TTQuery::IsolationPeriod);
+      key = b.key();
+      hit = table->lookup(key, v);
+    }
+    if (hit) {
+      unbounded = v.primary;
+    } else {
+      unbounded = analysis::ThroughputEngine(closed, eng_opts).recompute().period;
+      if (table != nullptr) {
+        v.primary = unbounded;
+        table->store(key, v);
+      }
+    }
+  }
   // Capacity vectors index the original graph's channels; the closure keeps
   // those ids and appends its self-loops, which stay unbounded.
   BoundedPeriodEvaluator evaluator(g, closed, *q);
@@ -157,30 +182,6 @@ std::vector<BufferPoint> explore_buffer_tradeoff(const sdf::Graph& g,
     }
     return r.period;
   };
-
-  double unbounded = 0.0;
-  {
-    // The unbounded reference period, keyed on the *closed* graph's
-    // component so it never aliases entries computed from the open graph.
-    analysis::TTKey key;
-    analysis::TTValue v;
-    bool hit = false;
-    if (table != nullptr) {
-      analysis::TTKeyBuilder b(sdf::ZobristHash::graph_component(closed),
-                               analysis::TTQuery::IsolationPeriod);
-      key = b.key();
-      hit = table->lookup(key, v);
-    }
-    if (hit) {
-      unbounded = v.primary;
-    } else {
-      unbounded = analysis::ThroughputEngine(closed, eng_opts).recompute().period;
-      if (table != nullptr) {
-        v.primary = unbounded;
-        table->store(key, v);
-      }
-    }
-  }
   std::vector<std::uint64_t> caps = sdf::minimal_feasible_capacities(g);
 
   std::vector<BufferPoint> frontier;

@@ -54,38 +54,4 @@ double waiting_time_approx(std::span<const ActorLoad> others, int order) {
   return waiting_time_series(others, static_cast<std::size_t>(order - 1));
 }
 
-double waiting_time_exact_bruteforce(std::span<const ActorLoad> others,
-                                     std::size_t max_actors) {
-  const std::size_t n = others.size();
-  if (n > max_actors) {
-    throw std::invalid_argument("waiting_time_exact_bruteforce: too many actors");
-  }
-  double total = 0.0;
-  for (std::size_t i = 0; i < n; ++i) {
-    // Inner sum: over subset sizes j of the other n-1 actors, the e_j term
-    // enumerated explicitly as all j-subsets.
-    double series = 1.0;
-    // Enumerate all subsets of indices != i.
-    std::vector<std::size_t> rest;
-    for (std::size_t k = 0; k < n; ++k) {
-      if (k != i) rest.push_back(k);
-    }
-    const std::size_t m = rest.size();
-    for (std::size_t mask = 1; mask < (1ULL << m); ++mask) {
-      double prod = 1.0;
-      std::size_t j = 0;
-      for (std::size_t b = 0; b < m; ++b) {
-        if (mask & (1ULL << b)) {
-          prod *= others[rest[b]].probability;
-          ++j;
-        }
-      }
-      const double sign = (j % 2 == 1) ? 1.0 : -1.0;
-      series += sign * prod / static_cast<double>(j + 1);
-    }
-    total += others[i].weighted_blocking() * series;
-  }
-  return total;
-}
-
 }  // namespace procon::prob

@@ -51,10 +51,4 @@ namespace procon::prob {
   return waiting_time_approx(o, 4);
 }
 
-/// Reference implementation of Eq. 4 by explicit subset enumeration
-/// (O(n * 2^n)); exists to cross-validate the DP in tests. Throws
-/// std::invalid_argument beyond `max_actors`.
-[[nodiscard]] double waiting_time_exact_bruteforce(std::span<const ActorLoad> others,
-                                                   std::size_t max_actors = 20);
-
 }  // namespace procon::prob

@@ -98,7 +98,7 @@ bool is_consistent(const Graph& g) {
 
 std::uint64_t repetition_sum(const RepetitionVector& q) {
   std::uint64_t s = 0;
-  for (const auto v : q) s += v;
+  for (const auto v : q) s = v > UINT64_MAX - s ? UINT64_MAX : s + v;
   return s;
 }
 

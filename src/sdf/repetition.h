@@ -28,7 +28,9 @@ using RepetitionVector = std::vector<std::uint64_t>;
 /// True iff the balance equations have a positive solution.
 [[nodiscard]] bool is_consistent(const Graph& g);
 
-/// Sum over actors of q[a] (number of HSDF vertices after expansion).
+/// Sum over actors of q[a] (number of HSDF vertices after expansion),
+/// saturated at UINT64_MAX: entries may each be near 2^63, and a wrapped
+/// sum would pass a size cap.
 [[nodiscard]] std::uint64_t repetition_sum(const RepetitionVector& q);
 
 /// Total work of one iteration: sum over actors of q[a] * tau(a). For a

@@ -1,5 +1,6 @@
 // Cross-validation of the four period-analysis engines on random graphs,
-// and of ThroughputEngine::recompute against the fresh compute_period path.
+// of ThroughputEngine::recompute against the fresh compute_period path, and
+// of its latency and bottleneck against the explicit-HSDF test oracle.
 //
 // The engines make very different trade-offs (policy iteration, parametric
 // search, exhaustive cycle enumeration, state-space execution) but must
@@ -11,13 +12,15 @@
 #include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "analysis/engine.h"
 #include "analysis/howard.h"
-#include "analysis/mcr.h"
 #include "analysis/state_space.h"
 #include "analysis/throughput.h"
+#include "analysis_oracle.h"
+#include "api/workbench.h"
 #include "gen/graph_generator.h"
 #include "helpers.h"
 #include "sdf/algorithms.h"
@@ -27,6 +30,16 @@
 
 namespace procon::analysis {
 namespace {
+
+using procon::testing::build_solver;
+using procon::testing::expand_to_hsdf;
+using procon::testing::Hsdf;
+using procon::testing::HsdfEdge;
+using procon::testing::HsdfNode;
+using procon::testing::mcr_binary_search;
+using procon::testing::mcr_enumerate;
+using procon::testing::mcr_howard;
+using procon::testing::McrResult;
 
 double rel_tol(double reference) { return 1e-6 * std::max(1.0, reference); }
 
@@ -211,7 +224,7 @@ TEST(CrossValidation, HowardFindsCycleBehindSinkDrain) {
   // drains without finding a cycle and the improvement step used to skip
   // the -inf tail, never discovering the 0 <-> 1 cycle (ratio 2/2 = 1).
   // Unreachable through ThroughputEngine (self-loop closure leaves no
-  // sinks) but mcr_howard is public and must handle open HSDFs.
+  // sinks) but HowardSolver must handle open expansions.
   Hsdf h;
   h.nodes = {HsdfNode{0, 0, 1.0}, HsdfNode{1, 0, 1.0}, HsdfNode{2, 0, 1.0}};
   h.edges = {HsdfEdge{0, 2, 1}, HsdfEdge{0, 1, 1}, HsdfEdge{1, 0, 1}};
@@ -289,7 +302,7 @@ TEST(CrossValidation, OnePassEngineMatchesClosedCopyBitwise) {
     for (std::size_t v = 0; v < std::size(variants); ++v) {
       ThroughputEngine engine(variants[v].assume_closed ? closed : g, variants[v]);
       HowardSolver ref;
-      ref.build(h);
+      build_solver(ref, h);
       ASSERT_EQ(engine.node_count(), h.node_count()) << g.name() << " variant " << v;
       ASSERT_EQ(engine.structurally_deadlocked(), ref.deadlocked()) << g.name();
       ASSERT_EQ(engine.has_cycle(), ref.has_cycle()) << g.name();
@@ -325,6 +338,100 @@ TEST(CrossValidation, OnePassEngineMatchesClosedCopyBitwise) {
     }
   }
   EXPECT_EQ(compared, 4 * graphs.size());
+}
+
+// ThroughputEngine::latency() and bottleneck() run on the engine's CSR;
+// the oracle rebuilds compute_latency and find_bottleneck on the explicit
+// HSDF of g.with_self_loops(). Both edge lists are sorted, so each node's
+// out-edges come in ascending destination order in either, and the Kahn
+// order, the Howard rounds and every result bit must agree: for the
+// one-shots (half of the graphs under fractional time overrides), for a
+// Workbench session's engines in any query order, and for deadlocked
+// graphs, which the latency rejects and the bottleneck flags.
+TEST(CrossValidation, EngineLatencyAndBottleneckMatchHsdfOracle) {
+  util::Rng rng(2007);
+  gen::GeneratorOptions gopts;
+  gopts.min_actors = 3;
+  gopts.max_actors = 10;
+  std::vector<sdf::Graph> graphs{procon::testing::fig2_graph_a(),
+                                 procon::testing::fig2_graph_b(),
+                                 procon::testing::fig2_graph_b_reversed(),
+                                 procon::testing::two_actor_cycle(30, 70)};
+  for (sdf::Graph& g : gen::generate_graphs(rng, gopts, 1200, "lat")) {
+    graphs.push_back(std::move(g));
+  }
+
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  const auto expect_same_latency = [&](const GraphLatencyResult& got,
+                                       const GraphLatencyResult& want,
+                                       const std::string& what) {
+    EXPECT_EQ(bits(got.latency), bits(want.latency)) << what;
+    EXPECT_EQ(got.critical_actors, want.critical_actors) << what;
+  };
+  const auto expect_same_bottleneck = [&](const BottleneckReport& got,
+                                          const BottleneckReport& want,
+                                          const std::string& what) {
+    EXPECT_EQ(got.deadlocked, want.deadlocked) << what;
+    EXPECT_EQ(bits(got.period), bits(want.period)) << what;
+    EXPECT_EQ(got.actors, want.actors) << what;
+  };
+
+  for (std::size_t i = 0; i < graphs.size(); ++i) {
+    const sdf::Graph& g = graphs[i];
+    std::vector<double> times;  // empty: the graph's own times
+    if (i % 2 == 1) {
+      for (const sdf::Actor& a : g.actors()) {
+        times.push_back(static_cast<double>(a.exec_time) * (1.0 + rng.uniform01()));
+      }
+    }
+    expect_same_latency(compute_latency(g, times), testing::hsdf_latency(g, times),
+                        g.name() + " latency");
+    expect_same_bottleneck(find_bottleneck(g, times), testing::hsdf_bottleneck(g, times),
+                           g.name() + " bottleneck");
+  }
+
+  // Sessions of up to ten applications, queried in two orders: a bottleneck
+  // leaves the engine warm, a throughput query installs the isolation memo.
+  for (std::size_t first = 0; first < graphs.size(); first += 10) {
+    const std::vector<sdf::Graph> apps(
+        graphs.begin() + static_cast<std::ptrdiff_t>(first),
+        graphs.begin() + static_cast<std::ptrdiff_t>(std::min(first + 10, graphs.size())));
+    std::size_t nodes = 0;
+    for (const sdf::Graph& g : apps) nodes = std::max(nodes, g.actor_count());
+    const platform::Platform plat = platform::Platform::homogeneous(nodes);
+    api::Workbench wb(platform::System(apps, plat, platform::Mapping::by_index(apps, plat)),
+                      api::WorkbenchOptions{.threads = 1});
+    for (sdf::AppId app = 0; app < apps.size(); ++app) {
+      const sdf::Graph& g = apps[app];
+      const GraphLatencyResult want_latency = testing::hsdf_latency(g);
+      const BottleneckReport want_bottleneck = testing::hsdf_bottleneck(g);
+      expect_same_bottleneck(wb.bottleneck(app).value, want_bottleneck,
+                             g.name() + " session bottleneck");
+      expect_same_latency(wb.latency(app).value, want_latency, g.name() + " session latency");
+      (void)wb.throughput(app);
+      expect_same_bottleneck(wb.bottleneck(app).value, want_bottleneck,
+                             g.name() + " session bottleneck after throughput");
+      expect_same_latency(wb.latency(app).value, want_latency,
+                          g.name() + " session latency after bottleneck");
+    }
+  }
+
+  // Deadlocks: every token removed from every fifth graph's channels.
+  std::size_t deadlocked = 0;
+  for (std::size_t i = 0; i < graphs.size(); i += 5) {
+    sdf::Graph g(graphs[i].name() + "/dry");
+    for (const sdf::Actor& a : graphs[i].actors()) g.add_actor(a.name, a.exec_time);
+    for (const sdf::Channel& ch : graphs[i].channels()) {
+      g.add_channel(ch.src, ch.dst, ch.prod_rate, ch.cons_rate, 0);
+    }
+    const BottleneckReport want = testing::hsdf_bottleneck(g);
+    expect_same_bottleneck(find_bottleneck(g), want, g.name());
+    if (!want.deadlocked) continue;
+    ++deadlocked;
+    EXPECT_THROW((void)testing::hsdf_latency(g), sdf::GraphError) << g.name();
+    EXPECT_THROW((void)compute_latency(g), sdf::GraphError) << g.name();
+  }
+  EXPECT_GT(deadlocked, 200u);
 }
 
 // The admission controller validates a new application with its engine

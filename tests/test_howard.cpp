@@ -7,6 +7,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "analysis_oracle.h"
 #include "gen/graph_generator.h"
 #include "helpers.h"
 #include "sdf/repetition.h"
@@ -15,15 +16,18 @@
 namespace procon::analysis {
 namespace {
 
+using procon::testing::build_solver;
+using procon::testing::expand_closed;
+using procon::testing::expand_to_hsdf;
 using procon::testing::fig2_graph_a;
 using procon::testing::fig2_graph_b;
+using procon::testing::Hsdf;
+using procon::testing::HsdfEdge;
+using procon::testing::HsdfNode;
+using procon::testing::mcr_binary_search;
+using procon::testing::mcr_howard;
+using procon::testing::McrResult;
 using sdf::Graph;
-
-Hsdf expand_closed(const Graph& g) {
-  const Graph closed = g.with_self_loops();
-  const auto q = sdf::compute_repetition_vector(closed);
-  return expand_to_hsdf(closed, *q, {});
-}
 
 TEST(Howard, PaperGraphsPeriod300) {
   EXPECT_NEAR(mcr_howard(expand_closed(fig2_graph_a())).ratio, 300.0, 1e-6);
@@ -94,7 +98,7 @@ TEST(Howard, InstalledPolicyWarmStartsLikeItsSource) {
   std::vector<double> w(h.node_count());
 
   HowardSolver source;
-  source.build(h);
+  build_solver(source, h);
   ASSERT_TRUE(source.has_cycle());
   EXPECT_TRUE(source.policy().empty());  // cold until the first solve
   (void)source.solve();
@@ -103,7 +107,7 @@ TEST(Howard, InstalledPolicyWarmStartsLikeItsSource) {
   ASSERT_EQ(policy.size(), h.node_count());
 
   HowardSolver target;
-  target.build(h);
+  build_solver(target, h);
   target.install_policy(policy);
   EXPECT_TRUE(std::ranges::equal(target.policy(), policy));
   for (int round = 0; round < 5; ++round) {

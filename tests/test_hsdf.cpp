@@ -1,16 +1,22 @@
-#include "analysis/hsdf.h"
-
+// The explicit HSDF of the test oracle, on the library's expansion
+// (append_channel_candidates + dedup_candidates): node layout, edges and
+// iteration distances.
 #include <gtest/gtest.h>
 
 #include <map>
 
+#include "analysis_oracle.h"
 #include "helpers.h"
 #include "sdf/repetition.h"
 
 namespace procon::analysis {
 namespace {
 
+using procon::testing::expand_to_hsdf;
 using procon::testing::fig2_graph_a;
+using procon::testing::Hsdf;
+using procon::testing::HsdfEdge;
+using procon::testing::HsdfNode;
 using sdf::Graph;
 
 Hsdf expand(const Graph& g) {
@@ -123,13 +129,6 @@ TEST(Hsdf, ManyInitialTokensGiveLargerDelays) {
   for (const HsdfEdge& e : h.edges) edges[{e.src, e.dst}] = e.tokens;
   EXPECT_EQ((edges[{0, 1}]), 3u);
   EXPECT_EQ((edges[{1, 0}]), 0u);
-}
-
-TEST(Hsdf, DotOutputMentionsNodes) {
-  const Hsdf h = expand(fig2_graph_a());
-  const std::string dot = hsdf_to_dot(h);
-  EXPECT_NE(dot.find("digraph"), std::string::npos);
-  EXPECT_NE(dot.find("a1.1"), std::string::npos);
 }
 
 }  // namespace

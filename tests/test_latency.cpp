@@ -1,8 +1,8 @@
-#include "analysis/latency.h"
+#include "analysis/throughput.h"
 
 #include <gtest/gtest.h>
 
-#include "analysis/throughput.h"
+#include "analysis_oracle.h"
 #include "gen/graph_generator.h"
 #include "helpers.h"
 #include "sdf/repetition.h"
@@ -11,7 +11,13 @@
 namespace procon::analysis {
 namespace {
 
+using procon::testing::expand_to_hsdf;
 using procon::testing::fig2_graph_a;
+using procon::testing::Hsdf;
+using procon::testing::HsdfEdge;
+using procon::testing::HsdfNode;
+using procon::testing::iteration_latency;
+using procon::testing::LatencyResult;
 using sdf::Graph;
 
 TEST(Latency, SequentialGraphLatencyEqualsPeriod) {

@@ -1,7 +1,8 @@
-#include "analysis/mcr.h"
-
+// The maximum-cycle-ratio oracles against each other: Lawler's parametric
+// search, exhaustive enumeration and Howard's critical-cycle extraction.
 #include <gtest/gtest.h>
 
+#include "analysis_oracle.h"
 #include "gen/graph_generator.h"
 #include "helpers.h"
 #include "sdf/repetition.h"
@@ -10,15 +11,20 @@
 namespace procon::analysis {
 namespace {
 
+using procon::testing::CriticalCycleResult;
+using procon::testing::expand_closed;
+using procon::testing::expand_to_hsdf;
 using procon::testing::fig2_graph_a;
 using procon::testing::fig2_graph_b;
+using procon::testing::Hsdf;
+using procon::testing::HsdfEdge;
+using procon::testing::HsdfNode;
+using procon::testing::mcr_binary_search;
+using procon::testing::mcr_enumerate;
+using procon::testing::mcr_with_critical_cycle;
+using procon::testing::mcr_with_critical_cycle_lawler;
+using procon::testing::McrResult;
 using sdf::Graph;
-
-Hsdf expand_closed(const Graph& g) {
-  const Graph closed = g.with_self_loops();
-  const auto q = sdf::compute_repetition_vector(closed);
-  return expand_to_hsdf(closed, *q, {});
-}
 
 TEST(Mcr, PaperGraphAPeriod300) {
   const McrResult r = mcr_binary_search(expand_closed(fig2_graph_a()));

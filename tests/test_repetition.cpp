@@ -135,6 +135,23 @@ TEST(Repetition, RepetitionSumAndWorkload) {
   EXPECT_EQ(iteration_workload(g, *q), 300);
 }
 
+// Entries of a consistent graph can each approach 2^63 (a -> b -> c at
+// rates 2^31 gives 2^62 to c, and to every actor c feeds at rate 1), so the
+// sum saturates: a wrapped sum could pass ThroughputEngine's size cap.
+TEST(Repetition, RepetitionSumSaturates) {
+  Graph g;
+  const auto a = g.add_actor("a", 1);
+  const auto b = g.add_actor("b", 1);
+  const auto c = g.add_actor("c", 1);
+  g.add_channel(a, b, 1U << 31, 1, 0);
+  g.add_channel(b, c, 1U << 31, 1, 0);
+  for (const char* d : {"d0", "d1", "d2"}) g.add_channel(c, g.add_actor(d, 1), 1, 1, 0);
+  const auto q = compute_repetition_vector(g);
+  ASSERT_TRUE(q.has_value());
+  EXPECT_EQ((*q)[c], std::uint64_t{1} << 62);
+  EXPECT_EQ(repetition_sum(*q), UINT64_MAX);  // 1 + 2^31 + 2^64 wrapped to 2^31 + 1
+}
+
 // The util::Rational form compute_repetition_vector had before it moved to
 // plain int64: the oracle for the integer version, which must return the
 // same vector and throw util::RationalError on exactly the same inputs.

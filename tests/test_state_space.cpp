@@ -118,6 +118,40 @@ TEST(ComputePeriodExact, ThrowsOnDeadlock) {
   EXPECT_THROW((void)compute_period_exact(g), sdf::GraphError);
 }
 
+// A zero-time cycle runs into the firing cap (1'000'000 + 10'000 per
+// actor) without its state recurring; a token-free cycle never fires. The
+// two failures carry their own messages.
+TEST(ComputePeriodExact, SeparatesNonConvergenceFromDeadlock) {
+  const auto message_of = [](const Graph& g) {
+    try {
+      (void)compute_period_exact(g);
+    } catch (const sdf::GraphError& e) {
+      return std::string(e.what());
+    }
+    return std::string();
+  };
+  const std::string zero = message_of(procon::testing::two_actor_cycle(0, 0));
+  EXPECT_NE(zero.find("did not converge within 1020000 firings"), std::string::npos)
+      << zero;
+  EXPECT_EQ(zero.find("deadlock"), std::string::npos) << zero;
+
+  Graph tokenless;
+  const auto x = tokenless.add_actor("x", 1);
+  const auto y = tokenless.add_actor("y", 1);
+  tokenless.add_channel(x, y, 1, 1, 0);
+  tokenless.add_channel(y, x, 1, 1, 0);
+  const std::string dead = message_of(tokenless);
+  EXPECT_NE(dead.find("graph deadlocks"), std::string::npos) << dead;
+  EXPECT_EQ(dead.find("converge"), std::string::npos) << dead;
+
+  Graph inconsistent;
+  const auto u = inconsistent.add_actor("u", 1);
+  const auto v = inconsistent.add_actor("v", 1);
+  inconsistent.add_channel(u, v, 2, 1, 0);
+  inconsistent.add_channel(v, u, 2, 1, 1);
+  EXPECT_NE(message_of(inconsistent).find("inconsistent graph"), std::string::npos);
+}
+
 TEST(StateSpace, ClockOverflowRaisesGraphError) {
   // Two-actor cycles whose clock would pass INT64_MAX: both actors at 2^62
   // (the clock reaches 2^63), and INT64_MAX beside 1 (an execution time

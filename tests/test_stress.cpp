@@ -3,16 +3,23 @@
 // generated graphs, and end-to-end sanity of arbitration variants.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <optional>
 #include <sstream>
+#include <string>
 
 #include "admission/admission.h"
+#include "analysis/engine.h"
 #include "analysis/throughput.h"
+#include "api/workbench.h"
+#include "dse/buffer_explorer.h"
 #include "gen/graph_generator.h"
 #include "helpers.h"
 #include "prob/compose.h"
 #include "prob/estimator.h"
+#include "sdf/algorithms.h"
 #include "sdf/io.h"
+#include "sdf/repetition.h"
 #include "sim/simulator.h"
 
 namespace procon {
@@ -163,6 +170,53 @@ TEST_P(ArbitrationSanity, AllPoliciesRespectIsolationBound) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ArbitrationSanity, ::testing::Values(5, 15, 25));
+
+// ThroughputEngine caps its expansion at kMaxRepetitionSum firings, and
+// every period, latency, bottleneck, buffer, session and admission path
+// builds one before expanding anything itself:
+// the live two-actor graph below (a fires once, b 2^20 times per
+// iteration) is rejected by each before anything is expanded, naming the
+// sum and the cap. Expanded, its cold solve alone would take minutes.
+TEST(ExpansionCap, EveryEntryPointRejectsAHugeRepetitionSum) {
+  sdf::Graph g("reps");
+  const auto a = g.add_actor("a", 1);
+  const auto b = g.add_actor("b", 1);
+  g.add_channel(a, b, 1U << 20, 1, 0);
+  g.add_channel(b, a, 1, 1U << 20, 1U << 20);
+  ASSERT_EQ(sdf::repetition_sum(*sdf::compute_repetition_vector(g)), (1U << 20) + 1);
+  ASSERT_TRUE(sdf::is_deadlock_free(g));
+
+  const auto expect_rejected = [](const char* entry, const auto& call) {
+    const auto start = std::chrono::steady_clock::now();
+    std::string message;
+    try {
+      call();
+    } catch (const sdf::GraphError& e) {
+      message = e.what();
+    }
+    const std::chrono::duration<double> took = std::chrono::steady_clock::now() - start;
+    EXPECT_NE(message.find("1048577"), std::string::npos) << entry << ": '" << message << "'";
+    EXPECT_NE(message.find("cap of " + std::to_string(analysis::kMaxRepetitionSum)),
+              std::string::npos)
+        << entry << ": '" << message << "'";
+    EXPECT_LT(took.count(), 1.0) << entry;
+  };
+  expect_rejected("ThroughputEngine", [&] { (void)analysis::ThroughputEngine(g); });
+  expect_rejected("compute_period", [&] { (void)analysis::compute_period(g); });
+  expect_rejected("compute_latency", [&] { (void)analysis::compute_latency(g); });
+  expect_rejected("find_bottleneck", [&] { (void)analysis::find_bottleneck(g); });
+  expect_rejected("explore_buffer_tradeoff", [&] { (void)dse::explore_buffer_tradeoff(g); });
+  expect_rejected("Workbench", [&] {
+    const std::vector<sdf::Graph> apps{g};
+    const platform::Platform plat = platform::Platform::homogeneous(2);
+    api::Workbench wb(platform::System(apps, plat, platform::Mapping::by_index(apps, plat)),
+                      api::WorkbenchOptions{.threads = 1});
+  });
+  expect_rejected("AdmissionController::request", [&] {
+    admission::AdmissionController ctrl(platform::Platform::homogeneous(2));
+    (void)ctrl.request(g, {0, 1}, admission::QoS::no_requirement());
+  });
+}
 
 }  // namespace
 }  // namespace procon

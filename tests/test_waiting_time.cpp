@@ -11,11 +11,14 @@
 #include <utility>
 #include <vector>
 
+#include "analysis_oracle.h"
 #include "util/rng.h"
 #include "util/symmetric_poly.h"
 
 namespace procon::prob {
 namespace {
+
+using procon::testing::waiting_time_exact_bruteforce;
 
 ActorLoad make_load(double tau, double p) {
   ActorLoad l;

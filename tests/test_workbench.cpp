@@ -7,7 +7,6 @@
 
 #include <gtest/gtest.h>
 
-#include "analysis/latency.h"
 #include "analysis/throughput.h"
 #include "buffer_oracle.h"
 #include "dse/buffer_explorer.h"
