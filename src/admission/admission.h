@@ -149,7 +149,7 @@ class AdmissionController {
   /// \brief Requests admission of `app` with actor a mapped on `nodes[a]`.
   ///
   /// Consistent, deadlock-free graphs within the engine's expansion cap
-  /// (analysis::kMaxRepetitionSum) only; throws sdf::GraphError otherwise,
+  /// (sdf::kMaxRepetitionSum) only; throws sdf::GraphError otherwise,
   /// the cap before anything is expanded. A granted request commits the
   /// application to the resident store and updates every touched node
   /// composite in O(1) per actor.

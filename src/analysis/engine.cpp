@@ -58,10 +58,10 @@ ThroughputEngine::ThroughputEngine(const sdf::Graph& g, const EngineOptions& opt
 
   // The cap, before anything is expanded.
   const std::uint64_t firings = sdf::repetition_sum(q_);
-  if (firings > kMaxRepetitionSum) {
+  if (firings > sdf::kMaxRepetitionSum) {
     throw sdf::GraphError("ThroughputEngine: the repetition vector sums to " +
                           std::to_string(firings) + " firings, above the cap of " +
-                          std::to_string(kMaxRepetitionSum));
+                          std::to_string(sdf::kMaxRepetitionSum));
   }
 
   // HSDF nodes: actors in id order, q[a] consecutive firings each.

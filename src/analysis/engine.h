@@ -25,7 +25,7 @@
 // bottleneck all run on its CSR, bit for bit the explicit-HSDF pipeline of
 // the test oracle (CrossValidation.EngineLatencyAndBottleneckMatchHsdfOracle),
 // and every one-shot, session, estimator, WCRT and admission path builds
-// one. So its cap on the expansion's size, kMaxRepetitionSum, checked
+// one. So its cap on the expansion's size, sdf::kMaxRepetitionSum, checked
 // before anything is expanded, bounds them all.
 //
 // The construction is also the structural validation: the constructor
@@ -65,16 +65,6 @@
 #include "sdf/repetition.h"
 
 namespace procon::analysis {
-
-/// \brief Largest repetition-vector sum (HSDF firings per iteration) a
-/// ThroughputEngine expands; its constructor rejects larger graphs.
-///
-/// Set from the slowest graph family measured, a -> b at rates (2^k, 1)
-/// and b -> a at (1, 2^k) with 2^k tokens, in a Release build on a shared
-/// 4-vCPU Xeon VM: a cold build plus solve takes 0.12 s at a sum of 2049
-/// and 0.48 s at 4097, and grows about fourfold per doubling of the sum
-/// (1.5 s at 8193). Generated graphs stay below 50.
-inline constexpr std::uint64_t kMaxRepetitionSum = 4096;
 
 /// \brief Construction shortcuts for callers that already know structural
 /// facts about the graph.
@@ -122,7 +112,7 @@ class ThroughputEngine {
   /// Builds all structure-dependent state in one pass. Throws
   /// sdf::GraphError on exactly the inconsistent graphs (same contract as
   /// compute_period), and on graphs whose repetition vector sums above
-  /// kMaxRepetitionSum, before expanding them.
+  /// sdf::kMaxRepetitionSum, before expanding them.
   explicit ThroughputEngine(const sdf::Graph& g, const EngineOptions& opts = {});
 
   /// Period of the cached structure under `exec_times` (one entry per actor

@@ -133,7 +133,7 @@ std::vector<BufferPoint> explore_buffer_tradeoff(const sdf::Graph& g,
     // The unbounded reference period, keyed on the *closed* graph's
     // component so it never aliases entries computed from the open graph.
     // Its engine comes first: it rejects a graph above the expansion cap
-    // (analysis::kMaxRepetitionSum) before the evaluator below expands it.
+    // (sdf::kMaxRepetitionSum) before the evaluator below expands it.
     analysis::TTKey key;
     analysis::TTValue v;
     bool hit = false;

@@ -102,8 +102,9 @@ void SystemView::validate() const {
     if (g.actor_count() == 0) {
       throw sdf::GraphError("SystemView: application '" + g.name() + "' is empty");
     }
-    // One repetition vector per application serves both verdicts.
-    const sdf::DeadlockDiagnosis diag = sdf::diagnose_deadlock(g);
+    // One repetition vector per application serves both verdicts and the
+    // size cap, which bounds the liveness walk.
+    const sdf::DeadlockDiagnosis diag = sdf::diagnose_deadlock(g, sdf::kMaxRepetitionSum);
     if (!diag.consistent) {
       throw sdf::GraphError("SystemView: application '" + g.name() +
                             "' is inconsistent");

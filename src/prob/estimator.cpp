@@ -1,6 +1,6 @@
 #include "prob/estimator.h"
 
-#include <functional>
+#include <algorithm>
 #include <stdexcept>
 
 #include "prob/monte_carlo.h"
@@ -31,37 +31,52 @@ ContentionEstimator::ContentionEstimator(EstimatorOptions opts) : opts_(opts) {
 
 namespace {
 
-/// Waiting time of `who` given the loads of the other actors on its node.
-/// `others` is a caller-owned scratch buffer filled per actor — the hot
-/// estimation loop reuses one allocation instead of re-allocating per actor
-/// per node per pass.
-double waiting_for(const std::vector<ActorLoad>& others,
-                   const platform::GlobalActor& who, const EstimatorOptions& opts) {
+/// Step 4 on one node: waits[s] is the expected waiting time of loads[s]
+/// behind the node's other loads. One node kernel call per node; only the
+/// Monte-Carlo sampler runs per actor.
+void waiting_times_on_node(std::span<const ActorLoad> loads,
+                           std::span<const platform::GlobalActor> who,
+                           const EstimatorOptions& opts, EstimatorWorkspace& ws,
+                           std::span<double> waits) {
   switch (opts.method) {
-    case Method::Exact: return waiting_time_exact(others);
-    case Method::SecondOrder: return waiting_time_second_order(others);
-    case Method::FourthOrder: return waiting_time_fourth_order(others);
-    case Method::MthOrder: return waiting_time_approx(others, opts.order);
-    case Method::Composability: return compose_all(others).weighted_blocking;
-    case Method::MonteCarlo: {
-      // Per-slot deterministic stream: the estimate is reproducible and
-      // independent of evaluation order.
-      util::Rng rng(opts.mc_seed ^ (0x9E3779B97F4A7C15ULL * (who.app + 1)) ^
-                    (0xBF58476D1CE4E5B9ULL * (who.actor + 1)));
-      return waiting_time_monte_carlo(others, rng, opts.mc_trials);
+    case Method::Exact: node_waiting_times_exact(loads, ws.lanes, waits); return;
+    case Method::SecondOrder: node_waiting_times_approx(loads, 2, ws.lanes, waits); return;
+    case Method::FourthOrder: node_waiting_times_approx(loads, 4, ws.lanes, waits); return;
+    case Method::MthOrder:
+      node_waiting_times_approx(loads, opts.order, ws.lanes, waits);
+      return;
+    case Method::Composability: node_composed_waiting_times(loads, ws.lanes, waits); return;
+    case Method::CompositionInverse: {
+      // One O(n) fold of the node, then an O(1) removal per actor; an
+      // actor at P == 1 (the paper's non-invertible case) takes the direct
+      // fold of its others instead.
+      const Composite node_total = compose_all(loads);
+      if (std::any_of(loads.begin(), loads.end(), [](const ActorLoad& l) {
+            return !can_invert(to_composite(l));
+          })) {
+        node_composed_waiting_times(loads, ws.lanes, waits);
+      }
+      for (std::size_t s = 0; s < loads.size(); ++s) {
+        const Composite self = to_composite(loads[s]);
+        if (can_invert(self)) waits[s] = decompose(node_total, self).weighted_blocking;
+      }
+      return;
     }
-    case Method::CompositionInverse: break;  // handled by caller (node-level)
+    case Method::MonteCarlo:
+      for (std::size_t s = 0; s < loads.size(); ++s) {
+        ws.others.clear();
+        for (std::size_t i = 0; i < loads.size(); ++i) {
+          if (i != s) ws.others.push_back(loads[i]);
+        }
+        // Per-slot deterministic stream: the estimate is reproducible and
+        // independent of evaluation order.
+        util::Rng rng(opts.mc_seed ^ (0x9E3779B97F4A7C15ULL * (who[s].app + 1)) ^
+                      (0xBF58476D1CE4E5B9ULL * (who[s].actor + 1)));
+        waits[s] = waiting_time_monte_carlo(ws.others, rng, opts.mc_trials);
+      }
+      return;
   }
-  throw std::logic_error("waiting_for: unhandled method");
-}
-
-/// Fills `others` with every load except entries[self].
-void collect_others(const std::vector<NodeOccupant>& entries, std::size_t self,
-                    std::vector<ActorLoad>& others) {
-  others.clear();
-  for (std::size_t i = 0; i < entries.size(); ++i) {
-    if (i != self) others.push_back(entries[i].load);
-  }
+  throw std::logic_error("waiting_times_on_node: unhandled method");
 }
 
 /// Grows a workspace arena to at least `count` slots without ever shrinking
@@ -185,59 +200,43 @@ PROCON_WARM_PATH void ContentionEstimator::estimate_into(
       }
     }
 
-    // Step 3: group by node (the grouping arena keeps each node's slot
+    // Step 3: group by node (the grouping arenas keep each node's slot
     // capacity across passes and calls).
     const std::size_t nnodes = view.platform().node_count();
-    ensure_slots(ws.per_node, nnodes);
-    for (std::size_t n = 0; n < nnodes; ++n) ws.per_node[n].clear();
+    ensure_slots(ws.node_loads, nnodes);
+    ensure_slots(ws.node_actors, nnodes);
+    for (std::size_t n = 0; n < nnodes; ++n) {
+      ws.node_loads[n].clear();
+      ws.node_actors[n].clear();
+    }
     for (sdf::AppId i = 0; i < napps; ++i) {
       for (sdf::ActorId a = 0; a < view.app(i).actor_count(); ++a) {
         const platform::NodeId node = view.node_of(i, a);
-        ws.per_node[node].push_back(NodeOccupant{{i, a}, ws.loads[i][a]});
+        ws.node_loads[node].push_back(ws.loads[i][a]);
+        ws.node_actors[node].push_back({i, a});
       }
     }
 
-    // Step 4: waiting and response times.
+    // Step 4: waiting and response times, one node kernel call per node.
     for (sdf::AppId i = 0; i < napps; ++i) {
       ws.response[i].resize(view.app(i).actor_count(), 0.0);
     }
     for (std::size_t n = 0; n < nnodes; ++n) {
-      const auto& entries = ws.per_node[n];
-      if (entries.empty()) continue;
-
-      // Node-level composite for the inverse method: one O(n) fold, then an
-      // O(1) removal per actor (falls back to a direct fold if some other
-      // actor saturates P == 1, the paper's non-invertible case).
-      Composite node_total = Composite::identity();
-      if (opts_.method == Method::CompositionInverse) {
-        for (const NodeOccupant& e : entries) {
-          node_total = compose(node_total, to_composite(e.load));
-        }
-      }
-
-      for (std::size_t s = 0; s < entries.size(); ++s) {
-        const NodeOccupant& e = entries[s];
-        double twait = 0.0;
-        if (opts_.method == Method::CompositionInverse) {
-          const Composite self = to_composite(e.load);
-          if (can_invert(self)) {
-            twait = decompose(node_total, self).weighted_blocking;
-          } else {
-            collect_others(entries, s, ws.others);
-            twait = compose_all(ws.others).weighted_blocking;
-          }
-        } else {
-          collect_others(entries, s, ws.others);
-          twait = waiting_for(ws.others, e.who, opts_);
-        }
+      const std::vector<ActorLoad>& loads = ws.node_loads[n];
+      const std::vector<platform::GlobalActor>& who = ws.node_actors[n];
+      if (loads.empty()) continue;
+      ws.waits.resize(loads.size());
+      waiting_times_on_node(loads, who, opts_, ws, ws.waits);
+      for (std::size_t s = 0; s < loads.size(); ++s) {
+        const platform::GlobalActor e = who[s];
+        const double twait = ws.waits[s];
         const double mean_exec =
-            ws.means[e.who.app].empty()
-                ? static_cast<double>(view.app(e.who.app).actor(e.who.actor).exec_time)
-                : ws.means[e.who.app][e.who.actor];
-        out[e.who.app].actors[e.who.actor].waiting_time = twait;
-        ws.response[e.who.app][e.who.actor] = mean_exec + twait;
-        out[e.who.app].actors[e.who.actor].response_time =
-            ws.response[e.who.app][e.who.actor];
+            ws.means[e.app].empty()
+                ? static_cast<double>(view.app(e.app).actor(e.actor).exec_time)
+                : ws.means[e.app][e.actor];
+        out[e.app].actors[e.actor].waiting_time = twait;
+        ws.response[e.app][e.actor] = mean_exec + twait;
+        out[e.app].actors[e.actor].response_time = ws.response[e.app][e.actor];
       }
     }
 

@@ -8,17 +8,22 @@
 //   4. form response times tau'(a) = tau(a) + t_wait(a);
 //   5. recompute each application's period from the response-time graph.
 //
-// Methods (Section 4), with the cost of one actor's waiting time over the
-// n other actors on its node (a node costs n+1 times that):
-//   Exact                - Eq. 4 in full (via the O(n^2) symmetric-poly DP)
+// Methods (Section 4), with the cost of the waiting times on a node of n
+// actors (all n of them, each over the other n-1):
+//   Exact                - Eq. 4 in full (symmetric-poly DP), O(n^3)
 //   SecondOrder          - Eq. 5 (the paper's "Probabilistic Second Order"),
-//                          O(n)
+//                          O(n^2)
 //   FourthOrder          - 4th-order truncation ("Probabilistic Fourth
-//                          Order"), O(n)
-//   MthOrder             - any truncation order m (ablation studies), O(n*m)
-//   Composability        - fold of Eq. 6/7 over the other actors
+//                          Order"), O(n^2)
+//   MthOrder             - any truncation order m (ablation studies),
+//                          O(n^2 * m)
+//   Composability        - fold of Eq. 6/7 over the other actors, O(n^2)
 //   CompositionInverse   - full-node composite, own contribution removed via
-//                          Eq. 8/9 (O(1) per actor after an O(n) node pass)
+//                          Eq. 8/9, O(n) (the fold's O(n^2) if an actor
+//                          saturates at P == 1)
+// Each node costs one node-kernel call (prob/waiting_time.h): one lane per
+// actor, two lanes to an SSE2 instruction, every lane bitwise the per-actor
+// function on that actor's others. Only MonteCarlo runs per actor.
 //
 // A single pass matches the paper; EstimatorOptions::iterations > 1 enables
 // the natural fixed-point extension (recompute P from the estimated
@@ -94,13 +99,6 @@ struct AppEstimate {
   }
 };
 
-/// One actor instance grouped on its node (step 3 of Figure 4) — exposed
-/// only as the element type of EstimatorWorkspace's grouping arena.
-struct NodeOccupant {
-  platform::GlobalActor who;  ///< which actor of which (view) application
-  ActorLoad load;             ///< its probabilistic load summary
-};
-
 /// One routed channel of the view (interconnect extension): a channel whose
 /// producer and consumer sit on different nodes, flattened with its link
 /// route for the per-link waiting-time term. Element type of
@@ -114,7 +112,7 @@ struct LinkFlow {
 };
 
 /// One flow occupying a link during a pass, with its per-hop load — the
-/// link-tier analogue of NodeOccupant.
+/// link-tier analogue of a node's load.
 struct LinkOccupant {
   std::uint32_t flow = 0;  ///< index into EstimatorWorkspace::flows
   ActorLoad load;          ///< link_flow_load of this flow on this link
@@ -122,16 +120,19 @@ struct LinkOccupant {
 
 /// Reusable scratch for the Figure 4 pipeline: every temporary the
 /// algorithm builds per call/pass (step-1 mean tables, step-2 load tables,
-/// the step-3 per-node grouping, step-4 response times and the
-/// waiting-time fold buffer) lives here with grow-only capacity, so a
+/// the step-3 per-node grouping, the step-4 node kernels' lanes and
+/// outputs, and response times) lives here with grow-only capacity, so a
 /// warm estimate_into() call of previously-seen shapes performs zero heap
 /// allocations. One workspace per caller at a time (it is mutated freely).
 struct EstimatorWorkspace {
   std::vector<std::vector<double>> means;        ///< per app: mean exec times
   std::vector<std::vector<ActorLoad>> loads;     ///< per app: step-2 loads
-  std::vector<std::vector<NodeOccupant>> per_node;  ///< step-3 grouping arena
+  std::vector<std::vector<ActorLoad>> node_loads;  ///< step 3: per node, its loads
+  std::vector<std::vector<platform::GlobalActor>> node_actors;  ///< ...and their actors
+  NodeLanes lanes;                               ///< step-4 node kernel lanes
+  std::vector<double> waits;                     ///< step-4 waiting times of a node
   std::vector<std::vector<double>> response;     ///< per app: step-4 responses
-  std::vector<ActorLoad> others;                 ///< step-4 fold scratch
+  std::vector<ActorLoad> others;                 ///< per-actor fold scratch (Monte-Carlo, links)
   std::vector<LinkFlow> flows;                   ///< routed channels of the view
   std::vector<std::uint32_t> flow_links;         ///< concatenated route link ids
   std::vector<double> flow_service;              ///< per-hop transfer times

@@ -28,6 +28,18 @@ using RepetitionVector = std::vector<std::uint64_t>;
 /// True iff the balance equations have a positive solution.
 [[nodiscard]] bool is_consistent(const Graph& g);
 
+/// \brief Largest repetition-vector sum (HSDF firings per iteration) the
+/// library expands or walks: analysis::ThroughputEngine's constructor and
+/// SystemView::validate's liveness walk (diagnose_deadlock) reject larger
+/// graphs before doing either.
+///
+/// Set from the slowest graph family measured, a -> b at rates (2^k, 1)
+/// and b -> a at (1, 2^k) with 2^k tokens, in a Release build on a shared
+/// 4-vCPU Xeon VM: a cold build plus solve takes 0.12 s at a sum of 2049
+/// and 0.48 s at 4097, and grows about fourfold per doubling of the sum
+/// (1.5 s at 8193). Generated graphs stay below 50.
+inline constexpr std::uint64_t kMaxRepetitionSum = 4096;
+
 /// Sum over actors of q[a] (number of HSDF vertices after expansion),
 /// saturated at UINT64_MAX: entries may each be near 2^63, and a wrapped
 /// sum would pass a size cap.

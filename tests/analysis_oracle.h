@@ -14,6 +14,9 @@
 //    rebuilt on the explicit HSDF; ThroughputEngine's latency() and
 //    bottleneck() must reproduce them bit for bit.
 //  * waiting_time_exact_bruteforce: Eq. 4 by explicit subset enumeration.
+//  * estimate_per_actor: the Figure 4 estimator with step 4 run per actor,
+//    on the public per-actor kernels; ContentionEstimator::estimate_into,
+//    which runs one node kernel per node, must reproduce it bit for bit.
 //
 // The self-timed steady-state period of a strongly connected HSDF equals
 //   max over directed cycles C of ( sum of node execution times on C )
@@ -29,10 +32,15 @@
 #include <utility>
 #include <vector>
 
+#include "analysis/engine.h"
 #include "analysis/expansion.h"
 #include "analysis/howard.h"
 #include "analysis/throughput.h"
+#include "platform/system_view.h"
+#include "prob/compose.h"
+#include "prob/estimator.h"
 #include "prob/load.h"
+#include "prob/waiting_time.h"
 #include "sdf/graph.h"
 #include "sdf/repetition.h"
 
@@ -513,6 +521,105 @@ inline double waiting_time_exact_bruteforce(std::span<const prob::ActorLoad> oth
     total += others[i].weighted_blocking() * series;
   }
   return total;
+}
+
+// ---- Figure 4 estimate --------------------------------------------------------
+
+/// The waiting time of one actor behind `others` (the loads of the other
+/// actors on its node, in node order), by the per-actor function of
+/// `opts.method`. CompositionInverse and MonteCarlo are not covered.
+inline double per_actor_waiting_time(const prob::EstimatorOptions& opts,
+                                     std::span<const prob::ActorLoad> others) {
+  switch (opts.method) {
+    case prob::Method::Exact: return prob::waiting_time_exact(others);
+    case prob::Method::SecondOrder: return prob::waiting_time_second_order(others);
+    case prob::Method::FourthOrder: return prob::waiting_time_fourth_order(others);
+    case prob::Method::MthOrder: return prob::waiting_time_approx(others, opts.order);
+    case prob::Method::Composability: return prob::compose_all(others).weighted_blocking;
+    case prob::Method::CompositionInverse:
+    case prob::Method::MonteCarlo: break;
+  }
+  throw std::invalid_argument("per_actor_waiting_time: method not covered");
+}
+
+/// ContentionEstimator::estimate_into for deterministic execution times on
+/// a view without a topology, with step 4 run per actor: each actor's
+/// other loads are copied in node order and handed to the per-actor
+/// function (CompositionInverse: Eq. 8/9 against the node's fold, or the
+/// direct fold of the others at P == 1). `engines[i]` serves view.app(i).
+inline void estimate_per_actor(const platform::SystemView& view,
+                               std::span<analysis::ThroughputEngine* const> engines,
+                               const prob::EstimatorOptions& opts,
+                               std::vector<prob::AppEstimate>& out) {
+  if (!view.platform().topology().none()) {
+    throw std::invalid_argument("estimate_per_actor: routed topologies are not covered");
+  }
+  struct Occupant {
+    platform::GlobalActor who;
+    prob::ActorLoad load;
+  };
+  const std::size_t napps = view.app_count();
+  out.assign(napps, prob::AppEstimate{});
+  std::vector<std::vector<prob::ActorLoad>> loads(napps);
+  std::vector<std::vector<double>> response(napps);
+  std::vector<std::vector<Occupant>> per_node(view.platform().node_count());
+  std::vector<prob::ActorLoad> others;
+
+  for (sdf::AppId i = 0; i < napps; ++i) {
+    const analysis::PeriodResult iso = engines[i]->recompute(std::span<const double>{});
+    if (iso.deadlocked || iso.period <= 0.0) {
+      throw std::runtime_error("estimate_per_actor: no positive isolation period");
+    }
+    out[i].isolation_period = iso.period;
+    out[i].estimated_period = iso.period;
+    out[i].actors.resize(view.app(i).actor_count());
+  }
+  for (int pass = 0; pass < opts.iterations; ++pass) {
+    for (sdf::AppId i = 0; i < napps; ++i) {
+      prob::derive_loads_into(view.app(i), engines[i]->repetition_vector(),
+                              out[i].estimated_period, loads[i]);
+    }
+    for (auto& entries : per_node) entries.clear();
+    for (sdf::AppId i = 0; i < napps; ++i) {
+      for (sdf::ActorId a = 0; a < view.app(i).actor_count(); ++a) {
+        per_node[view.node_of(i, a)].push_back({{i, a}, loads[i][a]});
+      }
+    }
+    for (sdf::AppId i = 0; i < napps; ++i) {
+      response[i].resize(view.app(i).actor_count(), 0.0);
+    }
+    for (const auto& entries : per_node) {
+      prob::Composite node_total = prob::Composite::identity();
+      for (const Occupant& e : entries) {
+        node_total = prob::compose(node_total, prob::to_composite(e.load));
+      }
+      for (std::size_t s = 0; s < entries.size(); ++s) {
+        const Occupant& e = entries[s];
+        others.clear();
+        for (std::size_t k = 0; k < entries.size(); ++k) {
+          if (k != s) others.push_back(entries[k].load);
+        }
+        double twait = 0.0;
+        if (opts.method == prob::Method::CompositionInverse) {
+          const prob::Composite self = prob::to_composite(e.load);
+          twait = prob::can_invert(self) ? prob::decompose(node_total, self).weighted_blocking
+                                         : prob::compose_all(others).weighted_blocking;
+        } else {
+          twait = per_actor_waiting_time(opts, others);
+        }
+        const double exec =
+            static_cast<double>(view.app(e.who.app).actor(e.who.actor).exec_time);
+        out[e.who.app].actors[e.who.actor].waiting_time = twait;
+        response[e.who.app][e.who.actor] = exec + twait;
+        out[e.who.app].actors[e.who.actor].response_time = response[e.who.app][e.who.actor];
+      }
+    }
+    for (sdf::AppId i = 0; i < napps; ++i) {
+      const analysis::PeriodResult res = engines[i]->recompute(response[i]);
+      if (res.deadlocked) throw std::runtime_error("estimate_per_actor: response graph deadlocks");
+      out[i].estimated_period = res.period;
+    }
+  }
 }
 
 }  // namespace procon::testing

@@ -22,7 +22,10 @@
 #include "analysis_oracle.h"
 #include "api/workbench.h"
 #include "gen/graph_generator.h"
+#include "gen/use_cases.h"
 #include "helpers.h"
+#include "platform/system_view.h"
+#include "prob/estimator.h"
 #include "sdf/algorithms.h"
 #include "sdf/exec_time.h"
 #include "sdf/repetition.h"
@@ -32,6 +35,7 @@ namespace procon::analysis {
 namespace {
 
 using procon::testing::build_solver;
+using procon::testing::estimate_per_actor;
 using procon::testing::expand_to_hsdf;
 using procon::testing::Hsdf;
 using procon::testing::HsdfEdge;
@@ -491,6 +495,148 @@ TEST(CrossValidation, EngineVerdictsMatchStructuralChecks) {
   EXPECT_GT(inconsistent, 2000u);
   EXPECT_GT(deadlocked, 2000u);
   EXPECT_GT(mutants - inconsistent - deadlocked, 2000u);
+}
+
+// ---- Figure 4 step 4: node kernels against the per-actor reference -----------
+
+bool same_bits(double a, double b) {
+  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+}
+
+/// Every field of every estimate, bit for bit; returns the first mismatch.
+std::string first_mismatch(const std::vector<prob::AppEstimate>& got,
+                           const std::vector<prob::AppEstimate>& want) {
+  if (got.size() != want.size()) return "app count";
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    if (!same_bits(got[i].isolation_period, want[i].isolation_period)) {
+      return "app " + std::to_string(i) + " isolation_period";
+    }
+    if (!same_bits(got[i].estimated_period, want[i].estimated_period)) {
+      return "app " + std::to_string(i) + " estimated_period";
+    }
+    if (got[i].actors.size() != want[i].actors.size()) return "app " + std::to_string(i);
+    for (std::size_t k = 0; k < want[i].actors.size(); ++k) {
+      if (!same_bits(got[i].actors[k].waiting_time, want[i].actors[k].waiting_time) ||
+          !same_bits(got[i].actors[k].response_time, want[i].actors[k].response_time)) {
+        return "app " + std::to_string(i) + " actor " + std::to_string(k);
+      }
+    }
+  }
+  return {};
+}
+
+/// The estimate_dense system of the benchmark: 20 generated graphs, then
+/// `extra`, with actor j of every application on node j.
+platform::System dense_system(std::uint64_t app_seed, std::vector<sdf::Graph> extra = {}) {
+  util::Rng rng(app_seed);
+  std::vector<sdf::Graph> graphs = gen::generate_graphs(rng, gen::GeneratorOptions{}, 20);
+  for (sdf::Graph& g : extra) graphs.push_back(std::move(g));
+  std::size_t max_actors = 0;
+  for (const sdf::Graph& g : graphs) max_actors = std::max(max_actors, g.actor_count());
+  platform::Platform plat = platform::Platform::homogeneous(max_actors);
+  platform::Mapping map = platform::Mapping::by_index(graphs, plat);
+  return platform::System(std::move(graphs), std::move(plat), std::move(map));
+}
+
+/// Every method that runs a step-4 node kernel, with `passes` fixed-point
+/// passes; MthOrder at `order`.
+std::vector<prob::EstimatorOptions> node_methods(int passes, int order) {
+  std::vector<prob::EstimatorOptions> out;
+  for (const prob::Method m :
+       {prob::Method::Exact, prob::Method::SecondOrder, prob::Method::FourthOrder,
+        prob::Method::MthOrder, prob::Method::Composability,
+        prob::Method::CompositionInverse}) {
+    prob::EstimatorOptions o;
+    o.method = m;
+    o.order = order;
+    o.iterations = passes;
+    out.push_back(o);
+  }
+  return out;
+}
+
+/// Runs estimate_into and the per-actor reference on `uc` with the same
+/// engines, each from a reset() engine state, and compares every bit. An
+/// estimate may throw (an odd truncation order can drive a response time
+/// below zero near saturation); then both must throw the same error.
+void expect_step4_matches(const platform::System& sys, const platform::UseCase& uc,
+                          std::vector<ThroughputEngine>& engines,
+                          const prob::EstimatorOptions& opts, prob::EstimatorWorkspace& ws,
+                          const std::string& what) {
+  const platform::SystemView view(sys, uc);
+  std::vector<ThroughputEngine*> ptrs;
+  for (const sdf::AppId a : uc) ptrs.push_back(&engines[a]);
+  std::vector<prob::AppEstimate> got(uc.size());
+  std::vector<prob::AppEstimate> want;
+  std::string got_error;
+  std::string want_error;
+  for (ThroughputEngine* e : ptrs) e->reset();
+  try {
+    prob::ContentionEstimator(opts).estimate_into(view, {}, ptrs, ws, got);
+  } catch (const std::exception& ex) {
+    got_error = ex.what();
+  }
+  for (ThroughputEngine* e : ptrs) e->reset();
+  try {
+    estimate_per_actor(view, ptrs, opts, want);
+  } catch (const std::exception& ex) {
+    want_error = ex.what();
+  }
+  const std::string bad = !got_error.empty() || !want_error.empty()
+                              ? (got_error == want_error ? "" : got_error + " vs " + want_error)
+                              : first_mismatch(got, want);
+  EXPECT_TRUE(bad.empty()) << what << " method " << prob::method_name(opts.method)
+                           << " order " << opts.order << " passes " << opts.iterations
+                           << ": " << bad;
+}
+
+TEST(CrossValidation, EstimatorStep4MatchesPerActorReference) {
+  // Every use-case runs every method at one pass (MthOrder at orders 1..7 in
+  // turn) and one method, in turn, at eight passes.
+  std::size_t use_cases = 0;
+  for (const std::uint64_t app_seed : {2007u, 4099u}) {
+    const platform::System sys = dense_system(app_seed);
+    std::vector<ThroughputEngine> engines;
+    for (const sdf::Graph& g : sys.apps()) engines.emplace_back(g);
+    prob::EstimatorWorkspace ws;  // reused, as a session holds it
+    util::Rng rng(app_seed + 1);
+    const std::vector<platform::UseCase> ucs = gen::sample_use_cases(20, 28, rng);
+    for (std::size_t u = 0; u < ucs.size(); ++u) {
+      const int order = 1 + static_cast<int>(u % 7);
+      std::vector<prob::EstimatorOptions> configs = node_methods(1, order);
+      configs.push_back(node_methods(8, order)[u % configs.size()]);
+      for (const prob::EstimatorOptions& opts : configs) {
+        expect_step4_matches(sys, ucs[u], engines, opts, ws,
+                             "app seed " + std::to_string(app_seed) + " use-case " +
+                                 std::to_string(u));
+      }
+      ++use_cases;
+    }
+  }
+  EXPECT_GE(use_cases, 1000u);
+
+  // An actor at P == 1 exactly (one actor on a one-token self-loop is busy
+  // all the time): its own wait takes CompositionInverse's direct fold.
+  sdf::Graph busy("busy");
+  const sdf::ActorId x = busy.add_actor("x", 7);
+  busy.add_channel(x, x, 1, 1, 1);
+  std::vector<sdf::Graph> extra;
+  extra.push_back(busy);
+  const platform::System sys = dense_system(2007, std::move(extra));
+  std::vector<ThroughputEngine> engines;
+  for (const sdf::Graph& g : sys.apps()) engines.emplace_back(g);
+  ASSERT_EQ(engines.back().recompute().period, 7.0);
+  prob::EstimatorWorkspace ws;
+  for (const platform::UseCase& uc :
+       {platform::UseCase{20}, platform::UseCase{0, 20}, platform::UseCase{3, 20, 11},
+        platform::UseCase{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17,
+                          18, 19, 20}}) {
+    for (const int passes : {1, 8}) {
+      for (const prob::EstimatorOptions& opts : node_methods(passes, 3)) {
+        expect_step4_matches(sys, uc, engines, opts, ws, "saturated node");
+      }
+    }
+  }
 }
 
 }  // namespace

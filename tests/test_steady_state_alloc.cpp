@@ -22,6 +22,7 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "admission/admission.h"
@@ -324,44 +325,76 @@ TEST(SteadyStateAlloc, LruEvictionReprobesIdentically) {
   }
 }
 
-TEST(SteadyStateAlloc, WarmContentionViewIsAllocationFree) {
-  const platform::System sys = random_system(77, 5);
-  api::Workbench wb(sys, api::WorkbenchOptions{.threads = 1});
-  util::Rng rng(13);
-  const auto use_cases = gen::sample_use_cases(sys.app_count(), 2, rng);
-
-  // Warm-up: one query per shape sizes the workspace, slots and report.
-  (void)wb.contention_view();
-  for (const auto& uc : use_cases) (void)wb.contention_view(uc);
-
-  const auto oracle = wb.contention();  // owning copy, same numbers
-  for (int rep = 0; rep < 3; ++rep) {
-    const util::contracts::ArmGuard armed;
-    const std::uint64_t before = allocations();
-    const auto& report = wb.contention_view();
-    const std::uint64_t after = allocations();
-    EXPECT_EQ(after - before, 0u) << "warm contention_view allocated (rep "
-                                  << rep << ")";
-    ASSERT_EQ(report->size(), oracle->size());
-    for (std::size_t i = 0; i < oracle->size(); ++i) {
-      EXPECT_EQ((*report)[i].isolation_period, (*oracle)[i].isolation_period);
-      EXPECT_EQ((*report)[i].estimated_period, (*oracle)[i].estimated_period);
+/// Every method that runs a step-4 node kernel, at one and eight passes.
+std::vector<prob::EstimatorOptions> contention_methods() {
+  std::vector<prob::EstimatorOptions> out;
+  for (const prob::Method m :
+       {prob::Method::SecondOrder, prob::Method::Exact, prob::Method::FourthOrder,
+        prob::Method::MthOrder, prob::Method::Composability,
+        prob::Method::CompositionInverse}) {
+    for (const int passes : {1, 8}) {
+      prob::EstimatorOptions o;
+      o.method = m;
+      o.order = 5;
+      o.iterations = passes;
+      out.push_back(o);
     }
   }
-  for (const auto& uc : use_cases) {
-    const auto owning = wb.contention(uc);
-    const util::contracts::ArmGuard armed;
-    const std::uint64_t before = allocations();
-    const auto& report = wb.contention_view(uc);
-    const std::uint64_t after = allocations();
-    EXPECT_EQ(after - before, 0u) << "warm restricted contention_view allocated";
-    ASSERT_EQ(report->size(), owning->size());
-    for (std::size_t i = 0; i < owning->size(); ++i) {
-      EXPECT_EQ((*report)[i].estimated_period, (*owning)[i].estimated_period);
-      ASSERT_EQ((*report)[i].actors.size(), (*owning)[i].actors.size());
-      for (std::size_t k = 0; k < (*owning)[i].actors.size(); ++k) {
-        EXPECT_EQ((*report)[i].actors[k].waiting_time,
-                  (*owning)[i].actors[k].waiting_time);
+  return out;
+}
+
+TEST(SteadyStateAlloc, WarmContentionViewIsAllocationFree) {
+  // 5 applications (5 actors a node), then 16 (16 on each of the first
+  // three nodes: the node kernels' lane rows grow with the node).
+  for (const std::size_t apps : {5u, 16u}) {
+    const platform::System sys = random_system(77, apps);
+    api::Workbench wb(sys, api::WorkbenchOptions{.threads = 1});
+    util::Rng rng(13);
+    const auto use_cases = gen::sample_use_cases(sys.app_count(), 2, rng);
+    const auto methods = contention_methods();
+
+    // Warm-up: one query per shape and method sizes the workspace, slots
+    // and report.
+    for (const prob::EstimatorOptions& opts : methods) {
+      (void)wb.contention_view(opts);
+      for (const auto& uc : use_cases) (void)wb.contention_view(uc, opts);
+    }
+
+    for (const prob::EstimatorOptions& opts : methods) {
+      const std::string what = std::string(prob::method_name(opts.method)) + ", " +
+                               std::to_string(opts.iterations) + " passes, " +
+                               std::to_string(apps) + " apps";
+      const auto oracle = wb.contention(opts);  // owning copy, same numbers
+      for (int rep = 0; rep < 3; ++rep) {
+        const util::contracts::ArmGuard armed;
+        const std::uint64_t before = allocations();
+        const auto& report = wb.contention_view(opts);
+        const std::uint64_t after = allocations();
+        EXPECT_EQ(after - before, 0u) << "warm contention_view allocated (rep " << rep
+                                      << "; " << what << ")";
+        ASSERT_EQ(report->size(), oracle->size());
+        for (std::size_t i = 0; i < oracle->size(); ++i) {
+          EXPECT_EQ((*report)[i].isolation_period, (*oracle)[i].isolation_period);
+          EXPECT_EQ((*report)[i].estimated_period, (*oracle)[i].estimated_period);
+        }
+      }
+      for (const auto& uc : use_cases) {
+        const auto owning = wb.contention(uc, opts);
+        const util::contracts::ArmGuard armed;
+        const std::uint64_t before = allocations();
+        const auto& report = wb.contention_view(uc, opts);
+        const std::uint64_t after = allocations();
+        EXPECT_EQ(after - before, 0u) << "warm restricted contention_view allocated ("
+                                      << what << ")";
+        ASSERT_EQ(report->size(), owning->size());
+        for (std::size_t i = 0; i < owning->size(); ++i) {
+          EXPECT_EQ((*report)[i].estimated_period, (*owning)[i].estimated_period);
+          ASSERT_EQ((*report)[i].actors.size(), (*owning)[i].actors.size());
+          for (std::size_t k = 0; k < (*owning)[i].actors.size(); ++k) {
+            EXPECT_EQ((*report)[i].actors[k].waiting_time,
+                      (*owning)[i].actors[k].waiting_time);
+          }
+        }
       }
     }
   }

@@ -15,12 +15,15 @@
 #include "dse/buffer_explorer.h"
 #include "gen/graph_generator.h"
 #include "helpers.h"
+#include "platform/system_view.h"
 #include "prob/compose.h"
 #include "prob/estimator.h"
 #include "sdf/algorithms.h"
 #include "sdf/io.h"
 #include "sdf/repetition.h"
+#include "sim/sim_engine.h"
 #include "sim/simulator.h"
+#include "wcrt/wcrt.h"
 
 namespace procon {
 namespace {
@@ -196,7 +199,7 @@ TEST(ExpansionCap, EveryEntryPointRejectsAHugeRepetitionSum) {
     }
     const std::chrono::duration<double> took = std::chrono::steady_clock::now() - start;
     EXPECT_NE(message.find("1048577"), std::string::npos) << entry << ": '" << message << "'";
-    EXPECT_NE(message.find("cap of " + std::to_string(analysis::kMaxRepetitionSum)),
+    EXPECT_NE(message.find("cap of " + std::to_string(sdf::kMaxRepetitionSum)),
               std::string::npos)
         << entry << ": '" << message << "'";
     EXPECT_LT(took.count(), 1.0) << entry;
@@ -215,6 +218,52 @@ TEST(ExpansionCap, EveryEntryPointRejectsAHugeRepetitionSum) {
   expect_rejected("AdmissionController::request", [&] {
     admission::AdmissionController ctrl(platform::Platform::homogeneous(2));
     (void)ctrl.request(g, {0, 1}, admission::QoS::no_requirement());
+  });
+}
+
+// The liveness walk (sdf::diagnose_deadlock) fires one whole iteration, so
+// SystemView::validate bounds it by the same cap before walking: the live
+// chain below fires 1 + 2^31 + 2^62 times per iteration, and every entry
+// point that validates a view rejects it at once instead of walking.
+TEST(ExpansionCap, TheLivenessWalkIsCappedToo) {
+  sdf::Graph g("chain");
+  const auto a = g.add_actor("a", 1);
+  const auto b = g.add_actor("b", 1);
+  const auto c = g.add_actor("c", 1);
+  g.add_channel(a, b, 1U << 31, 1, 0);
+  g.add_channel(b, c, 1U << 31, 1, 0);
+  ASSERT_EQ(sdf::repetition_sum(*sdf::compute_repetition_vector(g)),
+            1 + (std::uint64_t{1} << 31) + (std::uint64_t{1} << 62));
+
+  const std::vector<sdf::Graph> apps{g};
+  const platform::Platform plat = platform::Platform::homogeneous(3);
+  const platform::System sys(apps, plat, platform::Mapping::by_index(apps, plat));
+  const auto expect_rejected = [](const char* entry, const auto& call) {
+    const auto start = std::chrono::steady_clock::now();
+    std::string message;
+    try {
+      call();
+    } catch (const sdf::GraphError& e) {
+      message = e.what();
+    }
+    const std::chrono::duration<double> took = std::chrono::steady_clock::now() - start;
+    EXPECT_NE(message.find("4611686020574871553"), std::string::npos)
+        << entry << ": '" << message << "'";
+    EXPECT_NE(message.find("cap of " + std::to_string(sdf::kMaxRepetitionSum)),
+              std::string::npos)
+        << entry << ": '" << message << "'";
+    EXPECT_LT(took.count(), 1.0) << entry;
+  };
+  expect_rejected("SystemView::validate", [&] { platform::SystemView(sys).validate(); });
+  expect_rejected("Workbench", [&] {
+    api::Workbench wb(sys, api::WorkbenchOptions{.threads = 1});
+  });
+  expect_rejected("estimate", [&] { (void)prob::ContentionEstimator().estimate(sys); });
+  expect_rejected("worst_case_bounds", [&] { (void)wcrt::worst_case_bounds(sys); });
+  expect_rejected("SimEngine", [&] { sim::SimEngine engine(sys); });
+  expect_rejected("AdmissionController::request", [&] {
+    admission::AdmissionController ctrl(platform::Platform::homogeneous(3));
+    (void)ctrl.request(g, {0, 1, 2}, admission::QoS::no_requirement());
   });
 }
 

@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "analysis_oracle.h"
+#include "prob/compose.h"
 #include "util/rng.h"
 #include "util/symmetric_poly.h"
 
@@ -160,6 +161,73 @@ TEST(WaitingTime, CappedKernelsAreBitwiseUncapped) {
     }
   }
   EXPECT_GT(cases, 10'000u);
+}
+
+// -------- node kernels against the per-actor reference -------------------
+
+/// Loads with P from [lo, hi], about a tenth of them exactly 0 and a tenth
+/// exactly 1.
+std::vector<ActorLoad> node_loads(util::Rng& rng, std::size_t n, double lo, double hi) {
+  std::vector<ActorLoad> loads;
+  for (std::size_t i = 0; i < n; ++i) {
+    const double u = rng.uniform01();
+    const double p = u < 0.1 ? 0.0 : u < 0.2 ? 1.0 : rng.uniform_real(lo, hi);
+    loads.push_back(make_load(rng.uniform_real(1.0, 100.0), p));
+  }
+  return loads;
+}
+
+TEST(WaitingTime, NodeKernelMatchesPerActorBitwise) {
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  const std::array<std::pair<double, double>, 2> ranges{{{0.0, 0.3}, {0.9, 1.0}}};
+  util::Rng rng(2207);
+  NodeLanes lanes;  // one scratch for every call, as the estimator holds it
+  std::size_t lanes_checked = 0;
+  for (std::size_t n = 0; n <= 40; ++n) {
+    for (const auto& [lo, hi] : ranges) {
+      const std::vector<ActorLoad> loads = node_loads(rng, n, lo, hi);
+      std::vector<double> node(n);
+      std::vector<ActorLoad> others;
+      const auto others_of = [&](std::size_t k) -> std::span<const ActorLoad> {
+        others.clear();
+        for (std::size_t i = 0; i < n; ++i) {
+          if (i != k) others.push_back(loads[i]);
+        }
+        return others;
+      };
+      for (std::size_t m = 1; m <= n + 1; ++m) {
+        node_waiting_times_approx(loads, static_cast<int>(m), lanes, node);
+        for (std::size_t k = 0; k < n; ++k) {
+          EXPECT_EQ(bits(node[k]), bits(waiting_time_approx(others_of(k), static_cast<int>(m))))
+              << "n=" << n << " P in [" << lo << ", " << hi << "] order=" << m << " lane " << k;
+        }
+        lanes_checked += n;
+      }
+      node_waiting_times_exact(loads, lanes, node);
+      for (std::size_t k = 0; k < n; ++k) {
+        EXPECT_EQ(bits(node[k]), bits(waiting_time_exact(others_of(k))))
+            << "n=" << n << " P in [" << lo << ", " << hi << "] exact lane " << k;
+      }
+      node_composed_waiting_times(loads, lanes, node);
+      for (std::size_t k = 0; k < n; ++k) {
+        EXPECT_EQ(bits(node[k]), bits(compose_all(others_of(k)).weighted_blocking))
+            << "n=" << n << " P in [" << lo << ", " << hi << "] composability lane " << k;
+      }
+      lanes_checked += 2 * n;
+    }
+  }
+  EXPECT_GT(lanes_checked, 40'000u);
+}
+
+TEST(WaitingTime, NodeKernelRejectsBadArguments) {
+  const std::vector<ActorLoad> loads{make_load(1.0, 0.5), make_load(2.0, 0.25)};
+  NodeLanes lanes;
+  std::vector<double> one(1);
+  std::vector<double> two(2);
+  EXPECT_THROW(node_waiting_times_exact(loads, lanes, one), std::invalid_argument);
+  EXPECT_THROW(node_waiting_times_approx(loads, 2, lanes, one), std::invalid_argument);
+  EXPECT_THROW(node_waiting_times_approx(loads, 0, lanes, two), std::invalid_argument);
+  EXPECT_THROW(node_composed_waiting_times(loads, lanes, one), std::invalid_argument);
 }
 
 // -------- saturation audit (P -> 1) ---------------------------------------

@@ -137,8 +137,11 @@ int cmd_period(int argc, char** argv) {
   table.set_header({"graph", "actors", "rep.sum", "consistent", "deadlock-free",
                     "period (exact)", "period (MCR)", "latency", "bottleneck"});
   for (const auto& g : load_graphs(argv[2])) {
-    const bool consistent = sdf::is_consistent(g);
-    const bool live = consistent && sdf::is_deadlock_free(g);
+    // The liveness walk is capped like every expansion: a graph above
+    // sdf::kMaxRepetitionSum firings is an error, not a long wait.
+    const sdf::DeadlockDiagnosis diag = sdf::diagnose_deadlock(g, sdf::kMaxRepetitionSum);
+    const bool consistent = diag.consistent;
+    const bool live = diag.deadlock_free;
     std::string exact = "-", mcr = "-", latency = "-", bottleneck = "-";
     std::string repsum = "-";
     if (consistent) {
