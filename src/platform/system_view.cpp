@@ -103,8 +103,8 @@ void SystemView::validate() const {
       throw sdf::GraphError("SystemView: application '" + g.name() + "' is empty");
     }
     // One repetition vector per application serves both verdicts and the
-    // size cap, which bounds the liveness walk.
-    const sdf::DeadlockDiagnosis diag = sdf::diagnose_deadlock(g, sdf::kMaxRepetitionSum);
+    // size cap (sdf::kMaxRepetitionSum), which bounds the liveness walk.
+    const sdf::DeadlockDiagnosis diag = sdf::diagnose_deadlock(g);
     if (!diag.consistent) {
       throw sdf::GraphError("SystemView: application '" + g.name() +
                             "' is inconsistent");

@@ -39,12 +39,12 @@ void waiting_times_on_node(std::span<const ActorLoad> loads,
                            const EstimatorOptions& opts, EstimatorWorkspace& ws,
                            std::span<double> waits) {
   switch (opts.method) {
-    case Method::Exact: node_waiting_times_exact(loads, ws.lanes, waits); return;
-    case Method::SecondOrder: node_waiting_times_approx(loads, 2, ws.lanes, waits); return;
-    case Method::FourthOrder: node_waiting_times_approx(loads, 4, ws.lanes, waits); return;
-    case Method::MthOrder:
-      node_waiting_times_approx(loads, opts.order, ws.lanes, waits);
+    case Method::Exact:  // an order of n keeps every degree of n - 1 others
+      node_waiting_times(loads, static_cast<int>(loads.size()), ws.lanes, waits);
       return;
+    case Method::SecondOrder: node_waiting_times(loads, 2, ws.lanes, waits); return;
+    case Method::FourthOrder: node_waiting_times(loads, 4, ws.lanes, waits); return;
+    case Method::MthOrder: node_waiting_times(loads, opts.order, ws.lanes, waits); return;
     case Method::Composability: node_composed_waiting_times(loads, ws.lanes, waits); return;
     case Method::CompositionInverse: {
       // One O(n) fold of the node, then an O(1) removal per actor; an

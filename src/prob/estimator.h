@@ -129,7 +129,7 @@ struct EstimatorWorkspace {
   std::vector<std::vector<ActorLoad>> loads;     ///< per app: step-2 loads
   std::vector<std::vector<ActorLoad>> node_loads;  ///< step 3: per node, its loads
   std::vector<std::vector<platform::GlobalActor>> node_actors;  ///< ...and their actors
-  NodeLanes lanes;                               ///< step-4 node kernel lanes
+  std::vector<double> lanes;                     ///< step-4 node kernel lanes
   std::vector<double> waits;                     ///< step-4 waiting times of a node
   std::vector<std::vector<double>> response;     ///< per app: step-4 responses
   std::vector<ActorLoad> others;                 ///< per-actor fold scratch (Monte-Carlo, links)

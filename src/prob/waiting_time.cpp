@@ -12,10 +12,10 @@ namespace {
 /// Shared core: evaluates the series truncated at inner degree `max_j`
 /// (max_j = n-1 gives the exact Eq. 4). Only e_0..e_limit enter the sum, so
 /// both symmetric-polynomial steps are capped there: O(n * limit) per call,
-/// bitwise the uncapped evaluation. Scratch buffers are thread_local —
-/// this sits in the innermost estimation loop (once per actor per node per
-/// pass), so warm calls must not touch the heap, and sharded estimator
-/// passes run it concurrently from pool workers.
+/// bitwise the uncapped evaluation. Scratch buffers are thread_local: its
+/// callers (the estimator's step-4b link term, once per flow and hop in
+/// every pass, and the ledger's reference replay of step 4) must stay
+/// heap-free when warm, and estimators on different threads run it at once.
 double waiting_time_series(std::span<const ActorLoad> others, std::size_t max_j) {
   const std::size_t n = others.size();
   if (n == 0) return 0.0;
@@ -45,16 +45,23 @@ double waiting_time_series(std::span<const ActorLoad> others, std::size_t max_j)
 
 // ---- node kernels ------------------------------------------------------------
 
+/// Two lanes of a node kernel (a GCC/Clang vector of two doubles). Rows of
+/// lane pairs live in the caller's std::vector<double>, so the type may
+/// alias it; operator new aligns any allocation of 16 bytes or more for it.
+typedef double LanePair __attribute__((vector_size(16), may_alias));
+static_assert(alignof(LanePair) <= __STDCPP_DEFAULT_NEW_ALIGNMENT__);
+
 constexpr LanePair kZeros = {0.0, 0.0};
 constexpr LanePair kOnes = {1.0, 1.0};
 
-/// Lane k of a row of lane pairs.
-double& lane(LanePair* row, std::size_t k) { return row[k / 2][k % 2]; }
+/// Lane k of a row of lane pairs, read and written by value.
+double lane(const LanePair* row, std::size_t k) { return row[k / 2][k % 2]; }
+void set_lane(LanePair* row, std::size_t k, double v) { row[k / 2][k % 2] = v; }
 
 /// Sizes the lane scratch to `count` pairs, grow-only, and returns it.
-LanePair* lane_rows(NodeLanes& lanes, std::size_t count) {
-  if (lanes.rows.size() < count) lanes.rows.resize(count);
-  return lanes.rows.data();
+LanePair* lane_rows(std::vector<double>& scratch, std::size_t count) {
+  if (scratch.size() < 2 * count) scratch.resize(2 * count);
+  return reinterpret_cast<LanePair*>(scratch.data());
 }
 
 void check_out(std::span<const ActorLoad> loads, std::span<double> out) {
@@ -64,8 +71,8 @@ void check_out(std::span<const ActorLoad> loads, std::span<double> out) {
 }
 
 /// Lane k runs waiting_time_series(loads without loads[k], max_j).
-void node_series(std::span<const ActorLoad> loads, std::size_t max_j, NodeLanes& lanes,
-                 std::span<double> out) {
+void node_series(std::span<const ActorLoad> loads, std::size_t max_j,
+                 std::vector<double>& scratch, std::span<double> out) {
   check_out(loads, out);
   const std::size_t n = loads.size();
   if (n <= 1) {  // a lone actor has no others: the per-actor kernel's 0
@@ -74,7 +81,7 @@ void node_series(std::span<const ActorLoad> loads, std::size_t max_j, NodeLanes&
   }
   const std::size_t limit = std::min(max_j, n - 2);
   const std::size_t pairs = (n + 1) / 2;
-  LanePair* e = lane_rows(lanes, (limit + 4) * pairs);  // e_j at e + j * pairs
+  LanePair* e = lane_rows(scratch, (limit + 4) * pairs);  // e_j at e + j * pairs
   LanePair* ei = e + (limit + 1) * pairs;
   LanePair* series = ei + pairs;
   LanePair* total = series + pairs;
@@ -90,7 +97,7 @@ void node_series(std::span<const ActorLoad> loads, std::size_t max_j, NodeLanes&
       const LanePair* below = row - pairs;
       const double keep = lane(row, m);
       for (std::size_t b = 0; b < pairs; ++b) row[b] += x * below[b];
-      lane(row, m) = keep;
+      set_lane(row, m, keep);
     }
   }
 
@@ -116,7 +123,7 @@ void node_series(std::span<const ActorLoad> loads, std::size_t max_j, NodeLanes&
     const double w = loads[i].weighted_blocking();
     const double keep = lane(total, i);
     for (std::size_t b = 0; b < pairs; ++b) total[b] += w * series[b];
-    lane(total, i) = keep;
+    set_lane(total, i, keep);
   }
   for (std::size_t k = 0; k < n; ++k) out[k] = lane(total, k);
 }
@@ -132,26 +139,18 @@ double waiting_time_approx(std::span<const ActorLoad> others, int order) {
   return waiting_time_series(others, static_cast<std::size_t>(order - 1));
 }
 
-void node_waiting_times_exact(std::span<const ActorLoad> loads, NodeLanes& lanes,
-                              std::span<double> out) {
-  // Each lane sees n - 1 others, so the exact cap n - 2 is node_series' own.
-  node_series(loads, loads.size(), lanes, out);
+void node_waiting_times(std::span<const ActorLoad> loads, int order,
+                        std::vector<double>& scratch, std::span<double> out) {
+  if (order < 1) throw std::invalid_argument("node_waiting_times: order must be >= 1");
+  node_series(loads, static_cast<std::size_t>(order - 1), scratch, out);
 }
 
-void node_waiting_times_approx(std::span<const ActorLoad> loads, int order,
-                               NodeLanes& lanes, std::span<double> out) {
-  if (order < 1) {
-    throw std::invalid_argument("node_waiting_times_approx: order must be >= 1");
-  }
-  node_series(loads, static_cast<std::size_t>(order - 1), lanes, out);
-}
-
-void node_composed_waiting_times(std::span<const ActorLoad> loads, NodeLanes& lanes,
-                                 std::span<double> out) {
+void node_composed_waiting_times(std::span<const ActorLoad> loads,
+                                 std::vector<double>& scratch, std::span<double> out) {
   check_out(loads, out);
   const std::size_t n = loads.size();
   const std::size_t pairs = (n + 1) / 2;
-  LanePair* probability = lane_rows(lanes, 2 * pairs);
+  LanePair* probability = lane_rows(scratch, 2 * pairs);
   LanePair* weighted = probability + pairs;
   std::fill(probability, probability + 2 * pairs, kZeros);  // Composite::identity()
   for (std::size_t m = 0; m < n; ++m) {
@@ -166,8 +165,8 @@ void node_composed_waiting_times(std::span<const ActorLoad> loads, NodeLanes& la
       probability[b] = pa + pm - pa * pm;
       weighted[b] = weighted[b] * grow + wm * (1.0 + pa / 2.0);
     }
-    lane(probability, m) = keep_p;
-    lane(weighted, m) = keep_w;
+    set_lane(probability, m, keep_p);
+    set_lane(weighted, m, keep_w);
   }
   for (std::size_t k = 0; k < n; ++k) out[k] = lane(weighted, k);
 }

@@ -25,22 +25,24 @@
 //    *other* loads. They are the reference definition: the ledger's
 //    Figure 4 replay (ledger/common.cpp) calls them per actor and compares
 //    every op bit for bit with ContentionEstimator::estimate_into.
-//  * The node kernels (node_waiting_times_*) take *every* load of a node
-//    and write all of its waiting times in one pass. Lane k of a kernel
-//    runs exactly the floating-point operations of the per-actor function
-//    on the node's loads without loads[k], in node order, so out[k] equals
-//    it bit for bit (WaitingTime.NodeKernelMatchesPerActorBitwise). The
+//  * The node kernels (node_waiting_times for the series, node_composed_
+//    waiting_times for the Eq. 6/7 fold) take *every* load of a node and
+//    write all of its waiting times in one pass. Lane k of a kernel runs
+//    exactly the floating-point operations of the per-actor function on
+//    the node's loads without loads[k], in node order, so out[k] equals it
+//    bit for bit (WaitingTime.NodeKernelMatchesPerActorBitwise). The
 //    estimator's step 4 calls them once per node.
 //
-// Lane layout: a node of n loads has n lanes, padded to whole LanePairs
-// (two doubles, one SSE2 operation per arithmetic step). The loads are
-// broadcast scalars; a lane holds the state of one actor's evaluation.
+// Lane layout (private to waiting_time.cpp; the caller only lends a
+// grow-only std::vector<double>): a node of n loads has n lanes, padded to
+// whole pairs of doubles, one SSE2 operation per arithmetic step. The loads
+// are broadcast scalars; a lane holds the state of one actor's evaluation.
 // Series kernel (Eq. 4/5): rows e_0..e_limit of the symmetric-polynomial
 // DP, then the leave-one-out family e', the series and the running total,
-// each a row of lane pairs; limit = min(order - 1, n - 2), the per-actor
-// cap. Every lane runs the full cap from the first load on: degrees above
-// the loads a lane has seen hold exact zeros, and P is finite and >= 0, so
-// the extra updates change no bit. The series runs j-outer, lane-inner;
+// each a row of lanes; limit = min(order - 1, n - 2), the per-actor cap.
+// Every lane runs the full cap from the first load on: degrees above the
+// loads a lane has seen hold exact zeros, and P is finite and >= 0, so the
+// extra updates change no bit. The series runs j-outer, lane-inner;
 // sign * e'_j / (j+1) becomes alternating += / -= of e'_j / (j+1), exact
 // under round-to-nearest, and a division becomes a multiply only where
 // j + 1 is a power of two. The total adds w_i * series_i in node order.
@@ -88,32 +90,21 @@ namespace procon::prob {
   return waiting_time_approx(o, 4);
 }
 
-/// Two lanes of a node kernel (a GCC/Clang vector of two doubles).
-typedef double LanePair __attribute__((vector_size(16)));
-
-/// Grow-only lane scratch of the node kernels: O(n * limit) lane pairs for
-/// a node of n loads. Hand the same object back per node and pass; calls
-/// within its capacity perform no heap allocation. One caller at a time.
-struct NodeLanes {
-  std::vector<LanePair> rows;  ///< the kernel's lane rows, reused per call
-};
-
-/// Node kernel of waiting_time_exact: out[k] is, bit for bit,
-/// waiting_time_exact over `loads` without loads[k], in node order.
-/// `out` must hold loads.size() entries (throws std::invalid_argument).
-void node_waiting_times_exact(std::span<const ActorLoad> loads, NodeLanes& lanes,
-                              std::span<double> out);
-
-/// Node kernel of waiting_time_approx: out[k] is, bit for bit,
-/// waiting_time_approx(loads without loads[k], order). `order` >= 1 and
-/// `out` must hold loads.size() entries (throws std::invalid_argument).
-void node_waiting_times_approx(std::span<const ActorLoad> loads, int order,
-                               NodeLanes& lanes, std::span<double> out);
+/// Node kernel of the series (Eq. 4/5): out[k] is, bit for bit,
+/// waiting_time_approx(loads without loads[k], order), in node order. An
+/// order of at least loads.size() - 1 keeps every degree, so out[k] is then
+/// waiting_time_exact of those loads. `scratch` holds the lanes: hand the
+/// same vector back per node and pass, and calls within its capacity
+/// perform no heap allocation. `order` >= 1 and `out` must hold
+/// loads.size() entries (throws std::invalid_argument).
+void node_waiting_times(std::span<const ActorLoad> loads, int order,
+                        std::vector<double>& scratch, std::span<double> out);
 
 /// Node kernel of the composability fold: out[k] is, bit for bit,
 /// compose_all(loads without loads[k]).weighted_blocking (prob/compose.h).
-/// `out` must hold loads.size() entries (throws std::invalid_argument).
-void node_composed_waiting_times(std::span<const ActorLoad> loads, NodeLanes& lanes,
-                                 std::span<double> out);
+/// `scratch` as for node_waiting_times; `out` must hold loads.size()
+/// entries (throws std::invalid_argument).
+void node_composed_waiting_times(std::span<const ActorLoad> loads,
+                                 std::vector<double>& scratch, std::span<double> out);
 
 }  // namespace procon::prob

@@ -75,17 +75,17 @@ bool is_strongly_connected(const Graph& g) {
   return strongly_connected_components(g).component_count == 1;
 }
 
-DeadlockDiagnosis diagnose_deadlock(const Graph& g, std::uint64_t max_firings) {
+DeadlockDiagnosis diagnose_deadlock(const Graph& g) {
   DeadlockDiagnosis diag;
   const auto q_opt = compute_repetition_vector(g);
   if (!q_opt) return diag;  // inconsistent: treated as not deadlock-free
   diag.consistent = true;
   const RepetitionVector& q = *q_opt;
   const std::uint64_t firings = repetition_sum(q);
-  if (firings > max_firings) {
+  if (firings > kMaxRepetitionSum) {
     throw GraphError("graph '" + g.name() + "': the repetition vector sums to " +
                      std::to_string(firings) + " firings, above the cap of " +
-                     std::to_string(max_firings));
+                     std::to_string(kMaxRepetitionSum));
   }
 
   std::vector<std::uint64_t> tokens(g.channel_count());

@@ -32,25 +32,23 @@ struct SccResult {
 /// actors on token counts only. For consistent SDFGs this succeeds iff the
 /// graph is deadlock-free (Lee & Messerschmitt). Returns false for
 /// inconsistent graphs.
+///
+/// The walk fires repetition_sum(q) times, so a consistent graph whose sum
+/// exceeds kMaxRepetitionSum throws GraphError, naming the graph, the sum
+/// and the cap, before walking (here and in diagnose_deadlock).
 [[nodiscard]] bool is_deadlock_free(const Graph& g);
 
 /// Like is_deadlock_free but reports the set of actors that still had
 /// pending firings when execution stalled (empty if none). Used by the
 /// generator's token-repair loop, and by SystemView::validate, which reads
-/// both verdicts from this one call.
-///
-/// The walk fires one whole iteration, repetition_sum(q) firings. With a
-/// `max_firings` bound (SystemView::validate passes kMaxRepetitionSum) a
-/// consistent graph whose sum exceeds it throws GraphError, naming the
-/// graph, the sum and the bound, before the walk.
+/// both verdicts from this one call. The same cap applies.
 struct DeadlockDiagnosis {
   bool consistent = false;  ///< is_consistent(g); false => not deadlock-free
   bool deadlock_free = false;
   std::vector<ActorId> starved_actors;    ///< actors with pending firings
   std::vector<ChannelId> starved_channels;///< in-channels lacking tokens
 };
-[[nodiscard]] DeadlockDiagnosis diagnose_deadlock(const Graph& g,
-                                                 std::uint64_t max_firings = UINT64_MAX);
+[[nodiscard]] DeadlockDiagnosis diagnose_deadlock(const Graph& g);
 
 /// Structural fingerprint of a graph (name, actors, channels), mixed into
 /// `seed` — one shared definition of "same graph" for every structure-keyed

@@ -30,8 +30,9 @@ using RepetitionVector = std::vector<std::uint64_t>;
 
 /// \brief Largest repetition-vector sum (HSDF firings per iteration) the
 /// library expands or walks: analysis::ThroughputEngine's constructor and
-/// SystemView::validate's liveness walk (diagnose_deadlock) reject larger
-/// graphs before doing either.
+/// the liveness walk (is_deadlock_free, diagnose_deadlock) reject larger
+/// graphs before doing either. SystemView::validate walks, so every
+/// session, one-shot, the simulator and admission reject them too.
 ///
 /// Set from the slowest graph family measured, a -> b at rates (2^k, 1)
 /// and b -> a at (1, 2^k) with 2^k tokens, in a Release build on a shared

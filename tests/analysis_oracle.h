@@ -17,6 +17,9 @@
 //  * estimate_per_actor: the Figure 4 estimator with step 4 run per actor,
 //    on the public per-actor kernels; ContentionEstimator::estimate_into,
 //    which runs one node kernel per node, must reproduce it bit for bit.
+//    It mirrors the ledger's Figure 4 replay (replay_estimate and kernel in
+//    ledger/common.cpp), plus CompositionInverse, which the replay lacks;
+//    the two copies can be merged when the benchmark next changes.
 //
 // The self-timed steady-state period of a strongly connected HSDF equals
 //   max over directed cycles C of ( sum of node execution times on C )

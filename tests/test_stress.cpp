@@ -176,18 +176,28 @@ INSTANTIATE_TEST_SUITE_P(Seeds, ArbitrationSanity, ::testing::Values(5, 15, 25))
 
 // ThroughputEngine caps its expansion at kMaxRepetitionSum firings, and
 // every period, latency, bottleneck, buffer, session and admission path
-// builds one before expanding anything itself:
-// the live two-actor graph below (a fires once, b 2^20 times per
-// iteration) is rejected by each before anything is expanded, naming the
-// sum and the cap. Expanded, its cold solve alone would take minutes.
+// builds one before expanding anything itself; the liveness walk
+// (is_deadlock_free, and SystemView::validate through diagnose_deadlock)
+// checks the same cap before walking. The live two-actor graph below (a
+// fires once, b 2^20 times per iteration) is rejected by each before
+// anything is expanded or walked, naming the sum and the cap. Expanded,
+// its cold solve alone would take minutes. The simulator validates its
+// view, so it rejects the graph too, although it never expands it.
 TEST(ExpansionCap, EveryEntryPointRejectsAHugeRepetitionSum) {
-  sdf::Graph g("reps");
-  const auto a = g.add_actor("a", 1);
-  const auto b = g.add_actor("b", 1);
-  g.add_channel(a, b, 1U << 20, 1, 0);
-  g.add_channel(b, a, 1, 1U << 20, 1U << 20);
+  // a -> b at rates (2^k, 1), b -> a at (1, 2^k) with 2^k tokens: a fires
+  // once on the tokens, then b 2^k times, which returns them, so the graph
+  // is live for every k; the walk shows it below the cap.
+  const auto family = [](unsigned k) {
+    sdf::Graph g("reps");
+    const auto a = g.add_actor("a", 1);
+    const auto b = g.add_actor("b", 1);
+    g.add_channel(a, b, 1U << k, 1, 0);
+    g.add_channel(b, a, 1, 1U << k, 1U << k);
+    return g;
+  };
+  ASSERT_TRUE(sdf::is_deadlock_free(family(11)));
+  const sdf::Graph g = family(20);
   ASSERT_EQ(sdf::repetition_sum(*sdf::compute_repetition_vector(g)), (1U << 20) + 1);
-  ASSERT_TRUE(sdf::is_deadlock_free(g));
 
   const auto expect_rejected = [](const char* entry, const auto& call) {
     const auto start = std::chrono::steady_clock::now();
@@ -204,17 +214,20 @@ TEST(ExpansionCap, EveryEntryPointRejectsAHugeRepetitionSum) {
         << entry << ": '" << message << "'";
     EXPECT_LT(took.count(), 1.0) << entry;
   };
+  expect_rejected("is_deadlock_free", [&] { (void)sdf::is_deadlock_free(g); });
   expect_rejected("ThroughputEngine", [&] { (void)analysis::ThroughputEngine(g); });
   expect_rejected("compute_period", [&] { (void)analysis::compute_period(g); });
   expect_rejected("compute_latency", [&] { (void)analysis::compute_latency(g); });
   expect_rejected("find_bottleneck", [&] { (void)analysis::find_bottleneck(g); });
   expect_rejected("explore_buffer_tradeoff", [&] { (void)dse::explore_buffer_tradeoff(g); });
+  const std::vector<sdf::Graph> apps{g};
+  const platform::Platform plat = platform::Platform::homogeneous(2);
+  const platform::System sys(apps, plat, platform::Mapping::by_index(apps, plat));
   expect_rejected("Workbench", [&] {
-    const std::vector<sdf::Graph> apps{g};
-    const platform::Platform plat = platform::Platform::homogeneous(2);
-    api::Workbench wb(platform::System(apps, plat, platform::Mapping::by_index(apps, plat)),
-                      api::WorkbenchOptions{.threads = 1});
+    api::Workbench wb(sys, api::WorkbenchOptions{.threads = 1});
   });
+  expect_rejected("SimEngine", [&] { sim::SimEngine engine(sys); });
+  expect_rejected("simulate", [&] { (void)sim::simulate(sys, sim::SimOptions{}); });
   expect_rejected("AdmissionController::request", [&] {
     admission::AdmissionController ctrl(platform::Platform::homogeneous(2));
     (void)ctrl.request(g, {0, 1}, admission::QoS::no_requirement());
@@ -222,9 +235,9 @@ TEST(ExpansionCap, EveryEntryPointRejectsAHugeRepetitionSum) {
 }
 
 // The liveness walk (sdf::diagnose_deadlock) fires one whole iteration, so
-// SystemView::validate bounds it by the same cap before walking: the live
-// chain below fires 1 + 2^31 + 2^62 times per iteration, and every entry
-// point that validates a view rejects it at once instead of walking.
+// it checks the same cap before walking: the live chain below fires
+// 1 + 2^31 + 2^62 times per iteration, and every entry point that
+// validates a view rejects it at once instead of walking.
 TEST(ExpansionCap, TheLivenessWalkIsCappedToo) {
   sdf::Graph g("chain");
   const auto a = g.add_actor("a", 1);

@@ -181,7 +181,7 @@ TEST(WaitingTime, NodeKernelMatchesPerActorBitwise) {
   const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
   const std::array<std::pair<double, double>, 2> ranges{{{0.0, 0.3}, {0.9, 1.0}}};
   util::Rng rng(2207);
-  NodeLanes lanes;  // one scratch for every call, as the estimator holds it
+  std::vector<double> lanes;  // one scratch for every call, as the estimator holds it
   std::size_t lanes_checked = 0;
   for (std::size_t n = 0; n <= 40; ++n) {
     for (const auto& [lo, hi] : ranges) {
@@ -196,14 +196,14 @@ TEST(WaitingTime, NodeKernelMatchesPerActorBitwise) {
         return others;
       };
       for (std::size_t m = 1; m <= n + 1; ++m) {
-        node_waiting_times_approx(loads, static_cast<int>(m), lanes, node);
+        node_waiting_times(loads, static_cast<int>(m), lanes, node);
         for (std::size_t k = 0; k < n; ++k) {
           EXPECT_EQ(bits(node[k]), bits(waiting_time_approx(others_of(k), static_cast<int>(m))))
               << "n=" << n << " P in [" << lo << ", " << hi << "] order=" << m << " lane " << k;
         }
         lanes_checked += n;
       }
-      node_waiting_times_exact(loads, lanes, node);
+      node_waiting_times(loads, static_cast<int>(std::max<std::size_t>(n, 1)), lanes, node);
       for (std::size_t k = 0; k < n; ++k) {
         EXPECT_EQ(bits(node[k]), bits(waiting_time_exact(others_of(k))))
             << "n=" << n << " P in [" << lo << ", " << hi << "] exact lane " << k;
@@ -221,12 +221,11 @@ TEST(WaitingTime, NodeKernelMatchesPerActorBitwise) {
 
 TEST(WaitingTime, NodeKernelRejectsBadArguments) {
   const std::vector<ActorLoad> loads{make_load(1.0, 0.5), make_load(2.0, 0.25)};
-  NodeLanes lanes;
+  std::vector<double> lanes;
   std::vector<double> one(1);
   std::vector<double> two(2);
-  EXPECT_THROW(node_waiting_times_exact(loads, lanes, one), std::invalid_argument);
-  EXPECT_THROW(node_waiting_times_approx(loads, 2, lanes, one), std::invalid_argument);
-  EXPECT_THROW(node_waiting_times_approx(loads, 0, lanes, two), std::invalid_argument);
+  EXPECT_THROW(node_waiting_times(loads, 2, lanes, one), std::invalid_argument);
+  EXPECT_THROW(node_waiting_times(loads, 0, lanes, two), std::invalid_argument);
   EXPECT_THROW(node_composed_waiting_times(loads, lanes, one), std::invalid_argument);
 }
 

@@ -139,7 +139,7 @@ int cmd_period(int argc, char** argv) {
   for (const auto& g : load_graphs(argv[2])) {
     // The liveness walk is capped like every expansion: a graph above
     // sdf::kMaxRepetitionSum firings is an error, not a long wait.
-    const sdf::DeadlockDiagnosis diag = sdf::diagnose_deadlock(g, sdf::kMaxRepetitionSum);
+    const sdf::DeadlockDiagnosis diag = sdf::diagnose_deadlock(g);
     const bool consistent = diag.consistent;
     const bool live = diag.deadlock_free;
     std::string exact = "-", mcr = "-", latency = "-", bottleneck = "-";
