@@ -10,6 +10,10 @@ namespace procon::api {
 
 namespace {
 
+// Shard count of the service-wide transposition table: sessions executing
+// on different pool workers rarely contend for one shard.
+constexpr std::size_t kTranspositionShards = 16;
+
 /// Exact structural equality of two systems (the fingerprint tie-breaker):
 /// identical analysis inputs, hence identical results from a shared session.
 bool systems_equal(const platform::System& a, const platform::System& b) noexcept {
@@ -32,15 +36,6 @@ bool systems_equal(const platform::System& a, const platform::System& b) noexcep
 void append_u64(std::string& key, std::uint64_t v) {
   key.push_back('#');
   key.append(std::to_string(v));
-}
-
-void append_double(std::string& key, double v) {
-  // Bit pattern, not decimal text: the key must distinguish every distinct
-  // option value exactly.
-  std::uint64_t bits;
-  static_assert(sizeof bits == sizeof v);
-  std::memcpy(&bits, &v, sizeof bits);
-  append_u64(key, bits);
 }
 
 /// 128-bit content hash accumulator for coalescing keys of payloads too
@@ -69,13 +64,51 @@ struct ContentHash {
   }
 };
 
+/// Every EstimatorOptions field, for the Contention and TopologySweep keys.
+void append_estimator(std::string& key, const prob::EstimatorOptions& e) {
+  append_u64(key, static_cast<std::uint64_t>(e.method));
+  append_u64(key, static_cast<std::uint64_t>(e.order));
+  append_u64(key, static_cast<std::uint64_t>(e.iterations));
+  append_u64(key, e.mc_trials);
+}
+
+/// Every SimOptions field, for the Simulate and TopologySweep keys.
+/// Stochastic execution-time models are too large to spell into the key;
+/// their full content (outcome values + weights bitwise) goes into a 128-bit
+/// hash instead. Simulation is deterministic given sample_seed, so
+/// content-equal models coalescing is exact up to a 128-bit collision — the
+/// transposition table's standard.
+void append_sim(std::string& key, const sim::SimOptions& s) {
+  if (!s.exec_models.empty()) {
+    ContentHash h;
+    h.absorb(s.exec_models.size());
+    for (const sdf::ExecTimeModel& m : s.exec_models) {
+      h.absorb(m.size());
+      for (const sdf::ExecTimeDistribution& dist : m) {
+        h.absorb(dist.outcomes().size());
+        for (const auto& o : dist.outcomes()) {
+          h.absorb(static_cast<std::uint64_t>(o.value));
+          h.absorb_double(o.weight);
+        }
+      }
+    }
+    append_u64(key, h.a);
+    append_u64(key, h.b);
+  }
+  append_u64(key, static_cast<std::uint64_t>(s.horizon));
+  append_u64(key, static_cast<std::uint64_t>(s.arbitration));
+  append_u64(key, s.max_events);
+  append_u64(key, s.sample_seed);
+  append_u64(key, s.collect_trace ? 1 : 0);
+}
+
 }  // namespace
 
 AnalysisService::AnalysisService(const ServiceOptions& opts)
     : session_capacity_(std::max<std::size_t>(opts.session_capacity, 1)),
       table_(opts.transposition_capacity > 0
                  ? std::make_shared<analysis::TranspositionTable>(
-                       opts.transposition_capacity, opts.transposition_shards)
+                       opts.transposition_capacity, kTranspositionShards)
                  : nullptr),
       pool_(opts.threads) {}
 
@@ -259,15 +292,10 @@ std::string AnalysisService::coalesce_key(std::uint64_t serial,
     case QueryKind::BufferFrontier:
       append_u64(key, d.app);
       append_u64(key, d.buffers.max_steps);
-      append_double(key, d.buffers.convergence);
       break;
     case QueryKind::Contention:
       for (const sdf::AppId a : d.use_case) append_u64(key, a);
-      append_u64(key, static_cast<std::uint64_t>(d.estimator.method));
-      append_u64(key, static_cast<std::uint64_t>(d.estimator.order));
-      append_u64(key, static_cast<std::uint64_t>(d.estimator.iterations));
-      append_u64(key, d.estimator.mc_trials);
-      append_u64(key, d.estimator.mc_seed);
+      append_estimator(key, d.estimator);
       break;
     case QueryKind::Wcrt:
       for (const sdf::AppId a : d.use_case) append_u64(key, a);
@@ -275,40 +303,12 @@ std::string AnalysisService::coalesce_key(std::uint64_t serial,
       append_u64(key, static_cast<std::uint64_t>(d.wcrt.tdma_slot));
       break;
     case QueryKind::Simulate:
-      // Stochastic execution-time models are too large to spell into the
-      // key; absorb their full content (outcome values + weights bitwise)
-      // into a 128-bit hash instead. Simulation is deterministic given
-      // sample_seed, so content-equal models coalescing is exact up to a
-      // 128-bit collision — the transposition table's standard.
-      if (!d.sim.exec_models.empty()) {
-        ContentHash h;
-        h.absorb(d.sim.exec_models.size());
-        for (const sdf::ExecTimeModel& m : d.sim.exec_models) {
-          h.absorb(m.size());
-          for (const sdf::ExecTimeDistribution& dist : m) {
-            h.absorb(dist.outcomes().size());
-            for (const auto& o : dist.outcomes()) {
-              h.absorb(static_cast<std::uint64_t>(o.value));
-              h.absorb_double(o.weight);
-            }
-          }
-        }
-        append_u64(key, h.a);
-        append_u64(key, h.b);
-      }
       for (const sdf::AppId a : d.use_case) append_u64(key, a);
-      append_u64(key, static_cast<std::uint64_t>(d.sim.horizon));
-      append_u64(key, static_cast<std::uint64_t>(d.sim.arbitration));
-      append_u64(key, static_cast<std::uint64_t>(d.sim.tdma_slot));
-      append_double(key, d.sim.warmup_fraction);
-      append_u64(key, d.sim.min_iterations);
-      append_u64(key, d.sim.max_events);
-      append_u64(key, d.sim.sample_seed);
-      append_u64(key, d.sim.collect_trace ? 1 : 0);
+      append_sim(key, d.sim);
       break;
     case QueryKind::TopologySweep: {
       // The candidate list is arbitrarily long; absorb it into a 128-bit
-      // content hash like Simulate's exec-time models. Link endpoints are
+      // content hash like the exec-time models. Link endpoints are
       // canonical from (kind, dims), so only the mutable attributes
       // (widths, latencies) need hashing beyond the shape.
       ContentHash h;
@@ -327,22 +327,8 @@ std::string AnalysisService::coalesce_key(std::uint64_t serial,
       append_u64(key, h.a);
       append_u64(key, h.b);
       for (const sdf::AppId a : d.use_case) append_u64(key, a);
-      append_u64(key, static_cast<std::uint64_t>(d.estimator.method));
-      append_u64(key, static_cast<std::uint64_t>(d.estimator.order));
-      append_u64(key, static_cast<std::uint64_t>(d.estimator.iterations));
-      append_u64(key, d.estimator.mc_trials);
-      append_u64(key, d.estimator.mc_seed);
-      append_u64(key, d.topo_with_sim ? 1 : 0);
-      if (d.topo_with_sim) {
-        append_u64(key, static_cast<std::uint64_t>(d.sim.horizon));
-        append_u64(key, static_cast<std::uint64_t>(d.sim.arbitration));
-        append_u64(key, static_cast<std::uint64_t>(d.sim.tdma_slot));
-        append_double(key, d.sim.warmup_fraction);
-        append_u64(key, d.sim.min_iterations);
-        append_u64(key, d.sim.max_events);
-        append_u64(key, d.sim.sample_seed);
-        append_u64(key, d.sim.collect_trace ? 1 : 0);
-      }
+      append_estimator(key, d.estimator);
+      append_sim(key, d.sim);
       break;
     }
   }
@@ -370,7 +356,6 @@ QueryValue AnalysisService::execute(Workbench& wb, const QueryDesc& d) {
     case QueryKind::TopologySweep: {
       TopologySweepOptions topts;
       topts.estimator = d.estimator;
-      topts.with_sim = d.topo_with_sim;
       topts.sim = d.sim;
       topts.use_case = d.use_case;
       return wb.sweep_topologies(d.topologies, topts);

@@ -89,10 +89,9 @@ struct QueryDesc {
   sim::SimOptions sim;               ///< Simulate configuration
   dse::BufferExplorerOptions buffers;  ///< BufferFrontier configuration
   /// Candidate interconnects for TopologySweep, evaluated in order (the
-  /// sweep reads `estimator`, `sim` and `use_case` above for its options).
+  /// sweep reads `estimator`, `sim` and `use_case` above for its options,
+  /// and runs the routed simulation per candidate).
   std::vector<platform::Topology> topologies;
-  /// Whether TopologySweep also runs the routed simulation per candidate.
-  bool topo_with_sim = true;
 };
 
 /// \brief Every result shape a ticket can carry, in QueryKind order.
@@ -288,12 +287,9 @@ struct ServiceOptions {
   /// fingerprints are name-free, structurally identical tenants hit each
   /// other's entries — and entries outlive session eviction, so a rebuilt
   /// session starts warm. 0 disables the table entirely (sessions run
-  /// table-free, bitwise identical results either way).
+  /// table-free, bitwise identical results either way). The table has 16
+  /// shards, so sessions on different pool workers rarely contend.
   std::size_t transposition_capacity = std::size_t{1} << 16;
-  /// Shard count of the shared table (rounded down to a power of two,
-  /// clamped to >= 1). More shards = less lock contention between sessions
-  /// executing on different pool workers.
-  std::size_t transposition_shards = 16;
 };
 
 /// \brief Service-level counters (monotonic since construction).
@@ -357,10 +353,9 @@ class AnalysisService {
   /// tenant's session, executed in submission order per session,
   /// concurrently across sessions. An identical query already pending or
   /// running on the same session structure coalesces — the returned ticket
-  /// shares its completion state (queries whose options embed
-  /// non-fingerprintable state, i.e. Simulate with stochastic exec_models,
-  /// never coalesce). Throws std::out_of_range for unknown ids; analysis
-  /// errors surface through the ticket as Failed.
+  /// shares its completion state (the key reads every option the kind
+  /// reads; see coalesce_key). Throws std::out_of_range for unknown ids;
+  /// analysis errors surface through the ticket as Failed.
   /// \param id tenant handle
   /// \param desc the query (kind + options)
   /// \return ticket tracking the (possibly shared) query
@@ -445,7 +440,8 @@ class AnalysisService {
   /// different tenants' queries). Stochastic exec-time models are keyed by
   /// a 128-bit content hash over their outcome lists (values + weights
   /// bitwise) — the same collision standard as the transposition table's
-  /// verify tags, so such Simulate queries coalesce and cache too.
+  /// verify tags, so such Simulate and TopologySweep queries coalesce and
+  /// cache too.
   static std::string coalesce_key(std::uint64_t serial, const QueryDesc& desc);
 
   mutable std::mutex m_;

@@ -413,37 +413,12 @@ Report<std::vector<TopologyResult>> Workbench::sweep_topologies(
       est.estimate_into(view, {}, engines_for(engines_, uc, ptr_scratch_), est_ws_,
                         out.estimates);
     }
-    if (opts.with_sim) {
-      sim::SimEngine& se = topology_sim_engine(scratch);
-      se.reset(uc);
-      out.sim = se.run(opts.sim);
-    }
+    out.sim = sim::simulate(view, opts.sim);
   }
   report.provenance = {"topology sweep: " +
                            std::string(prob::method_name(opts.estimator.method)),
                        topologies.size(), 1, timer.ms()};
   return report;
-}
-
-sim::SimEngine& Workbench::topology_sim_engine(const platform::System& scratch) {
-  const std::uint64_t fp = scratch.fingerprint();
-  for (TopologySimEntry& e : topo_sim_cache_) {
-    if (e.fingerprint == fp) {
-      e.stamp = ++topo_sim_clock_;
-      return *e.engine;
-    }
-  }
-  if (topo_sim_cache_.size() >= kTopologySimCacheCapacity) {
-    std::size_t victim = 0;
-    for (std::size_t j = 1; j < topo_sim_cache_.size(); ++j) {
-      if (topo_sim_cache_[j].stamp < topo_sim_cache_[victim].stamp) victim = j;
-    }
-    topo_sim_cache_.erase(topo_sim_cache_.begin() +
-                          static_cast<std::ptrdiff_t>(victim));
-  }
-  topo_sim_cache_.push_back(TopologySimEntry{
-      fp, ++topo_sim_clock_, std::make_unique<sim::SimEngine>(scratch)});
-  return *topo_sim_cache_.back().engine;
 }
 
 Report<std::vector<double>> Workbench::score_mappings(

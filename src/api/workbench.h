@@ -96,13 +96,12 @@ struct SweepOptions {
   sim::SimOptions sim;
 };
 
-/// \brief What a topology sweep evaluates per candidate interconnect.
+/// \brief What a topology sweep evaluates per candidate interconnect: the
+/// link-aware estimate and the routed discrete-event simulation.
 struct TopologySweepOptions {
   /// Link-aware estimator configuration (method, fixed-point passes).
   prob::EstimatorOptions estimator;
-  /// Also run the routed discrete-event simulation per topology.
-  bool with_sim = true;
-  /// Simulation configuration (when with_sim).
+  /// Routed simulation configuration.
   sim::SimOptions sim;
   /// Restriction applied to every candidate; empty = full system.
   platform::UseCase use_case;
@@ -112,7 +111,7 @@ struct TopologySweepOptions {
 struct TopologyResult {
   /// Link-aware contention estimates (apps in use-case order).
   std::vector<prob::AppEstimate> estimates;
-  /// Routed reference simulation (empty unless with_sim).
+  /// Routed reference simulation (apps in use-case order).
   sim::SimResult sim;
 };
 
@@ -145,8 +144,6 @@ class Workbench {
   [[nodiscard]] const platform::System& system() const noexcept { return sys_; }
   /// Number of applications in the session.
   [[nodiscard]] std::size_t app_count() const noexcept { return sys_.app_count(); }
-  /// Total workers of the session pool (1 = fully serial).
-  [[nodiscard]] std::size_t thread_count() const noexcept { return pool_.size(); }
 
   // ---- single-application queries (cached structure) ----------------------
 
@@ -226,14 +223,12 @@ class Workbench {
   /// system per candidate (the session's own system, engines and SimEngine
   /// are untouched — a sweep never perturbs later plain queries), runs the
   /// link-aware estimator through the session's ThroughputEngines (topology
-  /// does not change application structure, so they are shared as-is), and,
-  /// when opts.with_sim, the routed simulation on a per-topology SimEngine
-  /// cache keyed by the retargeted system's fingerprint (LRU-bounded:
-  /// re-sweeping a seen topology list reuses flattened engines instead of
-  /// rebuilding). Candidates with TopologyKind::None reproduce the
-  /// topology-free contention/simulate results bitwise. Throws
-  /// std::invalid_argument when a candidate's node count does not match the
-  /// platform.
+  /// does not change application structure, so they are shared as-is), and
+  /// the routed simulation of the retargeted view (== sim::simulate; routes
+  /// are baked into an engine at build, so each candidate builds its own).
+  /// Candidates with TopologyKind::None reproduce the topology-free
+  /// contention/simulate results bitwise. Throws std::invalid_argument when
+  /// a candidate's node count does not match the platform.
   [[nodiscard]] Report<std::vector<TopologyResult>> sweep_topologies(
       std::span<const platform::Topology> topologies,
       const TopologySweepOptions& opts = {});
@@ -283,10 +278,6 @@ class Workbench {
   sim::SimEngine& sim_engine();
   /// One SimEngine clone per pool worker for with_sim sweeps (lazy).
   std::vector<sim::SimEngine>& sim_worker_engines();
-  /// SimEngine for the current topology of `scratch` from the per-topology
-  /// cache (flattens on first sight of a structure, LRU-evicts beyond
-  /// kTopologySimCacheCapacity).
-  sim::SimEngine& topology_sim_engine(const platform::System& scratch);
 
   platform::System sys_;
   std::shared_ptr<analysis::TranspositionTable> table_;  // nullptr = off
@@ -316,20 +307,9 @@ class Workbench {
   std::vector<prob::AppEstimate> est_pool_;          // grow-only result slots
   Report<std::span<const prob::AppEstimate>> contention_report_;
 
-  // Topology-sweep state: a lazily-built clone of the session system that
-  // sweep_topologies retargets per candidate, plus a fingerprint-keyed LRU
-  // of flattened SimEngines — one per distinct retargeted structure, so a
-  // re-swept topology list skips the rebuild (cached object 8 in
-  // docs/ARCHITECTURE.md).
-  static constexpr std::size_t kTopologySimCacheCapacity = 8;
-  struct TopologySimEntry {
-    std::uint64_t fingerprint = 0;              // retargeted system fingerprint
-    std::uint64_t stamp = 0;                    // LRU clock value at last use
-    std::unique_ptr<sim::SimEngine> engine;     // flattened routed engine
-  };
+  // A lazily-built clone of the session system that sweep_topologies
+  // retargets per candidate.
   std::vector<platform::System> topo_scratch_;  // lazy, 0 or 1 entries
-  std::vector<TopologySimEntry> topo_sim_cache_;
-  std::uint64_t topo_sim_clock_ = 0;
 };
 
 }  // namespace procon::api

@@ -189,7 +189,7 @@ std::vector<BufferPoint> explore_buffer_tradeoff(const sdf::Graph& g,
   frontier.push_back(BufferPoint{caps, total_of(caps), current});
 
   for (std::size_t step = 0; step < options.max_steps; ++step) {
-    if (current <= unbounded * (1.0 + options.convergence)) break;
+    if (current <= unbounded * (1.0 + kBufferConvergence)) break;
 
     // Greedy: grow each channel by one production quantum, keep the best.
     double best_period = current;

@@ -31,10 +31,12 @@ struct BufferPoint {
   double period = 0.0;                    ///< analytic period when so bounded
 };
 
+/// The walk stops once the period is within this relative distance of the
+/// unbounded period.
+inline constexpr double kBufferConvergence = 1e-9;
+
 struct BufferExplorerOptions {
   std::size_t max_steps = 256;  ///< capacity increments to try
-  /// Stop when within this relative distance of the unbounded period.
-  double convergence = 1e-9;
 };
 
 /// Explores the trade-off for one application graph. The first point is the

@@ -10,6 +10,10 @@
 namespace procon::dse {
 namespace {
 
+// The annealing schedule: the temperature decays geometrically per step.
+constexpr double kInitialTemperature = 1.0;
+constexpr double kCooling = 0.995;
+
 /// Mixes every EstimatorOptions field into a transposition key, so the same
 /// (system fingerprint, estimator configuration) always builds the same
 /// MappingScore key — for score_mappings and the annealer alike.
@@ -19,7 +23,6 @@ void absorb_estimator_options(analysis::TTKeyBuilder& builder,
   builder.absorb(static_cast<std::uint64_t>(options.order));
   builder.absorb(static_cast<std::uint64_t>(options.iterations));
   builder.absorb(options.mc_trials);
-  builder.absorb(options.mc_seed);
 }
 
 /// Builds one ThroughputEngine per application; candidate scoring re-uses
@@ -227,8 +230,7 @@ MapperResult optimise_mapping(std::span<const sdf::Graph> apps,
     for (std::size_t b = 0; b < width; ++b) {
       const Proposal& p = batch[b];
       const double temperature =
-          options.initial_temperature *
-          std::pow(options.cooling, static_cast<double>(step));
+          kInitialTemperature * std::pow(kCooling, static_cast<double>(step));
       ++result.evaluations;
       ++step;
       const double delta = p.score - current_score;

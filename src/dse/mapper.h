@@ -41,10 +41,10 @@ struct AnalysisWorkspace {
   std::vector<analysis::ThroughputEngine> engines;  ///< one per application
 };
 
+/// Annealing configuration. The temperature starts at 1 and decays by a
+/// factor of 0.995 per step.
 struct MapperOptions {
   std::size_t iterations = 2000;   ///< annealing steps
-  double initial_temperature = 1.0;
-  double cooling = 0.995;          ///< geometric temperature decay per step
   std::uint64_t seed = 1;
   prob::EstimatorOptions estimator;  ///< scoring method (2nd order default)
 };

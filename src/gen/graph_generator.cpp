@@ -13,6 +13,9 @@ namespace {
 using sdf::ActorId;
 using sdf::Graph;
 
+// Chord edges added beyond the ring, as a fraction of the actor count.
+constexpr double kChordFraction = 0.5;
+
 /// Derives balanced rates for an edge u->v from the chosen repetition
 /// entries: prod = q[v]/g, cons = q[u]/g with g = gcd (smallest balanced
 /// pair).
@@ -60,7 +63,7 @@ Graph generate_graph(util::Rng& rng, const GeneratorOptions& opts,
   }
 
   // Random chords (no self-edges; duplicates allowed - SDF is a multigraph).
-  const auto chords = static_cast<std::uint32_t>(opts.chord_fraction * n);
+  const auto chords = static_cast<std::uint32_t>(kChordFraction * n);
   for (std::uint32_t k = 0; k < chords; ++k) {
     const auto u = static_cast<ActorId>(rng.uniform_int(0, n - 1));
     auto v = static_cast<ActorId>(rng.uniform_int(0, n - 2));

@@ -4,7 +4,8 @@
 //  * consistent by construction: a repetition vector q is drawn first and
 //    each edge's rates are derived from it (q[src]*prod == q[dst]*cons);
 //  * strongly connected: a directed ring over a random actor permutation
-//    forms the backbone, plus random chord edges;
+//    forms the backbone, plus random chord edges, half as many as actors
+//    (rounded down);
 //  * deadlock-free: initial tokens are placed by a repair loop that adds
 //    tokens to starved channels (reported by abstract execution) until one
 //    full iteration completes;
@@ -26,9 +27,6 @@ struct GeneratorOptions {
   std::uint64_t max_repetition = 4;   ///< q entries drawn from [1, max]
   sdf::Time min_exec_time = 10;
   sdf::Time max_exec_time = 100;
-  /// Number of chord edges added beyond the ring, as a fraction of the
-  /// actor count (rounded down).
-  double chord_fraction = 0.5;
   /// Extra initial-token head start: after repair, this many additional
   /// "iterations worth" of tokens are added on the ring-closing edge to
   /// increase pipelining (0 = minimal tokens).

@@ -65,8 +65,8 @@ struct Link {
 /// instance is kind None and routes nothing). Link structure is canonical
 /// per (kind, dimensions) — only widths and latencies are mutable — so two
 /// topologies compare equal iff their Zobrist features match, which is what
-/// keeps fingerprint-keyed caches (transposition table, per-topology engine
-/// caches) sound.
+/// keeps fingerprint-keyed caches (the transposition table, the service's
+/// session LRU) sound.
 class Topology {
  public:
   /// The no-interconnect topology (kind None, zero links).

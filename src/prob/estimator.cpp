@@ -1,7 +1,9 @@
 #include "prob/estimator.h"
 
 #include <algorithm>
+#include <limits>
 #include <stdexcept>
+#include <string>
 
 #include "prob/monte_carlo.h"
 #include "util/contracts.h"
@@ -30,6 +32,8 @@ ContentionEstimator::ContentionEstimator(EstimatorOptions opts) : opts_(opts) {
 }
 
 namespace {
+
+constexpr std::uint64_t kMonteCarloSeed = 7;
 
 /// Step 4 on one node: waits[s] is the expected waiting time of loads[s]
 /// behind the node's other loads. One node kernel call per node; only the
@@ -70,13 +74,28 @@ void waiting_times_on_node(std::span<const ActorLoad> loads,
         }
         // Per-slot deterministic stream: the estimate is reproducible and
         // independent of evaluation order.
-        util::Rng rng(opts.mc_seed ^ (0x9E3779B97F4A7C15ULL * (who[s].app + 1)) ^
+        util::Rng rng(kMonteCarloSeed ^ (0x9E3779B97F4A7C15ULL * (who[s].app + 1)) ^
                       (0xBF58476D1CE4E5B9ULL * (who[s].actor + 1)));
         waits[s] = waiting_time_monte_carlo(ws.others, rng, opts.mc_trials);
       }
       return;
   }
   throw std::logic_error("waiting_times_on_node: unhandled method");
+}
+
+/// Step 4's guard, raised for an actor whose waiting time is negative or
+/// not finite. A series truncated at an odd order can fall below zero near
+/// saturation; step 5 would then run on a response time shorter than the
+/// execution time and report a period below isolation.
+[[noreturn]] void throw_bad_wait(const platform::SystemView& view,
+                                 const EstimatorOptions& opts,
+                                 platform::GlobalActor who) {
+  std::string what = std::string("estimate: ") + method_name(opts.method);
+  if (opts.method == Method::MthOrder) what += " at order " + std::to_string(opts.order);
+  const sdf::Graph& app = view.app(who.app);
+  throw sdf::GraphError(what + " gives actor '" + app.actor(who.actor).name +
+                        "' of application '" + app.name() +
+                        "' a negative or non-finite waiting time");
 }
 
 /// Grows a workspace arena to at least `count` slots without ever shrinking
@@ -230,6 +249,9 @@ PROCON_WARM_PATH void ContentionEstimator::estimate_into(
       for (std::size_t s = 0; s < loads.size(); ++s) {
         const platform::GlobalActor e = who[s];
         const double twait = ws.waits[s];
+        if (!(twait >= 0.0 && twait <= std::numeric_limits<double>::max())) {
+          throw_bad_wait(view, opts_, e);
+        }
         const double mean_exec =
             ws.means[e.app].empty()
                 ? static_cast<double>(view.app(e.app).actor(e.actor).exec_time)

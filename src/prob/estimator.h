@@ -24,6 +24,9 @@
 // Each node costs one node-kernel call (prob/waiting_time.h): one lane per
 // actor, two lanes to an SSE2 instruction, every lane bitwise the per-actor
 // function on that actor's others. Only MonteCarlo runs per actor.
+// A waiting time that comes out negative or not finite (an odd truncation
+// order can fall below zero near saturation) is rejected: the estimate
+// throws sdf::GraphError naming the method, the actor and its application.
 //
 // A single pass matches the paper; EstimatorOptions::iterations > 1 enables
 // the natural fixed-point extension (recompute P from the estimated
@@ -74,8 +77,9 @@ struct EstimatorOptions {
   Method method = Method::SecondOrder;
   int order = 2;       ///< truncation order when method == MthOrder
   int iterations = 1;  ///< fixed-point passes; 1 = paper's algorithm
-  std::size_t mc_trials = 20'000;  ///< samples per actor for MonteCarlo
-  std::uint64_t mc_seed = 7;       ///< MonteCarlo reproducibility seed
+  /// Samples per actor for MonteCarlo, drawn from a fixed seed (7) mixed
+  /// with the actor's ids.
+  std::size_t mc_trials = 20'000;
 };
 
 /// Per-actor estimate.
@@ -146,7 +150,7 @@ class ContentionEstimator {
   /// Runs the Figure 4 algorithm on the applications `view` selects (all
   /// assumed concurrently active; results in view order). A System passes
   /// as its full view. Validates the view first and throws sdf::GraphError
-  /// for invalid systems.
+  /// for invalid systems, and for a negative or non-finite waiting time.
   ///
   /// Stochastic variant (Section 6 extension): `models` holds one
   /// execution-time model per view application, one distribution per actor.

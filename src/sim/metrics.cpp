@@ -28,16 +28,6 @@ PeriodStats steady_state_metrics(std::span<const sdf::Time> iteration_times,
   return stats;
 }
 
-void finalise_app_metrics(AppSimResult& app, double warmup_fraction,
-                          std::uint64_t min_iterations) {
-  const PeriodStats stats =
-      steady_state_metrics(app.iteration_times, warmup_fraction, min_iterations);
-  app.iterations = stats.iterations;
-  app.converged = stats.converged;
-  app.average_period = stats.average_period;
-  app.worst_period = stats.worst_period;
-}
-
 AppSimResult AppSimView::materialise() const {
   AppSimResult out;
   out.iterations = iterations;

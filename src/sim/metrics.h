@@ -5,6 +5,9 @@
 // multiple of q(a) firings (Definition 2/3). The achieved period is the
 // steady-state average gap between successive iteration completions; the
 // "simulated worst case" of Fig. 5 is the maximum such gap after warm-up.
+// The simulator's warm-up share and convergence threshold are constants:
+// it discards the first quarter of an application's iterations and flags
+// the application converged when at least four iterations remain.
 #pragma once
 
 #include <cstdint>
@@ -64,9 +67,8 @@ struct SimResult {
   std::vector<TraceEvent> trace;  ///< empty unless SimOptions::collect_trace
 };
 
-/// Steady-state period statistics derived from iteration completion times —
-/// the scalar core shared by the owning (AppSimResult) and view
-/// (AppSimView) result paths, so both compute bit-identical numbers.
+/// Steady-state period statistics derived from iteration completion times
+/// (the scalar fields of AppSimView and AppSimResult).
 struct PeriodStats {
   std::uint64_t iterations = 0;  ///< iterations completed within the horizon
   bool converged = false;        ///< enough post-warm-up iterations observed
@@ -76,7 +78,8 @@ struct PeriodStats {
 
 /// Computes average/worst periods from iteration completion times, skipping
 /// the first `warmup_fraction` of iterations. Marks converged when at least
-/// `min_iterations` remain after warm-up. Allocation-free.
+/// `min_iterations` remain after warm-up. Allocation-free. The simulator
+/// passes 0.25 and 4.
 [[nodiscard]] PeriodStats steady_state_metrics(
     std::span<const sdf::Time> iteration_times, double warmup_fraction,
     std::uint64_t min_iterations) noexcept;
@@ -116,11 +119,5 @@ struct SimResultView {
   /// Deep copy into the owning result type (what SimEngine::run returns).
   [[nodiscard]] SimResult materialise() const;
 };
-
-/// Computes average/worst periods from iteration completion times, skipping
-/// the first `warmup_fraction` of iterations. Marks converged when at least
-/// `min_iterations` remain after warm-up.
-void finalise_app_metrics(AppSimResult& app, double warmup_fraction,
-                          std::uint64_t min_iterations);
 
 }  // namespace procon::sim

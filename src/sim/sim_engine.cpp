@@ -21,6 +21,10 @@ constexpr std::uint32_t kInactive = UINT32_MAX;
 constexpr std::uint32_t kLinkFlag = 0x80000000u;
 // Event cap when SimOptions::max_events is 0.
 constexpr std::uint64_t kDefaultMaxEvents = 200'000'000ULL;
+// Steady state: the first quarter of each application's iterations is
+// warm-up, and a run is converged with at least four iterations after it.
+constexpr double kWarmupFraction = 0.25;
+constexpr std::uint64_t kMinIterations = 4;
 }  // namespace
 
 SimEngine::SimEngine(const platform::SystemView& view) {
@@ -117,7 +121,6 @@ void SimEngine::build(const platform::SystemView& view) {
   tokens_.resize(init_tokens_.size());
   state_.resize(actor_count_);
   ready_time_.resize(actor_count_);
-  slot_len_.resize(actor_count_);
   dist_.resize(actor_count_);
   actor_stats_.resize(actor_count_);
   iter_left_.resize(actor_count_);
@@ -260,8 +263,6 @@ void SimEngine::bind_options(const SimOptions& opts) {
   max_exec_ = 0;
   for (const AppId app : active_) {
     for (std::uint32_t a = app_actor_base_[app]; a < app_actor_base_[app + 1]; ++a) {
-      slot_len_[a] = opts.tdma_slot > 0 ? opts.tdma_slot
-                                        : std::max<Time>(exec_[a], 1);
       max_exec_ = std::max(max_exec_, exec_[a]);
     }
   }
@@ -286,9 +287,6 @@ PROCON_WARM_PATH SimResultView SimEngine::run_view(const SimOptions& opts) {
   // synchronous run — no per-run deep copy of the model tables.
   opts_.horizon = opts.horizon;
   opts_.arbitration = opts.arbitration;
-  opts_.tdma_slot = opts.tdma_slot;
-  opts_.warmup_fraction = opts.warmup_fraction;
-  opts_.min_iterations = opts.min_iterations;
   opts_.max_events = opts.max_events;
   opts_.sample_seed = opts.sample_seed;
   opts_.collect_trace = opts.collect_trace;
@@ -352,7 +350,7 @@ bool SimEngine::firings_end_in_range() const {
     Time wheel_period = 0;
     if (tdma) {
       for (const std::uint32_t a : wheel) {
-        if (__builtin_add_overflow(wheel_period, slot_len_[a], &wheel_period)) return false;
+        if (__builtin_add_overflow(wheel_period, slot_len(a), &wheel_period)) return false;
       }
     }
     for (const std::uint32_t a : wheel) {
@@ -364,7 +362,7 @@ bool SimEngine::firings_end_in_range() const {
       // (the first may be partial), so it ends within reach / slot + 3
       // turns.
       Time turns = 0;
-      if (tdma && (__builtin_add_overflow(reach / slot_len_[a], 3, &turns) ||
+      if (tdma && (__builtin_add_overflow(reach / slot_len(a), 3, &turns) ||
                    __builtin_mul_overflow(turns, wheel_period, &reach))) {
         return false;
       }
@@ -420,9 +418,9 @@ std::pair<Time, Time> SimEngine::tdma_completion(std::uint32_t a, Time t,
   Time offset = 0;
   for (const std::uint32_t member : wheel) {
     if (member == a) offset = wheel_period;
-    wheel_period += slot_len_[member];
+    wheel_period += slot_len(member);
   }
-  const Time s = slot_len_[a];
+  const Time s = slot_len(a);
   Time remaining = demand;
   // First wheel turn whose slot has not entirely passed.
   Time m = (t - offset) / wheel_period;
@@ -753,8 +751,8 @@ SimResultView SimEngine::finalise_view(std::uint64_t processed) {
   view_apps_.clear();
   for (std::uint32_t j = 0; j < active_.size(); ++j) {
     AppSimView app;
-    const PeriodStats stats = steady_state_metrics(
-        iteration_times_[j], opts_.warmup_fraction, opts_.min_iterations);
+    const PeriodStats stats =
+        steady_state_metrics(iteration_times_[j], kWarmupFraction, kMinIterations);
     app.iterations = stats.iterations;
     app.converged = stats.converged;
     app.average_period = stats.average_period;

@@ -110,6 +110,7 @@
 // clones its cached structure — that is how worker clones are made.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -275,6 +276,10 @@ class SimEngine {
   void consume_inputs(std::uint32_t a);
   /// Schedules an event; replaces the spent root if one is being handled.
   void push_event(sdf::Time t, std::uint32_t id);
+  /// TDMA slot of flat actor a: its execution time, at least 1.
+  [[nodiscard]] sdf::Time slot_len(std::uint32_t a) const {
+    return std::max<sdf::Time>(exec_[a], 1);
+  }
   [[nodiscard]] std::pair<sdf::Time, sdf::Time> tdma_completion(
       std::uint32_t a, sdf::Time t, sdf::Time demand) const;
   void try_enqueue(std::uint32_t a, sdf::Time t);
@@ -339,7 +344,6 @@ class SimEngine {
 
   // --- per-run option bindings ---------------------------------------------
   SimOptions opts_;  // scalar fields only; models are bound through dist_
-  std::vector<sdf::Time> slot_len_;            // flat actor -> TDMA slot
   std::vector<const sdf::ExecTimeDistribution*> dist_;  // nullptr = fixed time
   util::Rng sample_rng_{0};
   sdf::Time max_exec_ = 0;                     // largest active exec time

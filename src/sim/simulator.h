@@ -27,15 +27,13 @@ namespace procon::sim {
 enum class Arbitration {
   Fcfs,        ///< first-come-first-served, non-preemptive (paper's setup)
   RoundRobin,  ///< work-conserving cyclic order, non-preemptive
-  Tdma,        ///< time-division wheel, one slot per mapped actor
+  Tdma,        ///< time-division wheel, one slot per mapped actor, as
+               ///< long as its execution time (at least 1)
 };
 
 struct SimOptions {
   sdf::Time horizon = 500'000;      ///< simulated time units (paper: 500k cycles)
   Arbitration arbitration = Arbitration::Fcfs;
-  sdf::Time tdma_slot = 0;          ///< TDMA slot length; 0 = actor exec time
-  double warmup_fraction = 0.25;    ///< iterations discarded for steady state
-  std::uint64_t min_iterations = 4; ///< below this, results flagged unconverged
   std::uint64_t max_events = 0;     ///< safety cap on events (0 = 200 000 000)
 
   /// Stochastic execution times (Section 6 extension): one model per

@@ -30,8 +30,10 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <limits>
 #include <span>
 #include <stdexcept>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -549,7 +551,9 @@ inline double per_actor_waiting_time(const prob::EstimatorOptions& opts,
 /// a view without a topology, with step 4 run per actor: each actor's
 /// other loads are copied in node order and handed to the per-actor
 /// function (CompositionInverse: Eq. 8/9 against the node's fold, or the
-/// direct fold of the others at P == 1). `engines[i]` serves view.app(i).
+/// direct fold of the others at P == 1). A negative or non-finite waiting
+/// time throws the estimator's sdf::GraphError, with the same message.
+/// `engines[i]` serves view.app(i).
 inline void estimate_per_actor(const platform::SystemView& view,
                                std::span<analysis::ThroughputEngine* const> engines,
                                const prob::EstimatorOptions& opts,
@@ -609,6 +613,16 @@ inline void estimate_per_actor(const platform::SystemView& view,
                                          : prob::compose_all(others).weighted_blocking;
         } else {
           twait = per_actor_waiting_time(opts, others);
+        }
+        if (!(twait >= 0.0 && twait <= std::numeric_limits<double>::max())) {
+          std::string what = std::string("estimate: ") + prob::method_name(opts.method);
+          if (opts.method == prob::Method::MthOrder) {
+            what += " at order " + std::to_string(opts.order);
+          }
+          const sdf::Graph& app = view.app(e.who.app);
+          throw sdf::GraphError(what + " gives actor '" + app.actor(e.who.actor).name +
+                                "' of application '" + app.name() +
+                                "' a negative or non-finite waiting time");
         }
         const double exec =
             static_cast<double>(view.app(e.who.app).actor(e.who.actor).exec_time);

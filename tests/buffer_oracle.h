@@ -49,7 +49,7 @@ inline std::vector<dse::BufferPoint> buffer_frontier_oracle(
   double current = bounded_period(caps);
   std::vector<dse::BufferPoint> frontier{{caps, total_of(caps), current}};
   for (std::size_t step = 0; step < options.max_steps; ++step) {
-    if (current <= unbounded * (1.0 + options.convergence)) break;
+    if (current <= unbounded * (1.0 + dse::kBufferConvergence)) break;
     // Grow each channel by one production quantum, keep the best.
     double best_period = current;
     sdf::ChannelId best_channel = sdf::kInvalidChannel;

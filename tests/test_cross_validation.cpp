@@ -557,8 +557,9 @@ std::vector<prob::EstimatorOptions> node_methods(int passes, int order) {
 
 /// Runs estimate_into and the per-actor reference on `uc` with the same
 /// engines, each from a reset() engine state, and compares every bit. An
-/// estimate may throw (an odd truncation order can drive a response time
-/// below zero near saturation); then both must throw the same error.
+/// estimate may throw (an odd truncation order can drive a waiting time
+/// below zero near saturation, which step 4 rejects); then both must throw
+/// the same error.
 void expect_step4_matches(const platform::System& sys, const platform::UseCase& uc,
                           std::vector<ThroughputEngine>& engines,
                           const prob::EstimatorOptions& opts, prob::EstimatorWorkspace& ws,

@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+
+#include "gen/graph_generator.h"
 #include "helpers.h"
+#include "util/rng.h"
 
 namespace procon::prob {
 namespace {
@@ -153,6 +158,45 @@ TEST(Estimator, SharedNodeWithinOneApplication) {
   EXPECT_NEAR(r[0].actors[0].waiting_time, 30.0 * 0.6, 1e-9);
   EXPECT_NEAR(r[0].actors[1].waiting_time, 20.0 * 0.4, 1e-9);
   EXPECT_NEAR(r[0].estimated_period, 100.0 + 18.0 + 8.0, 1e-6);
+}
+
+TEST(Estimator, NegativeWaitingTimeIsRejected) {
+  // Twenty generated applications plus one actor that is busy all the time
+  // (P = 1), on a homogeneous platform sized to the largest application
+  // with actor j of every application on node j, as procon_cli builds it.
+  // Third-order truncation drives waiting times on the saturated node below
+  // zero, and step 5 would report periods below isolation.
+  util::Rng rng(2007);
+  std::vector<sdf::Graph> apps = gen::generate_graphs(rng, gen::GeneratorOptions{}, 20);
+  sdf::Graph sat("sat");
+  const sdf::ActorId s = sat.add_actor("s", 100);
+  sat.add_channel(s, s, 1, 1, 1);
+  apps.push_back(sat);
+  std::size_t max_actors = 0;
+  for (const sdf::Graph& g : apps) max_actors = std::max(max_actors, g.actor_count());
+  platform::Platform plat = platform::Platform::homogeneous(max_actors);
+  platform::Mapping map = platform::Mapping::by_index(apps, plat);
+  const platform::System sys(std::move(apps), std::move(plat), std::move(map));
+
+  for (const int passes : {1, 2}) {
+    const EstimatorOptions opts{.method = Method::MthOrder, .order = 3, .iterations = passes};
+    try {
+      (void)ContentionEstimator(opts).estimate(sys);
+      ADD_FAILURE() << "order 3 at " << passes << " pass(es) returned";
+    } catch (const sdf::GraphError& e) {
+      EXPECT_NE(std::string(e.what()).find("order 3"), std::string::npos) << e.what();
+    }
+  }
+
+  for (const Method m : {Method::Exact, Method::SecondOrder, Method::FourthOrder,
+                         Method::Composability, Method::CompositionInverse}) {
+    SCOPED_TRACE(method_name(m));
+    const auto est = ContentionEstimator(EstimatorOptions{.method = m}).estimate(sys);
+    for (const AppEstimate& app : est) {
+      EXPECT_GE(app.estimated_period, app.isolation_period);
+      for (const ActorEstimate& a : app.actors) EXPECT_GE(a.waiting_time, 0.0);
+    }
+  }
 }
 
 }  // namespace

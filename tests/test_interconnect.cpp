@@ -283,7 +283,7 @@ TEST(Interconnect, TopologySweepNoneEntryAndWarmRepeatAreBitwiseStable) {
   expect_same_estimates((*cold)[0].estimates,
                         prob::ContentionEstimator(topts.estimator).estimate(SystemView(sys)));
 
-  // A second sweep reuses the cached per-topology engines and changes no bit.
+  // A second sweep of the same list changes no bit.
   const auto warm = wb.sweep_topologies(topologies, topts);
   ASSERT_EQ(warm->size(), topologies.size());
   for (std::size_t i = 0; i < topologies.size(); ++i) {

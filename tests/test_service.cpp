@@ -11,12 +11,17 @@
 //  * session LRU: eviction under a capacity bound is correctness-neutral
 //    (rebuilt sessions answer identically), and bitwise-identical
 //    registrations share one live session;
-//  * result cache: a repeated query is served without re-execution.
+//  * result cache: a repeated query is served without re-execution, and a
+//    query that differs from a cached one in any option executes.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <optional>
+#include <string>
 #include <thread>
+#include <type_traits>
+#include <variant>
 #include <vector>
 
 #include "api/service.h"
@@ -467,6 +472,195 @@ TEST(AnalysisService, ResultCacheServesRepeatsWithoutReExecution) {
   std::shared_ptr<const QueryValue> kept = repeat.share();
   EXPECT_EQ(&std::get<api::Report<std::vector<prob::AppEstimate>>>(*kept),
             &va);
+}
+
+/// The direct Workbench call a query stands for.
+QueryValue direct_call(api::Workbench& wb, const QueryDesc& d) {
+  switch (d.kind) {
+    case QueryKind::Throughput: return wb.throughput(d.app);
+    case QueryKind::Latency: return wb.latency(d.app);
+    case QueryKind::Bottleneck: return wb.bottleneck(d.app);
+    case QueryKind::BufferFrontier: return wb.buffer_frontier(d.app, d.buffers);
+    case QueryKind::Contention:
+      return d.use_case.empty() ? wb.contention(d.estimator)
+                                : wb.contention(d.use_case, d.estimator);
+    case QueryKind::Wcrt:
+      return d.use_case.empty() ? wb.wcrt(d.wcrt) : wb.wcrt(d.use_case, d.wcrt);
+    case QueryKind::Simulate:
+      return d.use_case.empty() ? wb.simulate(d.sim) : wb.simulate(d.use_case, d.sim);
+    case QueryKind::TopologySweep:
+      return wb.sweep_topologies(d.topologies,
+                                 api::TopologySweepOptions{d.estimator, d.sim, d.use_case});
+  }
+  throw std::logic_error("direct_call: unhandled query kind");
+}
+
+template <typename T>
+void expect_same(const T&, const T&) {
+  ADD_FAILURE() << "no comparison for this result type";
+}
+void expect_same(const analysis::PeriodResult& a, const analysis::PeriodResult& b) {
+  EXPECT_EQ(a.deadlocked, b.deadlocked);
+  EXPECT_EQ(a.period, b.period);
+}
+void expect_same(const std::vector<dse::BufferPoint>& a,
+                 const std::vector<dse::BufferPoint>& b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(a[i].capacities, b[i].capacities);
+    EXPECT_EQ(a[i].period, b[i].period);
+  }
+}
+void expect_same(const std::vector<prob::AppEstimate>& a,
+                 const std::vector<prob::AppEstimate>& b) {
+  expect_same_estimates(a, b);
+}
+void expect_same(const std::vector<wcrt::AppBound>& a, const std::vector<wcrt::AppBound>& b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(a[i].isolation_period, b[i].isolation_period);
+    EXPECT_EQ(a[i].worst_case_period, b[i].worst_case_period);
+    ASSERT_EQ(a[i].actors.size(), b[i].actors.size());
+    for (std::size_t k = 0; k < a[i].actors.size(); ++k) {
+      EXPECT_EQ(a[i].actors[k].waiting_time, b[i].actors[k].waiting_time);
+      EXPECT_EQ(a[i].actors[k].response_time, b[i].actors[k].response_time);
+    }
+  }
+}
+void expect_same(const sim::SimResult& a, const sim::SimResult& b) {
+  expect_same_sim(a, b);
+  ASSERT_EQ(a.trace.size(), b.trace.size());
+  for (std::size_t i = 0; i < a.trace.size(); ++i) {
+    EXPECT_EQ(a.trace[i].start, b.trace[i].start);
+    EXPECT_EQ(a.trace[i].end, b.trace[i].end);
+    EXPECT_EQ(a.trace[i].app, b.trace[i].app);
+    EXPECT_EQ(a.trace[i].actor, b.trace[i].actor);
+    EXPECT_EQ(a.trace[i].node, b.trace[i].node);
+  }
+}
+void expect_same(const std::vector<api::TopologyResult>& a,
+                 const std::vector<api::TopologyResult>& b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    expect_same_estimates(a[i].estimates, b[i].estimates);
+    expect_same(a[i].sim, b[i].sim);
+  }
+}
+
+void expect_same_value(const QueryValue& got, const QueryValue& want) {
+  ASSERT_EQ(got.index(), want.index());
+  std::visit(
+      [&](const auto& report) {
+        expect_same(*report, *std::get<std::decay_t<decltype(report)>>(want));
+      },
+      got);
+}
+
+/// One execution-time model per application: each actor's time is uniform
+/// over [exec - spread, exec] (at least 1).
+std::vector<sdf::ExecTimeModel> jittered_models(const platform::System& sys,
+                                                sdf::Time spread) {
+  std::vector<sdf::ExecTimeModel> models;
+  for (const sdf::Graph& g : sys.apps()) {
+    sdf::ExecTimeModel m;
+    for (sdf::ActorId a = 0; a < g.actor_count(); ++a) {
+      const sdf::Time t = g.actor(a).exec_time;
+      m.push_back(sdf::ExecTimeDistribution::uniform(std::max<sdf::Time>(1, t - spread), t));
+    }
+    models.push_back(std::move(m));
+  }
+  return models;
+}
+
+TEST(AnalysisService, DistinctOptionsNeverShareAResult) {
+  // For each option the coalescing key reads, a query that differs from a
+  // cached one in that option alone must execute and return the direct
+  // Workbench value, and the cached query must still be served as a hit.
+  const platform::System sys = random_system(71, 3);
+  const std::size_t nodes = sys.platform().node_count();
+  api::Workbench oracle(sys, api::WorkbenchOptions{.threads = 1});
+
+  struct Case {
+    std::string field;
+    QueryDesc base;
+    QueryDesc variant;
+  };
+  std::vector<Case> cases;
+  const auto add = [&](std::string field, const QueryDesc& base, auto change) {
+    QueryDesc variant = base;
+    change(variant);
+    cases.push_back({std::move(field), base, std::move(variant)});
+  };
+
+  QueryDesc thr;
+  thr.kind = QueryKind::Throughput;
+  add("app", thr, [](QueryDesc& d) { d.app = 1; });
+
+  QueryDesc est;
+  est.kind = QueryKind::Contention;
+  add("use_case", est, [](QueryDesc& d) { d.use_case = {0, 2}; });
+  add("estimator.method", est,
+      [](QueryDesc& d) { d.estimator.method = prob::Method::FourthOrder; });
+  add("estimator.iterations", est, [](QueryDesc& d) { d.estimator.iterations = 3; });
+  QueryDesc mth = est;
+  mth.estimator.method = prob::Method::MthOrder;
+  add("estimator.order", mth, [](QueryDesc& d) { d.estimator.order = 4; });
+  QueryDesc mc = est;
+  mc.estimator.method = prob::Method::MonteCarlo;
+  mc.estimator.mc_trials = 500;
+  add("estimator.mc_trials", mc, [](QueryDesc& d) { d.estimator.mc_trials = 600; });
+
+  QueryDesc wc;
+  wc.kind = QueryKind::Wcrt;
+  add("wcrt.policy", wc, [](QueryDesc& d) { d.wcrt.policy = wcrt::Policy::TdmaPreemptive; });
+  QueryDesc tdma = wc;
+  tdma.wcrt.policy = wcrt::Policy::TdmaPreemptive;
+  add("wcrt.tdma_slot", tdma, [](QueryDesc& d) { d.wcrt.tdma_slot = 5; });
+
+  QueryDesc simq;
+  simq.kind = QueryKind::Simulate;
+  simq.sim.horizon = 20'000;
+  add("sim.horizon", simq, [](QueryDesc& d) { d.sim.horizon = 30'000; });
+  add("sim.arbitration", simq,
+      [](QueryDesc& d) { d.sim.arbitration = sim::Arbitration::RoundRobin; });
+  add("sim.max_events", simq, [](QueryDesc& d) { d.sim.max_events = 500; });
+  add("sim.collect_trace", simq, [](QueryDesc& d) { d.sim.collect_trace = true; });
+  QueryDesc stochastic = simq;
+  stochastic.sim.exec_models = jittered_models(sys, 5);
+  add("sim.sample_seed", stochastic, [](QueryDesc& d) { d.sim.sample_seed = 99; });
+  add("sim.exec_models", stochastic,
+      [&](QueryDesc& d) { d.sim.exec_models = jittered_models(sys, 6); });
+
+  QueryDesc buf;
+  buf.kind = QueryKind::BufferFrontier;
+  add("buffers.max_steps", buf, [](QueryDesc& d) { d.buffers.max_steps = 1; });
+
+  QueryDesc topo;
+  topo.kind = QueryKind::TopologySweep;
+  topo.sim.horizon = 20'000;
+  topo.topologies = {platform::Topology{}, platform::Topology::bus(nodes, 4, 1)};
+  add("topologies", topo, [&](QueryDesc& d) {
+    d.topologies = {platform::Topology{}, platform::Topology::ring(nodes, 2, 1)};
+  });
+  QueryDesc topo_stochastic = topo;
+  topo_stochastic.sim.exec_models = jittered_models(sys, 5);
+  add("topology sweep sim.exec_models", topo_stochastic,
+      [&](QueryDesc& d) { d.sim.exec_models = jittered_models(sys, 6); });
+
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.field);
+    AnalysisService service(ServiceOptions{.threads = 1});
+    const SystemId id = service.register_system(sys);
+    (void)service.submit(id, c.base).get();
+    const api::ServiceStats before = service.stats();
+    const QueryValue got = service.submit(id, c.variant).get();
+    const api::ServiceStats after = service.stats();
+    EXPECT_EQ(after.executed, before.executed + 1);
+    EXPECT_EQ(after.result_hits, before.result_hits);
+    expect_same_value(got, direct_call(oracle, c.variant));
+    (void)service.submit(id, c.base).get();
+    EXPECT_EQ(service.stats().result_hits, after.result_hits + 1);
+  }
 }
 
 }  // namespace

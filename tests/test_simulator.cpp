@@ -214,26 +214,25 @@ TEST(Simulator, DeterministicAcrossRuns) {
 }
 
 TEST(Metrics, FinaliseHandlesDegenerateInputs) {
-  AppSimResult app;
-  finalise_app_metrics(app, 0.25, 4);
-  EXPECT_FALSE(app.converged);
-  app.iteration_times = {100};
-  finalise_app_metrics(app, 0.25, 4);
-  EXPECT_FALSE(app.converged);
-  EXPECT_EQ(app.iterations, 1u);
-  app.iteration_times = {100, 200, 300, 400, 500};
-  finalise_app_metrics(app, 0.25, 4);
-  EXPECT_TRUE(app.converged);
-  EXPECT_NEAR(app.average_period, 100.0, 1e-9);
-  EXPECT_NEAR(app.worst_period, 100.0, 1e-9);
+  std::vector<sdf::Time> times;
+  PeriodStats stats = steady_state_metrics(times, 0.25, 4);
+  EXPECT_FALSE(stats.converged);
+  times = {100};
+  stats = steady_state_metrics(times, 0.25, 4);
+  EXPECT_FALSE(stats.converged);
+  EXPECT_EQ(stats.iterations, 1u);
+  times = {100, 200, 300, 400, 500};
+  stats = steady_state_metrics(times, 0.25, 4);
+  EXPECT_TRUE(stats.converged);
+  EXPECT_NEAR(stats.average_period, 100.0, 1e-9);
+  EXPECT_NEAR(stats.worst_period, 100.0, 1e-9);
 }
 
 TEST(Metrics, WorstPeriodCapturesJitter) {
-  AppSimResult app;
-  app.iteration_times = {0, 100, 150, 350, 450, 550};
-  finalise_app_metrics(app, 0.0, 2);
-  EXPECT_NEAR(app.worst_period, 200.0, 1e-9);  // the 150 -> 350 gap
-  EXPECT_NEAR(app.average_period, 110.0, 1e-9);
+  const std::vector<sdf::Time> times = {0, 100, 150, 350, 450, 550};
+  const PeriodStats stats = steady_state_metrics(times, 0.0, 2);
+  EXPECT_NEAR(stats.worst_period, 200.0, 1e-9);  // the 150 -> 350 gap
+  EXPECT_NEAR(stats.average_period, 110.0, 1e-9);
 }
 
 }  // namespace

@@ -5,7 +5,6 @@
 #include <sstream>
 
 #include "util/csv.h"
-#include "util/log.h"
 #include "util/table.h"
 
 namespace procon::util {
@@ -64,16 +63,6 @@ TEST(CsvWriter, WritesFile) {
 
 TEST(CsvWriter, BadPathThrows) {
   EXPECT_THROW(CsvWriter("/nonexistent_dir_procon/x.csv"), std::runtime_error);
-}
-
-TEST(Log, LevelFilters) {
-  const LogLevel before = log_level();
-  set_log_level(LogLevel::Error);
-  // Nothing observable to assert on stderr here; exercise the path and the
-  // accessor round-trip.
-  PROCON_LOG(Info) << "suppressed " << 42;
-  EXPECT_EQ(log_level(), LogLevel::Error);
-  set_log_level(before);
 }
 
 }  // namespace
