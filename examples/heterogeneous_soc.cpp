@@ -47,8 +47,8 @@ int main() {
   // Mapping exploration: score = worst estimated slowdown of the
   // *heterogeneous* system, so the mapper weighs "fast but contended DSP"
   // against "slow but private core" automatically. The session is opened on
-  // the heterogeneous-applied graphs; candidate scoring shards across its
-  // thread pool (speculative annealing, deterministic for any pool size).
+  // the heterogeneous-applied graphs; the annealer scores one candidate per
+  // step on the session's engines.
   platform::Mapping start = platform::Mapping::load_balanced(apps, plat);
   platform::System base(std::vector<sdf::Graph>(apps), plat, start);
   api::Workbench explorer(timing.apply(base));
@@ -58,17 +58,15 @@ int main() {
   std::cout << "mapping exploration: score "
             << util::format_double(mapped->initial_score, 2) << " -> "
             << util::format_double(mapped->score, 2) << " after "
-            << mapped->evaluations << " trajectory evaluations ("
-            << mapped.provenance.evaluations << " scored on "
-            << mapped.provenance.threads << " thread(s))\n\n";
+            << mapped->evaluations << " evaluations\n\n";
 
   // Materialise the chosen heterogeneous system as its own session.
   platform::System chosen_base(std::vector<sdf::Graph>(apps), plat, mapped->mapping);
   api::Workbench bench(timing.apply(chosen_base));
   const platform::System& chosen = bench.system();
 
-  // Buffer sizing for each application on its own Pareto frontier (the
-  // incremental explorer patches one reverse channel per candidate).
+  // Buffer sizing for each application on its own Pareto frontier (each
+  // candidate capacity vector is solved on a fresh engine).
   util::Table buffers("Buffer sizing (per application, analytic)");
   buffers.set_header({"app", "frontier points", "min-buffer period",
                       "full-speed period", "tokens at full speed"});

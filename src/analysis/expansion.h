@@ -13,8 +13,8 @@
 //
 // Nodes are laid out actors in id order, q[a] consecutive firings each.
 // The deduplicated edge list goes straight into Howard's CSR core
-// (analysis/howard.h); ThroughputEngine and the buffer explorer are its
-// two builders. No node or graph object is materialised.
+// (analysis/howard.h); ThroughputEngine is its builder. No node or graph
+// object is materialised.
 #pragma once
 
 #include <cstdint>
@@ -44,11 +44,6 @@ struct EdgeCandidate {
 /// Appends the candidate edges of one channel to `out`. `node_base[a]` is
 /// the node index of actor a's first firing (actors in id order, q[a]
 /// consecutive firings each).
-///
-/// Channels are independent in the expansion, so callers that re-expand a
-/// single mutated channel (the incremental buffer explorer: a capacity bump
-/// only changes one reverse channel's initial tokens) regenerate just that
-/// channel's candidates and re-merge, instead of re-expanding the graph.
 void append_channel_candidates(const sdf::Channel& ch, const sdf::RepetitionVector& q,
                                std::span<const std::uint32_t> node_base,
                                std::vector<EdgeCandidate>& out);

@@ -41,8 +41,8 @@ class HowardSolver {
   /// the one-time structural checks: cycle existence and zero-token
   /// (deadlock) cycles. Each node's out-edges keep their order in `edges`.
   /// Node weights are zero until set_node_weights. Resets any previous
-  /// policy. ThroughputEngine and the buffer explorer hand it their sorted,
-  /// deduplicated expansion (dedup_candidates) directly.
+  /// policy. ThroughputEngine hands it its sorted, deduplicated expansion
+  /// (dedup_candidates) directly.
   void build(std::size_t node_count, std::span<const EdgeCandidate> edges);
 
   /// True if the graph contains at least one directed cycle.

@@ -1,13 +1,12 @@
 // A sharded, capacity-bounded transposition table memoising analysis
 // results under the whole stack.
 //
-// Admission probes, DSE candidates, use-case sweeps and multi-tenant
-// service queries keep re-solving structurally identical subproblems —
-// often across *different* tenants, since the Zobrist fingerprints they
-// are keyed by are name-free (sdf/zobrist.h). One shared table turns each
-// repeat into a bucket probe: entries are keyed by
-// (fingerprint x query kind x query params) and store compact results
-// (a period, WCRT bounds, a mapping score, up to six critical-actor ids).
+// Admission probes, session queries and multi-tenant service queries keep
+// re-solving structurally identical subproblems — often across *different*
+// tenants, since the Zobrist fingerprints they are keyed by are name-free
+// (sdf/zobrist.h). One shared table turns each repeat into a bucket probe:
+// entries are keyed by (fingerprint x query kind x query params) and store
+// compact results (a period, WCRT bounds, up to six critical-actor ids).
 //
 // Correctness contract (mirrors the repo's other caches, see
 // docs/ARCHITECTURE.md): a stored value is the *bitwise* result of the
@@ -42,8 +41,6 @@ enum class TTQuery : std::uint8_t {
   IsolationPeriod,  ///< per-app Howard period (Workbench::throughput, admission isolation)
   Latency,          ///< per-app critical-path latency (Workbench::latency)
   Bottleneck,       ///< per-app bottleneck report (Workbench::bottleneck)
-  BufferPeriod,     ///< buffer-capped period per caps vector (explore_buffer_tradeoff)
-  MappingScore,     ///< worst-app contention score per candidate mapping (dse)
   WcrtAppBound,     ///< per-app WCRT summary (isolation / worst-case period)
   WcrtActorBound,   ///< per-actor WCRT pair (waiting / response time)
   AdmissionPeriod,  ///< admission contention-predicted period per load vector

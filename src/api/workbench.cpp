@@ -134,14 +134,6 @@ sim::SimEngine& Workbench::sim_engine() {
   return sim_engine_.front();
 }
 
-std::vector<sim::SimEngine>& Workbench::sim_worker_engines() {
-  if (sim_workers_.empty()) {
-    sim_workers_.reserve(pool_.size());
-    for (std::size_t w = 0; w < pool_.size(); ++w) sim_workers_.emplace_back(sys_);
-  }
-  return sim_workers_;
-}
-
 // ---- single-application queries -------------------------------------------
 
 Report<analysis::PeriodResult> Workbench::throughput(sdf::AppId app) {
@@ -245,8 +237,8 @@ Report<std::vector<dse::BufferPoint>> Workbench::buffer_frontier(
   check_app(app);
   Timer timer;
   Report<std::vector<dse::BufferPoint>> report;
-  report.value = dse::explore_buffer_tradeoff(sys_.app(app), opts, table_.get());
-  report.provenance = {"greedy frontier (incremental reverse-channel patch)",
+  report.value = dse::explore_buffer_tradeoff(sys_.app(app), opts);
+  report.provenance = {"greedy frontier (fresh engine per candidate)",
                        report.value.size(), 1, timer.ms()};
   return report;
 }
@@ -353,7 +345,6 @@ Report<std::vector<UseCaseResult>> Workbench::sweep_use_cases(
   const prob::ContentionEstimator est(opts.estimator);
   auto& workers = worker_sets();
   if (sweep_scratch_.empty()) sweep_scratch_.resize(pool_.size());
-  auto* sim_engines = opts.with_sim ? &sim_worker_engines() : nullptr;
 
   Report<std::vector<UseCaseResult>> report;
   report.value.resize(use_cases.size());
@@ -365,9 +356,8 @@ Report<std::vector<UseCaseResult>> Workbench::sweep_use_cases(
     SweepScratch& scratch = sweep_scratch_[w];
     const platform::UseCase& uc = use_cases[i];
     // Zero-copy restriction: the estimator and the bounds read the selected
-    // applications through the worker's view, the simulator through its
-    // remap tables. Workers share nothing mutable, and a warm sweep
-    // allocates only its results.
+    // applications through the worker's view. Workers share nothing
+    // mutable, and a warm sweep allocates only its results.
     scratch.view.rebind(sys_, uc);
     UseCaseResult& out = report.value[i];
     out.use_case = uc;
@@ -379,11 +369,6 @@ Report<std::vector<UseCaseResult>> Workbench::sweep_use_cases(
       wcrt::worst_case_bounds_into(scratch.view, opts.wcrt,
                                    engines_for(engines, uc, scratch.engines),
                                    scratch.wcrt, out.bounds);
-    }
-    if (sim_engines != nullptr) {
-      sim::SimEngine& se = (*sim_engines)[w];
-      se.reset(uc);
-      out.sim = se.run(opts.sim);
     }
   });
   report.provenance = {"sweep: " + std::string(prob::method_name(opts.estimator.method)),
@@ -426,8 +411,7 @@ Report<std::vector<double>> Workbench::score_mappings(
     const prob::EstimatorOptions& opts) {
   Timer timer;
   Report<std::vector<double>> report;
-  report.value = dse::score_mappings(candidates, opts, &pool_, worker_sets(),
-                                     table_.get());
+  report.value = dse::score_mappings(candidates, opts, &pool_, worker_sets());
   report.provenance = {"mapping score: " + std::string(prob::method_name(opts.method)),
                        candidates.size(), pool_.size(), timer.ms()};
   return report;
@@ -436,13 +420,12 @@ Report<std::vector<double>> Workbench::score_mappings(
 Report<dse::MapperResult> Workbench::optimise_mapping(const dse::MapperOptions& opts) {
   Timer timer;
   Report<dse::MapperResult> report;
-  // The session's per-worker workspaces carry the scoring state, so
-  // repeated mapper queries skip the per-call graph copies and engine
-  // construction.
+  // The first worker workspace carries the scoring state, so repeated
+  // mapper queries skip the per-call graph copies and engine construction.
   report.value = dse::optimise_mapping(sys_.apps(), sys_.platform(), sys_.mapping(),
-                                       opts, &pool_, worker_sets(), table_.get());
-  report.provenance = {"simulated annealing (speculative scoring)",
-                       report.value.scored_candidates, pool_.size(), timer.ms()};
+                                       opts, worker_sets().front());
+  report.provenance = {"simulated annealing", report.value.evaluations, 1,
+                       timer.ms()};
   return report;
 }
 

@@ -12,10 +12,10 @@
 //     vector, HSDF topology and structural verdicts cached once), which
 //     serves the period, latency and bottleneck queries alike,
 //   * one sim::SimEngine over the whole system (flat event-driven
-//     structure built once; every simulation query — full, per use-case,
-//     or inside a with_sim sweep — is a reset + run),
+//     structure built once; every simulation query — full or per
+//     use-case — is a reset + run),
 //   * a persistent thread pool that shards independent evaluations —
-//     use-case sweeps and mapper candidate scoring — across workers with
+//     use-case sweeps and candidate-mapping scoring — across workers with
 //     one engine-set clone per worker.
 //
 // Every query returns Report<T>: the value plus provenance (method,
@@ -25,7 +25,7 @@
 // engines): engines are reset to a cold start at each query boundary, so a
 // query is a pure function of the session's system and the query options,
 // never of query history or scheduling. In particular sweep_use_cases and
-// optimise_mapping return the same bits for any thread count.
+// score_mappings return the same bits for any thread count.
 //
 // Thread-safety: a Workbench is a mutable session — queries update cached
 // engines, so concurrent queries on one Workbench are not allowed. The
@@ -55,12 +55,13 @@ namespace procon::api {
 
 /// \brief Session construction options.
 struct WorkbenchOptions {
-  /// Worker count for sharded queries (sweeps, mapper scoring). 0 = one per
-  /// hardware thread. 1 = fully serial (no background threads at all).
+  /// Worker count for sharded queries (sweeps, candidate-mapping scoring).
+  /// 0 = one per hardware thread. 1 = fully serial (no background threads
+  /// at all).
   std::size_t threads = 0;
   /// Optional shared transposition table memoising compact analysis results
-  /// (periods, latencies, bottleneck/WCRT summaries, mapping scores) under
-  /// this session's queries, keyed by the session system's Zobrist
+  /// (periods, latencies, bottleneck and WCRT summaries) under this
+  /// session's queries, keyed by the session system's Zobrist
   /// fingerprints. Sessions over structurally identical systems sharing one
   /// table share each other's results (fingerprints are name-free); every
   /// query returns bitwise-identical values with or without a table.
@@ -76,9 +77,6 @@ struct UseCaseResult {
   std::vector<prob::AppEstimate> estimates;
   /// Worst-case bounds (only when SweepOptions::with_wcrt).
   std::vector<wcrt::AppBound> bounds;
-  /// Reference simulation (only when SweepOptions::with_sim), apps in
-  /// use-case order — the paper's per-use-case validation sweep.
-  sim::SimResult sim;
 };
 
 /// \brief What a use-case sweep evaluates per item.
@@ -89,11 +87,6 @@ struct SweepOptions {
   bool with_wcrt = false;
   /// Worst-case bound configuration (when with_wcrt).
   wcrt::WcrtOptions wcrt;
-  /// Also run the reference discrete-event simulation per use-case, on the
-  /// worker's session-cached SimEngine (reset per use-case, never rebuilt).
-  bool with_sim = false;
-  /// Simulation configuration (when with_sim).
-  sim::SimOptions sim;
 };
 
 /// \brief What a topology sweep evaluates per candidate interconnect: the
@@ -156,8 +149,8 @@ class Workbench {
   /// Critical-cycle actors (== analysis::find_bottleneck).
   [[nodiscard]] Report<analysis::BottleneckReport> bottleneck(sdf::AppId app);
 
-  /// Buffer-size / period Pareto frontier (== dse::explore_buffer_tradeoff,
-  /// memoised in the session's transposition table).
+  /// Buffer-size / period Pareto frontier (== dse::explore_buffer_tradeoff
+  /// plus provenance).
   [[nodiscard]] Report<std::vector<dse::BufferPoint>> buffer_frontier(
       sdf::AppId app, const dse::BufferExplorerOptions& opts = {});
 
@@ -235,17 +228,18 @@ class Workbench {
 
   /// Scores candidate mappings of the session's applications (max estimated
   /// slowdown; == dse::evaluate_mapping per candidate), sharded across the
-  /// pool (== dse::score_mappings on the session's worker workspaces and
-  /// transposition table). Results in input order, bitwise identical for
-  /// any thread count. Throws sdf::GraphError for a candidate that maps an
-  /// actor to a node the platform does not have.
+  /// pool (== dse::score_mappings on the session's worker workspaces).
+  /// Results in input order, bitwise identical for any thread count.
+  /// Throws sdf::GraphError for a candidate that maps an actor to a node the
+  /// platform does not have.
   [[nodiscard]] Report<std::vector<double>> score_mappings(
       std::span<const platform::Mapping> candidates,
       const prob::EstimatorOptions& opts = {});
 
   /// Simulated-annealing mapping exploration from the session's current
-  /// mapping, with speculative candidate scoring on the pool
-  /// (== dse::optimise_mapping; deterministic for any thread count).
+  /// mapping (== dse::optimise_mapping on the session's first worker
+  /// workspace). One candidate is scored per step on the calling thread, so
+  /// the result does not depend on the thread count.
   [[nodiscard]] Report<dse::MapperResult> optimise_mapping(
       const dse::MapperOptions& opts = {});
 
@@ -272,12 +266,11 @@ class Workbench {
       const platform::UseCase& uc, const prob::EstimatorOptions& opts);
   /// Worker-local mutable state for sharded queries (one per pool worker):
   /// a system clone whose mapping may be rebound, plus one engine clone per
-  /// application. Built lazily, reused by every sharded query.
+  /// application. Built lazily, reused by every sharded query and by
+  /// optimise_mapping (the first).
   std::vector<dse::AnalysisWorkspace>& worker_sets();
   /// The session's simulation engine (lazy; structure flattened once).
   sim::SimEngine& sim_engine();
-  /// One SimEngine clone per pool worker for with_sim sweeps (lazy).
-  std::vector<sim::SimEngine>& sim_worker_engines();
 
   platform::System sys_;
   std::shared_ptr<analysis::TranspositionTable> table_;  // nullptr = off
@@ -294,7 +287,6 @@ class Workbench {
   };
   std::vector<SweepScratch> sweep_scratch_;          // lazy, one per worker
   std::vector<sim::SimEngine> sim_engine_;           // lazy, 0 or 1 entries
-  std::vector<sim::SimEngine> sim_workers_;          // lazy, for with_sim sweeps
 
   // Steady-state serving scratch: session-owned arenas behind the
   // allocation-free contention_view and the serial wcrt and topology

@@ -8,19 +8,15 @@
 // most per token, and records the Pareto frontier (total buffer size vs
 // period).
 //
-// Candidates are evaluated incrementally: a capacity bump only changes the
-// *reverse* ("space") channel of the bumped channel, and channels expand to
-// HSDF independently, so the evaluator re-expands just that channel's edges
-// and re-merges them with the cached remainder instead of re-deriving the
-// whole expansion per candidate. Every period is bitwise the one a fresh
-// ThroughputEngine reports on the bounded graph copy; tests/buffer_oracle.h
-// keeps that engine-per-candidate walk as the test oracle.
+// Each candidate capacity vector is solved by a fresh ThroughputEngine on
+// the bounded copy of the graph (sdf::with_buffer_capacities). The
+// self-loop closure and the repetition vector, which every bounded variant
+// shares, are computed once per exploration.
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
-#include "analysis/transposition_table.h"
 #include "sdf/graph.h"
 
 namespace procon::dse {
@@ -45,16 +41,7 @@ struct BufferExplorerOptions {
 /// total buffer size (a Pareto staircase). Throws sdf::GraphError for
 /// graphs that deadlock unbounded. (Session entry point:
 /// api::Workbench::buffer_frontier, same bits plus provenance.)
-///
-/// `table` (optional) memoises the per-capacity-vector bounded period (and
-/// the unbounded reference period), keyed by the graph's Zobrist component
-/// x the caps vector. The greedy walk re-evaluates neighbouring capacity
-/// vectors constantly — and repeated explorations of structurally
-/// identical graphs (e.g. across tenants) re-evaluate all of them — so
-/// warm walks skip the Howard solves entirely. Periods are stored bitwise;
-/// the frontier is identical with table == nullptr.
 [[nodiscard]] std::vector<BufferPoint> explore_buffer_tradeoff(
-    const sdf::Graph& g, const BufferExplorerOptions& options = {},
-    analysis::TranspositionTable* table = nullptr);
+    const sdf::Graph& g, const BufferExplorerOptions& options = {});
 
 }  // namespace procon::dse

@@ -2,8 +2,11 @@
 // small helper builders.
 #pragma once
 
+#include <gtest/gtest.h>
+
 #include <vector>
 
+#include "dse/buffer_explorer.h"
 #include "platform/system.h"
 #include "platform/system_view.h"
 #include "sdf/graph.h"
@@ -72,6 +75,18 @@ inline sdf::Graph two_actor_cycle(sdf::Time t0, sdf::Time t1) {
   g.add_channel(x, y, 1, 1, 0);
   g.add_channel(y, x, 1, 1, 1);
   return g;
+}
+
+/// Capacities, totals and periods equal point by point (periods compared
+/// with ==, i.e. bit for bit for the finite values a frontier holds).
+inline void expect_same_frontier(const std::vector<dse::BufferPoint>& got,
+                                 const std::vector<dse::BufferPoint>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t k = 0; k < want.size(); ++k) {
+    EXPECT_EQ(got[k].capacities, want[k].capacities) << "point " << k;
+    EXPECT_EQ(got[k].total_tokens, want[k].total_tokens) << "point " << k;
+    EXPECT_EQ(got[k].period, want[k].period) << "point " << k;
+  }
 }
 
 }  // namespace procon::testing

@@ -21,8 +21,7 @@ MapperResult anneal(std::span<const sdf::Graph> apps, const platform::Platform& 
       platform::System(std::vector<sdf::Graph>(apps.begin(), apps.end()), plat, start),
       {}};
   for (const sdf::Graph& g : apps) ws.engines.emplace_back(g);
-  return optimise_mapping(apps, plat, start, opts, nullptr,
-                          std::span<AnalysisWorkspace>(&ws, 1));
+  return optimise_mapping(apps, plat, start, opts, ws);
 }
 
 TEST(EvaluateMapping, DisjointMappingScoresOne) {

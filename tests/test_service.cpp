@@ -25,8 +25,8 @@
 #include <vector>
 
 #include "api/service.h"
-#include "buffer_oracle.h"
 #include "gen/graph_generator.h"
+#include "helpers.h"
 #include "util/rng.h"
 
 namespace procon {

@@ -217,21 +217,6 @@ TEST(SimEngine, WorkbenchSimulateAndSweepUseTheEngine) {
     expect_same(*wb.simulate({0, 2}, opts),
                 simulate(platform::SystemView(sys, {0, 2}), opts));
   }
-
-  // with_sim sweeps return per-use-case simulations identical to the
-  // restricted references, for any thread count.
-  const auto use_cases = gen::all_use_cases(sys.app_count());
-  api::SweepOptions sopts;
-  sopts.with_sim = true;
-  sopts.sim = opts;
-  const auto swept = wb.sweep_use_cases(use_cases, sopts);
-  api::Workbench serial(sys, api::WorkbenchOptions{.threads = 1});
-  const auto swept_serial = serial.sweep_use_cases(use_cases, sopts);
-  ASSERT_EQ(swept->size(), use_cases.size());
-  for (std::size_t i = 0; i < use_cases.size(); ++i) {
-    expect_same((*swept)[i].sim, simulate(platform::SystemView(sys, use_cases[i]), opts));
-    expect_same((*swept)[i].sim, (*swept_serial)[i].sim);
-  }
 }
 
 TEST(SimEngine, RestrictedSimulateIgnoresInvalidAppsOutsideUseCase) {

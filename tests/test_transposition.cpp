@@ -357,7 +357,7 @@ TEST(TranspositionTable, ConcurrentHammerKeepsValuesConsistent) {
       for (int i = 0; i < kOps; ++i) {
         const std::uint64_t fp = static_cast<std::uint64_t>(
             rng.uniform_int(0, static_cast<std::int64_t>(kKeySpace) - 1));
-        TTKeyBuilder b(fp, TTQuery::MappingScore);
+        TTKeyBuilder b(fp, TTQuery::Latency);
         b.absorb(fp * 3);
         const TTKey key = b.key();
         TTValue v;
@@ -557,7 +557,7 @@ TEST(TranspositionIdentity, WorkbenchQueriesAreIdenticalTableOnOffWarmTiny) {
   const auto table = std::make_shared<TranspositionTable>(1 << 14, 4);
   api::Workbench on(sys, api::WorkbenchOptions{.threads = 1, .table = table});
   EXPECT_EQ(run_workbench_script(on), record);
-  EXPECT_GT(on.transposition_stats().hits, 0u);
+  EXPECT_GT(on.transposition_stats().stores, 0u);
   EXPECT_EQ(on.transposition_table().get(), table.get());
 
   // A fresh session over a RENAMED but structurally identical system shares
@@ -569,7 +569,7 @@ TEST(TranspositionIdentity, WorkbenchQueriesAreIdenticalTableOnOffWarmTiny) {
   EXPECT_GT(table->stats().hits, hits_before);
 
   // Sharded session + shared table: thread-count invariance holds with
-  // memoisation in the loop (score_mappings probes from pool workers).
+  // memoisation in the loop (score_mappings shards across pool workers).
   api::Workbench sharded(sys, api::WorkbenchOptions{.threads = 4, .table = table});
   EXPECT_EQ(run_workbench_script(sharded), record);
 

@@ -8,7 +8,6 @@
 #include <gtest/gtest.h>
 
 #include "analysis/throughput.h"
-#include "buffer_oracle.h"
 #include "dse/buffer_explorer.h"
 #include "dse/mapper.h"
 #include "gen/graph_generator.h"
@@ -160,13 +159,11 @@ TEST(Workbench, SimulateMatchesSimulatorBitwise) {
 }
 
 TEST(Workbench, BufferFrontierMatchesExplorerBothPaths) {
-  // The session query (incremental evaluator) against the
-  // engine-per-candidate oracle walk.
+  // The session query against the one-shot explorer.
   Workbench wb(random_system(5, 3), WorkbenchOptions{.threads = 1});
   for (sdf::AppId i = 0; i < wb.app_count(); ++i) {
     procon::testing::expect_same_frontier(
-        *wb.buffer_frontier(i),
-        procon::testing::buffer_frontier_oracle(wb.system().app(i)));
+        *wb.buffer_frontier(i), dse::explore_buffer_tradeoff(wb.system().app(i)));
   }
 }
 
@@ -300,10 +297,36 @@ TEST(Workbench, OptimiseMappingIsThreadCountInvariant) {
   dse::AnalysisWorkspace ws{sys, {}};
   for (const sdf::Graph& g : sys.apps()) ws.engines.emplace_back(g);
   const auto legacy =
-      dse::optimise_mapping(sys.apps(), sys.platform(), sys.mapping(), opts, nullptr,
-                            std::span<dse::AnalysisWorkspace>(&ws, 1));
+      dse::optimise_mapping(sys.apps(), sys.platform(), sys.mapping(), opts, ws);
   EXPECT_EQ(a->score, legacy.score);
   EXPECT_EQ(a->accepted_moves, legacy.accepted_moves);
+}
+
+TEST(Workbench, OptimiseMappingMatchesParentBits) {
+  // Printed with %a by the annealer that this one-move-per-step loop
+  // replaced, which scored batches of future moves in parallel (one to four
+  // workers gave these same values). Any drift in the trajectory moves the
+  // score, the acceptance count or the mapping.
+  const auto sys = random_system(21, 3);
+  dse::MapperOptions opts;
+  opts.iterations = 250;
+  opts.seed = 5;
+  Workbench wb(sys, WorkbenchOptions{.threads = 1});
+  const auto r = wb.optimise_mapping(opts);
+
+  EXPECT_EQ(r->score, 0x1.4cf3f2b71b39dp+0);
+  EXPECT_EQ(r->initial_score, 0x1.7348e49f98b98p+0);
+  EXPECT_EQ(r->evaluations, 251u);
+  EXPECT_EQ(r->accepted_moves, 229u);
+  std::vector<platform::NodeId> nodes;
+  for (sdf::AppId i = 0; i < sys.app_count(); ++i) {
+    for (sdf::ActorId act = 0; act < sys.app(i).actor_count(); ++act) {
+      nodes.push_back(r->mapping.node_of(i, act));
+    }
+  }
+  const std::vector<platform::NodeId> want{3, 5, 5, 6, 2, 1, 0, 0, 6,
+                                           0, 4, 0, 2, 1, 0, 2, 0};
+  EXPECT_EQ(nodes, want);
 }
 
 TEST(Workbench, InvalidQueriesThrow) {
