@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstring>
 #include <iterator>
+#include <stdexcept>
 
 #include "sdf/algorithms.h"
 
@@ -104,6 +105,38 @@ void append_sim(std::string& key, const sim::SimOptions& s) {
 
 }  // namespace
 
+TicketStatus QueryTicket::status() const {
+  detail::TicketShared& s = shared();
+  std::lock_guard<std::mutex> lock(s.m);
+  return s.status;
+}
+
+void QueryTicket::wait() const {
+  detail::TicketShared& s = shared();
+  std::unique_lock<std::mutex> lock(s.m);
+  s.cv.wait(lock, [&] { return s.status == TicketStatus::Done ||
+                               s.status == TicketStatus::Failed; });
+}
+
+std::shared_ptr<const QueryValue> QueryTicket::share() const {
+  wait();
+  detail::TicketShared& s = *state_;
+  std::lock_guard<std::mutex> lock(s.m);
+  if (s.status == TicketStatus::Failed) std::rethrow_exception(s.error);
+  return s.value;
+}
+
+// The state (held by this ticket) keeps the value alive after the returned
+// handle is dropped.
+const QueryValue& QueryTicket::get() const& { return *share(); }
+
+QueryValue QueryTicket::get() && { return *share(); }
+
+detail::TicketShared& QueryTicket::shared() const {
+  if (!state_) throw std::logic_error("QueryTicket: empty (default-constructed?)");
+  return *state_;
+}
+
 AnalysisService::AnalysisService(const ServiceOptions& opts)
     : session_capacity_(std::max<std::size_t>(opts.session_capacity, 1)),
       table_(opts.transposition_capacity > 0
@@ -126,19 +159,23 @@ void AnalysisService::drain() {
 
 SystemId AnalysisService::register_system(platform::System sys) {
   sys.validate();  // fail at the door, not inside a worker
-  // The system's incrementally-maintained Zobrist fingerprint: O(1) to read
-  // (no structural walk) and name-free, so renamed-but-identical tenants
-  // land on the same value. Collisions are disambiguated by systems_equal,
-  // which compares names too — sharing stays exact.
+  // The Zobrist fingerprint is O(1) to read and name-free, so
+  // renamed-but-identical tenants land on the same value. Collisions are
+  // disambiguated by systems_equal, which compares names too — sharing
+  // stays exact.
   const std::uint64_t fp = sys.fingerprint();
   std::lock_guard<std::mutex> lock(m_);
-  registrations_.push_back(Registration{std::move(sys), fp});
-  return static_cast<SystemId>(registrations_.size() - 1);
-}
-
-std::size_t AnalysisService::tenant_count() const {
-  std::lock_guard<std::mutex> lock(m_);
-  return registrations_.size();
+  const auto id = static_cast<SystemId>(registrations_.size());
+  SystemId structure = id;
+  for (SystemId r = 0; r < id; ++r) {
+    const platform::System& earlier = registrations_[r].system;
+    if (earlier.fingerprint() == fp && systems_equal(earlier, sys)) {
+      structure = r;
+      break;
+    }
+  }
+  registrations_.push_back(Registration{std::move(sys), structure});
+  return id;
 }
 
 std::size_t AnalysisService::session_count() const {
@@ -157,131 +194,51 @@ analysis::TranspositionTable::Stats AnalysisService::transposition_stats() const
   return table_ ? table_->stats() : analysis::TranspositionTable::Stats{};
 }
 
-AnalysisService::Session* AnalysisService::find_serial(
-    std::uint64_t serial) noexcept {
+AnalysisService::Session& AnalysisService::session_for(const Registration& reg) {
   for (auto& s : sessions_) {
-    if (s->serial == serial) return s.get();
+    if (s->structure == reg.structure) {
+      s->last_used = ++clock_;
+      return *s;
+    }
   }
-  return nullptr;
+
+  // Miss: evict idle least-recently-used sessions down to capacity. Busy
+  // or queued sessions are never evicted (their addresses are live in
+  // drainers); if everything is busy the store temporarily overflows and
+  // is trimmed by a later miss.
+  while (sessions_.size() >= session_capacity_) {
+    std::size_t victim = sessions_.size();
+    for (std::size_t i = 0; i < sessions_.size(); ++i) {
+      const Session& s = *sessions_[i];
+      if (s.busy || !s.queue.empty()) continue;
+      if (victim == sessions_.size() ||
+          s.last_used < sessions_[victim]->last_used) {
+        victim = i;
+      }
+    }
+    if (victim == sessions_.size()) break;  // everything busy: overflow
+    sessions_.erase(sessions_.begin() + static_cast<std::ptrdiff_t>(victim));
+    ++stats_.sessions_evicted;
+  }
+
+  // Cold build, under the lock. Rebuilds after eviction are identical by
+  // construction: a Workbench is a pure function of its System, and
+  // queries never depend on session history.
+  auto session = std::make_unique<Session>();
+  session->structure = reg.structure;
+  session->bench = std::make_unique<Workbench>(
+      reg.system, WorkbenchOptions{.threads = 1, .table = table_});
+  session->last_used = ++clock_;
+  ++stats_.sessions_built;
+  sessions_.push_back(std::move(session));
+  return *sessions_.back();
 }
 
-AnalysisService::Session& AnalysisService::session_for(
-    std::unique_lock<std::mutex>& lock, SystemId id) {
-  Registration& reg = registrations_.at(id);
-
-  for (;;) {
-    Session* found = nullptr;
-
-    // Hot path: the session this tenant resolved to last time, matched by
-    // its never-reused serial — no structural comparison at all.
-    if (reg.resolved_serial != 0) found = find_serial(reg.resolved_serial);
-
-    // Shared hit: any live session (being) built from a bitwise-identical
-    // system serves this tenant (fingerprint first, exact equality as
-    // tie-breaker against the session's origin registration — constructing
-    // placeholders have no Workbench yet but always have an origin).
-    if (found == nullptr) {
-      for (auto& s : sessions_) {
-        if (s->fingerprint == reg.fingerprint &&
-            systems_equal(*s->origin, reg.system)) {
-          found = s.get();
-          break;
-        }
-      }
-    }
-
-    if (found != nullptr) {
-      if (!found->constructing) {
-        found->last_used = ++clock_;
-        reg.resolved_serial = found->serial;
-        return *found;
-      }
-      // Another resolver is building this structure's Workbench outside
-      // the lock. Wait for it instead of building a duplicate; re-find by
-      // serial on every wake — the build may have failed and erased the
-      // placeholder, in which case we retry from scratch.
-      const std::uint64_t serial = found->serial;
-      construct_cv_.wait(lock, [&] {
-        Session* s = find_serial(serial);
-        return s == nullptr || !s->constructing;
-      });
-      continue;
-    }
-
-    // Miss: evict idle least-recently-used sessions down to capacity.
-    // Busy, queued or constructing sessions are never evicted
-    // (their addresses are live in workers/builders); if everything is
-    // busy the store temporarily overflows and is trimmed by a later miss.
-    while (sessions_.size() >= session_capacity_) {
-      std::size_t victim = sessions_.size();
-      for (std::size_t i = 0; i < sessions_.size(); ++i) {
-        const Session& s = *sessions_[i];
-        if (s.busy || s.constructing || !s.queue.empty()) continue;
-        if (victim == sessions_.size() ||
-            s.last_used < sessions_[victim]->last_used) {
-          victim = i;
-        }
-      }
-      if (victim == sessions_.size()) break;  // everything busy: overflow
-      sessions_.erase(sessions_.begin() + static_cast<std::ptrdiff_t>(victim));
-      ++stats_.sessions_evicted;
-    }
-
-    // Cold build, latched: publish a constructing placeholder, then build
-    // the Workbench with the service lock RELEASED — hot tenants' submits
-    // proceed concurrently instead of stalling behind a cold tenant's
-    // session construction. Rebuilds after eviction are identical by
-    // construction: a Workbench is a pure function of its System, and
-    // queries never depend on session history.
-    auto placeholder = std::make_unique<Session>();
-    const std::uint64_t serial = ++session_serial_;
-    placeholder->serial = serial;
-    placeholder->fingerprint = reg.fingerprint;
-    placeholder->origin = &reg.system;
-    placeholder->constructing = true;
-    placeholder->last_used = ++clock_;
-    sessions_.push_back(std::move(placeholder));
-
-    lock.unlock();
-    std::unique_ptr<Workbench> bench;
-    try {
-      bench = std::make_unique<Workbench>(
-          reg.system,
-          WorkbenchOptions{.threads = 1, .table = table_});
-    } catch (...) {
-      lock.lock();
-      Session* mine = find_serial(serial);
-      if (mine != nullptr) {
-        for (auto it = sessions_.begin(); it != sessions_.end(); ++it) {
-          if (it->get() == mine) {
-            sessions_.erase(it);
-            break;
-          }
-        }
-      }
-      construct_cv_.notify_all();
-      throw;
-    }
-    lock.lock();
-
-    // The placeholder cannot have been evicted (constructing sessions are
-    // skipped above), so the re-find always succeeds.
-    Session* mine = find_serial(serial);
-    mine->bench = std::move(bench);
-    mine->constructing = false;
-    mine->last_used = ++clock_;
-    reg.resolved_serial = serial;
-    ++stats_.sessions_built;
-    construct_cv_.notify_all();
-    return *mine;
-  }
-}
-
-std::string AnalysisService::coalesce_key(std::uint64_t serial,
+std::string AnalysisService::coalesce_key(SystemId structure,
                                           const QueryDesc& d) {
   std::string key;
   key.reserve(64);
-  append_u64(key, serial);
+  append_u64(key, structure);
   append_u64(key, static_cast<std::uint64_t>(d.kind));
   switch (d.kind) {
     case QueryKind::Throughput:
@@ -365,47 +322,35 @@ QueryValue AnalysisService::execute(Workbench& wb, const QueryDesc& d) {
 }
 
 QueryTicket AnalysisService::submit(SystemId id, QueryDesc desc) {
-  std::shared_ptr<detail::TicketShared<QueryValue>> state;
+  std::shared_ptr<detail::TicketShared> state;
   Session* to_drain = nullptr;
   {
-    std::unique_lock<std::mutex> lock(m_);
-    Session& s = session_for(lock, id);
-    ++stats_.submitted;
-
-    const std::string key = coalesce_key(s.serial, desc);
-    if (!key.empty()) {
-      const auto it = inflight_.find(key);
-      if (it != inflight_.end()) {
-        // A pending or running twin exists: attach instead of re-running.
-        // (Cancelled entries are replaced — their work will never happen.)
-        std::lock_guard<std::mutex> slock(it->second->m);
-        if (it->second->status != TicketStatus::Cancelled) {
-          ++it->second->clients;
-          ++stats_.coalesced;
-          state = it->second;
-        }
-      }
-      if (!state) {
-        // Coalescing-after-completion: a recently executed twin's result
-        // is still in the arena — alias its slot in an already-Done
-        // ticket. Bitwise-identical by the purity contract, zero copies.
-        const auto hit = results_.find(key);
-        if (hit != results_.end()) {
-          hit->second.epoch = result_epoch_;  // refresh: hot entries live on
-          state = std::make_shared<detail::TicketShared<QueryValue>>();
-          state->status = TicketStatus::Done;
-          state->value = hit->second.value;
-          ++stats_.result_hits;
-        }
-      }
-    }
-    if (!state) {
-      state = std::make_shared<detail::TicketShared<QueryValue>>();
-      if (!key.empty()) inflight_[key] = state;
-      s.queue.push_back(Job{state, std::move(desc), key});
-      s.last_used = ++clock_;
+    std::lock_guard<std::mutex> lock(m_);
+    const Registration& reg = registrations_.at(id);
+    std::string key = coalesce_key(reg.structure, desc);
+    if (const auto twin = inflight_.find(key); twin != inflight_.end()) {
+      // A pending or running twin exists: attach instead of re-running.
+      state = twin->second;
+      ++stats_.coalesced;
+    } else if (const auto hit = results_.find(key); hit != results_.end()) {
+      // Coalescing-after-completion: a recently executed twin's result is
+      // still in the arena — alias its slot in an already-Done ticket.
+      // Bitwise-identical by the purity contract, zero copies.
+      hit->second.epoch = result_epoch_;  // refresh: hot entries live on
+      state = std::make_shared<detail::TicketShared>();
+      state->status = TicketStatus::Done;
+      state->value = hit->second.value;
+      ++stats_.result_hits;
+    } else {
+      // Resolved before the twin is published: a build that throws leaves
+      // nothing in flight that would never complete.
+      Session& s = session_for(reg);
+      state = std::make_shared<detail::TicketShared>();
+      inflight_.emplace(key, state);
+      s.queue.push_back(Job{state, std::move(desc), std::move(key)});
       to_drain = schedule(s);
     }
+    ++stats_.submitted;
   }
   if (to_drain != nullptr) {
     pool_.post([this, to_drain] { drain_session(to_drain); });
@@ -435,15 +380,6 @@ void AnalysisService::drain_session(Session* s) {
     s->queue.pop_front();
     {
       std::lock_guard<std::mutex> slock(job.state->m);
-      if (job.state->status == TicketStatus::Cancelled) {
-        // Every client withdrew before execution: drop the work.
-        ++stats_.cancelled;
-        if (!job.key.empty()) {
-          const auto it = inflight_.find(job.key);
-          if (it != inflight_.end() && it->second == job.state) inflight_.erase(it);
-        }
-        continue;
-      }
       job.state->status = TicketStatus::Running;
     }
 
@@ -462,12 +398,9 @@ void AnalysisService::drain_session(Session* s) {
     lock.lock();
 
     ++stats_.executed;
-    if (!job.key.empty()) {
-      const auto it = inflight_.find(job.key);
-      if (it != inflight_.end() && it->second == job.state) inflight_.erase(it);
-    }
+    inflight_.erase(job.key);
     std::shared_ptr<const QueryValue> published = std::move(value);
-    if (!error && !job.key.empty()) store_result(job.key, published);
+    if (!error) store_result(job.key, published);
     {
       std::lock_guard<std::mutex> slock(job.state->m);
       job.state->status =

@@ -7,27 +7,29 @@
 // shape for a server. The AnalysisService is the layer in between — the
 // session-vs-service split: it owns
 //
-//   * a resident store of registered platform::Systems (tenants),
-//   * a bounded, fingerprint-keyed LRU of live Workbench sessions (one per
-//     distinct registered system *structure*; bitwise-identical
-//     registrations share a session, eviction rebuilds on next touch —
-//     the same eviction discipline as the admission controller's
-//     candidate LRU),
+//   * a resident store of registered platform::Systems (tenants), each
+//     resolved once, at registration, to a structure id: the first
+//     registration bitwise identical to it, so identical tenants share
+//     everything below,
+//   * a bounded LRU of live Workbench sessions, one per structure id. A
+//     cold session is built on the submitting thread under the service
+//     lock; eviction rebuilds on next touch (the same eviction discipline
+//     as the admission controller's candidate LRU),
 //   * a shared util::ThreadPool whose work queue executes submitted
 //     queries.
 //
 // The query surface is asynchronous:
 //
-//   * submit(SystemId, QueryDesc) returns a Ticket — a future-like handle
-//     with wait()/try_get()/get()/cancel(). Queries on one session are
+//   * submit(SystemId, QueryDesc) returns a QueryTicket — a future-like
+//     handle with status()/wait()/get()/share(). Queries on one session are
 //     serialised (the Workbench contract); queries on different sessions
 //     run concurrently on the pool workers.
 //   * identical in-flight queries COALESCE: a submit that matches a
-//     pending or running query attaches to its ticket state instead of
-//     enqueueing a duplicate — thousands of clients asking the admission
-//     question of the moment cost one evaluation.
-//   * a recently completed query's result is cached: a matching submit
-//     completes at once, aliasing the same immutable value. A use-case
+//     pending or running query of the same structure attaches to its ticket
+//     state instead of enqueueing a duplicate.
+//   * a recently completed query's result is cached per structure: a
+//     matching submit completes at once, aliasing the same immutable value,
+//     even after the session that computed it was evicted. A use-case
 //     sweep is one ticket per use-case (Contention / Wcrt / Simulate with a
 //     use_case), each coalesced and result-cached like any other ticket.
 //
@@ -45,7 +47,6 @@
 #include <exception>
 #include <memory>
 #include <mutex>
-#include <stdexcept>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -106,34 +107,30 @@ using QueryValue = std::variant<Report<analysis::PeriodResult>,
 
 /// \brief Lifecycle of a ticket's underlying query.
 enum class TicketStatus : std::uint8_t {
-  Pending,    ///< queued, not yet picked up by a worker
-  Running,    ///< executing on a worker
-  Done,       ///< finished; the value is available
-  Cancelled,  ///< abandoned before execution (every client cancelled)
-  Failed,     ///< the query threw; get() rethrows the exception
+  Pending,  ///< queued, not yet picked up by a worker
+  Running,  ///< executing on a worker
+  Done,     ///< finished; the value is available
+  Failed,   ///< the query threw; get() rethrows the exception
 };
 
 namespace detail {
 
 /// \brief Shared completion state behind one (possibly coalesced) query.
 ///
-/// One instance per *executed* query; every coalesced Ticket holds a
+/// One instance per *executed* query; every coalesced QueryTicket holds a
 /// reference. The result itself is a shared arena slot
-/// (shared_ptr<const T>): the service's result cache, coalesced siblings
-/// and Ticket::share() callers all alias one immutable value instead of
-/// deep-copying Reports per client. Internal — sized and locked by the
-/// service and the tickets.
-template <typename T>
+/// (shared_ptr<const QueryValue>): the service's result cache, coalesced
+/// siblings and QueryTicket::share() callers all alias one immutable value
+/// instead of deep-copying Reports per client. Internal — written by the
+/// service, read by the tickets.
 struct TicketShared {
   std::mutex m;               ///< guards every field below
-  std::condition_variable cv; ///< notified on any terminal transition
+  std::condition_variable cv; ///< notified when the query finishes
   TicketStatus status = TicketStatus::Pending;  ///< current lifecycle stage
   /// The result slot (non-null exactly when status == Done). Immutable
   /// once published; aliased by the service's result cache.
-  std::shared_ptr<const T> value;
+  std::shared_ptr<const QueryValue> value;
   std::exception_ptr error;   ///< set when status == Failed
-  std::size_t clients = 1;    ///< tickets attached (grows by coalescing)
-  std::size_t cancels = 0;    ///< distinct tickets that cancelled
 };
 
 }  // namespace detail
@@ -141,134 +138,56 @@ struct TicketShared {
 /// \brief Future-like handle to a submitted query.
 ///
 /// Obtained from AnalysisService::submit. Move-only; several tickets may
-/// share one underlying query through coalescing, which cancel() respects
-/// (a query is abandoned only when *every* attached ticket cancels).
-/// Thread-safe: distinct threads may operate on distinct tickets of the
-/// same query concurrently; one ticket is a single-owner object.
-template <typename T>
-class Ticket {
+/// share one underlying query through coalescing. Thread-safe: distinct
+/// threads may operate on distinct tickets of the same query concurrently;
+/// one ticket is a single-owner object.
+class QueryTicket {
  public:
-  /// \brief Empty ticket (valid() == false); assign from submit() to use.
-  Ticket() = default;
+  /// \brief Empty ticket; assign from submit() to use. Every other member
+  /// throws std::logic_error on an empty ticket.
+  QueryTicket() = default;
 
-  Ticket(Ticket&&) noexcept = default;             ///< tickets move
-  Ticket& operator=(Ticket&&) noexcept = default;  ///< tickets move
-  Ticket(const Ticket&) = delete;                  ///< single owner
-  Ticket& operator=(const Ticket&) = delete;       ///< single owner
-
-  /// \brief Whether this ticket refers to a submitted query.
-  /// \return true unless default-constructed or moved-from
-  [[nodiscard]] bool valid() const noexcept { return state_ != nullptr; }
+  QueryTicket(QueryTicket&&) noexcept = default;             ///< tickets move
+  QueryTicket& operator=(QueryTicket&&) noexcept = default;  ///< tickets move
+  QueryTicket(const QueryTicket&) = delete;                  ///< single owner
+  QueryTicket& operator=(const QueryTicket&) = delete;       ///< single owner
 
   /// \brief Current lifecycle stage of the underlying query.
   /// \return the status at the time of the call (may advance immediately
   ///         after)
-  [[nodiscard]] TicketStatus status() const {
-    std::lock_guard<std::mutex> lock(check().m);
-    return state_->status;
-  }
+  [[nodiscard]] TicketStatus status() const;
 
-  /// \brief Blocks until the query reaches a terminal state (Done,
-  /// Cancelled or Failed).
-  void wait() const {
-    auto& s = check();
-    std::unique_lock<std::mutex> lock(s.m);
-    s.cv.wait(lock, [&] { return terminal(s.status); });
-  }
+  /// \brief Blocks until the query is Done or Failed.
+  void wait() const;
 
-  /// \brief Non-blocking result access.
-  /// \return pointer to the value when Done (valid while the ticket lives),
-  ///         nullptr in every other state
-  [[nodiscard]] const T* try_get() const {
-    auto& s = check();
-    std::lock_guard<std::mutex> lock(s.m);
-    return s.status == TicketStatus::Done ? s.value.get() : nullptr;
-  }
-
-  /// \brief Blocking result access: wait(), then the value.
-  ///
-  /// Rethrows the query's exception when it Failed; throws std::logic_error
-  /// when the query was Cancelled.
+  /// \brief Blocking result access: wait(), then the value. Rethrows the
+  /// query's exception when it Failed.
   /// \return the query result (valid while the ticket lives)
-  [[nodiscard]] const T& get() const& {
-    auto& s = check();
-    std::unique_lock<std::mutex> lock(s.m);
-    s.cv.wait(lock, [&] { return terminal(s.status); });
-    if (s.status == TicketStatus::Failed) std::rethrow_exception(s.error);
-    if (s.status == TicketStatus::Cancelled) {
-      throw std::logic_error("Ticket::get: query was cancelled");
-    }
-    return *s.value;
-  }
+  [[nodiscard]] const QueryValue& get() const&;
 
   /// \brief Rvalue get(): returns the value BY VALUE, so
   /// `service.submit(...).get()` is safe — the expiring ticket may be the
   /// last owner of the shared state a reference would dangle into. Copies
   /// (never moves): coalesced siblings may still read the same state.
   /// \return a copy of the query result
-  [[nodiscard]] T get() && {
-    const Ticket& self = *this;
-    return self.get();
-  }
+  [[nodiscard]] QueryValue get() &&;
 
   /// \brief Zero-copy result access: wait(), then shared ownership of the
   /// immutable value — no deep copy, valid after the ticket (and the
   /// service) are gone, so a consumer can keep or forward a result without
-  /// copying its Report. Throws exactly like get() on Failed/Cancelled
-  /// queries.
+  /// copying its Report. Throws exactly like get() on a Failed query.
   /// \return shared handle to the query result
-  [[nodiscard]] std::shared_ptr<const T> share() const {
-    auto& s = check();
-    std::unique_lock<std::mutex> lock(s.m);
-    s.cv.wait(lock, [&] { return terminal(s.status); });
-    if (s.status == TicketStatus::Failed) std::rethrow_exception(s.error);
-    if (s.status == TicketStatus::Cancelled) {
-      throw std::logic_error("Ticket::share: query was cancelled");
-    }
-    return s.value;
-  }
-
-  /// \brief Withdraws this ticket's interest in the query.
-  ///
-  /// The query is abandoned — transitions to Cancelled, never executes —
-  /// only when it is still Pending and every coalesced ticket has
-  /// cancelled; a Running or finished query, and a query other clients
-  /// still await, proceeds unaffected. Idempotent per ticket.
-  /// \return true when this call abandoned the query, false otherwise
-  bool cancel() {
-    auto& s = check();
-    std::lock_guard<std::mutex> lock(s.m);
-    if (cancelled_) return false;
-    cancelled_ = true;
-    ++s.cancels;
-    if (s.status == TicketStatus::Pending && s.cancels >= s.clients) {
-      s.status = TicketStatus::Cancelled;
-      s.cv.notify_all();
-      return true;
-    }
-    return false;
-  }
+  [[nodiscard]] std::shared_ptr<const QueryValue> share() const;
 
  private:
   friend class AnalysisService;
-  explicit Ticket(std::shared_ptr<detail::TicketShared<T>> state)
+  explicit QueryTicket(std::shared_ptr<detail::TicketShared> state)
       : state_(std::move(state)) {}
 
-  [[nodiscard]] static bool terminal(TicketStatus st) noexcept {
-    return st == TicketStatus::Done || st == TicketStatus::Cancelled ||
-           st == TicketStatus::Failed;
-  }
-  [[nodiscard]] detail::TicketShared<T>& check() const {
-    if (!state_) throw std::logic_error("Ticket: empty (default-constructed?)");
-    return *state_;
-  }
+  [[nodiscard]] detail::TicketShared& shared() const;
 
-  std::shared_ptr<detail::TicketShared<T>> state_;
-  bool cancelled_ = false;
+  std::shared_ptr<detail::TicketShared> state_;
 };
-
-/// \brief The ticket type AnalysisService::submit returns.
-using QueryTicket = Ticket<QueryValue>;
 
 /// \brief Construction options of an AnalysisService.
 struct ServiceOptions {
@@ -297,7 +216,6 @@ struct ServiceStats {
   std::uint64_t submitted = 0;        ///< submit() calls accepted
   std::uint64_t coalesced = 0;        ///< submits attached to in-flight queries
   std::uint64_t executed = 0;         ///< queries actually run on a session
-  std::uint64_t cancelled = 0;        ///< queries abandoned before execution
   std::uint64_t sessions_built = 0;   ///< Workbench constructions (cold + rebuilds)
   std::uint64_t sessions_evicted = 0; ///< sessions dropped by the LRU bound
   std::uint64_t result_hits = 0;      ///< submits served from the result cache
@@ -331,16 +249,14 @@ class AnalysisService {
   /// Validates like Workbench construction (throws sdf::GraphError on
   /// invalid systems — registration either yields a servable tenant or
   /// fails). The system is copied into the resident store; sessions are
-  /// built lazily on first query. Registering a bitwise-identical system
-  /// twice yields two SystemIds that *share* one live session (the
-  /// fingerprint-keyed LRU) — safe because queries never mutate results.
+  /// built on the first query that executes. Registration resolves the
+  /// tenant's structure once: a system bitwise identical to an earlier
+  /// registration (fingerprint first, exact comparison as the
+  /// tie-breaker) shares that registration's session, in-flight queries
+  /// and cached results — safe because queries never mutate results.
   /// \param sys the applications + platform + mapping to serve
   /// \return dense handle for submit()
   SystemId register_system(platform::System sys);
-
-  /// \brief Number of registered tenants.
-  /// \return registration count (never shrinks)
-  [[nodiscard]] std::size_t tenant_count() const;
 
   /// \brief Number of live Workbench sessions (<= capacity except while
   /// every session is busy).
@@ -349,12 +265,14 @@ class AnalysisService {
 
   /// \brief Submits a query against a tenant's session.
   ///
-  /// Non-blocking (with background workers): the query is enqueued on the
-  /// tenant's session, executed in submission order per session,
-  /// concurrently across sessions. An identical query already pending or
-  /// running on the same session structure coalesces — the returned ticket
-  /// shares its completion state (the key reads every option the kind
-  /// reads; see coalesce_key). Throws std::out_of_range for unknown ids;
+  /// An identical query already pending or running on the same structure
+  /// coalesces (the returned ticket shares its completion state), and a
+  /// recently completed one is served from the result cache; the key reads
+  /// every option the kind reads (see coalesce_key). Otherwise the query is
+  /// enqueued on the structure's session — built on this thread, under the
+  /// service lock, when it is not live — and executed in submission order
+  /// per session, concurrently across sessions. Non-blocking with
+  /// background workers. Throws std::out_of_range for unknown ids;
   /// analysis errors surface through the ticket as Failed.
   /// \param id tenant handle
   /// \param desc the query (kind + options)
@@ -377,28 +295,21 @@ class AnalysisService {
  private:
   struct Registration {
     platform::System system;
-    std::uint64_t fingerprint = 0;
-    /// Serial of the session this tenant last resolved to: the hot-path
-    /// shortcut past the fingerprint scan + structural comparison. Serials
-    /// are never reused, so a stale hint simply misses.
-    std::uint64_t resolved_serial = 0;
+    /// Index of the first registration bitwise equal to this one (its own
+    /// index when there is none): the key of its session, in-flight twins
+    /// and cached results.
+    SystemId structure = 0;
   };
 
   struct Job {
-    std::shared_ptr<detail::TicketShared<QueryValue>> state;
+    std::shared_ptr<detail::TicketShared> state;
     QueryDesc desc;
-    std::string key;  // in-flight coalescing key; empty = not coalescable
+    std::string key;  // in-flight coalescing key
   };
 
   struct Session {
-    std::uint64_t serial = 0;    // unique forever (coalesce keys, hints)
-    std::uint64_t fingerprint = 0;
-    std::unique_ptr<Workbench> bench;  // null while constructing
-    // The registration's resident system this session is (being) built
-    // from: the structural-equality anchor while bench is still null.
-    // Stable — registrations_ is a deque that only grows.
-    const platform::System* origin = nullptr;
-    bool constructing = false;   // placeholder: Workbench build in flight
+    SystemId structure = 0;
+    std::unique_ptr<Workbench> bench;
     std::deque<Job> queue;       // submitted, not yet executed
     bool busy = false;           // a drainer holds it
     std::uint64_t last_used = 0; // LRU stamp
@@ -411,16 +322,11 @@ class AnalysisService {
     std::uint64_t epoch = 0;
   };
 
-  /// Live session for registration `id`. The construction latch: a cold
-  /// build publishes a `constructing` placeholder, releases `lock`, builds
-  /// the Workbench, then relocks and fills the placeholder in — hot
-  /// tenants' submits only ever wait for the map scan, never for a build.
-  /// Concurrent resolvers of the same structure wait on construct_cv_ and
-  /// re-find the session by serial. The pointer is stable while
-  /// busy/constructing or while its queue is non-empty.
-  Session& session_for(std::unique_lock<std::mutex>& lock, SystemId id);
-  /// The live session with serial `serial`, or nullptr (under the lock).
-  [[nodiscard]] Session* find_serial(std::uint64_t serial) noexcept;
+  /// Live session of `reg`'s structure (under the lock). A miss evicts idle
+  /// least-recently-used sessions down to capacity, then builds the
+  /// Workbench in place. The pointer is stable while the session is busy or
+  /// its queue is non-empty.
+  Session& session_for(const Registration& reg);
   /// Publishes a completed result under `key` at the current epoch and
   /// advances the reclamation epoch every kResultCacheStride executions
   /// (under the lock).
@@ -435,29 +341,25 @@ class AnalysisService {
   void drain_session(Session* s);
   /// Runs one query on a session's Workbench (no service lock held).
   static QueryValue execute(Workbench& wb, const QueryDesc& desc);
-  /// Coalescing key of `desc` against session serial `serial` (unique per
-  /// live session, so fingerprint collisions can never cross-attach two
-  /// different tenants' queries). Stochastic exec-time models are keyed by
-  /// a 128-bit content hash over their outcome lists (values + weights
-  /// bitwise) — the same collision standard as the transposition table's
-  /// verify tags, so such Simulate and TopologySweep queries coalesce and
-  /// cache too.
-  static std::string coalesce_key(std::uint64_t serial, const QueryDesc& desc);
+  /// Coalescing key of `desc` against structure id `structure` (exact, so
+  /// fingerprint collisions can never cross-attach two different tenants'
+  /// queries). Stochastic exec-time models are keyed by a 128-bit content
+  /// hash over their outcome lists (values + weights bitwise) — the same
+  /// collision standard as the transposition table's verify tags, so such
+  /// Simulate and TopologySweep queries coalesce and cache too.
+  static std::string coalesce_key(SystemId structure, const QueryDesc& desc);
 
   mutable std::mutex m_;
   std::condition_variable idle_cv_;  // session went idle / queue drained
-  std::condition_variable construct_cv_;  // a session build finished/failed
-  // Deque: registrations are returned by reference (system(id)) and must
-  // stay put while later registrations grow the store.
+  // Indexed by SystemId; only grows, so ids are never reused.
   std::deque<Registration> registrations_;
   std::vector<std::unique_ptr<Session>> sessions_;
-  std::unordered_map<std::string, std::shared_ptr<detail::TicketShared<QueryValue>>>
-      inflight_;
+  std::unordered_map<std::string, std::shared_ptr<detail::TicketShared>> inflight_;
   // Completed-result arena: coalescing keys -> shared value slots. An entry
   // lives kResultCacheEpochs epochs past its last hit, an epoch being
-  // kResultCacheStride executions. Outstanding Ticket/share() holders keep
-  // their values alive (shared_ptr); reclamation only forgets the cache's
-  // reference.
+  // kResultCacheStride executions. Outstanding tickets and share() holders
+  // keep their values alive (shared_ptr); reclamation only forgets the
+  // cache's reference.
   static constexpr std::uint64_t kResultCacheEpochs = 4;
   static constexpr std::uint64_t kResultCacheStride = 64;
   std::unordered_map<std::string, CachedResult> results_;
@@ -465,7 +367,6 @@ class AnalysisService {
   std::uint64_t epoch_executed_ = 0;    // executions in the current epoch
   ServiceStats stats_;
   std::uint64_t clock_ = 0;          // LRU stamps
-  std::uint64_t session_serial_ = 0; // unique session ids, never reused
   std::size_t session_capacity_ = 8;
   // One table for the whole service: every session shares it, so a tenant's
   // warm entries serve every structurally identical tenant. shared_ptr so

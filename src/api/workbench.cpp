@@ -116,15 +116,11 @@ void Workbench::check_app(sdf::AppId app) const {
   }
 }
 
-std::vector<dse::AnalysisWorkspace>& Workbench::worker_sets() {
-  if (workers_.empty()) {
-    workers_.reserve(pool_.size());
-    for (std::size_t w = 0; w < pool_.size(); ++w) {
-      dse::AnalysisWorkspace ws;
-      ws.sys = sys_;
-      ws.engines = engines_;
-      workers_.push_back(std::move(ws));
-    }
+std::vector<dse::AnalysisWorkspace>& Workbench::worker_sets(std::size_t count) {
+  while (workers_.size() < count) {
+    dse::AnalysisWorkspace& ws = workers_.emplace_back();
+    ws.sys = sys_;
+    ws.engines = engines_;
   }
   return workers_;
 }
@@ -343,7 +339,7 @@ Report<std::vector<UseCaseResult>> Workbench::sweep_use_cases(
     std::span<const platform::UseCase> use_cases, const SweepOptions& opts) {
   Timer timer;
   const prob::ContentionEstimator est(opts.estimator);
-  auto& workers = worker_sets();
+  auto& workers = worker_sets(pool_.size());
   if (sweep_scratch_.empty()) sweep_scratch_.resize(pool_.size());
 
   Report<std::vector<UseCaseResult>> report;
@@ -411,7 +407,7 @@ Report<std::vector<double>> Workbench::score_mappings(
     const prob::EstimatorOptions& opts) {
   Timer timer;
   Report<std::vector<double>> report;
-  report.value = dse::score_mappings(candidates, opts, &pool_, worker_sets());
+  report.value = dse::score_mappings(candidates, opts, &pool_, worker_sets(pool_.size()));
   report.provenance = {"mapping score: " + std::string(prob::method_name(opts.method)),
                        candidates.size(), pool_.size(), timer.ms()};
   return report;
@@ -423,7 +419,7 @@ Report<dse::MapperResult> Workbench::optimise_mapping(const dse::MapperOptions& 
   // The first worker workspace carries the scoring state, so repeated
   // mapper queries skip the per-call graph copies and engine construction.
   report.value = dse::optimise_mapping(sys_.apps(), sys_.platform(), sys_.mapping(),
-                                       opts, worker_sets().front());
+                                       opts, worker_sets(1).front());
   report.provenance = {"simulated annealing", report.value.evaluations, 1,
                        timer.ms()};
   return report;

@@ -264,11 +264,11 @@ class Workbench {
   /// the session workspace, serves the result via contention_report_.
   const Report<std::span<const prob::AppEstimate>>& contention_core(
       const platform::UseCase& uc, const prob::EstimatorOptions& opts);
-  /// Worker-local mutable state for sharded queries (one per pool worker):
-  /// a system clone whose mapping may be rebound, plus one engine clone per
-  /// application. Built lazily, reused by every sharded query and by
-  /// optimise_mapping (the first).
-  std::vector<dse::AnalysisWorkspace>& worker_sets();
+  /// Worker-local mutable state for sharded queries: a system clone whose
+  /// mapping may be rebound, plus one engine clone per application. Grown
+  /// lazily to at least `count` workspaces (sharded queries ask for one per
+  /// pool worker, optimise_mapping for one) and reused by every later query.
+  std::vector<dse::AnalysisWorkspace>& worker_sets(std::size_t count);
   /// The session's simulation engine (lazy; structure flattened once).
   sim::SimEngine& sim_engine();
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numeric>
 #include <stdexcept>
 
 #include "analysis/engine.h"
@@ -14,33 +15,25 @@ namespace {
 constexpr double kInitialTemperature = 1.0;
 constexpr double kCooling = 0.995;
 
-/// Builds one ThroughputEngine per application; candidate scoring re-uses
-/// the cached structure and only rewrites execution times.
-std::vector<analysis::ThroughputEngine> make_engines(
-    std::span<const sdf::Graph> apps) {
-  std::vector<analysis::ThroughputEngine> engines;
-  engines.reserve(apps.size());
-  for (const sdf::Graph& g : apps) engines.emplace_back(g);
-  return engines;
-}
-
-/// Scores a candidate as a pure function of the mapping: engines are reset
-/// to a cold start first, so the result does not depend on which candidates
-/// the same engines evaluated before — the property that makes sharded
-/// scoring bitwise deterministic across worker counts.
-double score_system(const platform::System& sys, const prob::ContentionEstimator& est,
-                    std::span<analysis::ThroughputEngine> engines) {
-  std::vector<analysis::ThroughputEngine*> ptrs;
-  ptrs.reserve(engines.size());
-  for (analysis::ThroughputEngine& e : engines) {
+/// Scores the workspace's current mapping as a pure function of it: engines
+/// are reset to a cold start first, so the result does not depend on which
+/// candidates the same engines evaluated before — the property that makes
+/// sharded scoring bitwise deterministic across worker counts. The engine
+/// pointers and the view are rebound on every call because the workspace
+/// may have moved since the last one.
+double score_system(AnalysisWorkspace& ws, const prob::ContentionEstimator& est) {
+  ws.engine_ptrs.clear();
+  for (analysis::ThroughputEngine& e : ws.engines) {
     e.reset();
-    ptrs.push_back(&e);
+    ws.engine_ptrs.push_back(&e);
   }
-  prob::EstimatorWorkspace ws;
-  std::vector<prob::AppEstimate> estimates(sys.app_count());
-  est.estimate_into(sys, {}, ptrs, ws, estimates);
+  ws.full_use_case.resize(ws.engines.size());
+  std::iota(ws.full_use_case.begin(), ws.full_use_case.end(), sdf::AppId{0});
+  ws.view.rebind(ws.sys, ws.full_use_case);
+  ws.estimates.resize(ws.engines.size());
+  est.estimate_into(ws.view, {}, ws.engine_ptrs, ws.est, ws.estimates);
   double worst = 0.0;
-  for (const auto& e : estimates) worst = std::max(worst, e.normalised_period());
+  for (const auto& e : ws.estimates) worst = std::max(worst, e.normalised_period());
   return worst;
 }
 
@@ -56,12 +49,13 @@ double evaluate_mapping(std::span<const sdf::Graph> apps,
                         const platform::Platform& platform,
                         const platform::Mapping& mapping,
                         const prob::EstimatorOptions& estimator) {
-  platform::System sys(std::vector<sdf::Graph>(apps.begin(), apps.end()),
-                       platform, mapping);
-  sys.validate();
-  const prob::ContentionEstimator est(estimator);
-  auto engines = make_engines(apps);
-  return score_system(sys, est, engines);
+  AnalysisWorkspace ws;
+  ws.sys = platform::System(std::vector<sdf::Graph>(apps.begin(), apps.end()),
+                            platform, mapping);
+  ws.sys.validate();
+  ws.engines.reserve(apps.size());
+  for (const sdf::Graph& g : apps) ws.engines.emplace_back(g);
+  return score_system(ws, prob::ContentionEstimator(estimator));
 }
 
 std::vector<double> score_mappings(std::span<const platform::Mapping> candidates,
@@ -76,7 +70,7 @@ std::vector<double> score_mappings(std::span<const platform::Mapping> candidates
   const auto score_one = [&](std::size_t i, std::size_t w) {
     AnalysisWorkspace& ws = workspaces[w];
     ws.sys.set_mapping(candidates[i]);
-    scores[i] = score_system(ws.sys, est, ws.engines);
+    scores[i] = score_system(ws, est);
   };
   // The pool hands out worker ids up to its own size, so sharding needs a
   // workspace per pool worker; with fewer workspaces score serially.
@@ -99,7 +93,7 @@ MapperResult optimise_mapping(std::span<const sdf::Graph> apps,
   MapperResult result;
   result.mapping = start;
   ws.sys.set_mapping(start);
-  result.score = score_system(ws.sys, est, ws.engines);
+  result.score = score_system(ws, est);
   result.initial_score = result.score;
   result.evaluations = 1;
 
@@ -134,7 +128,7 @@ MapperResult optimise_mapping(std::span<const sdf::Graph> apps,
     candidate = current;
     candidate.assign(slot.app, slot.actor, new_node);
     ws.sys.set_mapping(candidate);
-    const double score = score_system(ws.sys, est, ws.engines);
+    const double score = score_system(ws, est);
     ++result.evaluations;
 
     // Metropolis acceptance at a geometrically cooling temperature.

@@ -20,20 +20,31 @@
 
 #include "analysis/engine.h"
 #include "platform/system.h"
+#include "platform/system_view.h"
 #include "prob/estimator.h"
 #include "util/thread_pool.h"
 
 namespace procon::dse {
 
 /// \brief Worker-local mutable scoring state: a system whose mapping is
-/// rebound per candidate plus one engine per application.
+/// rebound per candidate, one engine per application, and the scratch the
+/// estimator scores a candidate in.
 ///
-/// Sessions (api::Workbench) keep one per pool worker and hand them to
-/// score_mappings (all of them) and optimise_mapping (the first), so
-/// repeated queries skip the per-call graph copies and engine construction.
+/// Callers fill `sys` and `engines`; the other fields are grow-only
+/// scratch that scoring fills and rebinds on every candidate, so a
+/// workspace may move between calls. Once a workspace has scored one
+/// candidate, scoring another allocates nothing. Sessions (api::Workbench)
+/// keep one per pool worker and hand them to score_mappings (all of them)
+/// and optimise_mapping (the first), so repeated queries skip the per-call
+/// graph copies and engine construction.
 struct AnalysisWorkspace {
   platform::System sys;                             ///< mapping rebound per candidate
   std::vector<analysis::ThroughputEngine> engines;  ///< one per application
+  std::vector<analysis::ThroughputEngine*> engine_ptrs;  ///< `engines`, by address
+  prob::EstimatorWorkspace est;                     ///< estimator scratch
+  std::vector<prob::AppEstimate> estimates;         ///< result slots, one per application
+  platform::UseCase full_use_case;                  ///< 0..N-1
+  platform::SystemView view;                        ///< full view of `sys`
 };
 
 /// Annealing configuration. The temperature starts at 1 and decays by a

@@ -1,5 +1,6 @@
 #include "sdf/io.h"
 
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <limits>
@@ -11,6 +12,22 @@ namespace {
 
 [[noreturn]] void fail(std::size_t line, const std::string& what) {
   throw ParseError("line " + std::to_string(line) + ": " + what);
+}
+
+/// Reads the next field of `ls` as one whole integer token: std::from_chars
+/// must consume all of it without overflow, so "1e3", "1.5" and "2x" fail
+/// instead of reading as their leading digits.
+template <typename T>
+T read_integer(std::istream& ls, std::size_t line, const char* usage) {
+  std::string token;
+  if (!(ls >> token)) fail(line, usage);
+  T value{};
+  const char* last = token.data() + token.size();
+  const auto [ptr, ec] = std::from_chars(token.data(), last, value);
+  if (ec != std::errc{} || ptr != last) {
+    fail(line, "malformed or out-of-range integer '" + token + "'");
+  }
+  return value;
 }
 
 /// Weights travel as C99 hexfloats: exact round-trip, no decimal rounding.
@@ -132,22 +149,24 @@ std::optional<Graph> read_one(std::istream& is, std::size_t& line_no,
       if (dists.size() <= a) dists.resize(a + 1);
       try {
         if (shape == "constant") {
-          Time v = 0;
-          if (!(ls >> v)) fail(line_no, "constant requires <value>");
+          const auto v = read_integer<Time>(ls, line_no, "constant requires <value>");
           dists[a] = ExecTimeDistribution::constant(v);
         } else if (shape == "uniform") {
-          Time lo = 0, hi = 0;
-          if (!(ls >> lo >> hi)) fail(line_no, "uniform requires <lo> <hi>");
+          const char* usage = "uniform requires <lo> <hi>";
+          const auto lo = read_integer<Time>(ls, line_no, usage);
+          const auto hi = read_integer<Time>(ls, line_no, usage);
           dists[a] = ExecTimeDistribution::uniform(lo, hi);
         } else if (shape == "discrete") {
-          std::size_t k = 0;
-          if (!(ls >> k) || k == 0) fail(line_no, "discrete requires <k> > 0");
+          const char* usage = "discrete requires <k> > 0";
+          const auto k = read_integer<std::size_t>(ls, line_no, usage);
+          if (k == 0) fail(line_no, usage);
           // No reserve(k): k is untrusted until its pairs have been read.
           std::vector<ExecTimeDistribution::Outcome> outcomes;
+          const char* pairs = "discrete requires k <value weight> pairs";
           for (std::size_t i = 0; i < k; ++i) {
-            Time v = 0;
+            const auto v = read_integer<Time>(ls, line_no, pairs);
             std::string w;
-            if (!(ls >> v >> w)) fail(line_no, "discrete requires k <value weight> pairs");
+            if (!(ls >> w)) fail(line_no, pairs);
             outcomes.push_back({v, weight_from_text(line_no, w)});
           }
           dists[a] = ExecTimeDistribution::from_normalised(std::move(outcomes));
@@ -159,9 +178,10 @@ std::optional<Graph> read_one(std::istream& is, std::size_t& line_no,
       }
     } else if (keyword == "actor") {
       if (!g) fail(line_no, "actor before graph");
+      const char* usage = "actor requires <name> <exec_time>";
       std::string name;
-      Time tau = 0;
-      if (!(ls >> name >> tau)) fail(line_no, "actor requires <name> <exec_time>");
+      if (!(ls >> name)) fail(line_no, usage);
+      const auto tau = read_integer<Time>(ls, line_no, usage);
       if (g->find_actor(name) != kInvalidActor) fail(line_no, "duplicate actor " + name);
       try {
         g->add_actor(name, tau);
@@ -170,11 +190,12 @@ std::optional<Graph> read_one(std::istream& is, std::size_t& line_no,
       }
     } else if (keyword == "channel") {
       if (!g) fail(line_no, "channel before graph");
+      const char* usage = "channel requires <src> <dst> <prod> <cons> <tokens>";
       std::string src, dst;
-      std::int64_t prod = 0, cons = 0, tokens = 0;
-      if (!(ls >> src >> dst >> prod >> cons >> tokens)) {
-        fail(line_no, "channel requires <src> <dst> <prod> <cons> <tokens>");
-      }
+      if (!(ls >> src >> dst)) fail(line_no, usage);
+      const auto prod = read_integer<std::int64_t>(ls, line_no, usage);
+      const auto cons = read_integer<std::int64_t>(ls, line_no, usage);
+      const auto tokens = read_integer<std::int64_t>(ls, line_no, usage);
       const ActorId s = g->find_actor(src);
       const ActorId d = g->find_actor(dst);
       if (s == kInvalidActor) fail(line_no, "unknown actor " + src);
@@ -196,6 +217,9 @@ std::optional<Graph> read_one(std::istream& is, std::size_t& line_no,
       return finish(*std::move(g));
     } else {
       fail(line_no, "unknown keyword '" + keyword + "'");
+    }
+    if (std::string extra; ls >> extra) {
+      fail(line_no, "unexpected field '" + extra + "' after the last one");
     }
   }
   if (g) fail(line_no, "unexpected end of input (missing 'end')");

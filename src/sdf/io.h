@@ -20,8 +20,11 @@
 // rather than silently dropping the model — round-tripping a stochastic
 // system requires the model-aware overloads below.
 //
-// Blank lines and lines starting with '#' are ignored. Also provides
-// Graphviz DOT export for visual inspection of generated graphs.
+// Blank lines and lines starting with '#' are ignored. Every numeric field
+// but a weight is one whole decimal integer token ("1e3", "1.5" and "2x"
+// are errors), and a graph, actor, channel or dist line with a field after
+// its last one is an error. Also provides Graphviz DOT export for visual
+// inspection of generated graphs.
 #pragma once
 
 #include <iosfwd>

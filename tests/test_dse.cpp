@@ -17,9 +17,8 @@ std::vector<sdf::Graph> two_apps() { return {fig2_graph_a(), fig2_graph_b()}; }
 /// Serial annealing on one freshly built workspace.
 MapperResult anneal(std::span<const sdf::Graph> apps, const platform::Platform& plat,
                     const platform::Mapping& start, const MapperOptions& opts = {}) {
-  AnalysisWorkspace ws{
-      platform::System(std::vector<sdf::Graph>(apps.begin(), apps.end()), plat, start),
-      {}};
+  AnalysisWorkspace ws;
+  ws.sys = platform::System(std::vector<sdf::Graph>(apps.begin(), apps.end()), plat, start);
   for (const sdf::Graph& g : apps) ws.engines.emplace_back(g);
   return optimise_mapping(apps, plat, start, opts, ws);
 }

@@ -187,6 +187,13 @@ TEST(Io, HostileNumbersRaiseParseErrorNamingTheLine) {
       {"uniform too wide to build", "dist a uniform 0 100000000000"},
       {"uniform width overflows", "dist a uniform 0 9223372036854775807"},
       {"uniform lo negative", "dist a uniform -9223372036854775808 0"},
+      {"exponent in an exec time", "actor c 1e3"},
+      {"fraction in an exec time", "actor c 1.5"},
+      {"suffix on an exec time", "actor c 2x"},
+      {"field after an actor", "actor c 4 5"},
+      {"fraction in a token count", "channel a b 1 1 1.7"},
+      {"field after a channel", "channel a b 1 1 0 junk"},
+      {"field after a dist", "dist a constant 1 2"},
   };
   for (const Row& row : rows) {
     const std::string text = "graph g\nactor a 1\nactor b 1\n" +

@@ -4,15 +4,13 @@
 //    queries over two tenant systems must produce results bitwise
 //    identical to a serial Workbench oracle, for any worker count;
 //  * coalescing: identical in-flight queries share one execution and one
-//    completion state; cancelling one of several attached tickets does
-//    not abandon the query;
-//  * cancellation: a pending query whose every ticket cancelled never
-//    executes and reports Cancelled;
+//    completion state;
 //  * session LRU: eviction under a capacity bound is correctness-neutral
 //    (rebuilt sessions answer identically), and bitwise-identical
 //    registrations share one live session;
-//  * result cache: a repeated query is served without re-execution, and a
-//    query that differs from a cached one in any option executes.
+//  * result cache: a repeated query is served without re-execution, also
+//    after its session was evicted, and a query that differs from a cached
+//    one in any option executes.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -226,14 +224,12 @@ TEST(AnalysisService, CoalescingSharesOneExecution) {
   auto second = service.submit(id, q);
   auto third = service.submit(id, q);
 
-  // Cancelling one of several attached tickets must NOT abandon the query.
-  EXPECT_FALSE(third.cancel());
-
   const auto& va = std::get<api::Report<std::vector<prob::AppEstimate>>>(first.get());
   const auto& vb =
       std::get<api::Report<std::vector<prob::AppEstimate>>>(second.get());
   // Shared completion state: the coalesced tickets see the same object.
   EXPECT_EQ(&va, &vb);
+  EXPECT_EQ(&std::get<api::Report<std::vector<prob::AppEstimate>>>(third.get()), &va);
   expect_same_estimates(*va, *vb);
   blocker.wait();
 
@@ -244,46 +240,14 @@ TEST(AnalysisService, CoalescingSharesOneExecution) {
   EXPECT_EQ(stats.executed, stats.submitted - stats.coalesced);
 }
 
-TEST(AnalysisService, CancelAbandonsPendingQueries) {
-  AnalysisService service(ServiceOptions{.threads = 2});
-  const SystemId id = service.register_system(random_system(5, 3));
-
-  QueryDesc slow;  // a stepped TDMA run, as above
-  slow.kind = QueryKind::Simulate;
-  slow.sim.horizon = 3'000'000;
-  slow.sim.arbitration = sim::Arbitration::Tdma;
-  auto blocker = service.submit(id, slow);
-
-  QueryDesc q;
-  q.kind = QueryKind::Wcrt;
-  auto doomed = service.submit(id, q);
-  EXPECT_TRUE(doomed.cancel());
-  EXPECT_EQ(doomed.status(), TicketStatus::Cancelled);
-  EXPECT_EQ(doomed.try_get(), nullptr);
-  EXPECT_THROW((void)doomed.get(), std::logic_error);
-  // Idempotent: a second cancel on the same ticket is a no-op.
-  EXPECT_FALSE(doomed.cancel());
-
-  blocker.wait();
-  service.drain();
-  const auto stats = service.stats();
-  EXPECT_EQ(stats.cancelled, 1u);
-  EXPECT_EQ(stats.executed, stats.submitted - stats.cancelled);
-
-  // Cancelling a finished query changes nothing.
-  EXPECT_FALSE(blocker.cancel());
-  EXPECT_EQ(blocker.status(), TicketStatus::Done);
-}
-
 TEST(AnalysisService, SessionLruEvictionIsCorrectnessNeutral) {
   const platform::System sys_a = random_system(31, 3);
   const platform::System sys_b = random_system(32, 4);
   api::Workbench oracle_a(sys_a, api::WorkbenchOptions{.threads = 1});
   api::Workbench oracle_b(sys_b, api::WorkbenchOptions{.threads = 1});
-  const auto est_a = oracle_a.contention();
-  const auto est_b = oracle_b.contention();
 
   // Capacity 1: every alternation evicts and rebuilds the other session.
+  // Each round asks a different query, so no round is a result-cache hit.
   AnalysisService service(
       ServiceOptions{.threads = 1, .session_capacity = 1});
   const SystemId a = service.register_system(sys_a);
@@ -292,12 +256,15 @@ TEST(AnalysisService, SessionLruEvictionIsCorrectnessNeutral) {
   QueryDesc q;
   q.kind = QueryKind::Contention;
   for (int round = 0; round < 3; ++round) {
+    q.estimator.iterations = round + 1;
     const auto va = service.submit(a, q).get();  // rvalue get(): safe copy
     expect_same_estimates(
-        *std::get<api::Report<std::vector<prob::AppEstimate>>>(va), *est_a);
+        *std::get<api::Report<std::vector<prob::AppEstimate>>>(va),
+        *oracle_a.contention(q.estimator));
     const auto vb = service.submit(b, q).get();
     expect_same_estimates(
-        *std::get<api::Report<std::vector<prob::AppEstimate>>>(vb), *est_b);
+        *std::get<api::Report<std::vector<prob::AppEstimate>>>(vb),
+        *oracle_b.contention(q.estimator));
   }
   const auto stats = service.stats();
   EXPECT_EQ(service.session_count(), 1u);
@@ -310,7 +277,6 @@ TEST(AnalysisService, IdenticalRegistrationsShareOneSession) {
   AnalysisService service(ServiceOptions{.threads = 1, .session_capacity = 4});
   const SystemId a = service.register_system(sys);
   const SystemId b = service.register_system(sys);  // bitwise identical
-  EXPECT_EQ(service.tenant_count(), 2u);
 
   QueryDesc q;
   q.kind = QueryKind::Throughput;
@@ -336,84 +302,9 @@ TEST(AnalysisService, FailedQueriesSurfaceThroughTheTicket) {
   EXPECT_THROW((void)service.submit(77, q), std::out_of_range);
 }
 
-TEST(AnalysisService, CancelAfterCoalesceDoesNotAbandonTheLeader) {
-  AnalysisService service(ServiceOptions{.threads = 2});
-  const SystemId id = service.register_system(random_system(61, 3));
-
-  QueryDesc slow;  // a stepped TDMA run, as above
-  slow.kind = QueryKind::Simulate;
-  slow.sim.horizon = 3'000'000;
-  slow.sim.arbitration = sim::Arbitration::Tdma;
-  auto blocker = service.submit(id, slow);
-
-  QueryDesc q;
-  q.kind = QueryKind::Contention;
-  auto leader = service.submit(id, q);
-  auto twin = service.submit(id, q);  // coalesces onto the leader's state
-
-  // The twin bails out after having coalesced: the query must survive (the
-  // leader is still attached). Status is shared, so the withdrawn twin
-  // still observes the query's outcome — cancel() withdraws interest, it
-  // does not sever the attachment.
-  EXPECT_FALSE(twin.cancel());
-  EXPECT_NE(twin.status(), TicketStatus::Cancelled);
-
-  const auto& v =
-      std::get<api::Report<std::vector<prob::AppEstimate>>>(leader.get());
-  EXPECT_FALSE(v->empty());
-  // The withdrawn twin reads the very same shared value.
-  EXPECT_EQ(&std::get<api::Report<std::vector<prob::AppEstimate>>>(twin.get()),
-            &v);
-  blocker.wait();
-  service.drain();
-  EXPECT_EQ(service.stats().cancelled, 0u);  // never abandoned
-}
-
-TEST(AnalysisService, CoalescedFollowerOutlivesACancelledLeader) {
-  AnalysisService service(ServiceOptions{.threads = 2});
-  const SystemId id = service.register_system(random_system(62, 3));
-
-  QueryDesc slow;  // a stepped TDMA run, as above
-  slow.kind = QueryKind::Simulate;
-  slow.sim.horizon = 3'000'000;
-  slow.sim.arbitration = sim::Arbitration::Tdma;
-  auto blocker = service.submit(id, slow);
-
-  QueryDesc q;
-  q.kind = QueryKind::Wcrt;
-  auto leader = service.submit(id, q);
-  auto follower = service.submit(id, q);
-
-  // The ticket that *created* the query cancels; the coalesced follower
-  // keeps it alive and still gets the result.
-  EXPECT_FALSE(leader.cancel());
-  const auto& v =
-      std::get<api::Report<std::vector<wcrt::AppBound>>>(follower.get());
-  EXPECT_FALSE(v->empty());
-
-  // Only when the LAST attached ticket cancels is the query abandoned:
-  // rehearse on a fresh pending pair.
-  QueryDesc q2;
-  q2.kind = QueryKind::Contention;
-  auto a = service.submit(id, q2);
-  auto b = service.submit(id, q2);
-  const bool abandoned_by_a = a.cancel();
-  const bool abandoned_by_b = b.cancel();
-  // Exactly the second cancel abandons — unless the worker already picked
-  // the query up (Running is never abandoned), in which case neither did.
-  EXPECT_FALSE(abandoned_by_a && abandoned_by_b);
-  if (abandoned_by_b) {
-    EXPECT_EQ(a.status(), TicketStatus::Cancelled);
-    EXPECT_EQ(b.status(), TicketStatus::Cancelled);
-  }
-  blocker.wait();
-  service.drain();
-}
-
 TEST(AnalysisService, DestructionWithInFlightCoalescedTicketsIsSafe) {
   std::optional<QueryTicket> leader;
   std::optional<QueryTicket> twin;
-  std::optional<QueryTicket> cancelled;
   {
     AnalysisService service(ServiceOptions{.threads = 2});
     const SystemId id = service.register_system(random_system(63, 3));
@@ -427,8 +318,6 @@ TEST(AnalysisService, DestructionWithInFlightCoalescedTicketsIsSafe) {
     q.kind = QueryKind::Contention;
     leader.emplace(service.submit(id, q));
     twin.emplace(service.submit(id, q));
-    cancelled.emplace(service.submit(id, q));
-    EXPECT_FALSE(cancelled->cancel());
     // The service dies here with the coalesced pair still in flight: the
     // destructor drains, so both tickets complete.
   }
@@ -439,12 +328,6 @@ TEST(AnalysisService, DestructionWithInFlightCoalescedTicketsIsSafe) {
   const auto& vb =
       std::get<api::Report<std::vector<prob::AppEstimate>>>(twin->get());
   EXPECT_EQ(&va, &vb);  // one shared execution, one shared value
-  // The withdrawn ticket shares the same state: the query survived it, so
-  // it too reads Done and the same value.
-  EXPECT_EQ(cancelled->status(), TicketStatus::Done);
-  EXPECT_EQ(&std::get<api::Report<std::vector<prob::AppEstimate>>>(
-                cancelled->get()),
-            &va);
 }
 
 TEST(AnalysisService, ResultCacheServesRepeatsWithoutReExecution) {
@@ -472,6 +355,27 @@ TEST(AnalysisService, ResultCacheServesRepeatsWithoutReExecution) {
   std::shared_ptr<const QueryValue> kept = repeat.share();
   EXPECT_EQ(&std::get<api::Report<std::vector<prob::AppEstimate>>>(*kept),
             &va);
+}
+
+TEST(AnalysisService, ResultCacheOutlivesSessionEviction) {
+  // A Workbench is a pure function of its System, so a cached result stays
+  // valid after the session that computed it is evicted.
+  AnalysisService service(ServiceOptions{.threads = 1, .session_capacity = 1});
+  const SystemId a = service.register_system(random_system(81, 3));
+  const SystemId b = service.register_system(random_system(82, 3));
+  QueryDesc q;
+  q.kind = QueryKind::Contention;
+
+  const auto first = service.submit(a, q);
+  (void)service.submit(b, q).get();  // evicts a's session
+  const auto repeat = service.submit(a, q);
+  EXPECT_EQ(&repeat.get(), &first.get());
+
+  const auto stats = service.stats();
+  EXPECT_EQ(stats.result_hits, 1u);
+  EXPECT_EQ(stats.executed, 2u);
+  EXPECT_EQ(stats.sessions_built, 2u);
+  EXPECT_EQ(stats.sessions_evicted, 1u);
 }
 
 /// The direct Workbench call a query stands for.

@@ -13,7 +13,10 @@
 //    identically;
 //  * deep fixed-point contention queries are thread-count invariant;
 //  * warm Workbench::contention_view queries run entirely in the session's
-//    persistent estimator workspace — ZERO heap allocations.
+//    persistent estimator workspace — ZERO heap allocations;
+//  * warm mapping queries (score_mappings, optimise_mapping) score every
+//    candidate in the session's worker workspace: fewer allocations per
+//    query than candidates.
 //
 // Each warm bracket is additionally armed (util/contracts.h ArmGuard), so
 // the PROCON_ASSERT_NO_ALLOC scopes inside the library's annotated warm
@@ -500,6 +503,36 @@ TEST(SteadyStateAlloc, WarmSweepAllocatesOnlyItsResults) {
       }
     }
   }
+}
+
+// A mapping candidate is scored in its workspace's engine list, estimator
+// scratch, result slots and view, so a warm query allocates only its result
+// and fixed per-query state, never per scored candidate.
+TEST(SteadyStateAlloc, WarmMappingQueriesAllocateLessThanOncePerCandidate) {
+  util::Rng rng(2007);
+  auto graphs = gen::generate_graphs(rng, {}, 5);
+  platform::Platform plat = platform::Platform::homogeneous(10);
+  platform::Mapping start = platform::Mapping::load_balanced(graphs, plat);
+  api::Workbench wb(platform::System(std::move(graphs), std::move(plat), std::move(start)),
+                    api::WorkbenchOptions{.threads = 1});
+
+  dse::MapperOptions anneal;
+  anneal.iterations = 200;
+  (void)wb.optimise_mapping(anneal);  // sizes the workspace
+  const std::uint64_t before_anneal = allocations();
+  (void)wb.optimise_mapping(anneal);
+  EXPECT_LT(allocations() - before_anneal, anneal.iterations + 1);
+
+  util::Rng pick(17);
+  std::vector<platform::Mapping> candidates;
+  for (int k = 0; k < 50; ++k) {
+    candidates.push_back(
+        platform::Mapping::random(wb.system().apps(), wb.system().platform(), pick));
+  }
+  (void)wb.score_mappings(candidates);
+  const std::uint64_t before_score = allocations();
+  (void)wb.score_mappings(candidates);
+  EXPECT_LT(allocations() - before_score, candidates.size());
 }
 
 }  // namespace

@@ -273,60 +273,38 @@ TEST(Workbench, CandidateOnMissingNodeRaisesGraphError) {
             dse::evaluate_mapping(sys.apps(), sys.platform(), good));
 }
 
-TEST(Workbench, OptimiseMappingIsThreadCountInvariant) {
-  const auto sys = random_system(21, 3);
-  dse::MapperOptions opts;
-  opts.iterations = 250;
-  opts.seed = 5;
-
-  Workbench one(sys, WorkbenchOptions{.threads = 1});
-  Workbench four(sys, WorkbenchOptions{.threads = 4});
-  const auto a = one.optimise_mapping(opts);
-  const auto b = four.optimise_mapping(opts);
-
-  EXPECT_EQ(a->score, b->score);
-  EXPECT_EQ(a->initial_score, b->initial_score);
-  EXPECT_EQ(a->evaluations, b->evaluations);
-  EXPECT_EQ(a->accepted_moves, b->accepted_moves);
-  for (sdf::AppId i = 0; i < sys.app_count(); ++i) {
-    for (sdf::ActorId act = 0; act < sys.app(i).actor_count(); ++act) {
-      EXPECT_EQ(a->mapping.node_of(i, act), b->mapping.node_of(i, act));
-    }
-  }
-  // And equals the library entry point on a freshly built workspace.
-  dse::AnalysisWorkspace ws{sys, {}};
-  for (const sdf::Graph& g : sys.apps()) ws.engines.emplace_back(g);
-  const auto legacy =
-      dse::optimise_mapping(sys.apps(), sys.platform(), sys.mapping(), opts, ws);
-  EXPECT_EQ(a->score, legacy.score);
-  EXPECT_EQ(a->accepted_moves, legacy.accepted_moves);
-}
-
 TEST(Workbench, OptimiseMappingMatchesParentBits) {
   // Printed with %a by the annealer that this one-move-per-step loop
   // replaced, which scored batches of future moves in parallel (one to four
   // workers gave these same values). Any drift in the trajectory moves the
-  // score, the acceptance count or the mapping.
+  // score, the acceptance count or the mapping. Checked on 1- and 4-thread
+  // sessions and on the library entry point over a freshly built workspace.
   const auto sys = random_system(21, 3);
   dse::MapperOptions opts;
   opts.iterations = 250;
   opts.seed = 5;
-  Workbench wb(sys, WorkbenchOptions{.threads = 1});
-  const auto r = wb.optimise_mapping(opts);
-
-  EXPECT_EQ(r->score, 0x1.4cf3f2b71b39dp+0);
-  EXPECT_EQ(r->initial_score, 0x1.7348e49f98b98p+0);
-  EXPECT_EQ(r->evaluations, 251u);
-  EXPECT_EQ(r->accepted_moves, 229u);
-  std::vector<platform::NodeId> nodes;
-  for (sdf::AppId i = 0; i < sys.app_count(); ++i) {
-    for (sdf::ActorId act = 0; act < sys.app(i).actor_count(); ++act) {
-      nodes.push_back(r->mapping.node_of(i, act));
-    }
-  }
+  Workbench one(sys, WorkbenchOptions{.threads = 1});
+  Workbench four(sys, WorkbenchOptions{.threads = 4});
+  dse::AnalysisWorkspace ws;
+  ws.sys = sys;
+  for (const sdf::Graph& g : sys.apps()) ws.engines.emplace_back(g);
   const std::vector<platform::NodeId> want{3, 5, 5, 6, 2, 1, 0, 0, 6,
                                            0, 4, 0, 2, 1, 0, 2, 0};
-  EXPECT_EQ(nodes, want);
+  for (const dse::MapperResult& r :
+       {one.optimise_mapping(opts).value, four.optimise_mapping(opts).value,
+        dse::optimise_mapping(sys.apps(), sys.platform(), sys.mapping(), opts, ws)}) {
+    EXPECT_EQ(r.score, 0x1.4cf3f2b71b39dp+0);
+    EXPECT_EQ(r.initial_score, 0x1.7348e49f98b98p+0);
+    EXPECT_EQ(r.evaluations, 251u);
+    EXPECT_EQ(r.accepted_moves, 229u);
+    std::vector<platform::NodeId> nodes;
+    for (sdf::AppId i = 0; i < sys.app_count(); ++i) {
+      for (sdf::ActorId act = 0; act < sys.app(i).actor_count(); ++act) {
+        nodes.push_back(r.mapping.node_of(i, act));
+      }
+    }
+    EXPECT_EQ(nodes, want);
+  }
 }
 
 TEST(Workbench, InvalidQueriesThrow) {

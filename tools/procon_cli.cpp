@@ -25,9 +25,12 @@
 //       Drive an api::AnalysisService end to end: register the file's
 //       graphs as two tenant systems, hammer them from N client threads
 //       with mixed ticketed queries and verify every result against a
-//       serial Workbench oracle. Prints the service counters (coalesce
-//       hits, sessions built/evicted) and a tt-stats line for the shared
-//       transposition table.
+//       serial Workbench oracle (exit 1 on any mismatch). Repeats coalesce
+//       in flight or hit the result cache, which outlives session
+//       eviction, so at --capacity 1 --threads 1 only each distinct query's
+//       first submit executes. Prints the service counters (coalesced,
+//       result-cache hits, executions, sessions built/evicted) and a
+//       tt-stats line for the shared transposition table.
 //   buffers <file>
 //       Buffer-capacity / period Pareto frontier per graph (incremental
 //       explorer).
@@ -368,6 +371,7 @@ int cmd_serve(int argc, char** argv) {
   table.add_row({"oracle mismatches", std::to_string(mismatches)});
   table.add_row({"submitted", std::to_string(stats.submitted)});
   table.add_row({"coalesced (shared in-flight)", std::to_string(stats.coalesced)});
+  table.add_row({"result-cache hits", std::to_string(stats.result_hits)});
   table.add_row({"executed", std::to_string(stats.executed)});
   table.add_row({"sessions built", std::to_string(stats.sessions_built)});
   table.add_row({"sessions evicted", std::to_string(stats.sessions_evicted)});
