@@ -5,7 +5,7 @@
 //
 // This example opens one Workbench session, scores the paper's index
 // mapping, a load-balanced mapping and 200 random mappings in a single
-// sharded score_mappings query (one engine-set clone per worker), ranks
+// score_mappings query (fanned out over the session's workers), ranks
 // them by the estimated worst normalised period, then validates the best
 // and worst candidates against simulation.
 #include <algorithm>
@@ -43,7 +43,8 @@ int main() {
   }
 
   // One session scores every candidate; the engines are built once and the
-  // candidates shard across the pool (results independent of thread count).
+  // candidates fan out over the session's workers (results independent of
+  // thread count).
   api::Workbench bench(platform::System(std::vector<sdf::Graph>(apps), plat,
                                         candidates.front().mapping));
   std::vector<platform::Mapping> mappings;

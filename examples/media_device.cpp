@@ -93,7 +93,7 @@ int main() {
 
   // One analysis session for the whole device: per-application engines are
   // built once, and all 2^3 - 1 feature combinations are estimated in a
-  // single sweep that shards across the session's thread pool.
+  // single sweep that fans out over the session's workers.
   api::Workbench bench(
       platform::System(std::move(apps), std::move(plat), std::move(map)));
 

@@ -105,8 +105,8 @@ struct EngineOptions {
 ///
 /// Thread-safety: an engine is a mutable analysis object (recompute and
 /// even const-free queries mutate solver state); one engine must not be
-/// used from two threads at once. Sharded callers clone one engine per
-/// worker and reset() it per independent work item for determinism.
+/// used from two threads at once. Fanned-out callers give each worker its
+/// own engine and reset() it per independent work item for determinism.
 class ThroughputEngine {
  public:
   /// Builds all structure-dependent state in one pass. Throws
@@ -139,8 +139,8 @@ class ThroughputEngine {
   [[nodiscard]] BottleneckReport bottleneck(std::span<const double> exec_times = {});
 
   /// Discards the Howard warm-start state; the next recompute() cold-starts.
-  /// Parallel sharding (use-case sweeps, mapper candidate scoring) resets a
-  /// worker's engine clone before every independent work item so its result
+  /// A fanned-out query (use-case sweeps, mapper candidate scoring) resets a
+  /// worker's engine before every independent work item so its result
   /// is a pure function of the inputs — bitwise identical no matter which
   /// worker evaluates the item after which other items. Also turns on the
   /// isolation memo: the next cold recompute() with empty times fills it if

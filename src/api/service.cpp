@@ -202,24 +202,9 @@ AnalysisService::Session& AnalysisService::session_for(const Registration& reg) 
     }
   }
 
-  // Miss: evict idle least-recently-used sessions down to capacity. Busy
-  // or queued sessions are never evicted (their addresses are live in
-  // drainers); if everything is busy the store temporarily overflows and
-  // is trimmed by a later miss.
-  while (sessions_.size() >= session_capacity_) {
-    std::size_t victim = sessions_.size();
-    for (std::size_t i = 0; i < sessions_.size(); ++i) {
-      const Session& s = *sessions_[i];
-      if (s.busy || !s.queue.empty()) continue;
-      if (victim == sessions_.size() ||
-          s.last_used < sessions_[victim]->last_used) {
-        victim = i;
-      }
-    }
-    if (victim == sessions_.size()) break;  // everything busy: overflow
-    sessions_.erase(sessions_.begin() + static_cast<std::ptrdiff_t>(victim));
-    ++stats_.sessions_evicted;
-  }
+  // Miss: make room for the new session. If every live session is busy the
+  // store overflows until a drainer goes idle and trims it.
+  evict_idle(session_capacity_ - 1);
 
   // Cold build, under the lock. Rebuilds after eviction are identical by
   // construction: a Workbench is a pure function of its System, and
@@ -232,6 +217,23 @@ AnalysisService::Session& AnalysisService::session_for(const Registration& reg) 
   ++stats_.sessions_built;
   sessions_.push_back(std::move(session));
   return *sessions_.back();
+}
+
+void AnalysisService::evict_idle(std::size_t keep) {
+  while (sessions_.size() > keep) {
+    std::size_t victim = sessions_.size();
+    for (std::size_t i = 0; i < sessions_.size(); ++i) {
+      const Session& s = *sessions_[i];
+      if (s.busy || !s.queue.empty()) continue;
+      if (victim == sessions_.size() ||
+          s.last_used < sessions_[victim]->last_used) {
+        victim = i;
+      }
+    }
+    if (victim == sessions_.size()) return;  // everything busy
+    sessions_.erase(sessions_.begin() + static_cast<std::ptrdiff_t>(victim));
+    ++stats_.sessions_evicted;
+  }
 }
 
 std::string AnalysisService::coalesce_key(SystemId structure,
@@ -373,6 +375,9 @@ void AnalysisService::drain_session(Session* s) {
   for (;;) {
     if (s->queue.empty()) {
       s->busy = false;
+      // Trim an overflow left by a miss while every session was busy. This
+      // may erase *s, so it is not touched again.
+      evict_idle(session_capacity_);
       idle_cv_.notify_all();
       return;
     }

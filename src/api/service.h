@@ -55,6 +55,7 @@
 
 #include "api/report.h"
 #include "api/workbench.h"
+#include "util/thread_pool.h"
 
 namespace procon::api {
 
@@ -258,8 +259,9 @@ class AnalysisService {
   /// \return dense handle for submit()
   SystemId register_system(platform::System sys);
 
-  /// \brief Number of live Workbench sessions (<= capacity except while
-  /// every session is busy).
+  /// \brief Number of live Workbench sessions: at most the capacity once
+  /// drain() returned. A miss while every live session is busy overflows the
+  /// store until the next drainer goes idle and trims it.
   /// \return live session count
   [[nodiscard]] std::size_t session_count() const;
 
@@ -323,10 +325,14 @@ class AnalysisService {
   };
 
   /// Live session of `reg`'s structure (under the lock). A miss evicts idle
-  /// least-recently-used sessions down to capacity, then builds the
-  /// Workbench in place. The pointer is stable while the session is busy or
-  /// its queue is non-empty.
+  /// least-recently-used sessions to make room, then builds the Workbench
+  /// in place. The pointer is stable while the session is busy or its queue
+  /// is non-empty.
   Session& session_for(const Registration& reg);
+  /// Evicts idle least-recently-used sessions until at most `keep` are live
+  /// or none is idle (under the lock). Busy or queued sessions stay: their
+  /// addresses are live in drainers.
+  void evict_idle(std::size_t keep);
   /// Publishes a completed result under `key` at the current epoch and
   /// advances the reclamation epoch every kResultCacheStride executions
   /// (under the lock).
@@ -337,7 +343,8 @@ class AnalysisService {
   /// caller posts OUTSIDE the service lock — with no background workers
   /// post() runs the drainer inline, which must not hold the lock.
   [[nodiscard]] Session* schedule(Session& s);
-  /// Executes `s`'s queue until empty (one drainer at a time per session).
+  /// Executes `s`'s queue until empty (one drainer at a time per session),
+  /// then trims the store down to capacity, which may evict `s` itself.
   void drain_session(Session* s);
   /// Runs one query on a session's Workbench (no service lock held).
   static QueryValue execute(Workbench& wb, const QueryDesc& desc);

@@ -1,7 +1,9 @@
 #include "api/workbench.h"
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
+#include <exception>
 #include <utility>
 
 namespace procon::api {
@@ -86,7 +88,7 @@ void store_wcrt(analysis::TranspositionTable* table, std::uint64_t fp,
 /// Fills `ptrs` (capacity reused) with the engines of `uc`'s applications,
 /// each reset to cold start, and returns it as a span.
 std::span<analysis::ThroughputEngine* const> engines_for(
-    std::vector<analysis::ThroughputEngine>& engines, std::span<const sdf::AppId> uc,
+    std::span<analysis::ThroughputEngine> engines, std::span<const sdf::AppId> uc,
     std::vector<analysis::ThroughputEngine*>& ptrs) {
   ptrs.clear();
   for (const sdf::AppId id : uc) {
@@ -102,12 +104,17 @@ std::span<analysis::ThroughputEngine* const> engines_for(
 }  // namespace
 
 Workbench::Workbench(platform::System sys, const WorkbenchOptions& opts)
-    : sys_(std::move(sys)), table_(opts.table), pool_(opts.threads) {
+    : sys_(std::move(sys)),
+      table_(opts.table),
+      threads_(opts.threads != 0
+                   ? opts.threads
+                   : std::max<std::size_t>(std::thread::hardware_concurrency(), 1)) {
   sys_.validate();
   engines_.reserve(sys_.app_count());
   for (const sdf::Graph& app : sys_.apps()) engines_.emplace_back(app);
+  serving_.ws.engines = engines_;
+  serving_.ws.engine_ptrs.reserve(sys_.app_count());
   full_uc_ = sys_.full_use_case();
-  ptr_scratch_.reserve(sys_.app_count());
 }
 
 void Workbench::check_app(sdf::AppId app) const {
@@ -116,13 +123,55 @@ void Workbench::check_app(sdf::AppId app) const {
   }
 }
 
-std::vector<dse::AnalysisWorkspace>& Workbench::worker_sets(std::size_t count) {
-  while (workers_.size() < count) {
-    dse::AnalysisWorkspace& ws = workers_.emplace_back();
-    ws.sys = sys_;
-    ws.engines = engines_;
+/// Worker 0 is the calling thread. Workers 1..N-1 are threads started here;
+/// each takes item indices from one atomic counter, and all are joined
+/// before returning, so the session holds no thread between queries. Each
+/// worker w >= 1 is built on the calling thread the first time a query
+/// needs it, before any thread starts: it copies engines_, which worker 0
+/// mutates once the fan-out runs. The first exception a body throws is
+/// rethrown after the join; the other workers stop at their next item.
+template <typename Body>
+void Workbench::fan_out(std::size_t count, const Body& body) {
+  const std::size_t workers = std::max<std::size_t>(std::min(threads_, count), 1);
+  while (workers_.size() + 1 < workers) {
+    Worker& w = workers_.emplace_back();
+    w.engines = engines_;
+    w.ws.engines = w.engines;
   }
-  return workers_;
+  std::atomic<std::size_t> next{0};
+  std::atomic<bool> failed{false};
+  std::exception_ptr error;
+  const auto run = [&](std::size_t w) {
+    Worker& worker = w == 0 ? serving_ : workers_[w - 1];
+    for (;;) {
+      const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
+      if (i >= count) return;
+      try {
+        body(i, worker);
+      } catch (...) {
+        if (!failed.exchange(true)) error = std::current_exception();
+        next.store(count, std::memory_order_relaxed);
+      }
+    }
+  };
+  started_.reserve(workers - 1);
+  try {
+    for (std::size_t w = 1; w < workers; ++w) started_.emplace_back(run, w);
+  } catch (...) {
+    // A worker that cannot start leaves its items to the workers that did.
+  }
+  run(0);
+  for (std::thread& t : started_) t.join();
+  started_.clear();
+  if (error) std::rethrow_exception(error);
+}
+
+dse::AnalysisWorkspace& Workbench::mapping_workspace(Worker& w) {
+  if (!w.has_system) {
+    w.ws.sys = sys_;
+    w.has_system = true;
+  }
+  return w.ws;
 }
 
 sim::SimEngine& Workbench::sim_engine() {
@@ -269,11 +318,12 @@ const Report<std::span<const prob::AppEstimate>>& Workbench::contention_view(
 const Report<std::span<const prob::AppEstimate>>& Workbench::contention_core(
     const platform::UseCase& uc, const prob::EstimatorOptions& opts) {
   Timer timer;
-  scratch_view_.rebind(sys_, uc);  // zero-copy restriction, capacity reused
+  dse::AnalysisWorkspace& ws = serving_.ws;
+  ws.view.rebind(sys_, uc);  // zero-copy restriction, capacity reused
   const prob::ContentionEstimator est(opts);
-  const auto engines = engines_for(engines_, uc, ptr_scratch_);
+  const auto engines = engines_for(ws.engines, uc, ws.engine_ptrs);
   if (est_pool_.size() < uc.size()) est_pool_.resize(uc.size());
-  est.estimate_into(scratch_view_, {}, engines, est_ws_,
+  est.estimate_into(ws.view, {}, engines, ws.est,
                     std::span<prob::AppEstimate>(est_pool_.data(), uc.size()));
   contention_report_.value =
       std::span<const prob::AppEstimate>(est_pool_.data(), uc.size());
@@ -294,17 +344,17 @@ Report<std::vector<wcrt::AppBound>> Workbench::wcrt(const wcrt::WcrtOptions& opt
 Report<std::vector<wcrt::AppBound>> Workbench::wcrt(const platform::UseCase& uc,
                                                     const wcrt::WcrtOptions& opts) {
   Timer timer;
-  scratch_view_.rebind(sys_, uc);  // zero-copy restriction, capacity reused
+  dse::AnalysisWorkspace& ws = serving_.ws;
+  ws.view.rebind(sys_, uc);  // zero-copy restriction, capacity reused
   Report<std::vector<wcrt::AppBound>> report;
-  const std::uint64_t fp = table_ != nullptr ? scratch_view_.fingerprint() : 0;
-  if (probe_wcrt(table_.get(), fp, opts, scratch_view_, report.value)) {
+  const std::uint64_t fp = table_ != nullptr ? ws.view.fingerprint() : 0;
+  if (probe_wcrt(table_.get(), fp, opts, ws.view, report.value)) {
     report.provenance = {"Analyzed Worst Case", 1, 1, timer.ms()};
     return report;
   }
   report.value.resize(uc.size());
-  wcrt::worst_case_bounds_into(scratch_view_, opts,
-                               engines_for(engines_, uc, ptr_scratch_), wcrt_ws_,
-                               report.value);
+  wcrt::worst_case_bounds_into(ws.view, opts, engines_for(ws.engines, uc, ws.engine_ptrs),
+                               serving_.wcrt, report.value);
   store_wcrt(table_.get(), fp, opts, report.value);
   report.provenance = {"Analyzed Worst Case", 1, 1, timer.ms()};
   return report;
@@ -333,42 +383,36 @@ Report<sim::SimResult> Workbench::simulate(const platform::UseCase& uc,
   return report;
 }
 
-// ---- sharded queries -------------------------------------------------------
+// ---- fanned-out queries ---------------------------------------------------
 
 Report<std::vector<UseCaseResult>> Workbench::sweep_use_cases(
     std::span<const platform::UseCase> use_cases, const SweepOptions& opts) {
   Timer timer;
   const prob::ContentionEstimator est(opts.estimator);
-  auto& workers = worker_sets(pool_.size());
-  if (sweep_scratch_.empty()) sweep_scratch_.resize(pool_.size());
-
   Report<std::vector<UseCaseResult>> report;
   report.value.resize(use_cases.size());
-  pool_.for_each_index(use_cases.size(), [&](std::size_t i, std::size_t w) {
-    // One engine-set clone per worker; each evaluation resets its engines,
-    // so the slot result is a pure function of the use-case — identical
-    // regardless of which worker computes it after which other items.
-    std::vector<analysis::ThroughputEngine>& engines = workers[w].engines;
-    SweepScratch& scratch = sweep_scratch_[w];
+  fan_out(use_cases.size(), [&](std::size_t i, Worker& worker) {
+    // Each evaluation resets its engines, so the slot result is a pure
+    // function of the use-case — identical regardless of which worker
+    // computes it after which other items. The zero-copy view over sys_ is
+    // the worker's own, so workers share nothing mutable.
+    dse::AnalysisWorkspace& ws = worker.ws;
     const platform::UseCase& uc = use_cases[i];
-    // Zero-copy restriction: the estimator and the bounds read the selected
-    // applications through the worker's view. Workers share nothing
-    // mutable, and a warm sweep allocates only its results.
-    scratch.view.rebind(sys_, uc);
+    ws.view.rebind(sys_, uc);
     UseCaseResult& out = report.value[i];
     out.use_case = uc;
     out.estimates.resize(uc.size());
-    est.estimate_into(scratch.view, {}, engines_for(engines, uc, scratch.engines),
-                      scratch.est, out.estimates);
+    est.estimate_into(ws.view, {}, engines_for(ws.engines, uc, ws.engine_ptrs), ws.est,
+                      out.estimates);
     if (opts.with_wcrt) {
       out.bounds.resize(uc.size());
-      wcrt::worst_case_bounds_into(scratch.view, opts.wcrt,
-                                   engines_for(engines, uc, scratch.engines),
-                                   scratch.wcrt, out.bounds);
+      wcrt::worst_case_bounds_into(ws.view, opts.wcrt,
+                                   engines_for(ws.engines, uc, ws.engine_ptrs),
+                                   worker.wcrt, out.bounds);
     }
   });
   report.provenance = {"sweep: " + std::string(prob::method_name(opts.estimator.method)),
-                       use_cases.size(), pool_.size(), timer.ms()};
+                       use_cases.size(), threads_, timer.ms()};
   return report;
 }
 
@@ -391,7 +435,8 @@ Report<std::vector<TopologyResult>> Workbench::sweep_topologies(
       // Session engines: topology changes neither application structure nor
       // the mapping, so the per-app ThroughputEngines apply unchanged.
       out.estimates.resize(uc.size());
-      est.estimate_into(view, {}, engines_for(engines_, uc, ptr_scratch_), est_ws_,
+      dse::AnalysisWorkspace& ws = serving_.ws;
+      est.estimate_into(view, {}, engines_for(ws.engines, uc, ws.engine_ptrs), ws.est,
                         out.estimates);
     }
     out.sim = sim::simulate(view, opts.sim);
@@ -406,20 +451,24 @@ Report<std::vector<double>> Workbench::score_mappings(
     std::span<const platform::Mapping> candidates,
     const prob::EstimatorOptions& opts) {
   Timer timer;
+  const prob::ContentionEstimator est(opts);
   Report<std::vector<double>> report;
-  report.value = dse::score_mappings(candidates, opts, &pool_, worker_sets(pool_.size()));
+  report.value.resize(candidates.size());
+  fan_out(candidates.size(), [&](std::size_t i, Worker& worker) {
+    report.value[i] = dse::score_mapping(candidates[i], est, mapping_workspace(worker));
+  });
   report.provenance = {"mapping score: " + std::string(prob::method_name(opts.method)),
-                       candidates.size(), pool_.size(), timer.ms()};
+                       candidates.size(), threads_, timer.ms()};
   return report;
 }
 
 Report<dse::MapperResult> Workbench::optimise_mapping(const dse::MapperOptions& opts) {
   Timer timer;
   Report<dse::MapperResult> report;
-  // The first worker workspace carries the scoring state, so repeated
-  // mapper queries skip the per-call graph copies and engine construction.
+  // Worker 0's workspace carries the scoring state, so repeated mapper
+  // queries skip the per-call graph copies and engine construction.
   report.value = dse::optimise_mapping(sys_.apps(), sys_.platform(), sys_.mapping(),
-                                       opts, worker_sets(1).front());
+                                       opts, mapping_workspace(serving_));
   report.provenance = {"simulated annealing", report.value.evaluations, 1,
                        timer.ms()};
   return report;

@@ -14,9 +14,12 @@
 //   * one sim::SimEngine over the whole system (flat event-driven
 //     structure built once; every simulation query — full or per
 //     use-case — is a reset + run),
-//   * a persistent thread pool that shards independent evaluations —
-//     use-case sweeps and candidate-mapping scoring — across workers with
-//     one engine-set clone per worker.
+//   * one workspace per worker of the fanned-out queries (use-case sweeps,
+//     candidate-mapping scoring). Worker 0 is the session itself, on its
+//     own engines and serving scratch; a query that fans out starts
+//     threads for workers 1.. and joins them before it returns, each on an
+//     engine-set clone kept for the next query. A session holds no idle
+//     thread.
 //
 // Every query returns Report<T>: the value plus provenance (method,
 // evaluation count, workers, wall time). Results are bitwise identical to
@@ -33,8 +36,10 @@
 #pragma once
 
 #include <cstddef>
+#include <deque>
 #include <memory>
 #include <span>
+#include <thread>
 #include <vector>
 
 #include "analysis/engine.h"
@@ -48,16 +53,16 @@
 #include "prob/estimator.h"
 #include "sim/sim_engine.h"
 #include "sim/simulator.h"
-#include "util/thread_pool.h"
 #include "wcrt/wcrt.h"
 
 namespace procon::api {
 
 /// \brief Session construction options.
 struct WorkbenchOptions {
-  /// Worker count for sharded queries (sweeps, candidate-mapping scoring).
-  /// 0 = one per hardware thread. 1 = fully serial (no background threads
-  /// at all).
+  /// Worker count of the fanned-out queries (sweep_use_cases,
+  /// score_mappings): each runs on min(threads, items) workers, the calling
+  /// thread plus threads the query starts and joins. 0 = one per hardware
+  /// thread. 1 = fully serial (no thread is ever started).
   std::size_t threads = 0;
   /// Optional shared transposition table memoising compact analysis results
   /// (periods, latencies, bottleneck and WCRT summaries) under this
@@ -112,12 +117,12 @@ struct TopologyResult {
 /// analysis and DSE entry point as a uniform, Report-returning query.
 ///
 /// Owns one analysis::ThroughputEngine and one cached HSDF expansion per
-/// application, one sim::SimEngine over the whole system, and a persistent
-/// thread pool for sharded queries; see the header comment above for the
-/// full caching contract.
+/// application, one sim::SimEngine over the whole system, and one workspace
+/// per worker of the fanned-out queries; see the header comment above for
+/// the full caching contract.
 ///
 /// Determinism: every query is bitwise identical to the corresponding
-/// one-shot (engines cold-start at each query boundary), and the sharded
+/// one-shot (engines cold-start at each query boundary), and the fanned-out
 /// queries return identical bits for any thread count.
 ///
 /// Thread-safety: a Workbench is a mutable session — queries update cached
@@ -200,14 +205,15 @@ class Workbench {
   [[nodiscard]] Report<sim::SimResult> simulate(const platform::UseCase& uc,
                                                 const sim::SimOptions& opts = {});
 
-  // ---- sharded queries (run on the session's thread pool) -----------------
+  // ---- fanned-out queries (WorkbenchOptions::threads workers) --------------
 
-  /// Estimates every given use-case, sharded across the pool with one
-  /// engine-set clone per worker. Results are in input order and bitwise
-  /// identical for any thread count (each use-case evaluation is a pure
-  /// function of the use-case and options). Each worker reuses its view,
-  /// estimator and WCRT workspaces from item to item, so a warm sweep
-  /// allocates only the results it returns.
+  /// Estimates every given use-case, fanned out over the session's workers
+  /// (worker 0 on the session's engines, the others on engine-set clones).
+  /// Results are in input order and bitwise identical for any thread count
+  /// (each use-case evaluation is a pure function of the use-case and
+  /// options). Each worker reuses its view, estimator and WCRT workspaces
+  /// from item to item, so a warm sweep allocates only the results it
+  /// returns and the handles of the threads it starts.
   [[nodiscard]] Report<std::vector<UseCaseResult>> sweep_use_cases(
       std::span<const platform::UseCase> use_cases, const SweepOptions& opts = {});
 
@@ -227,8 +233,8 @@ class Workbench {
       const TopologySweepOptions& opts = {});
 
   /// Scores candidate mappings of the session's applications (max estimated
-  /// slowdown; == dse::evaluate_mapping per candidate), sharded across the
-  /// pool (== dse::score_mappings on the session's worker workspaces).
+  /// slowdown; == dse::evaluate_mapping per candidate), fanned out over the
+  /// session's workers (dse::score_mapping on each worker's workspace).
   /// Results in input order, bitwise identical for any thread count.
   /// Throws sdf::GraphError for a candidate that maps an actor to a node the
   /// platform does not have.
@@ -237,9 +243,9 @@ class Workbench {
       const prob::EstimatorOptions& opts = {});
 
   /// Simulated-annealing mapping exploration from the session's current
-  /// mapping (== dse::optimise_mapping on the session's first worker
-  /// workspace). One candidate is scored per step on the calling thread, so
-  /// the result does not depend on the thread count.
+  /// mapping (== dse::optimise_mapping on worker 0's workspace). One
+  /// candidate is scored per step on the calling thread, so the result does
+  /// not depend on the thread count.
   [[nodiscard]] Report<dse::MapperResult> optimise_mapping(
       const dse::MapperOptions& opts = {});
 
@@ -259,43 +265,49 @@ class Workbench {
   }
 
  private:
+  /// One worker's mutable state for the fanned-out queries: a workspace
+  /// (view, engine list and estimator scratch; for mapping queries also a
+  /// copy of the system whose mapping each candidate rebinds) over borrowed
+  /// engines, and a WCRT workspace. Worker 0 is the session itself
+  /// (serving_, over engines_); each worker w >= 1 owns the engine clone its
+  /// workspace borrows.
+  struct Worker {
+    std::vector<analysis::ThroughputEngine> engines;  // empty for worker 0
+    dse::AnalysisWorkspace ws;
+    wcrt::WcrtWorkspace wcrt;
+    bool has_system = false;  // ws.sys is a copy of sys_
+  };
+
   void check_app(sdf::AppId app) const;
   /// Shared core of contention()/contention_view(): runs the estimator in
   /// the session workspace, serves the result via contention_report_.
   const Report<std::span<const prob::AppEstimate>>& contention_core(
       const platform::UseCase& uc, const prob::EstimatorOptions& opts);
-  /// Worker-local mutable state for sharded queries: a system clone whose
-  /// mapping may be rebound, plus one engine clone per application. Grown
-  /// lazily to at least `count` workspaces (sharded queries ask for one per
-  /// pool worker, optimise_mapping for one) and reused by every later query.
-  std::vector<dse::AnalysisWorkspace>& worker_sets(std::size_t count);
+  /// Runs body(item, worker) for every item in [0, count) on min(threads_,
+  /// count) workers; see workbench.cpp.
+  template <typename Body>
+  void fan_out(std::size_t count, const Body& body);
+  /// `w`'s workspace with its copy of sys_ made (on first use), for the
+  /// mapping queries.
+  dse::AnalysisWorkspace& mapping_workspace(Worker& w);
   /// The session's simulation engine (lazy; structure flattened once).
   sim::SimEngine& sim_engine();
 
   platform::System sys_;
   std::shared_ptr<analysis::TranspositionTable> table_;  // nullptr = off
   std::vector<analysis::ThroughputEngine> engines_;  // one per application
-  util::ThreadPool pool_;
-  std::vector<dse::AnalysisWorkspace> workers_;      // lazy, for sharded queries
-  /// Per-worker scratch of sweep_use_cases, beside workers_' engine clones:
-  /// the view is rebound and the workspaces reused from item to item.
-  struct SweepScratch {
-    platform::SystemView view;
-    std::vector<analysis::ThroughputEngine*> engines;
-    prob::EstimatorWorkspace est;
-    wcrt::WcrtWorkspace wcrt;
-  };
-  std::vector<SweepScratch> sweep_scratch_;          // lazy, one per worker
+  std::size_t threads_ = 1;                          // resolved options.threads
+  // Worker 0, the session: its serving view, engine list and estimator and
+  // WCRT workspaces serve the serial queries as well as worker 0's share of
+  // the fanned-out ones.
+  Worker serving_;
+  std::deque<Worker> workers_;         // workers 1.., built on first use
+  std::vector<std::thread> started_;   // handles of workers 1.., storage reused
   std::vector<sim::SimEngine> sim_engine_;           // lazy, 0 or 1 entries
 
-  // Steady-state serving scratch: session-owned arenas behind the
-  // allocation-free contention_view and the serial wcrt and topology
-  // queries. All grow-only; see the method docs for lifetime rules.
+  // Steady-state serving results: the allocation-free contention_view
+  // serves spans into these grow-only slots.
   platform::UseCase full_uc_;                        // 0..N-1, built once
-  platform::SystemView scratch_view_;                // rebound per query
-  std::vector<analysis::ThroughputEngine*> ptr_scratch_;
-  prob::EstimatorWorkspace est_ws_;
-  wcrt::WcrtWorkspace wcrt_ws_;
   std::vector<prob::AppEstimate> est_pool_;          // grow-only result slots
   Report<std::span<const prob::AppEstimate>> contention_report_;
 

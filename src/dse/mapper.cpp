@@ -15,13 +15,20 @@ namespace {
 constexpr double kInitialTemperature = 1.0;
 constexpr double kCooling = 0.995;
 
-/// Scores the workspace's current mapping as a pure function of it: engines
-/// are reset to a cold start first, so the result does not depend on which
-/// candidates the same engines evaluated before — the property that makes
-/// sharded scoring bitwise deterministic across worker counts. The engine
-/// pointers and the view are rebound on every call because the workspace
-/// may have moved since the last one.
-double score_system(AnalysisWorkspace& ws, const prob::ContentionEstimator& est) {
+/// Per-step randomness: an independent short stream derived from (seed,
+/// step), from which each step draws its move and its acceptance draw.
+util::Rng step_rng(std::uint64_t seed, std::size_t step) {
+  return util::Rng(seed ^ (0x9E3779B97F4A7C15ULL * (static_cast<std::uint64_t>(step) + 1)));
+}
+
+}  // namespace
+
+double score_mapping(const platform::Mapping& candidate,
+                     const prob::ContentionEstimator& estimator, AnalysisWorkspace& ws) {
+  ws.sys.set_mapping(candidate);
+  // Cold engines make the score a pure function of the candidate, whichever
+  // candidates the same engines scored before. The engine list and the view
+  // are rebound on every call because the workspace may have moved since.
   ws.engine_ptrs.clear();
   for (analysis::ThroughputEngine& e : ws.engines) {
     e.reset();
@@ -31,19 +38,11 @@ double score_system(AnalysisWorkspace& ws, const prob::ContentionEstimator& est)
   std::iota(ws.full_use_case.begin(), ws.full_use_case.end(), sdf::AppId{0});
   ws.view.rebind(ws.sys, ws.full_use_case);
   ws.estimates.resize(ws.engines.size());
-  est.estimate_into(ws.view, {}, ws.engine_ptrs, ws.est, ws.estimates);
+  estimator.estimate_into(ws.view, {}, ws.engine_ptrs, ws.est, ws.estimates);
   double worst = 0.0;
   for (const auto& e : ws.estimates) worst = std::max(worst, e.normalised_period());
   return worst;
 }
-
-/// Per-step randomness: an independent short stream derived from (seed,
-/// step), from which each step draws its move and its acceptance draw.
-util::Rng step_rng(std::uint64_t seed, std::size_t step) {
-  return util::Rng(seed ^ (0x9E3779B97F4A7C15ULL * (static_cast<std::uint64_t>(step) + 1)));
-}
-
-}  // namespace
 
 double evaluate_mapping(std::span<const sdf::Graph> apps,
                         const platform::Platform& platform,
@@ -53,33 +52,11 @@ double evaluate_mapping(std::span<const sdf::Graph> apps,
   ws.sys = platform::System(std::vector<sdf::Graph>(apps.begin(), apps.end()),
                             platform, mapping);
   ws.sys.validate();
-  ws.engines.reserve(apps.size());
-  for (const sdf::Graph& g : apps) ws.engines.emplace_back(g);
-  return score_system(ws, prob::ContentionEstimator(estimator));
-}
-
-std::vector<double> score_mappings(std::span<const platform::Mapping> candidates,
-                                   const prob::EstimatorOptions& estimator,
-                                   util::ThreadPool* pool,
-                                   std::span<AnalysisWorkspace> workspaces) {
-  if (workspaces.empty()) {
-    throw std::invalid_argument("score_mappings: need at least one workspace");
-  }
-  const prob::ContentionEstimator est(estimator);
-  std::vector<double> scores(candidates.size(), 0.0);
-  const auto score_one = [&](std::size_t i, std::size_t w) {
-    AnalysisWorkspace& ws = workspaces[w];
-    ws.sys.set_mapping(candidates[i]);
-    scores[i] = score_system(ws, est);
-  };
-  // The pool hands out worker ids up to its own size, so sharding needs a
-  // workspace per pool worker; with fewer workspaces score serially.
-  if (pool != nullptr && workspaces.size() >= pool->size()) {
-    pool->for_each_index(candidates.size(), score_one);
-  } else {
-    for (std::size_t i = 0; i < candidates.size(); ++i) score_one(i, 0);
-  }
-  return scores;
+  std::vector<analysis::ThroughputEngine> engines;
+  engines.reserve(apps.size());
+  for (const sdf::Graph& g : apps) engines.emplace_back(g);
+  ws.engines = engines;
+  return score_mapping(mapping, prob::ContentionEstimator(estimator), ws);
 }
 
 MapperResult optimise_mapping(std::span<const sdf::Graph> apps,
@@ -92,8 +69,7 @@ MapperResult optimise_mapping(std::span<const sdf::Graph> apps,
   const prob::ContentionEstimator est(options.estimator);
   MapperResult result;
   result.mapping = start;
-  ws.sys.set_mapping(start);
-  result.score = score_system(ws, est);
+  result.score = score_mapping(start, est, ws);
   result.initial_score = result.score;
   result.evaluations = 1;
 
@@ -127,8 +103,7 @@ MapperResult optimise_mapping(std::span<const sdf::Graph> apps,
 
     candidate = current;
     candidate.assign(slot.app, slot.actor, new_node);
-    ws.sys.set_mapping(candidate);
-    const double score = score_system(ws, est);
+    const double score = score_mapping(candidate, est, ws);
     ++result.evaluations;
 
     // Metropolis acceptance at a geometrically cooling temperature.

@@ -9,9 +9,9 @@
 //
 // The annealer proposes, scores and accepts one move per step. Each step's
 // move and acceptance draw depend only on (seed, step index) and the
-// current mapping, so a run is a pure function of its inputs. Scoring a
-// list of candidates (score_mappings) is the parallel query: candidates
-// shard across a thread pool with one workspace per worker.
+// current mapping, so a run is a pure function of its inputs. A session
+// scoring a list of candidates (api::Workbench::score_mappings) calls
+// score_mapping once per candidate, on one workspace per worker.
 #pragma once
 
 #include <cstdint>
@@ -22,29 +22,28 @@
 #include "platform/system.h"
 #include "platform/system_view.h"
 #include "prob/estimator.h"
-#include "util/thread_pool.h"
 
 namespace procon::dse {
 
 /// \brief Worker-local mutable scoring state: a system whose mapping is
-/// rebound per candidate, one engine per application, and the scratch the
-/// estimator scores a candidate in.
+/// rebound per candidate, the engines the candidates are scored on, and the
+/// scratch the estimator scores a candidate in.
 ///
-/// Callers fill `sys` and `engines`; the other fields are grow-only
-/// scratch that scoring fills and rebinds on every candidate, so a
-/// workspace may move between calls. Once a workspace has scored one
-/// candidate, scoring another allocates nothing. Sessions (api::Workbench)
-/// keep one per pool worker and hand them to score_mappings (all of them)
-/// and optimise_mapping (the first), so repeated queries skip the per-call
-/// graph copies and engine construction.
+/// Callers fill `sys` and point `engines` at one engine per application of
+/// `sys`, which the workspace borrows (they must outlive its use); the
+/// other fields are grow-only scratch that scoring fills and rebinds on
+/// every candidate, so a workspace may move between calls. Once a workspace
+/// has scored one candidate, scoring another allocates nothing. Sessions
+/// (api::Workbench) keep one per worker: worker 0's borrows the session's
+/// own engines, every other worker's an engine clone.
 struct AnalysisWorkspace {
-  platform::System sys;                             ///< mapping rebound per candidate
-  std::vector<analysis::ThroughputEngine> engines;  ///< one per application
+  platform::System sys;                           ///< mapping rebound per candidate
+  std::span<analysis::ThroughputEngine> engines;  ///< borrowed, one per application
   std::vector<analysis::ThroughputEngine*> engine_ptrs;  ///< `engines`, by address
-  prob::EstimatorWorkspace est;                     ///< estimator scratch
-  std::vector<prob::AppEstimate> estimates;         ///< result slots, one per application
-  platform::UseCase full_use_case;                  ///< 0..N-1
-  platform::SystemView view;                        ///< full view of `sys`
+  prob::EstimatorWorkspace est;                   ///< estimator scratch
+  std::vector<prob::AppEstimate> estimates;       ///< result slots, one per application
+  platform::UseCase full_use_case;                ///< 0..N-1
+  platform::SystemView view;                      ///< full view of `sys`
 };
 
 /// Annealing configuration. The temperature starts at 1 and decays by a
@@ -73,17 +72,14 @@ struct MapperResult {
                                       const platform::Mapping& mapping,
                                       const prob::EstimatorOptions& estimator = {});
 
-/// Scores candidate mappings of the workspaces' applications, in input
-/// order; each value is bitwise dse::evaluate_mapping of that candidate.
-/// `workspaces[w]` serves pool worker w: with one workspace per pool worker
-/// the candidates shard across `pool`, otherwise (or with pool == nullptr)
-/// they are scored serially on workspaces[0]. At least one workspace is
-/// required; their mappings are overwritten. Throws sdf::GraphError for a
+/// Scores `candidate` on `ws`, bitwise dse::evaluate_mapping of the
+/// workspace's applications and platform under it; `ws.sys` keeps it as
+/// its mapping. The engines are reset first, so the score does not depend
+/// on what the workspace scored before. Throws sdf::GraphError for a
 /// candidate that maps an actor to a node the platform does not have.
-[[nodiscard]] std::vector<double> score_mappings(
-    std::span<const platform::Mapping> candidates,
-    const prob::EstimatorOptions& estimator, util::ThreadPool* pool,
-    std::span<AnalysisWorkspace> workspaces);
+[[nodiscard]] double score_mapping(const platform::Mapping& candidate,
+                                   const prob::ContentionEstimator& estimator,
+                                   AnalysisWorkspace& ws);
 
 /// Simulated annealing from `start` (use Mapping::by_index / random /
 /// load_balanced to seed it): one move proposed, scored and accepted or
@@ -91,8 +87,8 @@ struct MapperResult {
 ///
 /// Every candidate is scored on `ws`, a caller-owned workspace over the
 /// same applications and platform; its mapping is overwritten.
-/// api::Workbench::optimise_mapping runs it on the session's first worker
-/// workspace. Throws std::invalid_argument for an incomplete start mapping
+/// api::Workbench::optimise_mapping runs it on the session's own workspace
+/// (worker 0's). Throws std::invalid_argument for an incomplete start mapping
 /// on a platform with more than one node.
 [[nodiscard]] MapperResult optimise_mapping(std::span<const sdf::Graph> apps,
                                             const platform::Platform& platform,

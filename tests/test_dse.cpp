@@ -14,12 +14,14 @@ using procon::testing::fig2_graph_b;
 
 std::vector<sdf::Graph> two_apps() { return {fig2_graph_a(), fig2_graph_b()}; }
 
-/// Serial annealing on one freshly built workspace.
+/// Serial annealing on one freshly built workspace over its own engines.
 MapperResult anneal(std::span<const sdf::Graph> apps, const platform::Platform& plat,
                     const platform::Mapping& start, const MapperOptions& opts = {}) {
+  std::vector<analysis::ThroughputEngine> engines;
+  for (const sdf::Graph& g : apps) engines.emplace_back(g);
   AnalysisWorkspace ws;
   ws.sys = platform::System(std::vector<sdf::Graph>(apps.begin(), apps.end()), plat, start);
-  for (const sdf::Graph& g : apps) ws.engines.emplace_back(g);
+  ws.engines = engines;
   return optimise_mapping(apps, plat, start, opts, ws);
 }
 

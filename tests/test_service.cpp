@@ -6,8 +6,9 @@
 //  * coalescing: identical in-flight queries share one execution and one
 //    completion state;
 //  * session LRU: eviction under a capacity bound is correctness-neutral
-//    (rebuilt sessions answer identically), and bitwise-identical
-//    registrations share one live session;
+//    (rebuilt sessions answer identically), an overflow made while every
+//    session was busy is trimmed once a drainer goes idle, and
+//    bitwise-identical registrations share one live session;
 //  * result cache: a repeated query is served without re-execution, also
 //    after its session was evicted, and a query that differs from a cached
 //    one in any option executes.
@@ -270,6 +271,38 @@ TEST(AnalysisService, SessionLruEvictionIsCorrectnessNeutral) {
   EXPECT_EQ(service.session_count(), 1u);
   EXPECT_EQ(stats.sessions_built, 6u);    // rebuilt on every alternation
   EXPECT_EQ(stats.sessions_evicted, 5u);  // all but the live one
+}
+
+TEST(AnalysisService, IdleDrainerTrimsOverflowToCapacity) {
+  // Capacity 1, one background worker. B's submit misses while A's session
+  // is busy with a long simulation, so the store overflows to two
+  // sessions; the drainer that goes idle first trims it back to one.
+  const platform::System sys_a = random_system(91, 3);
+  const platform::System sys_b = random_system(92, 3);
+  api::Workbench oracle_a(sys_a, api::WorkbenchOptions{.threads = 1});
+  api::Workbench oracle_b(sys_b, api::WorkbenchOptions{.threads = 1});
+  AnalysisService service(ServiceOptions{.threads = 2, .session_capacity = 1});
+  const SystemId a = service.register_system(sys_a);
+  const SystemId b = service.register_system(sys_b);
+
+  // TDMA runs never fast-forward, so this one steps every event.
+  QueryDesc slow;
+  slow.kind = QueryKind::Simulate;
+  slow.sim.horizon = 3'000'000;
+  slow.sim.arbitration = sim::Arbitration::Tdma;
+  QueryDesc q;
+  q.kind = QueryKind::Contention;
+  const auto on_a = service.submit(a, slow);
+  const auto on_b = service.submit(b, q);
+
+  service.drain();
+  EXPECT_EQ(service.session_count(), 1u);
+  EXPECT_GE(service.stats().sessions_evicted, 1u);
+  expect_same_sim(*std::get<api::Report<sim::SimResult>>(on_a.get()),
+                  *oracle_a.simulate(slow.sim));
+  expect_same_estimates(
+      *std::get<api::Report<std::vector<prob::AppEstimate>>>(on_b.get()),
+      *oracle_b.contention(q.estimator));
 }
 
 TEST(AnalysisService, IdenticalRegistrationsShareOneSession) {

@@ -15,8 +15,8 @@
 //  * warm Workbench::contention_view queries run entirely in the session's
 //    persistent estimator workspace — ZERO heap allocations;
 //  * warm mapping queries (score_mappings, optimise_mapping) score every
-//    candidate in the session's worker workspace: fewer allocations per
-//    query than candidates.
+//    candidate in the session's own workspace: fewer allocations per query
+//    than candidates.
 //
 // Each warm bracket is additionally armed (util/contracts.h ArmGuard), so
 // the PROCON_ASSERT_NO_ALLOC scopes inside the library's annotated warm
@@ -449,15 +449,16 @@ TEST(SteadyStateAlloc, DeepFixedPointContentionIsThreadCountInvariant) {
 }
 
 // A warm Workbench::sweep_use_cases runs in per-worker scratch (view,
-// estimator and WCRT workspaces, engine list) kept beside the worker's
-// engine clones, so it allocates only what it returns: the result vector,
-// each item's use-case copy, estimate and bound vectors and their per-app
-// actor vectors, the provenance string and the pool's job wrapper.
+// estimator and WCRT workspaces, engine list; worker 0's is the session's
+// own), so it allocates only what it returns: the result vector, each
+// item's use-case copy, estimate and bound vectors and their per-app actor
+// vectors, the provenance string and, at two threads, the state of the one
+// thread it starts (its handle's storage is reused).
 TEST(SteadyStateAlloc, WarmSweepAllocatesOnlyItsResults) {
   const platform::System sys = random_system(31, 5);
   const auto use_cases = gen::all_use_cases(sys.app_count());
   for (const bool with_wcrt : {false, true}) {
-    std::uint64_t bound = 1 + 2 + 1;  // result vector, provenance, job wrapper
+    std::uint64_t bound = 1 + 2 + 1;  // result vector, provenance, started thread
     for (const auto& uc : use_cases) {
       bound += 2 + uc.size();  // use-case copy, estimates, actor vectors
       if (with_wcrt) bound += 1 + uc.size();  // bounds, actor vectors
@@ -469,7 +470,7 @@ TEST(SteadyStateAlloc, WarmSweepAllocatesOnlyItsResults) {
       api::Workbench wb(sys, api::WorkbenchOptions{.threads = threads});
       (void)wb.sweep_use_cases(use_cases, opts);  // sizes the worker scratch
       // With one worker the second sweep repeats the first item for item.
-      // With two, the pool hands items out dynamically, so a worker can
+      // With two, the workers take items dynamically, so a worker can
       // meet an item shape (or its first item at all) only in a later sweep,
       // and its grow-only scratch grows once more then: it must settle
       // within a few sweeps, never allocate per item.

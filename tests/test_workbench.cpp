@@ -1,8 +1,8 @@
 // The Workbench session contract: every query is bitwise identical to the
 // legacy free function it replaces (the session caches structure, never
 // changes results), queries are history-independent (cold start at every
-// query boundary), and the sharded queries return the same bits for any
-// thread count.
+// query boundary), and the fanned-out queries return the same bits for any
+// thread count, also on a session whose earlier fan-out threw.
 #include "api/workbench.h"
 
 #include <gtest/gtest.h>
@@ -285,9 +285,11 @@ TEST(Workbench, OptimiseMappingMatchesParentBits) {
   opts.seed = 5;
   Workbench one(sys, WorkbenchOptions{.threads = 1});
   Workbench four(sys, WorkbenchOptions{.threads = 4});
+  std::vector<analysis::ThroughputEngine> engines;
+  for (const sdf::Graph& g : sys.apps()) engines.emplace_back(g);
   dse::AnalysisWorkspace ws;
   ws.sys = sys;
-  for (const sdf::Graph& g : sys.apps()) ws.engines.emplace_back(g);
+  ws.engines = engines;
   const std::vector<platform::NodeId> want{3, 5, 5, 6, 2, 1, 0, 0, 6,
                                            0, 4, 0, 2, 1, 0, 2, 0};
   for (const dse::MapperResult& r :
@@ -304,6 +306,31 @@ TEST(Workbench, OptimiseMappingMatchesParentBits) {
       }
     }
     EXPECT_EQ(nodes, want);
+  }
+}
+
+TEST(Workbench, ThrowingSweepItemLeavesSessionUsable) {
+  // A 4-thread sweep whose middle use-case names an unknown application:
+  // the item throws on whichever worker takes it, the sweep rethrows after
+  // joining its workers, and the next sweep on the same session equals a
+  // fresh serial session's, bit for bit.
+  const auto sys = random_system(42, 5);
+  std::vector<platform::UseCase> use_cases = gen::all_use_cases(sys.app_count());
+  std::vector<platform::UseCase> bad = use_cases;
+  bad[bad.size() / 2] = platform::UseCase{0, 99};
+  SweepOptions opts;
+  opts.with_wcrt = true;
+
+  Workbench four(sys, WorkbenchOptions{.threads = 4});
+  EXPECT_THROW((void)four.sweep_use_cases(bad, opts), std::exception);
+  const auto after = four.sweep_use_cases(use_cases, opts);
+  Workbench one(sys, WorkbenchOptions{.threads = 1});
+  const auto fresh = one.sweep_use_cases(use_cases, opts);
+  ASSERT_EQ(after->size(), fresh->size());
+  for (std::size_t i = 0; i < fresh->size(); ++i) {
+    EXPECT_EQ((*after)[i].use_case, (*fresh)[i].use_case);
+    expect_estimates_equal((*after)[i].estimates, (*fresh)[i].estimates);
+    expect_bounds_equal((*after)[i].bounds, (*fresh)[i].bounds);
   }
 }
 

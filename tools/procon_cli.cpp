@@ -19,7 +19,7 @@
 //   simulate <file> [--horizon N] [--arbitration fcfs|rr|tdma]
 //       Reference discrete-event simulation of the same system.
 //   sweep <file> [--full | --per-size N] [--threads T] [--method ...]
-//       Estimate every (or a sampled set of) use-case(s), sharded across T
+//       Estimate every (or a sampled set of) use-case(s), fanned out over T
 //       workers (0 = one per hardware thread).
 //   serve <file> [--clients N] [--queries Q] [--threads T] [--capacity S]
 //       Drive an api::AnalysisService end to end: register the file's
@@ -28,16 +28,22 @@
 //       serial Workbench oracle (exit 1 on any mismatch). Repeats coalesce
 //       in flight or hit the result cache, which outlives session
 //       eviction, so at --capacity 1 --threads 1 only each distinct query's
-//       first submit executes. Prints the service counters (coalesced,
-//       result-cache hits, executions, sessions built/evicted) and a
-//       tt-stats line for the shared transposition table.
+//       first submit executes. Drains the service, then prints its
+//       counters (coalesced, result-cache hits, executions, sessions
+//       built/evicted/live) and a tt-stats line for the shared
+//       transposition table; exits 1 when more sessions than the capacity
+//       are still live.
 //   buffers <file>
-//       Buffer-capacity / period Pareto frontier per graph (incremental
-//       explorer).
+//       Buffer-capacity / period Pareto frontier per graph (a fresh engine
+//       per candidate capacity vector).
 //   dot <file>
 //       Graphviz DOT for every graph on stdout.
 //   selftest
 //       End-to-end smoke test (used by CTest); exits non-zero on failure.
+//
+// Every numeric flag must be one whole decimal integer in range: a value
+// such as 5e5, 2x or (for a count) -1 is an error, exit 1.
+#include <charconv>
 #include <fstream>
 #include <iostream>
 #include <sstream>
@@ -114,6 +120,23 @@ bool has_flag(int argc, char** argv, const std::string& flag) {
   return false;
 }
 
+/// The value after `flag` as one whole integer token of type T, or
+/// `fallback` when the flag is absent. std::from_chars must consume all of
+/// it without overflow, so "5e5", "2x" and a missing value fail instead of
+/// reading as their leading digits, and an unsigned T rejects a minus sign.
+template <typename T>
+T flag_integer(int argc, char** argv, const std::string& flag, T fallback) {
+  if (!has_flag(argc, argv, flag)) return fallback;
+  const std::string token = flag_value(argc, argv, flag, "");
+  T value{};
+  const char* last = token.data() + token.size();
+  const auto [ptr, ec] = std::from_chars(token.data(), last, value);
+  if (ec != std::errc{} || ptr != last) {
+    throw std::runtime_error(flag + ": malformed or out-of-range integer '" + token + "'");
+  }
+  return value;
+}
+
 void print_provenance(const api::Provenance& p) {
   std::cout << "[" << p.method << ": " << p.evaluations << " evaluation(s), "
             << p.threads << " thread(s), " << util::format_double(p.wall_ms, 2)
@@ -121,13 +144,11 @@ void print_provenance(const api::Provenance& p) {
 }
 
 int cmd_generate(int argc, char** argv) {
-  util::Rng rng(std::stoull(flag_value(argc, argv, "--seed", "2007")));
+  util::Rng rng(flag_integer<std::uint64_t>(argc, argv, "--seed", 2007));
   gen::GeneratorOptions opts;
-  opts.min_actors = static_cast<std::uint32_t>(
-      std::stoul(flag_value(argc, argv, "--min-actors", "8")));
-  opts.max_actors = static_cast<std::uint32_t>(
-      std::stoul(flag_value(argc, argv, "--max-actors", "10")));
-  const auto count = std::stoull(flag_value(argc, argv, "--count", "1"));
+  opts.min_actors = flag_integer<std::uint32_t>(argc, argv, "--min-actors", 8);
+  opts.max_actors = flag_integer<std::uint32_t>(argc, argv, "--max-actors", 10);
+  const auto count = flag_integer<std::size_t>(argc, argv, "--count", 1);
   for (const auto& g : gen::generate_graphs(rng, opts, count)) {
     sdf::write_graph(std::cout, g);
   }
@@ -188,8 +209,8 @@ prob::EstimatorOptions parse_estimator(int argc, char** argv) {
   else if (m == "inverse") opts.method = prob::Method::CompositionInverse;
   else if (m == "mth") opts.method = prob::Method::MthOrder;
   else throw std::runtime_error("unknown method " + m);
-  opts.order = std::stoi(flag_value(argc, argv, "--order", "2"));
-  opts.iterations = std::stoi(flag_value(argc, argv, "--iterations", "1"));
+  opts.order = flag_integer<int>(argc, argv, "--order", 2);
+  opts.iterations = flag_integer<int>(argc, argv, "--iterations", 1);
   return opts;
 }
 
@@ -222,7 +243,7 @@ int cmd_simulate(int argc, char** argv) {
   api::Workbench wb(make_system(load_graphs(argv[2])),
                     api::WorkbenchOptions{.threads = 1});
   sim::SimOptions sopts;
-  sopts.horizon = std::stoll(flag_value(argc, argv, "--horizon", "500000"));
+  sopts.horizon = flag_integer<sdf::Time>(argc, argv, "--horizon", 500'000);
   const std::string arb = flag_value(argc, argv, "--arbitration", "fcfs");
   if (arb == "fcfs") sopts.arbitration = sim::Arbitration::Fcfs;
   else if (arb == "rr") sopts.arbitration = sim::Arbitration::RoundRobin;
@@ -251,8 +272,7 @@ int cmd_simulate(int argc, char** argv) {
 
 int cmd_sweep(int argc, char** argv) {
   if (argc < 3) return usage(2);
-  const auto threads = static_cast<std::size_t>(
-      std::stoull(flag_value(argc, argv, "--threads", "0")));
+  const auto threads = flag_integer<std::size_t>(argc, argv, "--threads", 0);
   api::Workbench wb(make_system(load_graphs(argv[2])),
                     api::WorkbenchOptions{.threads = threads});
 
@@ -260,9 +280,8 @@ int cmd_sweep(int argc, char** argv) {
   if (has_flag(argc, argv, "--full")) {
     use_cases = gen::all_use_cases(wb.app_count());
   } else {
-    util::Rng rng(std::stoull(flag_value(argc, argv, "--seed", "2007")));
-    const auto per_size = static_cast<std::size_t>(
-        std::stoull(flag_value(argc, argv, "--per-size", "8")));
+    util::Rng rng(flag_integer<std::uint64_t>(argc, argv, "--seed", 2007));
+    const auto per_size = flag_integer<std::size_t>(argc, argv, "--per-size", 8);
     use_cases = gen::sample_use_cases(wb.app_count(), per_size, rng);
   }
 
@@ -293,14 +312,10 @@ int cmd_sweep(int argc, char** argv) {
 
 int cmd_serve(int argc, char** argv) {
   if (argc < 3) return usage(2);
-  const auto clients = static_cast<std::size_t>(
-      std::stoull(flag_value(argc, argv, "--clients", "4")));
-  const auto queries = static_cast<std::size_t>(
-      std::stoull(flag_value(argc, argv, "--queries", "32")));
-  const auto threads = static_cast<std::size_t>(
-      std::stoull(flag_value(argc, argv, "--threads", "0")));
-  const auto capacity = static_cast<std::size_t>(
-      std::stoull(flag_value(argc, argv, "--capacity", "4")));
+  const auto clients = flag_integer<std::size_t>(argc, argv, "--clients", 4);
+  const auto queries = flag_integer<std::size_t>(argc, argv, "--queries", 32);
+  const auto threads = flag_integer<std::size_t>(argc, argv, "--threads", 0);
+  const auto capacity = flag_integer<std::size_t>(argc, argv, "--capacity", 4);
 
   auto graphs = load_graphs(argv[2]);
   // Two tenants from one file: the full set, and the set without its last
@@ -363,7 +378,10 @@ int cmd_serve(int argc, char** argv) {
     }
   }
 
+  // Every drainer idle: the store is trimmed back to its capacity.
+  service.drain();
   const api::ServiceStats stats = service.stats();
+  const std::size_t live = service.session_count();
   util::Table table("AnalysisService: " + std::to_string(clients) +
                     " client(s) x " + std::to_string(queries) + " queries");
   table.set_header({"counter", "value"});
@@ -375,7 +393,7 @@ int cmd_serve(int argc, char** argv) {
   table.add_row({"executed", std::to_string(stats.executed)});
   table.add_row({"sessions built", std::to_string(stats.sessions_built)});
   table.add_row({"sessions evicted", std::to_string(stats.sessions_evicted)});
-  table.add_row({"live sessions", std::to_string(service.session_count())});
+  table.add_row({"live sessions", std::to_string(live)});
   std::cout << table.render();
 
   // Shared transposition table: one line so an operator can see at a glance
@@ -389,6 +407,11 @@ int cmd_serve(int argc, char** argv) {
 
   if (mismatches != 0) {
     std::cerr << "error: service results diverged from the serial oracle\n";
+    return 1;
+  }
+  if (live > std::max<std::size_t>(capacity, 1)) {
+    std::cerr << "error: " << live << " sessions live after drain, above the capacity of "
+              << capacity << "\n";
     return 1;
   }
   return 0;
@@ -467,7 +490,7 @@ int cmd_selftest() {
     CLI_CHECK((*est)[i].estimated_period == fresh[i].estimated_period);
   }
 
-  // A sharded sweep must not depend on the worker count.
+  // A fanned-out sweep must not depend on the worker count.
   const auto use_cases = gen::all_use_cases(wb.app_count());
   api::Workbench serial(make_system(parsed), api::WorkbenchOptions{.threads = 1});
   const auto a = serial.sweep_use_cases(use_cases);
