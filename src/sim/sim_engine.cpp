@@ -38,10 +38,8 @@ void SimEngine::build(const platform::SystemView& view) {
 
   // Flatten actors and channels over every selected application; adjacency
   // is gathered in per-actor buckets first, then packed into CSR arrays.
-  std::vector<std::vector<std::uint32_t>> in_of;
-  std::vector<std::vector<std::uint32_t>> out_of;
-  std::vector<std::uint32_t> chan_src;  // flat channel -> producer flat actor
-  std::uint32_t chan_base = 0;
+  std::vector<std::vector<InEdge>> in_of;
+  std::vector<std::vector<OutEdge>> out_of;
   for (AppId i = 0; i < view.app_count(); ++i) {
     const sdf::Graph& g = view.app(i);
     app_actor_base_.push_back(actor_count_);
@@ -58,22 +56,18 @@ void SimEngine::build(const platform::SystemView& view) {
     }
     for (sdf::ChannelId c = 0; c < g.channel_count(); ++c) {
       const sdf::Channel& ch = g.channel(c);
-      const std::uint32_t cid = chan_base + c;
+      const auto chan = static_cast<std::uint32_t>(init_tokens_.size());
+      const std::uint32_t dst = app_actor_base_[i] + ch.dst;
       init_tokens_.push_back(ch.initial_tokens);
-      chan_cons_.push_back(ch.cons_rate);
-      chan_prod_.push_back(ch.prod_rate);
-      chan_dst_.push_back(app_actor_base_[i] + ch.dst);
-      chan_src.push_back(app_actor_base_[i] + ch.src);
-      in_of[app_actor_base_[i] + ch.dst].push_back(cid);
-      out_of[app_actor_base_[i] + ch.src].push_back(cid);
+      in_of[dst].push_back(InEdge{chan, ch.cons_rate});
+      out_of[app_actor_base_[i] + ch.src].push_back(
+          OutEdge{chan, dst, node_of_[dst], ch.prod_rate, ch.cons_rate});
     }
-    chan_base += static_cast<std::uint32_t>(g.channel_count());
   }
   app_actor_base_.push_back(actor_count_);
 
-  const auto pack = [this](const std::vector<std::vector<std::uint32_t>>& lists,
-                           std::vector<std::uint32_t>& start,
-                           std::vector<std::uint32_t>& flat) {
+  const auto pack = [this](const auto& lists, std::vector<std::uint32_t>& start,
+                           auto& flat) {
     start.assign(actor_count_ + 1, 0);
     std::uint32_t total = 0;
     for (std::uint32_t a = 0; a < actor_count_; ++a) {
@@ -84,29 +78,29 @@ void SimEngine::build(const platform::SystemView& view) {
     flat.reserve(total);
     for (const auto& l : lists) flat.insert(flat.end(), l.begin(), l.end());
   };
-  pack(in_of, in_start_, in_list_);
-  pack(out_of, out_start_, out_list_);
+  pack(in_of, in_start_, in_edges_);
+  pack(out_of, out_start_, out_edges_);
 
   // Bake interconnect routes: a pure function of (topology, mapping), so a
   // rebuilt engine reproduces them bit-identically. Per-hop service times
   // are precomputed for the channel's production burst.
   const platform::Topology& topo = view.platform().topology();
   link_count_ = static_cast<std::uint32_t>(topo.link_count());
-  const std::size_t chan_count = init_tokens_.size();
-  route_start_.assign(chan_count + 1, 0);
-  for (std::size_t c = 0; c < chan_count; ++c) {
-    route_start_[c] = static_cast<std::uint32_t>(route_links_.size());
-    if (!topo.none() && node_of_[chan_src[c]] != node_of_[chan_dst_[c]]) {
-      topo.route(node_of_[chan_src[c]], node_of_[chan_dst_[c]], route_links_);
+  route_start_.assign(out_edges_.size() + 1, 0);
+  for (std::uint32_t a = 0; a < actor_count_; ++a) {
+    for (std::uint32_t k = out_start_[a]; k < out_start_[a + 1]; ++k) {
+      route_start_[k] = static_cast<std::uint32_t>(route_links_.size());
+      const OutEdge& e = out_edges_[k];
+      if (!topo.none() && node_of_[a] != e.dst_node) {
+        topo.route(node_of_[a], e.dst_node, route_links_);
+      }
+      for (std::size_t h = route_start_[k]; h < route_links_.size(); ++h) {
+        route_service_.push_back(topo.service_time(route_links_[h], e.prod));
+      }
     }
   }
-  route_start_[chan_count] = static_cast<std::uint32_t>(route_links_.size());
-  route_service_.reserve(route_links_.size());
-  for (std::size_t c = 0; c < chan_count; ++c) {
-    for (std::uint32_t k = route_start_[c]; k < route_start_[c + 1]; ++k) {
-      route_service_.push_back(topo.service_time(route_links_[k], chan_prod_[c]));
-    }
-  }
+  route_start_[out_edges_.size()] = static_cast<std::uint32_t>(route_links_.size());
+  routed_ = !route_links_.empty();
 
   full_uc_.resize(app_count());
   for (AppId i = 0; i < full_uc_.size(); ++i) full_uc_[i] = i;
@@ -119,6 +113,7 @@ void SimEngine::build(const platform::SystemView& view) {
 
   // Preallocate everything sized by static structure so resets never grow.
   tokens_.resize(init_tokens_.size());
+  missing_.resize(actor_count_);
   state_.resize(actor_count_);
   ready_time_.resize(actor_count_);
   dist_.resize(actor_count_);
@@ -149,8 +144,8 @@ void SimEngine::build(const platform::SystemView& view) {
   // Snapshot buffers, at their largest: 3 words per node plus its ring,
   // 4 per actor plus its input tokens, and a count plus 2 words per pending
   // event (at most one per node, as a node runs one actor at a time).
-  snap_.reserve(3 * node_count_ + actor_count_ + 4 * actor_count_ + chan_count + 1 +
-                2 * node_count_);
+  snap_.reserve(3 * node_count_ + actor_count_ + 4 * actor_count_ + init_tokens_.size() +
+                1 + 2 * node_count_);
   snap_stats_.resize(actor_count_);
   snap_busy_.resize(node_count_);
   snap_iters_.resize(view.app_count());
@@ -210,6 +205,13 @@ void SimEngine::arm(const platform::UseCase& uc) {
 
   // Dynamic state back to time zero; capacities survive.
   std::copy(init_tokens_.begin(), init_tokens_.end(), tokens_.begin());
+  for (std::uint32_t a = 0; a < actor_count_; ++a) {
+    std::uint32_t missing = 0;
+    for (std::uint32_t k = in_start_[a]; k < in_start_[a + 1]; ++k) {
+      missing += tokens_[in_edges_[k].chan] < in_edges_[k].cons ? 1u : 0u;
+    }
+    missing_[a] = missing;
+  }
   std::fill(state_.begin(), state_.end(), ActorState::Idle);
   std::fill(ready_time_.begin(), ready_time_.end(), Time{0});
   std::fill(rr_next_.begin(), rr_next_.end(), std::size_t{0});
@@ -293,7 +295,7 @@ PROCON_WARM_PATH SimResultView SimEngine::run_view(const SimOptions& opts) {
   bind_options(opts);
   if (!firings_end_in_range()) {
     throw std::invalid_argument(
-        "simulate: horizon plus the longest firing overflows sdf::Time");
+        "simulate: horizon plus the longest firing or link hop overflows sdf::Time");
   }
   armed_ = false;  // dynamic state is about to be spent
 
@@ -301,22 +303,40 @@ PROCON_WARM_PATH SimResultView SimEngine::run_view(const SimOptions& opts) {
   // trace, no routed channels.
   ff_events_ = 0;
   seeking_ = opts.exec_models.empty() && opts_.arbitration != Arbitration::Tdma &&
-             !opts_.collect_trace && route_links_.empty();
+             !opts_.collect_trace && !routed_;
   period_mark_ = false;
   snap_.clear();
   snap_power_ = 1;
 
+  const std::uint64_t max_events =
+      opts_.max_events ? opts_.max_events : kDefaultMaxEvents;
+  // The arbitration is fixed for the run: pick its event body once.
+  std::uint64_t processed = 0;
+  switch (opts_.arbitration) {
+    case Arbitration::Fcfs:
+      processed = step<Arbitration::Fcfs>(max_events);
+      break;
+    case Arbitration::RoundRobin:
+      processed = step<Arbitration::RoundRobin>(max_events);
+      break;
+    case Arbitration::Tdma:
+      processed = step<Arbitration::Tdma>(max_events);
+      break;
+  }
+  return finalise_view(processed);
+}
+
+template <Arbitration kArb>
+std::uint64_t SimEngine::step(std::uint64_t max_events) {
   // Seed: everything that can fire at t = 0 requests its node, in the same
   // order a fresh restricted build would (use-case order, then local id).
   for (const AppId app : active_) {
     for (std::uint32_t a = app_actor_base_[app]; a < app_actor_base_[app + 1]; ++a) {
-      try_enqueue(a, 0);
+      try_enqueue<kArb>(a, node_of_[a], 0);
     }
   }
-  for (NodeId n = 0; n < node_count_; ++n) try_dispatch(n, 0);
+  for (NodeId n = 0; n < node_count_; ++n) try_dispatch<kArb>(n, 0);
 
-  const std::uint64_t max_events =
-      opts_.max_events ? opts_.max_events : kDefaultMaxEvents;
   std::uint64_t processed = 0;
   while (!events_.empty() && processed < max_events) {
     // The handled event stays at the root until its first successor
@@ -326,9 +346,9 @@ PROCON_WARM_PATH SimResultView SimEngine::run_view(const SimOptions& opts) {
     root_spent_ = true;
     ++processed;
     if (ev.actor & kLinkFlag) {
-      on_link_completion(ev.actor & ~kLinkFlag, ev.time);
+      on_link_completion<kArb>(ev.actor & ~kLinkFlag, ev.time);
     } else {
-      on_completion(ev.actor, ev.time);
+      on_completion<kArb>(ev.actor, ev.time);
     }
     if (root_spent_) {
       std::pop_heap(events_.begin(), events_.end(), std::greater<>{});
@@ -340,10 +360,11 @@ PROCON_WARM_PATH SimResultView SimEngine::run_view(const SimOptions& opts) {
       processed = seek_period(ev.time, processed, max_events);
     }
   }
-  return finalise_view(processed);
+  return processed;
 }
 
 bool SimEngine::firings_end_in_range() const {
+  const Time room = sdf::kTimeInfinity - opts_.horizon;
   const bool tdma = opts_.arbitration == Arbitration::Tdma;
   for (NodeId n = 0; n < node_count_; ++n) {
     const std::span<const std::uint32_t> wheel = ring(n);
@@ -366,32 +387,43 @@ bool SimEngine::firings_end_in_range() const {
                    __builtin_mul_overflow(turns, wheel_period, &reach))) {
         return false;
       }
-      if (reach > sdf::kTimeInfinity - opts_.horizon) return false;
+      if (reach > room) return false;
+    }
+  }
+  // A link hop starts by the horizon too. An application's hops are
+  // contiguous: its actors' out-edges are, and routes follow edge order.
+  for (const AppId app : active_) {
+    const std::uint32_t first = route_start_[out_start_[app_actor_base_[app]]];
+    const std::uint32_t last = route_start_[out_start_[app_actor_base_[app + 1]]];
+    for (std::uint32_t h = first; h < last; ++h) {
+      if (route_service_[h] > room) return false;
     }
   }
   return true;
 }
 
-Time SimEngine::draw_exec(std::uint32_t a) {
+[[gnu::always_inline]] inline Time SimEngine::draw_exec(std::uint32_t a) {
   return dist_[a] != nullptr ? dist_[a]->sample(sample_rng_) : exec_[a];
 }
 
-bool SimEngine::inputs_available(std::uint32_t a) const {
-  for (std::uint32_t k = in_start_[a]; k < in_start_[a + 1]; ++k) {
-    const std::uint32_t c = in_list_[k];
-    if (tokens_[c] < chan_cons_[c]) return false;
-  }
-  return true;
+[[gnu::always_inline]] inline void SimEngine::deposit(const OutEdge& e) {
+  std::uint64_t& tokens = tokens_[e.chan];
+  if (tokens < e.cons && tokens + e.prod >= e.cons) --missing_[e.dst];
+  tokens += e.prod;
 }
 
-void SimEngine::consume_inputs(std::uint32_t a) {
+[[gnu::always_inline]] inline void SimEngine::consume_inputs(std::uint32_t a) {
+  std::uint32_t missing = 0;
   for (std::uint32_t k = in_start_[a]; k < in_start_[a + 1]; ++k) {
-    const std::uint32_t c = in_list_[k];
-    tokens_[c] -= chan_cons_[c];
+    const InEdge& e = in_edges_[k];
+    std::uint64_t& tokens = tokens_[e.chan];
+    tokens -= e.cons;
+    missing += tokens < e.cons ? 1u : 0u;
   }
+  missing_[a] = missing;
 }
 
-void SimEngine::push_event(Time t, std::uint32_t id) {
+[[gnu::always_inline]] inline void SimEngine::push_event(Time t, std::uint32_t id) {
   const Event ev{t, next_seq_++, id};
   if (!root_spent_) {
     events_.push_back(ev);
@@ -444,10 +476,11 @@ std::pair<Time, Time> SimEngine::tdma_completion(std::uint32_t a, Time t,
   return {start < 0 ? t : start, t};  // zero execution time: instant
 }
 
-void SimEngine::try_enqueue(std::uint32_t a, Time t) {
-  if (state_[a] != ActorState::Idle || !inputs_available(a)) return;
+template <Arbitration kArb>
+[[gnu::always_inline]] inline void SimEngine::try_enqueue(std::uint32_t a, NodeId node, Time t) {
+  if (state_[a] != ActorState::Idle || missing_[a] != 0) return;
   ready_time_[a] = t;
-  if (opts_.arbitration == Arbitration::Tdma) {
+  if constexpr (kArb == Arbitration::Tdma) {
     // TDMA is contention-free per construction: service time computable
     // in closed form, no queueing against other actors.
     consume_inputs(a);
@@ -455,78 +488,76 @@ void SimEngine::try_enqueue(std::uint32_t a, Time t) {
     const Time demand = draw_exec(a);
     const auto [start, done] = tdma_completion(a, t, demand);
     if (opts_.collect_trace) {
-      trace_.push_back(TraceEvent{start, done, active_index_[app_of_[a]],
-                                  local_of_[a], node_of_[a]});
+      trace_.push_back(TraceEvent{start, done, active_index_[app_of_[a]], local_of_[a], node});
     }
     actor_stats_[a].total_waiting += start - t;
     actor_stats_[a].total_service += demand;
     // Busy accounting: exec units actually served, clipped at the horizon.
-    node_busy_time_[node_of_[a]] +=
-        std::min<Time>(demand, std::max<Time>(0, opts_.horizon - start));
+    node_busy_time_[node] += std::min<Time>(demand, std::max<Time>(0, opts_.horizon - start));
     push_event(done, a);
-    return;
-  }
-  state_[a] = ActorState::Queued;
-  if (opts_.arbitration == Arbitration::Fcfs) {
-    const NodeId n = node_of_[a];
-    const std::uint32_t cap = fcfs_start_[n + 1] - fcfs_start_[n];
-    std::uint32_t pos = fcfs_head_[n] + fcfs_len_[n]++;
-    if (pos >= cap) pos -= cap;
-    fcfs_ring_[fcfs_start_[n] + pos] = a;
-  }
-}
-
-std::uint32_t SimEngine::pick_next(NodeId node) {
-  if (opts_.arbitration == Arbitration::Fcfs) {
-    if (fcfs_len_[node] == 0) return kNoActor;
-    std::uint32_t& head = fcfs_head_[node];
-    const std::uint32_t a = fcfs_ring_[fcfs_start_[node] + head];
-    if (++head == fcfs_start_[node + 1] - fcfs_start_[node]) head = 0;
-    --fcfs_len_[node];
-    return a;
-  }
-  // Round-robin: scan the ring from the cursor for a queued actor.
-  const std::span<const std::uint32_t> wheel = ring(node);
-  std::size_t pos = rr_next_[node];
-  for (std::size_t k = 0; k < wheel.size(); ++k) {
-    if (state_[wheel[pos]] == ActorState::Queued) {
-      rr_next_[node] = pos + 1 == wheel.size() ? 0 : pos + 1;
-      return wheel[pos];
+  } else {
+    state_[a] = ActorState::Queued;
+    if constexpr (kArb == Arbitration::Fcfs) {
+      const std::uint32_t cap = fcfs_start_[node + 1] - fcfs_start_[node];
+      std::uint32_t pos = fcfs_head_[node] + fcfs_len_[node]++;
+      if (pos >= cap) pos -= cap;
+      fcfs_ring_[fcfs_start_[node] + pos] = a;
     }
-    if (++pos == wheel.size()) pos = 0;
   }
-  return kNoActor;
 }
 
-void SimEngine::try_dispatch(NodeId node, Time t) {
-  if (opts_.arbitration == Arbitration::Tdma) return;  // nothing to do
-  if (node_busy_[node]) return;
-  const std::uint32_t a = pick_next(node);
-  if (a == kNoActor) return;
-  consume_inputs(a);
-  state_[a] = ActorState::Running;
-  node_busy_[node] = 1;
-  const Time demand = draw_exec(a);
-  if (opts_.collect_trace) {
-    trace_.push_back(TraceEvent{t, t + demand, active_index_[app_of_[a]],
-                                local_of_[a], node});
+template <Arbitration kArb>
+[[gnu::always_inline]] inline void SimEngine::try_dispatch(NodeId node, Time t) {
+  // TDMA serves every firing when it is enqueued: nothing to dispatch.
+  if constexpr (kArb != Arbitration::Tdma) {
+    if (node_busy_[node]) return;
+    std::uint32_t a = kNoActor;
+    if constexpr (kArb == Arbitration::Fcfs) {
+      if (fcfs_len_[node] == 0) return;
+      std::uint32_t& head = fcfs_head_[node];
+      a = fcfs_ring_[fcfs_start_[node] + head];
+      if (++head == fcfs_start_[node + 1] - fcfs_start_[node]) head = 0;
+      --fcfs_len_[node];
+    } else {
+      // Round-robin: scan the ring from the cursor for a queued actor.
+      const std::span<const std::uint32_t> wheel = ring(node);
+      std::size_t pos = rr_next_[node];
+      for (std::size_t k = 0; k < wheel.size(); ++k) {
+        if (state_[wheel[pos]] == ActorState::Queued) {
+          a = wheel[pos];
+          rr_next_[node] = pos + 1 == wheel.size() ? 0 : pos + 1;
+          break;
+        }
+        if (++pos == wheel.size()) pos = 0;
+      }
+      if (a == kNoActor) return;
+    }
+    consume_inputs(a);
+    state_[a] = ActorState::Running;
+    node_busy_[node] = 1;
+    const Time demand = draw_exec(a);
+    if (opts_.collect_trace) {
+      trace_.push_back(TraceEvent{t, t + demand, active_index_[app_of_[a]], local_of_[a], node});
+    }
+    actor_stats_[a].total_waiting += t - ready_time_[a];
+    actor_stats_[a].total_service += demand;
+    node_busy_time_[node] += std::min(t + demand, opts_.horizon) - std::min(t, opts_.horizon);
+    push_event(t + demand, a);
   }
-  actor_stats_[a].total_waiting += t - ready_time_[a];
-  actor_stats_[a].total_service += demand;
-  node_busy_time_[node] +=
-      std::min(t + demand, opts_.horizon) - std::min(t, opts_.horizon);
-  push_event(t + demand, a);
 }
 
-void SimEngine::on_completion(std::uint32_t a, Time t) {
+template <Arbitration kArb>
+[[gnu::always_inline]] inline void SimEngine::on_completion(std::uint32_t a, Time t) {
   // Produce outputs: instantly on unrouted channels, as an interconnect
   // message on routed ones (tokens arrive when the last hop completes).
-  for (std::uint32_t k = out_start_[a]; k < out_start_[a + 1]; ++k) {
-    const std::uint32_t c = out_list_[k];
-    if (route_start_[c] == route_start_[c + 1]) {
-      tokens_[c] += chan_prod_[c];
+  const OutEdge* const out = out_edges_.data();
+  const std::uint32_t out_begin = out_start_[a];
+  const std::uint32_t out_end = out_start_[a + 1];
+  for (std::uint32_t k = out_begin; k < out_end; ++k) {
+    if (routed_ && route_start_[k] != route_start_[k + 1]) {
+      send_message(k, t);
     } else {
-      send_message(c, t);
+      deposit(out[k]);
     }
   }
   state_[a] = ActorState::Idle;
@@ -537,35 +568,34 @@ void SimEngine::on_completion(std::uint32_t a, Time t) {
     if (iter_lead_[a]++ == 0 && --app_lagging_[j] == 0) complete_iteration(j, t);
   }
 
-  if (opts_.arbitration != Arbitration::Tdma) node_busy_[node_of_[a]] = 0;
+  const NodeId node = node_of_[a];
+  if constexpr (kArb != Arbitration::Tdma) node_busy_[node] = 0;
 
   // The finished actor may immediately be ready again, then every
   // consumer of the produced tokens.
-  try_enqueue(a, t);
-  for (std::uint32_t k = out_start_[a]; k < out_start_[a + 1]; ++k) {
-    try_enqueue(chan_dst_[out_list_[k]], t);
+  try_enqueue<kArb>(a, node, t);
+  for (std::uint32_t k = out_begin; k < out_end; ++k) {
+    try_enqueue<kArb>(out[k].dst, out[k].dst_node, t);
   }
 
   // Serve the node this actor released, and the nodes of any consumers
   // that just became ready.
-  try_dispatch(node_of_[a], t);
-  for (std::uint32_t k = out_start_[a]; k < out_start_[a + 1]; ++k) {
-    try_dispatch(node_of_[chan_dst_[out_list_[k]]], t);
-  }
+  try_dispatch<kArb>(node, t);
+  for (std::uint32_t k = out_begin; k < out_end; ++k) try_dispatch<kArb>(out[k].dst_node, t);
 }
 
-void SimEngine::send_message(std::uint32_t chan, Time t) {
+void SimEngine::send_message(std::uint32_t edge, Time t) {
   std::uint32_t m;
   if (!msg_free_.empty()) {
     m = msg_free_.back();
     msg_free_.pop_back();
-    msg_pool_[m] = Msg{chan, 0};
+    msg_pool_[m] = Msg{edge, 0};
   } else {
     m = static_cast<std::uint32_t>(msg_pool_.size());
-    msg_pool_.push_back(Msg{chan, 0});
+    msg_pool_.push_back(Msg{edge, 0});
   }
-  link_queue_[route_links_[route_start_[chan]]].push_back(m);
-  try_dispatch_link(route_links_[route_start_[chan]], t);
+  link_queue_[route_links_[route_start_[edge]]].push_back(m);
+  try_dispatch_link(route_links_[route_start_[edge]], t);
 }
 
 void SimEngine::try_dispatch_link(platform::LinkId link, Time t) {
@@ -582,30 +612,32 @@ void SimEngine::try_dispatch_link(platform::LinkId link, Time t) {
   }
   link_busy_[link] = 1;
   const Msg& msg = msg_pool_[m];
-  const Time service = route_service_[route_start_[msg.chan] + msg.hop];
+  const Time service = route_service_[route_start_[msg.edge] + msg.hop];
   link_busy_time_[link] +=
       std::min(t + service, opts_.horizon) - std::min(t, opts_.horizon);
   push_event(t + service, kLinkFlag | m);
 }
 
+template <Arbitration kArb>
 void SimEngine::on_link_completion(std::uint32_t m, Time t) {
   const Msg msg = msg_pool_[m];
-  const platform::LinkId link = route_links_[route_start_[msg.chan] + msg.hop];
+  const std::uint32_t first = route_start_[msg.edge];
+  const platform::LinkId link = route_links_[first + msg.hop];
   link_busy_[link] = 0;
   const std::uint32_t next_hop = msg.hop + 1;
-  if (route_start_[msg.chan] + next_hop == route_start_[msg.chan + 1]) {
+  if (first + next_hop == route_start_[msg.edge + 1]) {
     // Final hop: the tokens arrive at the consumer.
-    tokens_[msg.chan] += chan_prod_[msg.chan];
+    const OutEdge& e = out_edges_[msg.edge];
+    deposit(e);
     msg_free_.push_back(m);
-    const std::uint32_t dst = chan_dst_[msg.chan];
-    try_enqueue(dst, t);
+    try_enqueue<kArb>(e.dst, e.dst_node, t);
     try_dispatch_link(link, t);
-    try_dispatch(node_of_[dst], t);
+    try_dispatch<kArb>(e.dst_node, t);
   } else {
     // Forward to the next hop, then backfill the link just released.
     msg_pool_[m].hop = next_hop;
-    link_queue_[route_links_[route_start_[msg.chan] + next_hop]].push_back(m);
-    try_dispatch_link(route_links_[route_start_[msg.chan] + next_hop], t);
+    link_queue_[route_links_[first + next_hop]].push_back(m);
+    try_dispatch_link(route_links_[first + next_hop], t);
     try_dispatch_link(link, t);
   }
 }
@@ -670,7 +702,7 @@ bool SimEngine::encode_state(Time t, Sink&& sink) {
         return false;
       }
       for (std::uint32_t k = in_start_[a]; k < in_start_[a + 1]; ++k) {
-        if (!sink(tokens_[in_list_[k]])) return false;
+        if (!sink(tokens_[in_edges_[k].chan])) return false;
       }
     }
   }

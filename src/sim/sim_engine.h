@@ -52,7 +52,17 @@
 //
 // Event loop: a handled event stays at the heap root while it is processed;
 // the first event it schedules replaces the root in one sift-down, and the
-// root is popped only if it scheduled none. Each node's FCFS ready list is a
+// root is popped only if it scheduled none. The loop and its handlers
+// (completion, enqueue, dispatch) are one body templated on the
+// arbitration, chosen once per run, so no handler tests the arbitration;
+// routed hops, stochastic draws and tracing stay runtime tests. Each actor
+// keeps a count of its input channels that hold fewer tokens than it
+// consumes: a deposit that reaches the rate lowers it and a firing's
+// consumption recounts it, so an enqueue attempt tests one counter instead
+// of rescanning the in-channels. Adjacency is packed per edge: an out-edge
+// record carries the channel, both rates, the consumer and the consumer's
+// node, and an in-edge record the channel and its rate, so a completion
+// reads no per-channel table. Each node's FCFS ready list is a
 // fixed ring in one flat array, sized by the actors mapped to the node (an
 // actor is queued at most once). Application iterations are counted
 // incrementally: each actor counts down its repetition count q(a) and keeps
@@ -195,8 +205,8 @@ class SimEngine {
   /// be a simulation from time zero).
   /// \param opts horizon, arbitration, execution-time models, trace flag.
   ///        Throws std::invalid_argument for a non-positive horizon or
-  ///        one so close to INT64_MAX that a firing started by it could
-  ///        end past it, and sdf::GraphError for execution-time model
+  ///        one so close to INT64_MAX that a firing or link hop started by
+  ///        it could end past it, and sdf::GraphError for execution-time model
   ///        mismatches (opts.exec_models entries pair with *active*
   ///        applications, in use-case order).
   /// \return owning per-application results, in use-case order
@@ -248,21 +258,40 @@ class SimEngine {
     std::vector<std::uint32_t> flat;   // active flat actor ids (size actors)
   };
 
-  /// One inter-node transfer in flight on the interconnect: the producing
-  /// channel and the hop it currently occupies. Pooled with a free list so
-  /// warm runs reuse capacity (zero-alloc steady state).
+  /// One inter-node transfer in flight on the interconnect: the producer's
+  /// out-edge (an index into out_edges_) and the hop it currently occupies.
+  /// Pooled with a free list so warm runs reuse capacity (zero-alloc steady
+  /// state).
   struct Msg {
-    std::uint32_t chan = 0;
+    std::uint32_t edge = 0;
     std::uint32_t hop = 0;
+  };
+
+  /// An out-edge of a flat actor: everything a completion needs to deposit
+  /// on the channel and to wake the consumer, in one record.
+  struct OutEdge {
+    std::uint32_t chan = 0;
+    std::uint32_t dst = 0;            // consumer flat actor
+    platform::NodeId dst_node = 0;    // the consumer's node
+    std::uint32_t prod = 0;
+    std::uint32_t cons = 0;
+  };
+
+  /// An in-edge of a flat actor: the channel and its consumption rate.
+  struct InEdge {
+    std::uint32_t chan = 0;
+    std::uint32_t cons = 0;
   };
 
   void build(const platform::SystemView& view);
   /// Clears dynamic state and arms a run of `uc` (already validated).
   void arm(const platform::UseCase& uc);
   void bind_options(const SimOptions& opts);
-  /// Whether every firing ready by the horizon ends within sdf::Time. The
-  /// event loop adds times unchecked (t + demand, TDMA wheel turns), so
-  /// run_view() checks this bound once per run instead of per event.
+  /// Whether every firing ready by the horizon, and every link hop of an
+  /// active application started by it, ends within sdf::Time. The event
+  /// loop adds times unchecked (t + demand, TDMA wheel turns, t + hop
+  /// service), so run_view() checks this bound once per run instead of per
+  /// event.
   [[nodiscard]] bool firings_end_in_range() const;
   /// Rebuilds rings_ in place for `uc` (already validated).
   void build_rings(const platform::UseCase& uc);
@@ -272,7 +301,10 @@ class SimEngine {
   }
 
   [[nodiscard]] sdf::Time draw_exec(std::uint32_t a);
-  [[nodiscard]] bool inputs_available(std::uint32_t a) const;
+  /// Adds a production burst to the edge's channel and lowers the
+  /// consumer's missing-input count when the channel reaches its rate.
+  void deposit(const OutEdge& e);
+  /// Takes a's consumption from every input; a had no missing input.
   void consume_inputs(std::uint32_t a);
   /// Schedules an event; replaces the spent root if one is being handled.
   void push_event(sdf::Time t, std::uint32_t id);
@@ -282,13 +314,20 @@ class SimEngine {
   }
   [[nodiscard]] std::pair<sdf::Time, sdf::Time> tdma_completion(
       std::uint32_t a, sdf::Time t, sdf::Time demand) const;
-  void try_enqueue(std::uint32_t a, sdf::Time t);
-  [[nodiscard]] std::uint32_t pick_next(platform::NodeId node);
+  // The event body, one instantiation per arbitration (run_view picks it
+  // once per run): seeding and the loop (step), and its handlers.
+  template <Arbitration kArb>
+  [[nodiscard]] std::uint64_t step(std::uint64_t max_events);
+  template <Arbitration kArb>
+  void try_enqueue(std::uint32_t a, platform::NodeId node, sdf::Time t);
+  template <Arbitration kArb>
   void try_dispatch(platform::NodeId node, sdf::Time t);
+  template <Arbitration kArb>
   void on_completion(std::uint32_t a, sdf::Time t);
-  void send_message(std::uint32_t chan, sdf::Time t);
-  void try_dispatch_link(platform::LinkId link, sdf::Time t);
+  template <Arbitration kArb>
   void on_link_completion(std::uint32_t msg, sdf::Time t);
+  void send_message(std::uint32_t edge, sdf::Time t);
+  void try_dispatch_link(platform::LinkId link, sdf::Time t);
   void complete_iteration(std::uint32_t active_app, sdf::Time t);
   /// Feeds the state after an iteration of the first active application
   /// into the cycle detection; on a repeat, jumps. Returns the new event
@@ -315,23 +354,24 @@ class SimEngine {
   std::vector<std::uint64_t> reps_;            // flat actor -> q(a)
   platform::UseCase full_uc_;                  // 0..A-1, built once for reset()
 
-  // Channels, flattened, with CSR in/out adjacency per actor.
+  // Channels, flattened, with CSR in/out adjacency per actor: actor a's
+  // edges are in_edges_[in_start_[a] .. in_start_[a+1]) and likewise out,
+  // each in channel-id order.
   std::vector<std::uint64_t> init_tokens_;     // flat channel -> initial marking
-  std::vector<std::uint32_t> chan_cons_;       // consumption rate
-  std::vector<std::uint32_t> chan_prod_;       // production rate
-  std::vector<std::uint32_t> chan_dst_;        // consumer flat actor
   std::vector<std::uint32_t> in_start_;        // actor -> offset (size actors+1)
-  std::vector<std::uint32_t> in_list_;         // flat channel ids
+  std::vector<InEdge> in_edges_;
   std::vector<std::uint32_t> out_start_;
-  std::vector<std::uint32_t> out_list_;
+  std::vector<OutEdge> out_edges_;
 
   // Interconnect routes, baked at build time from the platform's topology:
-  // channel c crosses links route_links_[route_start_[c] .. route_start_[c+1])
-  // in order, occupying hop k for route_service_[k] time units (the transfer
-  // of chan_prod_[c] tokens). Channels with an empty range (same node, or no
-  // topology) deposit tokens instantly — the legacy model, bit-identical.
+  // out-edge k's channel crosses links
+  // route_links_[route_start_[k] .. route_start_[k+1]) in order, occupying
+  // hop h for route_service_[h] time units (the transfer of one production
+  // burst). Edges with an empty range (same node, or no topology) deposit
+  // tokens instantly — the legacy model, bit-identical.
   std::uint32_t link_count_ = 0;
-  std::vector<std::uint32_t> route_start_;     // flat channel -> offset (size C+1)
+  bool routed_ = false;                        // some edge has a route
+  std::vector<std::uint32_t> route_start_;     // out-edge -> offset (size E+1)
   std::vector<platform::LinkId> route_links_;
   std::vector<sdf::Time> route_service_;
 
@@ -350,6 +390,10 @@ class SimEngine {
 
   // --- dynamic state (cleared by reset, capacity kept) ---------------------
   std::vector<std::uint64_t> tokens_;
+  /// Per flat actor, how many of its input channels hold fewer tokens than
+  /// it consumes: it can fire exactly when this is 0. A function of tokens_,
+  /// so the snapshot does not encode it and a jump leaves it valid.
+  std::vector<std::uint32_t> missing_;
   std::vector<ActorState> state_;
   std::vector<sdf::Time> ready_time_;
   /// Per-node FCFS ready lists: node n's ring is

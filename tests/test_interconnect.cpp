@@ -440,6 +440,40 @@ TEST(Interconnect, SimEngineMatchesOneShotSimulateOnRoutedSystems) {
   expect_same(engine.run(sopts), sim::simulate(SystemView(sys, uc).materialise(), sopts));
 }
 
+TEST(Interconnect, SimulateRejectsLinkHopsThatEndPastTimeRange) {
+  // A hop that starts by the horizon ends within sdf::Time exactly when its
+  // service time is at most kTimeInfinity - horizon; one unit more and the
+  // link dispatch would add past INT64_MAX, so the run is refused up front,
+  // like a node firing.
+  System sys = make_system({testing::two_actor_cycle(5, 5)}, 2);
+  sys.set_topology(Topology::bus(2));
+  const sim::SimOptions sopts{.horizon = 1'000};
+  const sdf::Time fits = sdf::kTimeInfinity - sopts.horizon;  // latency + 1 token
+  sys.set_link_latency(0, fits - 1);
+  const sim::SimResult r = sim::simulate(sys, sopts);
+  EXPECT_EQ(r.apps[0].iterations, 0u);
+  EXPECT_EQ(r.link_utilisation[0], 0.995);  // busy from t = 5 to the horizon
+  sys.set_link_latency(0, fits);
+  EXPECT_THROW((void)sim::simulate(sys, sopts), std::invalid_argument);
+  sys.set_link_latency(0, sdf::kTimeInfinity - 5);
+  EXPECT_THROW((void)sim::simulate(sys, sopts), std::invalid_argument);
+  // Only the hops of active applications count: application 0 stays on one
+  // node, application 1 crosses the bus.
+  std::vector<sdf::Graph> apps{testing::two_actor_cycle(5, 5), testing::two_actor_cycle(5, 5)};
+  Mapping map(apps);
+  map.assign(0, 0, 0);
+  map.assign(0, 1, 0);
+  map.assign(1, 0, 0);
+  map.assign(1, 1, 1);
+  System two(std::move(apps), Platform::homogeneous(2), std::move(map));
+  two.set_topology(Topology::bus(2));
+  two.set_link_latency(0, sdf::kTimeInfinity - 5);
+  sim::SimEngine engine(two);
+  EXPECT_THROW((void)engine.run(sopts), std::invalid_argument);
+  engine.reset({0});
+  EXPECT_EQ(engine.run(sopts).apps[0].iterations, 100u);
+}
+
 // ---------------------------------------------------------------------------
 // Zobrist topology features: incremental fingerprint == from-scratch oracle
 

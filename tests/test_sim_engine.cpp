@@ -288,6 +288,16 @@ class Digest {
     add(r.link_utilisation.size());
     for (const double u : r.link_utilisation) add_double(u);
   }
+  void add_trace(const SimResult& r) {
+    add(r.trace.size());
+    for (const TraceEvent& e : r.trace) {
+      add(static_cast<std::uint64_t>(e.start));
+      add(static_cast<std::uint64_t>(e.end));
+      add(e.app);
+      add(e.actor);
+      add(e.node);
+    }
+  }
   [[nodiscard]] std::uint64_t value() const { return h_; }
 
  private:
@@ -311,6 +321,42 @@ std::string hex(std::uint64_t v) {
   return os.str();
 }
 
+// Every case the event loop treats specially, on three nodes: a one-token
+// self-loop actor (s) that is ready again the instant it completes; a
+// multi-rate pair (p produces 2, c consumes 3) whose consumer needs two
+// deposits before it can fire; and a zero-time actor (z) in a cycle with
+// non-zero ones, which completes at the instant it starts.
+platform::System edge_case_system() {
+  sdf::Graph self("self");
+  const auto s = self.add_actor("s", 7);
+  self.add_channel(s, s, 1, 1, 1);
+
+  sdf::Graph rates("rates");
+  const auto p = rates.add_actor("p", 3);
+  const auto c = rates.add_actor("c", 5);
+  rates.add_channel(p, c, 2, 3, 0);
+  rates.add_channel(c, p, 3, 2, 4);
+
+  sdf::Graph zero("zero");
+  const auto x = zero.add_actor("x", 4);
+  const auto z = zero.add_actor("z", 0);
+  const auto y = zero.add_actor("y", 6);
+  zero.add_channel(x, z, 1, 1, 0);
+  zero.add_channel(z, y, 1, 1, 0);
+  zero.add_channel(y, x, 1, 1, 1);
+
+  std::vector<sdf::Graph> apps{self, rates, zero};
+  platform::Platform plat = platform::Platform::homogeneous(3);
+  platform::Mapping map(apps);
+  map.assign(0, s, 0);
+  map.assign(1, p, 0);
+  map.assign(1, c, 1);
+  map.assign(2, x, 1);
+  map.assign(2, z, 0);
+  map.assign(2, y, 2);
+  return platform::System(std::move(apps), std::move(plat), std::move(map));
+}
+
 TEST(SimEngine, GoldenDigests) {
   const platform::System sys = paper_system();
   SimEngine engine(sys);
@@ -321,20 +367,46 @@ TEST(SimEngine, GoldenDigests) {
     sdf::Time horizon;
     std::uint64_t digest;
   };
+  const auto expect_sweep = [&use_cases](const char* name, SimEngine& e, const SweepCase& c) {
+    Digest d;
+    for (const auto& uc : use_cases) {
+      e.reset(uc);
+      d.add(e.run(SimOptions{.horizon = c.horizon, .arbitration = c.arbitration}));
+    }
+    EXPECT_EQ(hex(d.value()), hex(c.digest))
+        << name << " sweep arbitration " << static_cast<int>(c.arbitration) << " horizon "
+        << c.horizon;
+  };
   for (const SweepCase& c : {
            SweepCase{Arbitration::Fcfs, 100'000, 0xd7732ab83850d303},
            SweepCase{Arbitration::Fcfs, 137'913, 0x7dbf2456b8e2e164},
            SweepCase{Arbitration::RoundRobin, 100'000, 0xf87f9fc8a7039f92},
            SweepCase{Arbitration::RoundRobin, 137'913, 0x2b5a741275216f1f},
        }) {
-    Digest d;
-    for (const auto& uc : use_cases) {
-      engine.reset(uc);
-      d.add(engine.run(SimOptions{.horizon = c.horizon, .arbitration = c.arbitration}));
+    expect_sweep("paper", engine, c);
+  }
+  {
+    // The held-out applications of app seed 4099, at the paper's horizon.
+    SimEngine held_out(random_system(4099, 10, gen::GeneratorOptions{}));
+    for (const SweepCase& c : {
+             SweepCase{Arbitration::Fcfs, 500'000, 0xd1b44048ffe08837},
+             SweepCase{Arbitration::RoundRobin, 500'000, 0x6c03c00bfe32f2ed},
+         }) {
+      expect_sweep("app seed 4099", held_out, c);
     }
-    EXPECT_EQ(hex(d.value()), hex(c.digest))
-        << "sweep arbitration " << static_cast<int>(c.arbitration) << " horizon "
-        << c.horizon;
+  }
+  // Every execution time 10: simultaneous completions are common, so the
+  // creation-order tie-break decides most dispatches.
+  const platform::System equal_times =
+      random_system(2007, 10, gen::GeneratorOptions{.min_exec_time = 10, .max_exec_time = 10});
+  {
+    SimEngine equal(equal_times);
+    for (const SweepCase& c : {
+             SweepCase{Arbitration::Fcfs, 100'000, 0x8845c0e26c72cbc5},
+             SweepCase{Arbitration::RoundRobin, 100'000, 0xb5b6d76112e58a84},
+         }) {
+      expect_sweep("equal times", equal, c);
+    }
   }
 
   struct FullCase {
@@ -369,6 +441,59 @@ TEST(SimEngine, GoldenDigests) {
     Digest d;
     d.add(routed_engine.run(SimOptions{.horizon = 100'000}));
     EXPECT_EQ(hex(d.value()), hex(0x04dfe662d40bf808)) << "ring topology";
+  }
+
+  // Whole runs of other systems. The digest also folds every field of every
+  // trace record (an untraced run has none).
+  struct SystemCase {
+    const char* name;
+    const platform::System* sys;
+    SimOptions opts;
+    std::uint64_t digest;
+  };
+  const platform::System edges = edge_case_system();
+  for (const SystemCase& c : {
+           SystemCase{"paper fcfs traced", &sys,
+                      SimOptions{.horizon = 100'000, .collect_trace = true}, 0xf0494f2cc4789467},
+           SystemCase{"paper rr traced", &sys,
+                      SimOptions{.horizon = 100'000,
+                                 .arbitration = Arbitration::RoundRobin,
+                                 .collect_trace = true},
+                      0xc9aae94dffb00842},
+           SystemCase{"paper tdma traced", &sys,
+                      SimOptions{.horizon = 100'000,
+                                 .arbitration = Arbitration::Tdma,
+                                 .collect_trace = true},
+                      0x8bedc41f45d4a0da},
+           SystemCase{"equal times tdma", &equal_times,
+                      SimOptions{.horizon = 100'000, .arbitration = Arbitration::Tdma},
+                      0x5e62a449967768bc},
+           SystemCase{"edges fcfs", &edges, SimOptions{.horizon = 50'000}, 0x4ce445fdec93524f},
+           SystemCase{"edges rr", &edges,
+                      SimOptions{.horizon = 50'000, .arbitration = Arbitration::RoundRobin},
+                      0xaeb768c7edcc133e},
+           SystemCase{"edges tdma", &edges,
+                      SimOptions{.horizon = 50'000, .arbitration = Arbitration::Tdma},
+                      0x3114052880b7a373},
+           SystemCase{"edges fcfs traced", &edges,
+                      SimOptions{.horizon = 50'000, .collect_trace = true}, 0x338bbfeea13db7f8},
+           SystemCase{"edges rr traced", &edges,
+                      SimOptions{.horizon = 50'000,
+                                 .arbitration = Arbitration::RoundRobin,
+                                 .collect_trace = true},
+                      0x13e4451af39bf196},
+           SystemCase{"edges tdma traced", &edges,
+                      SimOptions{.horizon = 50'000,
+                                 .arbitration = Arbitration::Tdma,
+                                 .collect_trace = true},
+                      0xad9e1cf3d544c207},
+       }) {
+    SimEngine e(*c.sys);
+    const SimResult r = e.run(c.opts);
+    Digest d;
+    d.add(r);
+    d.add_trace(r);
+    EXPECT_EQ(hex(d.value()), hex(c.digest)) << c.name;
   }
 }
 
