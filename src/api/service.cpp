@@ -65,7 +65,7 @@ struct ContentHash {
   }
 };
 
-/// Every EstimatorOptions field, for the Contention and TopologySweep keys.
+/// Every EstimatorOptions field, for the Contention key.
 void append_estimator(std::string& key, const prob::EstimatorOptions& e) {
   append_u64(key, static_cast<std::uint64_t>(e.method));
   append_u64(key, static_cast<std::uint64_t>(e.order));
@@ -73,7 +73,7 @@ void append_estimator(std::string& key, const prob::EstimatorOptions& e) {
   append_u64(key, e.mc_trials);
 }
 
-/// Every SimOptions field, for the Simulate and TopologySweep keys.
+/// Every SimOptions field, for the Simulate key.
 /// Stochastic execution-time models are too large to spell into the key;
 /// their full content (outcome values + weights bitwise) goes into a 128-bit
 /// hash instead. Simulation is deterministic given sample_seed, so
@@ -265,31 +265,8 @@ std::string AnalysisService::coalesce_key(SystemId structure,
       for (const sdf::AppId a : d.use_case) append_u64(key, a);
       append_sim(key, d.sim);
       break;
-    case QueryKind::TopologySweep: {
-      // The candidate list is arbitrarily long; absorb it into a 128-bit
-      // content hash like the exec-time models. Link endpoints are
-      // canonical from (kind, dims), so only the mutable attributes
-      // (widths, latencies) need hashing beyond the shape.
-      ContentHash h;
-      h.absorb(d.topologies.size());
-      for (const platform::Topology& t : d.topologies) {
-        h.absorb(static_cast<std::uint64_t>(t.kind()));
-        h.absorb(t.node_count());
-        h.absorb(t.rows());
-        h.absorb(t.cols());
-        for (std::size_t l = 0; l < t.link_count(); ++l) {
-          const platform::Link& lk = t.link(static_cast<platform::LinkId>(l));
-          h.absorb(lk.width);
-          h.absorb(static_cast<std::uint64_t>(lk.latency));
-        }
-      }
-      append_u64(key, h.a);
-      append_u64(key, h.b);
-      for (const sdf::AppId a : d.use_case) append_u64(key, a);
-      append_estimator(key, d.estimator);
-      append_sim(key, d.sim);
+    case QueryKind::TopologySweep:  // rejected by submit()
       break;
-    }
   }
   return key;
 }
@@ -312,18 +289,16 @@ QueryValue AnalysisService::execute(Workbench& wb, const QueryDesc& d) {
     case QueryKind::Simulate:
       return d.use_case.empty() ? wb.simulate(d.sim)
                                 : wb.simulate(d.use_case, d.sim);
-    case QueryKind::TopologySweep: {
-      TopologySweepOptions topts;
-      topts.estimator = d.estimator;
-      topts.sim = d.sim;
-      topts.use_case = d.use_case;
-      return wb.sweep_topologies(d.topologies, topts);
-    }
+    case QueryKind::TopologySweep:  // rejected by submit()
+      break;
   }
   throw std::logic_error("AnalysisService: unhandled query kind");
 }
 
 QueryTicket AnalysisService::submit(SystemId id, QueryDesc desc) {
+  if (desc.kind == QueryKind::TopologySweep) {
+    throw std::invalid_argument("AnalysisService: the topology sweep no longer exists");
+  }
   std::shared_ptr<detail::TicketShared> state;
   Session* to_drain = nullptr;
   {

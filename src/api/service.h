@@ -71,7 +71,11 @@ enum class QueryKind : std::uint8_t {
   Contention,      ///< Workbench::contention([use_case,] estimator)
   Wcrt,            ///< Workbench::wcrt([use_case,] wcrt)
   Simulate,        ///< Workbench::simulate([use_case,] sim)
-  TopologySweep,   ///< Workbench::sweep_topologies(topologies, ...)
+  /// Runs nothing: submit() rejects it with std::invalid_argument. The
+  /// interconnect sweep it named is gone; the enumerator stays only because
+  /// the benchmark's service workload spells it as a case label
+  /// (ledger/service.cpp:317). Delete it with that label.
+  TopologySweep,
 };
 
 /// \brief One submitted query: the kind plus every option the kind reads.
@@ -90,10 +94,6 @@ struct QueryDesc {
   wcrt::WcrtOptions wcrt;            ///< Wcrt configuration
   sim::SimOptions sim;               ///< Simulate configuration
   dse::BufferExplorerOptions buffers;  ///< BufferFrontier configuration
-  /// Candidate interconnects for TopologySweep, evaluated in order (the
-  /// sweep reads `estimator`, `sim` and `use_case` above for its options,
-  /// and runs the routed simulation per candidate).
-  std::vector<platform::Topology> topologies;
 };
 
 /// \brief Every result shape a ticket can carry, in QueryKind order.
@@ -103,8 +103,7 @@ using QueryValue = std::variant<Report<analysis::PeriodResult>,
                                 Report<std::vector<dse::BufferPoint>>,
                                 Report<std::vector<prob::AppEstimate>>,
                                 Report<std::vector<wcrt::AppBound>>,
-                                Report<sim::SimResult>,
-                                Report<std::vector<TopologyResult>>>;
+                                Report<sim::SimResult>>;
 
 /// \brief Lifecycle of a ticket's underlying query.
 enum class TicketStatus : std::uint8_t {
@@ -274,8 +273,10 @@ class AnalysisService {
   /// enqueued on the structure's session — built on this thread, under the
   /// service lock, when it is not live — and executed in submission order
   /// per session, concurrently across sessions. Non-blocking with
-  /// background workers. Throws std::out_of_range for unknown ids;
-  /// analysis errors surface through the ticket as Failed.
+  /// background workers. Throws std::invalid_argument for
+  /// QueryKind::TopologySweep before anything else (no session is touched
+  /// and no counter moves), std::out_of_range for unknown ids; analysis
+  /// errors surface through the ticket as Failed.
   /// \param id tenant handle
   /// \param desc the query (kind + options)
   /// \return ticket tracking the (possibly shared) query
@@ -353,7 +354,7 @@ class AnalysisService {
   /// queries). Stochastic exec-time models are keyed by a 128-bit content
   /// hash over their outcome lists (values + weights bitwise) — the same
   /// collision standard as the transposition table's verify tags, so such
-  /// Simulate and TopologySweep queries coalesce and cache too.
+  /// Simulate queries coalesce and cache too.
   static std::string coalesce_key(SystemId structure, const QueryDesc& desc);
 
   mutable std::mutex m_;

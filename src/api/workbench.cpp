@@ -416,37 +416,6 @@ Report<std::vector<UseCaseResult>> Workbench::sweep_use_cases(
   return report;
 }
 
-Report<std::vector<TopologyResult>> Workbench::sweep_topologies(
-    std::span<const platform::Topology> topologies,
-    const TopologySweepOptions& opts) {
-  Timer timer;
-  const prob::ContentionEstimator est(opts.estimator);
-  const platform::UseCase& uc = opts.use_case.empty() ? full_uc_ : opts.use_case;
-  if (topo_scratch_.empty()) topo_scratch_.push_back(sys_);
-  platform::System& scratch = topo_scratch_.front();
-
-  Report<std::vector<TopologyResult>> report;
-  report.value.resize(topologies.size());
-  for (std::size_t i = 0; i < topologies.size(); ++i) {
-    scratch.set_topology(topologies[i]);
-    const platform::SystemView view(scratch, uc);
-    TopologyResult& out = report.value[i];
-    {
-      // Session engines: topology changes neither application structure nor
-      // the mapping, so the per-app ThroughputEngines apply unchanged.
-      out.estimates.resize(uc.size());
-      dse::AnalysisWorkspace& ws = serving_.ws;
-      est.estimate_into(view, {}, engines_for(ws.engines, uc, ws.engine_ptrs), ws.est,
-                        out.estimates);
-    }
-    out.sim = sim::simulate(view, opts.sim);
-  }
-  report.provenance = {"topology sweep: " +
-                           std::string(prob::method_name(opts.estimator.method)),
-                       topologies.size(), 1, timer.ms()};
-  return report;
-}
-
 Report<std::vector<double>> Workbench::score_mappings(
     std::span<const platform::Mapping> candidates,
     const prob::EstimatorOptions& opts) {

@@ -94,25 +94,6 @@ struct SweepOptions {
   wcrt::WcrtOptions wcrt;
 };
 
-/// \brief What a topology sweep evaluates per candidate interconnect: the
-/// link-aware estimate and the routed discrete-event simulation.
-struct TopologySweepOptions {
-  /// Link-aware estimator configuration (method, fixed-point passes).
-  prob::EstimatorOptions estimator;
-  /// Routed simulation configuration.
-  sim::SimOptions sim;
-  /// Restriction applied to every candidate; empty = full system.
-  platform::UseCase use_case;
-};
-
-/// \brief One candidate interconnect's results, in input order.
-struct TopologyResult {
-  /// Link-aware contention estimates (apps in use-case order).
-  std::vector<prob::AppEstimate> estimates;
-  /// Routed reference simulation (apps in use-case order).
-  sim::SimResult sim;
-};
-
 /// \brief One stateful analysis session over a platform::System — every
 /// analysis and DSE entry point as a uniform, Report-returning query.
 ///
@@ -217,21 +198,6 @@ class Workbench {
   [[nodiscard]] Report<std::vector<UseCaseResult>> sweep_use_cases(
       std::span<const platform::UseCase> use_cases, const SweepOptions& opts = {});
 
-  /// Evaluates the session's applications under each candidate interconnect
-  /// topology: the sweep retargets a lazily-built clone of the session
-  /// system per candidate (the session's own system, engines and SimEngine
-  /// are untouched — a sweep never perturbs later plain queries), runs the
-  /// link-aware estimator through the session's ThroughputEngines (topology
-  /// does not change application structure, so they are shared as-is), and
-  /// the routed simulation of the retargeted view (== sim::simulate; routes
-  /// are baked into an engine at build, so each candidate builds its own).
-  /// Candidates with TopologyKind::None reproduce the topology-free
-  /// contention/simulate results bitwise. Throws std::invalid_argument when
-  /// a candidate's node count does not match the platform.
-  [[nodiscard]] Report<std::vector<TopologyResult>> sweep_topologies(
-      std::span<const platform::Topology> topologies,
-      const TopologySweepOptions& opts = {});
-
   /// Scores candidate mappings of the session's applications (max estimated
   /// slowdown; == dse::evaluate_mapping per candidate), fanned out over the
   /// session's workers (dse::score_mapping on each worker's workspace).
@@ -310,10 +276,6 @@ class Workbench {
   platform::UseCase full_uc_;                        // 0..N-1, built once
   std::vector<prob::AppEstimate> est_pool_;          // grow-only result slots
   Report<std::span<const prob::AppEstimate>> contention_report_;
-
-  // A lazily-built clone of the session system that sweep_topologies
-  // retargets per candidate.
-  std::vector<platform::System> topo_scratch_;  // lazy, 0 or 1 entries
 };
 
 }  // namespace procon::api

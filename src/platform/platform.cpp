@@ -1,35 +1,9 @@
 #include "platform/platform.h"
 
+#include <algorithm>
 #include <stdexcept>
 
-#include "platform/topology.h"
-
 namespace procon::platform {
-
-Platform::Platform() : topology_(std::make_unique<Topology>()) {}
-
-Platform::Platform(const Platform& other)
-    : nodes_(other.nodes_), topology_(std::make_unique<Topology>(*other.topology_)) {}
-
-Platform::Platform(Platform&& other) noexcept = default;
-
-Platform& Platform::operator=(const Platform& other) {
-  if (this != &other) {
-    nodes_ = other.nodes_;
-    // Assign into the resident Topology when possible (keeps warm rebinds
-    // allocation-light); a moved-from target has no resident one.
-    if (topology_) {
-      *topology_ = *other.topology_;
-    } else {
-      topology_ = std::make_unique<Topology>(*other.topology_);
-    }
-  }
-  return *this;
-}
-
-Platform& Platform::operator=(Platform&& other) noexcept = default;
-
-Platform::~Platform() = default;
 
 Platform Platform::homogeneous(std::size_t count, const std::string& prefix) {
   Platform p;
@@ -63,14 +37,5 @@ NodeId Platform::find_node(const std::string& name) const noexcept {
   }
   return kInvalidNode;
 }
-
-void Platform::set_topology(Topology topology) {
-  if (!topology.none() && topology.node_count() != nodes_.size()) {
-    throw std::invalid_argument("Platform::set_topology: node count mismatch");
-  }
-  *topology_ = std::move(topology);
-}
-
-bool Platform::has_topology() const noexcept { return !topology_->none(); }
 
 }  // namespace procon::platform

@@ -7,7 +7,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -29,18 +28,10 @@ struct Node {
   NodeType type = 0;
 };
 
-class Topology;  // platform/topology.h
-
-/// A set of processing nodes, optionally joined by an interconnect.
+/// A set of processing nodes. As in the paper, communication between nodes
+/// is free: there is no interconnect model.
 class Platform {
  public:
-  Platform();
-  Platform(const Platform&);
-  Platform(Platform&&) noexcept;
-  Platform& operator=(const Platform&);
-  Platform& operator=(Platform&&) noexcept;
-  ~Platform();
-
   /// Convenience: creates `count` nodes named "<prefix>0".."<prefix>N-1",
   /// all of type 0.
   static Platform homogeneous(std::size_t count, const std::string& prefix = "Proc");
@@ -55,28 +46,19 @@ class Platform {
   [[nodiscard]] const Node& node(NodeId id) const;
   [[nodiscard]] NodeId find_node(const std::string& name) const noexcept;
 
-  /// Attaches an interconnect. A non-None topology must span exactly
-  /// node_count() nodes (throws std::invalid_argument otherwise); passing a
-  /// default-constructed Topology detaches the interconnect. When the
-  /// platform lives inside a platform::System, mutate through
-  /// System::set_topology instead so the system fingerprint tracks.
-  void set_topology(Topology topology);
-
-  /// The attached interconnect (kind None when there is none).
-  [[nodiscard]] const Topology& topology() const noexcept { return *topology_; }
-  /// Mutable access to the attached interconnect, for fingerprint-tracked
-  /// link mutation (System::set_link_width / set_link_latency). Replacing
-  /// the whole topology must go through set_topology, which validates the
-  /// node count.
-  [[nodiscard]] Topology& mutable_topology() noexcept { return *topology_; }
-  /// True when a non-None interconnect is attached.
-  [[nodiscard]] bool has_topology() const noexcept;
+  /// Inert stand-in for the removed interconnect model: none() is always
+  /// true. Kept only because the benchmark's step-4 replay still calls
+  /// `view.platform().topology().none()` (ledger/common.cpp:368); delete it
+  /// with that call.
+  struct NoInterconnect {
+    /// Always true: no platform carries an interconnect.
+    [[nodiscard]] static constexpr bool none() noexcept { return true; }
+  };
+  /// The interconnect stand-in (see NoInterconnect).
+  [[nodiscard]] static constexpr NoInterconnect topology() noexcept { return {}; }
 
  private:
   std::vector<Node> nodes_;
-  // Owned indirectly to keep platform.h free of the topology definition
-  // (topology.h includes this header for NodeId). Never null.
-  std::unique_ptr<Topology> topology_;
 };
 
 }  // namespace procon::platform

@@ -17,26 +17,6 @@ std::uint64_t node_component(const Platform& p) noexcept {
   }
   return comp;
 }
-
-// Slot-free component of the interconnect: the shape feature XORed with one
-// feature per link. Kind None contributes exactly 0, which is what keeps
-// no-topology fingerprints bitwise identical to pre-interconnect ones.
-std::uint64_t topology_component(const Topology& t) noexcept {
-  if (t.none()) return 0;
-  std::uint64_t comp = ZobristHash::topology_feature(
-      static_cast<std::uint8_t>(t.kind()), static_cast<std::uint32_t>(t.rows()),
-      static_cast<std::uint32_t>(t.cols()));
-  for (LinkId l = 0; l < t.link_count(); ++l) {
-    const Link& lk = t.link(l);
-    comp ^= ZobristHash::link_feature(l, lk.src, lk.dst, lk.width, lk.latency);
-  }
-  return comp;
-}
-
-std::uint64_t link_feature_of(const Topology& t, LinkId id) {
-  const Link& lk = t.link(id);
-  return ZobristHash::link_feature(id, lk.src, lk.dst, lk.width, lk.latency);
-}
 }  // namespace
 
 System::System() : System({}, Platform{}, Mapping{}) {}
@@ -47,10 +27,8 @@ System::System() : System({}, Platform{}, Mapping{}) {}
 // per-app graph components are hashed here.
 System::System(std::vector<sdf::Graph> apps, Platform platform, Mapping mapping)
     : apps_(std::move(apps)), platform_(std::move(platform)), mapping_(std::move(mapping)) {
-  node_comp_ = node_component(platform_);
-  topo_comp_ = topology_component(platform_.topology());
   platform_placed_ =
-      ZobristHash::place(ZobristHash::kPlatformTag, 0, node_comp_ ^ topo_comp_);
+      ZobristHash::place(ZobristHash::kPlatformTag, 0, node_component(platform_));
   app_comp_.reserve(apps_.size());
   for (sdf::AppId i = 0; i < apps_.size(); ++i) {
     app_comp_.push_back(ZobristHash::graph_component(apps_[i]));
@@ -83,31 +61,6 @@ void System::set_mapping(const Mapping& mapping) {
   // Copy-assign in place: same-shape rows reuse the resident rows' heap
   // storage, keeping warm explorer rebinds allocation-free.
   mapping_ = mapping;
-}
-
-void System::set_topology(Topology topology) {
-  platform_.set_topology(std::move(topology));
-  topo_comp_ = topology_component(platform_.topology());
-  platform_placed_ =
-      ZobristHash::place(ZobristHash::kPlatformTag, 0, node_comp_ ^ topo_comp_);
-}
-
-void System::set_link_width(LinkId id, std::uint32_t width) {
-  Topology& t = platform_.mutable_topology();
-  topo_comp_ ^= link_feature_of(t, id);
-  t.set_link_width(id, width);
-  topo_comp_ ^= link_feature_of(t, id);
-  platform_placed_ =
-      ZobristHash::place(ZobristHash::kPlatformTag, 0, node_comp_ ^ topo_comp_);
-}
-
-void System::set_link_latency(LinkId id, sdf::Time latency) {
-  Topology& t = platform_.mutable_topology();
-  topo_comp_ ^= link_feature_of(t, id);
-  t.set_link_latency(id, latency);
-  topo_comp_ ^= link_feature_of(t, id);
-  platform_placed_ =
-      ZobristHash::place(ZobristHash::kPlatformTag, 0, node_comp_ ^ topo_comp_);
 }
 
 const sdf::Graph& System::app(sdf::AppId id) const {

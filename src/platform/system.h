@@ -12,7 +12,6 @@
 
 #include "platform/mapping.h"
 #include "platform/platform.h"
-#include "platform/topology.h"
 #include "sdf/graph.h"
 
 namespace procon::platform {
@@ -42,22 +41,6 @@ class System {
   /// rebinding a same-shape candidate performs no heap allocation.
   void set_mapping(const Mapping& mapping);
 
-  /// Attaches an interconnect to the platform (or detaches it when
-  /// `topology` is kind None), rebuilding the platform fingerprint term in
-  /// O(nodes + links). Throws std::invalid_argument on a node-count
-  /// mismatch. Invalidates SimEngines built over this system (their routes
-  /// are baked at build time); SystemViews stay valid — they read the
-  /// platform through the parent.
-  void set_topology(Topology topology);
-
-  /// Changes the width of interconnect link `id` with an O(1) XOR
-  /// fingerprint delta. Throws std::out_of_range on a bad id.
-  void set_link_width(LinkId id, std::uint32_t width);
-
-  /// Changes the latency of interconnect link `id` with an O(1) XOR
-  /// fingerprint delta. Throws std::out_of_range on a bad id.
-  void set_link_latency(LinkId id, sdf::Time latency);
-
   /// Appends one application with actor a mapped on nodes[a] (run-time
   /// admission: the admitted set grows in place, no re-copy of the resident
   /// applications). Throws sdf::GraphError on a mapping size mismatch.
@@ -76,9 +59,9 @@ class System {
   [[nodiscard]] UseCase full_use_case() const;
 
   /// Validation: mapping complete and on the platform's nodes, every app
-  /// consistent & deadlock-free, an attached topology spanning the
-  /// platform's nodes. Throws sdf::GraphError with a descriptive message on
-  /// violation. Same rules as SystemView::validate on the whole system.
+  /// consistent & deadlock-free. Throws sdf::GraphError with a descriptive
+  /// message on violation. Same rules as SystemView::validate on the whole
+  /// system.
   void validate() const;
 
   /// Live Zobrist fingerprint of the whole system:
@@ -120,12 +103,7 @@ class System {
   Mapping mapping_;
   std::vector<std::uint64_t> app_comp_;  // slot-free per-app graph components
   std::uint64_t apps_fp_ = 0;            // XOR of placed app components
-  // place() is non-linear in its component argument, so per-link O(1)
-  // fingerprint deltas XOR into the cached slot-free components below and
-  // re-place, instead of XOR-patching platform_placed_ directly.
-  std::uint64_t node_comp_ = 0;          // slot-free node features
-  std::uint64_t topo_comp_ = 0;          // slot-free topology + link features
-  std::uint64_t platform_placed_ = 0;    // place(kPlatformTag, 0, node^topo)
+  std::uint64_t platform_placed_ = 0;    // place(kPlatformTag, 0, node features)
 };
 
 }  // namespace procon::platform

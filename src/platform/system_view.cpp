@@ -93,10 +93,6 @@ void SystemView::validate() const {
   if (sys_->mapping().app_count() != sys_->app_count()) {
     throw sdf::GraphError("SystemView: mapping/application count mismatch");
   }
-  if (platform().has_topology() &&
-      platform().topology().node_count() != platform().node_count()) {
-    throw sdf::GraphError("SystemView: topology/platform node count mismatch");
-  }
   for (sdf::AppId i = 0; i < uc_.size(); ++i) {
     const sdf::Graph& g = app(i);
     if (g.actor_count() == 0) {

@@ -129,10 +129,10 @@ class SystemView {
   [[nodiscard]] System materialise() const;
 
   /// Validation of the selected applications only: their mapping rows are
-  /// complete and in range, each selected app consistent & deadlock-free,
-  /// and an attached topology spans the platform's nodes. Throws
-  /// sdf::GraphError on violation. System::validate runs these rules on
-  /// the whole system. Every one-shot analysis calls it first.
+  /// complete and in range, and each selected app consistent &
+  /// deadlock-free. Throws sdf::GraphError on violation. System::validate
+  /// runs these rules on the whole system. Every one-shot analysis calls it
+  /// first.
   void validate() const;
 
  private:

@@ -175,38 +175,6 @@ PROCON_WARM_PATH void ContentionEstimator::estimate_into(
     out[i].actors.resize(app.actor_count());
   }
 
-  // Interconnect: enumerate the routed channels once per call — routes are
-  // pure structure, reused every pass; only their loads change per pass.
-  // All three arenas are grow-only, so warm calls stay allocation-free.
-  const platform::Topology& topo = view.platform().topology();
-  ws.flows.clear();
-  ws.flow_links.clear();
-  ws.flow_service.clear();
-  if (!topo.none()) {
-    for (sdf::AppId i = 0; i < napps; ++i) {
-      const sdf::Graph& app = view.app(i);
-      const sdf::RepetitionVector& q = engines[i]->repetition_vector();
-      for (sdf::ChannelId c = 0; c < app.channel_count(); ++c) {
-        const sdf::Channel& ch = app.channel(c);
-        const platform::NodeId src_node = view.node_of(i, ch.src);
-        const platform::NodeId dst_node = view.node_of(i, ch.dst);
-        if (src_node == dst_node) continue;
-        LinkFlow flow;
-        flow.app = i;
-        flow.src = ch.src;
-        flow.reps = q[ch.src];
-        flow.route_begin = static_cast<std::uint32_t>(ws.flow_links.size());
-        topo.route(src_node, dst_node, ws.flow_links);
-        flow.route_end = static_cast<std::uint32_t>(ws.flow_links.size());
-        for (std::uint32_t k = flow.route_begin; k < flow.route_end; ++k) {
-          ws.flow_service.push_back(static_cast<double>(
-              topo.service_time(ws.flow_links[k], ch.prod_rate)));
-        }
-        ws.flows.push_back(flow);
-      }
-    }
-  }
-
   for (int pass = 0; pass < opts_.iterations; ++pass) {
     // Step 2: per-actor loads from the current period estimates.
     for (sdf::AppId i = 0; i < napps; ++i) {
@@ -259,43 +227,6 @@ PROCON_WARM_PATH void ContentionEstimator::estimate_into(
         out[e.app].actors[e.actor].waiting_time = twait;
         ws.response[e.app][e.actor] = mean_exec + twait;
         out[e.app].actors[e.actor].response_time = ws.response[e.app][e.actor];
-      }
-    }
-
-    // Step 4b (interconnect extension): per-link waiting, composed into the
-    // same fixed point. Each flow loads every link on its route; the
-    // producer's response time then absorbs, per hop, the transfer time
-    // plus the second-order expected waiting behind the *other* flows on
-    // that link. Always second-order, whatever the node method — links are
-    // a house extension orthogonal to the paper's method axis, and the
-    // sim-agreement bound documented in tests/test_interconnect.cpp is
-    // calibrated against this composition.
-    if (!ws.flows.empty()) {
-      const std::size_t nlinks = topo.link_count();
-      ensure_slots(ws.per_link, nlinks);
-      for (std::size_t l = 0; l < nlinks; ++l) ws.per_link[l].clear();
-      for (std::uint32_t f = 0; f < ws.flows.size(); ++f) {
-        const LinkFlow& flow = ws.flows[f];
-        for (std::uint32_t k = flow.route_begin; k < flow.route_end; ++k) {
-          ws.per_link[ws.flow_links[k]].push_back(LinkOccupant{
-              f, link_flow_load(ws.flow_service[k], flow.reps,
-                                out[flow.app].estimated_period)});
-        }
-      }
-      for (std::uint32_t f = 0; f < ws.flows.size(); ++f) {
-        const LinkFlow& flow = ws.flows[f];
-        double tlink = 0.0;
-        for (std::uint32_t k = flow.route_begin; k < flow.route_end; ++k) {
-          ws.others.clear();
-          for (const LinkOccupant& o : ws.per_link[ws.flow_links[k]]) {
-            if (o.flow != f) ws.others.push_back(o.load);
-          }
-          tlink += ws.flow_service[k] + waiting_time_second_order(ws.others);
-        }
-        out[flow.app].actors[flow.src].waiting_time += tlink;
-        ws.response[flow.app][flow.src] += tlink;
-        out[flow.app].actors[flow.src].response_time =
-            ws.response[flow.app][flow.src];
       }
     }
 

@@ -32,18 +32,8 @@
 // the natural fixed-point extension (recompute P from the estimated
 // contended periods and repeat).
 //
-// Interconnect extension (house, not in the paper): when the platform
-// carries a platform::Topology, every channel whose producer and consumer
-// sit on different nodes becomes a *flow* over its deterministic link
-// route. Between steps 4 and 5 of each pass, each flow loads every link on
-// its route with link_flow_load(T_l, q(src), Per(A)) and the producer's
-// response time absorbs, per hop, the transfer time plus the expected
-// waiting behind the other flows on that link — so link contention feeds
-// the same step-5 fixed point as processor contention. The link term
-// always uses the second-order composition, independently of the node
-// method (links are orthogonal to the paper's method axis). With no
-// topology there are no flows and results are bitwise identical to the
-// paper pipeline.
+// As in the paper, contention is modelled at the processing nodes only:
+// communication between nodes is free.
 #pragma once
 
 #include <span>
@@ -103,25 +93,6 @@ struct AppEstimate {
   }
 };
 
-/// One routed channel of the view (interconnect extension): a channel whose
-/// producer and consumer sit on different nodes, flattened with its link
-/// route for the per-link waiting-time term. Element type of
-/// EstimatorWorkspace's flow arena.
-struct LinkFlow {
-  sdf::AppId app = 0;             ///< producing (view) application
-  sdf::ActorId src = 0;           ///< producing actor, app-local id
-  std::uint64_t reps = 0;         ///< q(src): transfers per iteration
-  std::uint32_t route_begin = 0;  ///< first hop in flow_links / flow_service
-  std::uint32_t route_end = 0;    ///< one past the last hop
-};
-
-/// One flow occupying a link during a pass, with its per-hop load — the
-/// link-tier analogue of a node's load.
-struct LinkOccupant {
-  std::uint32_t flow = 0;  ///< index into EstimatorWorkspace::flows
-  ActorLoad load;          ///< link_flow_load of this flow on this link
-};
-
 /// Reusable scratch for the Figure 4 pipeline: every temporary the
 /// algorithm builds per call/pass (step-1 mean tables, step-2 load tables,
 /// the step-3 per-node grouping, the step-4 node kernels' lanes and
@@ -136,11 +107,7 @@ struct EstimatorWorkspace {
   std::vector<double> lanes;                     ///< step-4 node kernel lanes
   std::vector<double> waits;                     ///< step-4 waiting times of a node
   std::vector<std::vector<double>> response;     ///< per app: step-4 responses
-  std::vector<ActorLoad> others;                 ///< per-actor fold scratch (Monte-Carlo, links)
-  std::vector<LinkFlow> flows;                   ///< routed channels of the view
-  std::vector<std::uint32_t> flow_links;         ///< concatenated route link ids
-  std::vector<double> flow_service;              ///< per-hop transfer times
-  std::vector<std::vector<LinkOccupant>> per_link;  ///< per-link grouping arena
+  std::vector<ActorLoad> others;                 ///< per-actor fold scratch (Monte-Carlo)
 };
 
 class ContentionEstimator {

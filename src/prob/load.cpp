@@ -65,13 +65,4 @@ std::vector<ActorLoad> derive_loads(const sdf::Graph& g, const sdf::RepetitionVe
   return loads;
 }
 
-ActorLoad link_flow_load(double service_time, std::uint64_t repetitions,
-                         double period) noexcept {
-  ActorLoad load;
-  load.exec_time = service_time;
-  load.probability = blocking_probability(service_time, repetitions, period);
-  load.mean_blocking = mean_blocking_time(service_time);
-  return load;
-}
-
 }  // namespace procon::prob

@@ -66,16 +66,4 @@ void derive_loads_stochastic_into(const sdf::Graph& g, const sdf::RepetitionVect
                                   double period, const sdf::ExecTimeModel& model,
                                   std::vector<ActorLoad>& out);
 
-/// Per-link flow load (interconnect extension): the load one routed channel
-/// places on one link of its route, in the same P/mu algebra as actors on
-/// nodes. The producing actor fires `repetitions` times per period, each
-/// firing occupying the link for `service_time` (the transfer of one
-/// production burst), so P = clamp(service_time * repetitions / period) and
-/// mu = service_time / 2 — Definitions 4/5 with the link as the shared
-/// resource. Composable with every waiting-time method exactly like actor
-/// loads.
-[[nodiscard]] ActorLoad link_flow_load(double service_time,
-                                       std::uint64_t repetitions,
-                                       double period) noexcept;
-
 }  // namespace procon::prob

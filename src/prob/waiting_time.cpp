@@ -13,9 +13,10 @@ namespace {
 /// (max_j = n-1 gives the exact Eq. 4). Only e_0..e_limit enter the sum, so
 /// both symmetric-polynomial steps are capped there: O(n * limit) per call,
 /// bitwise the uncapped evaluation. Scratch buffers are thread_local: its
-/// callers (the estimator's step-4b link term, once per flow and hop in
-/// every pass, and the ledger's reference replay of step 4) must stay
-/// heap-free when warm, and estimators on different threads run it at once.
+/// callers (the per-actor reference functions below, which the ledger's
+/// replay of step 4 runs once per actor; the estimator runs the node
+/// kernels instead) must stay heap-free when warm, and callers on
+/// different threads may run it at once.
 double waiting_time_series(std::span<const ActorLoad> others, std::size_t max_j) {
   const std::size_t n = others.size();
   if (n == 0) return 0.0;

@@ -1,9 +1,7 @@
 #include "sdf/algorithms.h"
 
 #include <algorithm>
-#include <functional>
 #include <string>
-#include <string_view>
 
 namespace procon::sdf {
 
@@ -137,29 +135,6 @@ DeadlockDiagnosis diagnose_deadlock(const Graph& g) {
 }
 
 bool is_deadlock_free(const Graph& g) { return diagnose_deadlock(g).deadlock_free; }
-
-std::uint64_t fingerprint_mix(std::uint64_t h, std::uint64_t v) noexcept {
-  return h ^ (v + 0x9E3779B97F4A7C15ULL + (h << 6) + (h >> 2));
-}
-
-std::uint64_t graph_fingerprint(const Graph& g, std::uint64_t seed) noexcept {
-  std::uint64_t h =
-      fingerprint_mix(seed, std::hash<std::string_view>{}(g.name()));
-  h = fingerprint_mix(h, g.actor_count());
-  h = fingerprint_mix(h, g.channel_count());
-  for (const Actor& a : g.actors()) {
-    h = fingerprint_mix(h, std::hash<std::string_view>{}(a.name));
-    h = fingerprint_mix(h, static_cast<std::uint64_t>(a.exec_time));
-  }
-  for (const Channel& c : g.channels()) {
-    h = fingerprint_mix(h, c.src);
-    h = fingerprint_mix(h, c.dst);
-    h = fingerprint_mix(h, c.prod_rate);
-    h = fingerprint_mix(h, c.cons_rate);
-    h = fingerprint_mix(h, c.initial_tokens);
-  }
-  return h;
-}
 
 bool graphs_equal(const Graph& a, const Graph& b) noexcept {
   if (a.name() != b.name() || a.actor_count() != b.actor_count() ||

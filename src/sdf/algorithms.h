@@ -50,22 +50,9 @@ struct DeadlockDiagnosis {
 };
 [[nodiscard]] DeadlockDiagnosis diagnose_deadlock(const Graph& g);
 
-/// Structural fingerprint of a graph (name, actors, channels), mixed into
-/// `seed` — one shared definition of "same graph" for every structure-keyed
-/// cache (the admission candidate LRU, the service session LRU). Collisions
-/// must be disambiguated with graphs_equal. No allocation.
-[[nodiscard]] std::uint64_t graph_fingerprint(const Graph& g,
-                                              std::uint64_t seed = 0) noexcept;
-
-/// Exact structural equality (the fingerprint's tie-breaker): same name,
-/// actors (names + execution times) and channels (endpoints, rates, initial
-/// tokens). No allocation.
+/// Exact structural equality (the tie-breaker of the caches keyed on
+/// sdf::ZobristHash fingerprints): same name, actors (names + execution
+/// times) and channels (endpoints, rates, initial tokens). No allocation.
 [[nodiscard]] bool graphs_equal(const Graph& a, const Graph& b) noexcept;
-
-/// Mixes one value into a structural hash (splitmix-style combiner shared
-/// by the fingerprint helpers; exposed so compound caches — e.g. a whole
-/// System — can extend the same hash).
-[[nodiscard]] std::uint64_t fingerprint_mix(std::uint64_t h,
-                                            std::uint64_t v) noexcept;
 
 }  // namespace procon::sdf

@@ -6,9 +6,7 @@ namespace procon::sdf {
 
 namespace {
 
-// splitmix64 finaliser: a cheap, well-distributed 64-bit mixer (the same
-// family as fingerprint_mix, but kept separate so Zobrist components and
-// the oracle graph_fingerprint stay independent hash functions).
+// splitmix64 finaliser: a cheap, well-distributed 64-bit mixer.
 constexpr std::uint64_t mix(std::uint64_t x) noexcept {
   x += 0x9E3779B97F4A7C15ULL;
   x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ULL;
@@ -39,7 +37,6 @@ constexpr std::size_t kChannelDim = 8;
 constexpr std::size_t kNodeDim = 16;
 constexpr std::size_t kMappingDim = 24;
 constexpr std::size_t kPlaceDim = 32;
-constexpr std::size_t kLinkDim = 40;
 
 // Chains one field into a feature hash, salted by its dimension row.
 constexpr std::uint64_t step(std::uint64_t h, std::uint64_t v,
@@ -71,23 +68,6 @@ std::uint64_t ZobristHash::node_feature(std::uint32_t node, std::uint32_t type) 
 std::uint64_t ZobristHash::mapping_feature(ActorId a, std::uint32_t node) noexcept {
   std::uint64_t h = step(kTable[kMappingDim], a, kMappingDim + 1);
   return step(h, node, kMappingDim + 2);
-}
-
-std::uint64_t ZobristHash::topology_feature(std::uint8_t kind, std::uint32_t rows,
-                                            std::uint32_t cols) noexcept {
-  std::uint64_t h = step(kTable[kLinkDim], kind, kLinkDim + 1);
-  h = step(h, rows, kLinkDim + 2);
-  return step(h, cols, kLinkDim + 3);
-}
-
-std::uint64_t ZobristHash::link_feature(std::uint32_t link, std::uint32_t src,
-                                        std::uint32_t dst, std::uint32_t width,
-                                        Time latency) noexcept {
-  std::uint64_t h = step(kTable[kLinkDim + 4], link, kLinkDim + 5);
-  h = step(h, src, kLinkDim + 6);
-  h = step(h, dst, kLinkDim + 7);
-  h = step(h, width, kLinkDim + 8);
-  return step(h, static_cast<std::uint64_t>(latency), kLinkDim + 9);
 }
 
 std::uint64_t ZobristHash::graph_component(const Graph& g) noexcept {

@@ -16,8 +16,8 @@
 // them, so two differently-named but structurally identical applications
 // hash equal and can share transposition entries across tenants. Callers
 // that need exact identity (the admission candidate LRU, the service
-// session LRU) still tie-break with graphs_equal / systems_equal, which do
-// compare names.
+// session LRU) key on these fingerprints and tie-break with graphs_equal /
+// systems_equal, which do compare names.
 //
 // Composition convention (used by platform::System / platform::Mapping /
 // platform::SystemView):
@@ -78,25 +78,6 @@ class ZobristHash {
   /// partially-built mappings have well-defined fingerprints.
   [[nodiscard]] static std::uint64_t mapping_feature(ActorId a,
                                                      std::uint32_t node) noexcept;
-
-  /// Feature code of an interconnect's shape: kind (bus/ring/mesh as an
-  /// integer) and mesh dimensions. Drawn from its own table row, so a
-  /// topology-bearing platform never aliases the same platform without one
-  /// (kind None contributes no feature at all — by convention the caller
-  /// skips both topology and link features in that case, keeping
-  /// no-topology fingerprints bitwise identical to pre-interconnect ones).
-  [[nodiscard]] static std::uint64_t topology_feature(std::uint8_t kind,
-                                                      std::uint32_t rows,
-                                                      std::uint32_t cols) noexcept;
-
-  /// Feature code of directed interconnect link `link` (mixes endpoints,
-  /// width and latency). XOR-delta friendly: set_link_width/latency on a
-  /// System XORs the old and new codes in O(1).
-  [[nodiscard]] static std::uint64_t link_feature(std::uint32_t link,
-                                                  std::uint32_t src,
-                                                  std::uint32_t dst,
-                                                  std::uint32_t width,
-                                                  Time latency) noexcept;
 
   /// Slot-free structural component of a whole graph: XOR of all actor and
   /// channel features. Name-free by design (see header comment). O(actors +

@@ -46,7 +46,6 @@ SimResult SimResultView::materialise() const {
   out.apps.reserve(apps.size());
   for (const AppSimView& app : apps) out.apps.push_back(app.materialise());
   out.node_utilisation.assign(node_utilisation.begin(), node_utilisation.end());
-  out.link_utilisation.assign(link_utilisation.begin(), link_utilisation.end());
   out.trace.assign(trace.begin(), trace.end());
   return out;
 }

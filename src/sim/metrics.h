@@ -59,9 +59,6 @@ struct TraceEvent {
 struct SimResult {
   std::vector<AppSimResult> apps;
   std::vector<double> node_utilisation;  ///< busy fraction per node
-  /// Busy fraction per interconnect link (empty when the platform has no
-  /// topology). events_processed includes link-arbitration events.
-  std::vector<double> link_utilisation;
   std::uint64_t events_processed = 0;
   sdf::Time horizon = 0;
   std::vector<TraceEvent> trace;  ///< empty unless SimOptions::collect_trace
@@ -110,8 +107,6 @@ struct AppSimView {
 struct SimResultView {
   std::span<const AppSimView> apps;              ///< per active application
   std::span<const double> node_utilisation;      ///< busy fraction per node
-  /// Busy fraction per interconnect link (empty without a topology).
-  std::span<const double> link_utilisation;
   std::uint64_t events_processed = 0;            ///< events the run consumed
   sdf::Time horizon = 0;                         ///< simulated horizon
   std::span<const TraceEvent> trace;  ///< empty unless SimOptions::collect_trace

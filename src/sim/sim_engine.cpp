@@ -16,9 +16,6 @@ using sdf::Time;
 namespace {
 constexpr std::uint32_t kNoActor = UINT32_MAX;
 constexpr std::uint32_t kInactive = UINT32_MAX;
-// Heap events with this bit set in Event::actor are link completions; the
-// low bits index msg_pool_. Flat actor counts stay far below 2^31.
-constexpr std::uint32_t kLinkFlag = 0x80000000u;
 // Event cap when SimOptions::max_events is 0.
 constexpr std::uint64_t kDefaultMaxEvents = 200'000'000ULL;
 // Steady state: the first quarter of each application's iterations is
@@ -81,27 +78,6 @@ void SimEngine::build(const platform::SystemView& view) {
   pack(in_of, in_start_, in_edges_);
   pack(out_of, out_start_, out_edges_);
 
-  // Bake interconnect routes: a pure function of (topology, mapping), so a
-  // rebuilt engine reproduces them bit-identically. Per-hop service times
-  // are precomputed for the channel's production burst.
-  const platform::Topology& topo = view.platform().topology();
-  link_count_ = static_cast<std::uint32_t>(topo.link_count());
-  route_start_.assign(out_edges_.size() + 1, 0);
-  for (std::uint32_t a = 0; a < actor_count_; ++a) {
-    for (std::uint32_t k = out_start_[a]; k < out_start_[a + 1]; ++k) {
-      route_start_[k] = static_cast<std::uint32_t>(route_links_.size());
-      const OutEdge& e = out_edges_[k];
-      if (!topo.none() && node_of_[a] != e.dst_node) {
-        topo.route(node_of_[a], e.dst_node, route_links_);
-      }
-      for (std::size_t h = route_start_[k]; h < route_links_.size(); ++h) {
-        route_service_.push_back(topo.service_time(route_links_[h], e.prod));
-      }
-    }
-  }
-  route_start_[out_edges_.size()] = static_cast<std::uint32_t>(route_links_.size());
-  routed_ = !route_links_.empty();
-
   full_uc_.resize(app_count());
   for (AppId i = 0; i < full_uc_.size(); ++i) full_uc_[i] = i;
 
@@ -134,12 +110,7 @@ void SimEngine::build(const platform::SystemView& view) {
   rr_next_.resize(node_count_);
   node_busy_.resize(node_count_);
   node_busy_time_.resize(node_count_);
-  link_queue_.resize(link_count_);
-  link_head_.resize(link_count_);
-  link_busy_.resize(link_count_);
-  link_busy_time_.resize(link_count_);
-  link_util_.resize(link_count_);
-  events_.reserve(actor_count_ + link_count_ + 16);
+  events_.reserve(actor_count_ + 16);
 
   // Snapshot buffers, at their largest: 3 words per node plus its ring,
   // 4 per actor plus its input tokens, and a count plus 2 words per pending
@@ -225,12 +196,6 @@ void SimEngine::arm(const platform::UseCase& uc) {
   }
   std::fill(fcfs_head_.begin(), fcfs_head_.end(), std::uint32_t{0});
   std::fill(fcfs_len_.begin(), fcfs_len_.end(), std::uint32_t{0});
-  for (auto& q : link_queue_) q.clear();
-  std::fill(link_head_.begin(), link_head_.end(), std::size_t{0});
-  std::fill(link_busy_.begin(), link_busy_.end(), std::uint8_t{0});
-  std::fill(link_busy_time_.begin(), link_busy_time_.end(), Time{0});
-  msg_pool_.clear();
-  msg_free_.clear();
   events_.clear();
   next_seq_ = 0;
   root_spent_ = false;
@@ -295,15 +260,14 @@ PROCON_WARM_PATH SimResultView SimEngine::run_view(const SimOptions& opts) {
   bind_options(opts);
   if (!firings_end_in_range()) {
     throw std::invalid_argument(
-        "simulate: horizon plus the longest firing or link hop overflows sdf::Time");
+        "simulate: horizon plus the longest firing overflows sdf::Time");
   }
   armed_ = false;  // dynamic state is about to be spent
 
-  // Fast-forward eligibility (sim_engine.h): fixed times, no TDMA, no
-  // trace, no routed channels.
+  // Fast-forward eligibility (sim_engine.h): fixed times, no TDMA, no trace.
   ff_events_ = 0;
   seeking_ = opts.exec_models.empty() && opts_.arbitration != Arbitration::Tdma &&
-             !opts_.collect_trace && !routed_;
+             !opts_.collect_trace;
   period_mark_ = false;
   snap_.clear();
   snap_power_ = 1;
@@ -345,11 +309,7 @@ std::uint64_t SimEngine::step(std::uint64_t max_events) {
     if (ev.time > opts_.horizon) break;
     root_spent_ = true;
     ++processed;
-    if (ev.actor & kLinkFlag) {
-      on_link_completion<kArb>(ev.actor & ~kLinkFlag, ev.time);
-    } else {
-      on_completion<kArb>(ev.actor, ev.time);
-    }
+    on_completion<kArb>(ev.actor, ev.time);
     if (root_spent_) {
       std::pop_heap(events_.begin(), events_.end(), std::greater<>{});
       events_.pop_back();
@@ -388,15 +348,6 @@ bool SimEngine::firings_end_in_range() const {
         return false;
       }
       if (reach > room) return false;
-    }
-  }
-  // A link hop starts by the horizon too. An application's hops are
-  // contiguous: its actors' out-edges are, and routes follow edge order.
-  for (const AppId app : active_) {
-    const std::uint32_t first = route_start_[out_start_[app_actor_base_[app]]];
-    const std::uint32_t last = route_start_[out_start_[app_actor_base_[app + 1]]];
-    for (std::uint32_t h = first; h < last; ++h) {
-      if (route_service_[h] > room) return false;
     }
   }
   return true;
@@ -548,18 +499,11 @@ template <Arbitration kArb>
 
 template <Arbitration kArb>
 [[gnu::always_inline]] inline void SimEngine::on_completion(std::uint32_t a, Time t) {
-  // Produce outputs: instantly on unrouted channels, as an interconnect
-  // message on routed ones (tokens arrive when the last hop completes).
+  // Produce outputs: the tokens arrive at once.
   const OutEdge* const out = out_edges_.data();
   const std::uint32_t out_begin = out_start_[a];
   const std::uint32_t out_end = out_start_[a + 1];
-  for (std::uint32_t k = out_begin; k < out_end; ++k) {
-    if (routed_ && route_start_[k] != route_start_[k + 1]) {
-      send_message(k, t);
-    } else {
-      deposit(out[k]);
-    }
-  }
+  for (std::uint32_t k = out_begin; k < out_end; ++k) deposit(out[k]);
   state_[a] = ActorState::Idle;
   ++actor_stats_[a].firings;
   if (--iter_left_[a] == 0) {
@@ -582,64 +526,6 @@ template <Arbitration kArb>
   // that just became ready.
   try_dispatch<kArb>(node, t);
   for (std::uint32_t k = out_begin; k < out_end; ++k) try_dispatch<kArb>(out[k].dst_node, t);
-}
-
-void SimEngine::send_message(std::uint32_t edge, Time t) {
-  std::uint32_t m;
-  if (!msg_free_.empty()) {
-    m = msg_free_.back();
-    msg_free_.pop_back();
-    msg_pool_[m] = Msg{edge, 0};
-  } else {
-    m = static_cast<std::uint32_t>(msg_pool_.size());
-    msg_pool_.push_back(Msg{edge, 0});
-  }
-  link_queue_[route_links_[route_start_[edge]]].push_back(m);
-  try_dispatch_link(route_links_[route_start_[edge]], t);
-}
-
-void SimEngine::try_dispatch_link(platform::LinkId link, Time t) {
-  if (link_busy_[link]) return;
-  auto& q = link_queue_[link];
-  std::size_t& head = link_head_[link];
-  if (head == q.size()) return;
-  const std::uint32_t m = q[head++];
-  // Amortised compaction keeps the served prefix from growing without
-  // bound on long runs while staying O(1) per pop.
-  if (head >= 4096 && head * 2 >= q.size()) {
-    q.erase(q.begin(), q.begin() + static_cast<std::ptrdiff_t>(head));
-    head = 0;
-  }
-  link_busy_[link] = 1;
-  const Msg& msg = msg_pool_[m];
-  const Time service = route_service_[route_start_[msg.edge] + msg.hop];
-  link_busy_time_[link] +=
-      std::min(t + service, opts_.horizon) - std::min(t, opts_.horizon);
-  push_event(t + service, kLinkFlag | m);
-}
-
-template <Arbitration kArb>
-void SimEngine::on_link_completion(std::uint32_t m, Time t) {
-  const Msg msg = msg_pool_[m];
-  const std::uint32_t first = route_start_[msg.edge];
-  const platform::LinkId link = route_links_[first + msg.hop];
-  link_busy_[link] = 0;
-  const std::uint32_t next_hop = msg.hop + 1;
-  if (first + next_hop == route_start_[msg.edge + 1]) {
-    // Final hop: the tokens arrive at the consumer.
-    const OutEdge& e = out_edges_[msg.edge];
-    deposit(e);
-    msg_free_.push_back(m);
-    try_enqueue<kArb>(e.dst, e.dst_node, t);
-    try_dispatch_link(link, t);
-    try_dispatch<kArb>(e.dst_node, t);
-  } else {
-    // Forward to the next hop, then backfill the link just released.
-    msg_pool_[m].hop = next_hop;
-    link_queue_[route_links_[first + next_hop]].push_back(m);
-    try_dispatch_link(route_links_[first + next_hop], t);
-    try_dispatch_link(link, t);
-  }
 }
 
 void SimEngine::complete_iteration(std::uint32_t active_app, Time t) {
@@ -801,16 +687,9 @@ SimResultView SimEngine::finalise_view(std::uint64_t processed) {
             ? static_cast<double>(node_busy_time_[n]) / static_cast<double>(opts_.horizon)
             : 0.0;
   }
-  for (std::uint32_t l = 0; l < link_count_; ++l) {
-    link_util_[l] =
-        opts_.horizon > 0
-            ? static_cast<double>(link_busy_time_[l]) / static_cast<double>(opts_.horizon)
-            : 0.0;
-  }
   SimResultView result;
   result.apps = view_apps_;
   result.node_utilisation = node_util_;
-  result.link_utilisation = link_util_;
   result.events_processed = processed;
   result.horizon = opts_.horizon;
   result.trace = trace_;

@@ -35,27 +35,15 @@
 // allocator).
 // The value-returning run() stays as a deep-copying shim.
 //
-// Interconnect: when the platform carries a topology (platform::Topology),
-// every channel whose producer and consumer sit on different nodes is
-// routed over its deterministic link sequence at build time. A producer
-// firing then emits a *message* instead of depositing tokens instantly;
-// the message queues FCFS at each link in turn (per-link vector + head
-// cursor rings, pooled message arena), occupies each link for the
-// precomputed per-hop service time, and deposits the tokens at the
-// consumer when the last hop completes. Link events ride the same
-// preallocated heap, tagged in the high bit of Event::actor, and count
-// toward events_processed; per-link busy fractions are reported as
-// SimResultView::link_utilisation. Links arbitrate FCFS under every
-// arbitration mode (node arbitration stays as configured). With no
-// topology attached no message is ever created and runs are bitwise
-// identical to the pre-interconnect engine.
+// Communication is free, as in the paper: a completion deposits its tokens
+// on every output channel at once, whichever nodes the two ends sit on.
 //
 // Event loop: a handled event stays at the heap root while it is processed;
 // the first event it schedules replaces the root in one sift-down, and the
 // root is popped only if it scheduled none. The loop and its handlers
 // (completion, enqueue, dispatch) are one body templated on the
 // arbitration, chosen once per run, so no handler tests the arbitration;
-// routed hops, stochastic draws and tracing stay runtime tests. Each actor
+// stochastic draws and tracing stay runtime tests. Each actor
 // keeps a count of its input channels that hold fewer tokens than it
 // consumes: a deposit that reaches the rate lowers it and a firing's
 // consumption recounts it, so an enqueue attempt tests one counter instead
@@ -72,11 +60,10 @@
 // Steady-state fast-forward. Self-timed execution with fixed execution
 // times is a deterministic finite-state system, so it settles into a
 // periodic regime. A run looks for that regime when it has fixed execution
-// times (no exec_models), FCFS or round-robin arbitration, no trace and no
-// routed channels. TDMA completions depend on absolute time modulo the
-// wheel, stochastic runs on the RNG state, traced runs record every event,
-// and routed runs carry link queues and messages the snapshot does not
-// hold, so those runs only step.
+// times (no exec_models), FCFS or round-robin arbitration and no trace.
+// TDMA completions depend on absolute time modulo the wheel, stochastic
+// runs on the RNG state and traced runs record every event, so those runs
+// only step.
 //
 //  * Snapshot. At each iteration completion of the first active application
 //    the dynamic state is encoded relative to the current time t: per node
@@ -205,8 +192,8 @@ class SimEngine {
   /// be a simulation from time zero).
   /// \param opts horizon, arbitration, execution-time models, trace flag.
   ///        Throws std::invalid_argument for a non-positive horizon or
-  ///        one so close to INT64_MAX that a firing or link hop started by
-  ///        it could end past it, and sdf::GraphError for execution-time model
+  ///        one so close to INT64_MAX that a firing started by it could
+  ///        end past it, and sdf::GraphError for execution-time model
   ///        mismatches (opts.exec_models entries pair with *active*
   ///        applications, in use-case order).
   /// \return owning per-application results, in use-case order
@@ -229,8 +216,8 @@ class SimEngine {
   /// accounted for instead of stepping them (see the header comment).
   ///
   /// A diagnostic output, included in that run's events_processed; 0 when
-  /// the run did not jump or is not eligible (TDMA, stochastic models,
-  /// traced or routed runs).
+  /// the run did not jump or is not eligible (TDMA, stochastic models or
+  /// traced runs).
   /// \return skipped event count of the last run_view()/run()
   [[nodiscard]] std::uint64_t fast_forwarded_events() const noexcept {
     return ff_events_;
@@ -258,15 +245,6 @@ class SimEngine {
     std::vector<std::uint32_t> flat;   // active flat actor ids (size actors)
   };
 
-  /// One inter-node transfer in flight on the interconnect: the producer's
-  /// out-edge (an index into out_edges_) and the hop it currently occupies.
-  /// Pooled with a free list so warm runs reuse capacity (zero-alloc steady
-  /// state).
-  struct Msg {
-    std::uint32_t edge = 0;
-    std::uint32_t hop = 0;
-  };
-
   /// An out-edge of a flat actor: everything a completion needs to deposit
   /// on the channel and to wake the consumer, in one record.
   struct OutEdge {
@@ -287,11 +265,9 @@ class SimEngine {
   /// Clears dynamic state and arms a run of `uc` (already validated).
   void arm(const platform::UseCase& uc);
   void bind_options(const SimOptions& opts);
-  /// Whether every firing ready by the horizon, and every link hop of an
-  /// active application started by it, ends within sdf::Time. The event
-  /// loop adds times unchecked (t + demand, TDMA wheel turns, t + hop
-  /// service), so run_view() checks this bound once per run instead of per
-  /// event.
+  /// Whether every firing ready by the horizon ends within sdf::Time. The
+  /// event loop adds times unchecked (t + demand, TDMA wheel turns), so
+  /// run_view() checks this bound once per run instead of per event.
   [[nodiscard]] bool firings_end_in_range() const;
   /// Rebuilds rings_ in place for `uc` (already validated).
   void build_rings(const platform::UseCase& uc);
@@ -324,10 +300,6 @@ class SimEngine {
   void try_dispatch(platform::NodeId node, sdf::Time t);
   template <Arbitration kArb>
   void on_completion(std::uint32_t a, sdf::Time t);
-  template <Arbitration kArb>
-  void on_link_completion(std::uint32_t msg, sdf::Time t);
-  void send_message(std::uint32_t edge, sdf::Time t);
-  void try_dispatch_link(platform::LinkId link, sdf::Time t);
   void complete_iteration(std::uint32_t active_app, sdf::Time t);
   /// Feeds the state after an iteration of the first active application
   /// into the cycle detection; on a repeat, jumps. Returns the new event
@@ -362,18 +334,6 @@ class SimEngine {
   std::vector<InEdge> in_edges_;
   std::vector<std::uint32_t> out_start_;
   std::vector<OutEdge> out_edges_;
-
-  // Interconnect routes, baked at build time from the platform's topology:
-  // out-edge k's channel crosses links
-  // route_links_[route_start_[k] .. route_start_[k+1]) in order, occupying
-  // hop h for route_service_[h] time units (the transfer of one production
-  // burst). Edges with an empty range (same node, or no topology) deposit
-  // tokens instantly — the legacy model, bit-identical.
-  std::uint32_t link_count_ = 0;
-  bool routed_ = false;                        // some edge has a route
-  std::vector<std::uint32_t> route_start_;     // out-edge -> offset (size E+1)
-  std::vector<platform::LinkId> route_links_;
-  std::vector<sdf::Time> route_service_;
 
   // --- per-reset state (active restriction) --------------------------------
   RingSet rings_;                              // active use-case's rings
@@ -433,18 +393,6 @@ class SimEngine {
   std::vector<Event> pending_;
   std::uint64_t ff_events_ = 0;
 
-  // Interconnect dynamic state: per-link FCFS queues of in-flight messages
-  // (vector + head cursor with amortised compaction) and a pooled message
-  // arena with a free list. Links arbitrate FCFS under every arbitration
-  // mode; their events ride the one preallocated heap, tagged by the high
-  // bit of Event::actor.
-  std::vector<Msg> msg_pool_;
-  std::vector<std::uint32_t> msg_free_;
-  std::vector<std::vector<std::uint32_t>> link_queue_;
-  std::vector<std::size_t> link_head_;
-  std::vector<std::uint8_t> link_busy_;
-  std::vector<sdf::Time> link_busy_time_;
-
   // Metrics arenas (flat-actor arrays are full-size; per-app arrays use the
   // first active-count slots and never shrink, so capacity survives resets).
   std::vector<ActorStats> actor_stats_;
@@ -454,7 +402,6 @@ class SimEngine {
   // Result-view arenas (reused per run; run_view returns spans over these).
   std::vector<AppSimView> view_apps_;
   std::vector<double> node_util_;
-  std::vector<double> link_util_;
 };
 
 }  // namespace procon::sim

@@ -547,20 +547,16 @@ inline double per_actor_waiting_time(const prob::EstimatorOptions& opts,
   throw std::invalid_argument("per_actor_waiting_time: method not covered");
 }
 
-/// ContentionEstimator::estimate_into for deterministic execution times on
-/// a view without a topology, with step 4 run per actor: each actor's
-/// other loads are copied in node order and handed to the per-actor
-/// function (CompositionInverse: Eq. 8/9 against the node's fold, or the
-/// direct fold of the others at P == 1). A negative or non-finite waiting
+/// ContentionEstimator::estimate_into for deterministic execution times,
+/// with step 4 run per actor: each actor's other loads are copied in node
+/// order and handed to the per-actor function (CompositionInverse: Eq. 8/9
+/// against the node's fold, or the direct fold of the others at P == 1). A negative or non-finite waiting
 /// time throws the estimator's sdf::GraphError, with the same message.
 /// `engines[i]` serves view.app(i).
 inline void estimate_per_actor(const platform::SystemView& view,
                                std::span<analysis::ThroughputEngine* const> engines,
                                const prob::EstimatorOptions& opts,
                                std::vector<prob::AppEstimate>& out) {
-  if (!view.platform().topology().none()) {
-    throw std::invalid_argument("estimate_per_actor: routed topologies are not covered");
-  }
   struct Occupant {
     platform::GlobalActor who;
     prob::ActorLoad load;

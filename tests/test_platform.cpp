@@ -24,6 +24,10 @@ TEST(Platform, InvalidNodeThrows) {
   EXPECT_THROW((void)p.node(5), std::out_of_range);
 }
 
+// The interconnect stand-in the benchmark still calls reports no
+// interconnect, at compile time.
+static_assert(Platform::topology().none());
+
 TEST(Mapping, ByIndexMatchesPaperSetup) {
   const std::vector<sdf::Graph> apps{procon::testing::fig2_graph_a(),
                                      procon::testing::fig2_graph_b()};

@@ -425,9 +425,8 @@ QueryValue direct_call(api::Workbench& wb, const QueryDesc& d) {
       return d.use_case.empty() ? wb.wcrt(d.wcrt) : wb.wcrt(d.use_case, d.wcrt);
     case QueryKind::Simulate:
       return d.use_case.empty() ? wb.simulate(d.sim) : wb.simulate(d.use_case, d.sim);
-    case QueryKind::TopologySweep:
-      return wb.sweep_topologies(d.topologies,
-                                 api::TopologySweepOptions{d.estimator, d.sim, d.use_case});
+    case QueryKind::TopologySweep:  // submit() rejects it
+      break;
   }
   throw std::logic_error("direct_call: unhandled query kind");
 }
@@ -475,15 +474,6 @@ void expect_same(const sim::SimResult& a, const sim::SimResult& b) {
     EXPECT_EQ(a.trace[i].node, b.trace[i].node);
   }
 }
-void expect_same(const std::vector<api::TopologyResult>& a,
-                 const std::vector<api::TopologyResult>& b) {
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    expect_same_estimates(a[i].estimates, b[i].estimates);
-    expect_same(a[i].sim, b[i].sim);
-  }
-}
-
 void expect_same_value(const QueryValue& got, const QueryValue& want) {
   ASSERT_EQ(got.index(), want.index());
   std::visit(
@@ -514,7 +504,6 @@ TEST(AnalysisService, DistinctOptionsNeverShareAResult) {
   // cached one in that option alone must execute and return the direct
   // Workbench value, and the cached query must still be served as a hit.
   const platform::System sys = random_system(71, 3);
-  const std::size_t nodes = sys.platform().node_count();
   api::Workbench oracle(sys, api::WorkbenchOptions{.threads = 1});
 
   struct Case {
@@ -572,18 +561,6 @@ TEST(AnalysisService, DistinctOptionsNeverShareAResult) {
   buf.kind = QueryKind::BufferFrontier;
   add("buffers.max_steps", buf, [](QueryDesc& d) { d.buffers.max_steps = 1; });
 
-  QueryDesc topo;
-  topo.kind = QueryKind::TopologySweep;
-  topo.sim.horizon = 20'000;
-  topo.topologies = {platform::Topology{}, platform::Topology::bus(nodes, 4, 1)};
-  add("topologies", topo, [&](QueryDesc& d) {
-    d.topologies = {platform::Topology{}, platform::Topology::ring(nodes, 2, 1)};
-  });
-  QueryDesc topo_stochastic = topo;
-  topo_stochastic.sim.exec_models = jittered_models(sys, 5);
-  add("topology sweep sim.exec_models", topo_stochastic,
-      [&](QueryDesc& d) { d.sim.exec_models = jittered_models(sys, 6); });
-
   for (const Case& c : cases) {
     SCOPED_TRACE(c.field);
     AnalysisService service(ServiceOptions{.threads = 1});
@@ -598,6 +575,34 @@ TEST(AnalysisService, DistinctOptionsNeverShareAResult) {
     (void)service.submit(id, c.base).get();
     EXPECT_EQ(service.stats().result_hits, after.result_hits + 1);
   }
+}
+
+TEST(AnalysisService, TopologySweepIsRejected) {
+  // The enumerator names no query any more: submit() refuses it before it
+  // looks up the tenant, builds a session or counts anything, and the
+  // service serves the next query as if it had never been asked.
+  const platform::System sys = random_system(23, 3);
+  AnalysisService service(ServiceOptions{.threads = 1});
+  const SystemId id = service.register_system(sys);
+  const api::ServiceStats before = service.stats();
+  QueryDesc sweep;
+  sweep.kind = QueryKind::TopologySweep;
+  EXPECT_THROW((void)service.submit(id, sweep), std::invalid_argument);
+  EXPECT_THROW((void)service.submit(77, sweep), std::invalid_argument);
+  const api::ServiceStats after = service.stats();
+  EXPECT_EQ(after.submitted, before.submitted);
+  EXPECT_EQ(after.coalesced, before.coalesced);
+  EXPECT_EQ(after.executed, before.executed);
+  EXPECT_EQ(after.sessions_built, before.sessions_built);
+  EXPECT_EQ(after.sessions_evicted, before.sessions_evicted);
+  EXPECT_EQ(after.result_hits, before.result_hits);
+  EXPECT_EQ(service.session_count(), 0u);
+
+  QueryDesc contention;
+  contention.kind = QueryKind::Contention;
+  const QueryValue got = service.submit(id, contention).get();
+  api::Workbench oracle(sys, api::WorkbenchOptions{.threads = 1});
+  expect_same_value(got, direct_call(oracle, contention));
 }
 
 }  // namespace

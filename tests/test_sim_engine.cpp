@@ -42,7 +42,6 @@ void expect_same_stats(const SimResult& a, const SimResult& b) {
   EXPECT_EQ(a.events_processed, b.events_processed);
   EXPECT_EQ(a.horizon, b.horizon);
   EXPECT_EQ(a.node_utilisation, b.node_utilisation);
-  EXPECT_EQ(a.link_utilisation, b.link_utilisation);
   for (std::size_t i = 0; i < a.apps.size(); ++i) {
     const AppSimResult& x = a.apps[i];
     const AppSimResult& y = b.apps[i];
@@ -285,8 +284,9 @@ class Digest {
     }
     add(r.node_utilisation.size());
     for (const double u : r.node_utilisation) add_double(u);
-    add(r.link_utilisation.size());
-    for (const double u : r.link_utilisation) add_double(u);
+    // The count of the per-link busy fractions that results used to carry:
+    // 0 on every pinned run, so the pinned digests keep their values.
+    add(std::uint64_t{0});
   }
   void add_trace(const SimResult& r) {
     add(r.trace.size());
@@ -433,14 +433,6 @@ TEST(SimEngine, GoldenDigests) {
     Digest d;
     d.add(engine.run(opts));
     EXPECT_EQ(hex(d.value()), hex(0x6b51ec66cc8c835b)) << "stochastic";
-  }
-  {
-    platform::System routed = sys;
-    routed.set_topology(platform::Topology::ring(routed.platform().node_count(), 2, 1));
-    SimEngine routed_engine(routed);
-    Digest d;
-    d.add(routed_engine.run(SimOptions{.horizon = 100'000}));
-    EXPECT_EQ(hex(d.value()), hex(0x04dfe662d40bf808)) << "ring topology";
   }
 
   // Whole runs of other systems. The digest also folds every field of every
@@ -650,11 +642,6 @@ TEST(SimEngine, FastForwardOnlyOnEligibleRuns) {
   SimOptions stochastic = fcfs;
   stochastic.exec_models = jittered_models(sys, uc);
   EXPECT_EQ(skipped(engine, stochastic), 0u);
-
-  platform::System routed = sys;
-  routed.set_topology(platform::Topology::ring(routed.platform().node_count(), 2, 1));
-  SimEngine routed_engine(routed);
-  EXPECT_EQ(skipped(routed_engine, fcfs), 0u);
 }
 
 TEST(SimEngine, SimulateViewOverloadMatches) {

@@ -156,76 +156,6 @@ TEST(SteadyStateAlloc, ResetOfAnUnseenUseCaseIsAllocationFree) {
   }
 }
 
-TEST(SteadyStateAlloc, WarmRoutedSimQueriesAreAllocationFree) {
-  // Interconnect tier: link queues, the message pool and the per-link
-  // utilisation arena must all come from preallocated storage, so a warm
-  // routed query is as allocation-free as an unrouted one.
-  platform::System sys = random_system(555, 4);
-  const std::size_t n = sys.platform().node_count();
-  sys.set_topology(n == 6 ? platform::Topology::mesh(2, 3, 2, 1)
-                          : platform::Topology::ring(n, 2, 1));
-  sim::SimEngine engine(sys);
-  util::Rng rng(17);
-  const auto use_cases = gen::sample_use_cases(sys.app_count(), 2, rng);
-  ASSERT_FALSE(use_cases.empty());
-  sim::SimOptions opts;
-  opts.horizon = 20'000;
-
-  for (const auto& uc : use_cases) {
-    engine.reset(uc);
-    (void)engine.run_view(opts);
-  }
-  for (const auto& uc : use_cases) {
-    const util::contracts::ArmGuard armed;
-    const std::uint64_t before = allocations();
-    engine.reset(uc);
-    const sim::SimResultView view = engine.run_view(opts);
-    const std::uint64_t after = allocations();
-    EXPECT_EQ(after - before, 0u)
-        << "warm routed reset+run_view of a seen use-case allocated";
-    EXPECT_EQ(view.apps.size(), uc.size());
-    EXPECT_EQ(view.link_utilisation.size(),
-              sys.platform().topology().link_count());
-  }
-}
-
-TEST(SteadyStateAlloc, WarmLinkAwareContentionViewIsAllocationFree) {
-  // The estimator's flow arenas (flows, routes, per-link grouping) are
-  // workspace-owned with grow-only capacity: once a routed shape has been
-  // seen, the link-aware Step-4b pass allocates nothing.
-  platform::System sys = random_system(556, 4);
-  sys.set_topology(platform::Topology::ring(sys.platform().node_count(), 1, 2));
-  api::Workbench wb(sys, api::WorkbenchOptions{.threads = 1});
-  util::Rng rng(19);
-  const auto use_cases = gen::sample_use_cases(sys.app_count(), 2, rng);
-
-  (void)wb.contention_view();
-  for (const auto& uc : use_cases) (void)wb.contention_view(uc);
-
-  const auto oracle = wb.contention();
-  for (int rep = 0; rep < 3; ++rep) {
-    const util::contracts::ArmGuard armed;
-    const std::uint64_t before = allocations();
-    const auto& report = wb.contention_view();
-    const std::uint64_t after = allocations();
-    EXPECT_EQ(after - before, 0u)
-        << "warm link-aware contention_view allocated (rep " << rep << ")";
-    ASSERT_EQ(report->size(), oracle->size());
-    for (std::size_t i = 0; i < oracle->size(); ++i) {
-      EXPECT_EQ((*report)[i].estimated_period, (*oracle)[i].estimated_period);
-    }
-  }
-  for (const auto& uc : use_cases) {
-    const util::contracts::ArmGuard armed;
-    const std::uint64_t before = allocations();
-    const auto& report = wb.contention_view(uc);
-    const std::uint64_t after = allocations();
-    EXPECT_EQ(after - before, 0u)
-        << "warm restricted link-aware contention_view allocated";
-    EXPECT_EQ(report->size(), uc.size());
-  }
-}
-
 TEST(SteadyStateAlloc, WarmViewsMatchColdRebuildsBitwise) {
   const platform::System sys = random_system(99, 4);
   sim::SimEngine warm(sys);
